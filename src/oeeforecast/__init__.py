@@ -17,7 +17,6 @@ from .forecasters import (
     OEE_MIN,
     ets_fit,
     ets_forecast,
-    recombine_forecasts,
     seasonal_naive_forecast,
 )
 from .pipeline import (
@@ -49,7 +48,7 @@ from .series import (
     pacf,
     summary_stats,
 )
-from .sarimax import SarimaxFit, SarimaxSpec, bic_of, fit, forecast, simulate
+from .sarimax import SarimaxFit, SarimaxSpec, fit, forecast, simulate
 from .stat_features import extract_stat_features
 from .tda import TdaParams, extract_tda_features, takens_embed, vr_persistence
 

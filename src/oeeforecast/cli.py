@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,21 +23,12 @@ from .pipeline import (
     benchmark,
     benchmark_table,
     benchmark_to_csv,
+    build_features,
     causal_components,
     forecasts_to_csv,
 )
-from .selection import (
-    PsoConfig,
-    collinearity_prune,
-    correlation_filter,
-    pso_bic,
-    rfe_sarimax,
-    variance_filter,
-    write_manifest,
-)
+from .selection import write_manifest
 from .series import CsvError, load_csv, summary_stats
-from .stat_features import extract_stat_features
-from .tda.extract import TdaParams, extract_tda_features
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -156,55 +146,30 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
+def _require_features(cfg: PipelineConfig, command: str) -> None:
+    if cfg.feature_mode == "none":
+        raise ConfigError(f"{command} needs --feature-mode statistical|topological|both")
+
+
 def cmd_features(args) -> int:
     cfg = build_config(args)
-    series = _load(cfg)
-    _, _, residual = causal_components(series, cfg.periods)
-    if cfg.feature_mode in ("statistical", "both"):
-        fm = extract_stat_features(residual, cfg.window)
-        if cfg.feature_mode == "both":
-            fm = fm.hstack(extract_tda_features(residual, TdaParams(window=cfg.window)))
-    elif cfg.feature_mode == "topological":
-        fm = extract_tda_features(residual, TdaParams(window=cfg.window))
-    else:
-        raise ConfigError("features needs --feature-mode statistical|topological|both")
+    _require_features(cfg, "features")
+    _, _, residual = causal_components(_load(cfg), cfg.periods)
+    fm = build_features(cfg, residual)
     fm.to_csv(args.output)
     print(f"wrote {args.output}: {fm.n_rows} rows x {fm.n_cols} columns")
     return EXIT_OK
 
 
 def cmd_select(args) -> int:
+    """The selection the decomposed model makes on its training span."""
     cfg = build_config(args)
+    _require_features(cfg, "select")
     series = _load(cfg)
-    split = int(len(series) * (1 - cfg.test_fraction))
-    _, _, residual = causal_components(series.slice(0, split), cfg.periods)
-    if cfg.feature_mode == "topological":
-        fm = extract_tda_features(residual, TdaParams(window=cfg.window))
-    else:
-        fm = extract_stat_features(residual, cfg.window)
-    w = cfg.window
-    r = residual.values
-    from .series import TimeSeries
-
-    y = TimeSeries(r[w:])
-    fm = fm.select_rows([i for i, j in enumerate(fm.row_index) if j <= len(r) - 2])
-
-    reports = []
-    fm, rep = variance_filter(fm)
-    reports.append(rep)
-    fm, rep = correlation_filter(fm, y.values)
-    reports.append(rep)
-    fm, rep = collinearity_prune(fm)
-    reports.append(rep)
-    pso_result = None
-    if cfg.selection_mode in ("rfe", "rfe+pso"):
-        fm, rep = rfe_sarimax(y, fm, cfg.sarimax_spec)
-        reports.append(rep)
-    if cfg.selection_mode == "rfe+pso" and fm.n_cols > 1:
-        pso_result = pso_bic(y, fm, cfg.sarimax_spec, replace(PsoConfig(), seed=cfg.seed))
-        fm = fm.select_columns(pso_result.best_subset or fm.column_names)
-    write_manifest(args.output, fm.column_names, reports, pso_result)
-    print(f"wrote {args.output}: {fm.n_cols} columns selected")
+    strategy = DecomposedStrategy(cfg)
+    strategy.refit(series.slice(0, int(len(series) * (1 - cfg.test_fraction))))
+    write_manifest(args.output, strategy.columns, strategy.selection_reports, strategy.pso_result)
+    print(f"wrote {args.output}: {len(strategy.columns)} columns selected")
     return EXIT_OK
 
 

@@ -1,10 +1,10 @@
-"""Component forecasters: Holt-trend ETS, seasonal naive, and recombination.
+"""Component forecasters: Holt-trend ETS and seasonal naive.
 
 After decomposition the trend is smooth and aperiodic, so the additive
 error / additive trend / no-season smoother is enough for it; seasonal
 components repeat their last full cycle; the residual model lives in
-``sarimax``. Recombined forecasts are clamped to the observable
-efficiency range.
+``sarimax``. OEE_MIN and OEE_MAX bound the observable efficiency range
+that recombined forecasts are clamped to.
 """
 
 from __future__ import annotations
@@ -61,10 +61,15 @@ def _init_state(y: np.ndarray) -> tuple[float, float]:
     return float(intercept - slope), float(slope)
 
 
-def _holt_filter(y: np.ndarray, alpha: float, beta: float, l0: float, b0: float):
+def _holt_filter(
+    y: np.ndarray, alpha: float, beta: float, l0: float, b0: float, preds: list | None = None
+):
+    """Final (level, slope, sse); each one-step prediction is appended to preds if given."""
     level, slope, sse = l0, b0, 0.0
     for v in y:
         pred = level + slope
+        if preds is not None:
+            preds.append(pred)
         err = v - pred
         sse += err * err
         new_level = alpha * v + (1.0 - alpha) * pred
@@ -132,6 +137,14 @@ def ets_update(fit: EtsFit, ts: TimeSeries) -> EtsFit:
     return EtsFit(fit.alpha, fit.beta, level, slope, sse, n_obs=y.size)
 
 
+def ets_one_step(fit: EtsFit, ts: TimeSeries) -> np.ndarray:
+    """One-step-ahead predictions over ts with frozen smoothing weights."""
+    y = ts.values.astype(float)
+    preds: list[float] = []
+    _holt_filter(y, fit.alpha, fit.beta, *_init_state(y), preds=preds)
+    return np.asarray(preds)
+
+
 def ets_forecast(fit: EtsFit, horizon: int) -> ForecastResult:
     """Linear continuation: forecast(h) = level + h * slope."""
     if horizon < 1:
@@ -158,29 +171,3 @@ def seasonal_naive_forecast(seasonal: TimeSeries, period: int, horizon: int) -> 
         model_label=f"seasonal_naive_{period}",
     )
 
-
-def recombine_forecasts(
-    trend_f: ForecastResult,
-    seasonal_fs,
-    residual_f: ForecastResult,
-    clamp: tuple[float, float] = (OEE_MIN, OEE_MAX),
-    model_label: str | None = None,
-) -> ForecastResult:
-    """Element-wise sum of component forecasts, clamped to the data range."""
-    parts = [trend_f, *seasonal_fs, residual_f]
-    horizon = trend_f.horizon
-    origin = trend_f.origin_index
-    for p in parts[1:]:
-        if p.horizon != horizon:
-            raise ValueError(f"horizon mismatch: {p.model_label} has {p.horizon} != {horizon}")
-        if p.origin_index != origin:
-            raise ValueError(f"origin mismatch: {p.model_label} at {p.origin_index} != {origin}")
-    total = np.sum([p.values for p in parts], axis=0)
-    lo, hi = clamp
-    total = np.clip(total, lo, hi)
-    return ForecastResult(
-        origin_index=origin,
-        horizon=horizon,
-        values=tuple(float(v) for v in total),
-        model_label=model_label or f"recombined[{residual_f.model_label}]",
-    )

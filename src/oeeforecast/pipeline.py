@@ -29,6 +29,7 @@ from .forecasters import (
     OEE_MIN,
     ets_fit,
     ets_forecast,
+    ets_one_step,
     ets_update,
     seasonal_naive_forecast,
 )
@@ -95,7 +96,7 @@ class PipelineConfig:
     refit_interval: int = 24
     seed: int = 0
     pso: PsoConfig = field(default_factory=PsoConfig)
-    tda: TdaParams = field(default_factory=TdaParams)
+    tda: TdaParams = field(default_factory=TdaParams)  # its window is taken from `window`
     clamp: tuple[float, float] = (OEE_MIN, OEE_MAX)
 
     def __post_init__(self):
@@ -109,6 +110,42 @@ class PipelineConfig:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
+
+
+def _tda_params(cfg: PipelineConfig) -> TdaParams:
+    """The topological catalog's parameters at the pipeline's window."""
+    return replace(cfg.tda, window=cfg.window)
+
+
+def build_features(
+    cfg: PipelineConfig, residual: TimeSeries, scale: float | None = None
+) -> FeatureMatrix:
+    """Full (pre-selection) window-feature matrix of cfg.feature_mode.
+
+    Both catalogs slide cfg.window over the residual; scale fixes the
+    diagram normalization (None: taken over the windows being extracted).
+    """
+    mode = cfg.feature_mode
+    if mode == "none":
+        raise ValueError("feature_mode 'none' has no feature matrix")
+    parts = []
+    if mode in ("statistical", "both"):
+        parts.append(extract_stat_features(residual, cfg.window))
+    if mode in ("topological", "both"):
+        parts.append(extract_tda_features(residual, _tda_params(cfg), scale=scale))
+    fm = parts[0]
+    for extra in parts[1:]:
+        fm = fm.hstack(extra)
+    return fm
+
+
+def aligned_features(cfg: PipelineConfig, residual: TimeSeries, scale: float | None = None):
+    """(y, fm): exog rows (window ending at j) paired with the next residual r_{j+1}."""
+    fm = build_features(cfg, residual, scale)
+    r = residual.values
+    y = TimeSeries(r[cfg.window :], residual.start, "residual_target")
+    rows = [i for i, j in enumerate(fm.row_index) if j <= len(r) - 2]
+    return y, fm.select_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -182,21 +219,7 @@ class RawEtsStrategy:
         return np.clip(ets_forecast(state, horizon).values, *self.clamp)
 
     def train_one_step(self, train: TimeSeries):
-        fit = ets_fit(train)
-        y = train.values
-        level, slope = fit.level, fit.slope
-        # re-run the filter to collect one-step predictions
-        from .forecasters import _init_state
-
-        l0, b0 = _init_state(y)
-        preds = []
-        level, slope = l0, b0
-        for v in y:
-            preds.append(level + slope)
-            new_level = fit.alpha * v + (1 - fit.alpha) * (level + slope)
-            slope = fit.beta * (new_level - level) + (1 - fit.beta) * slope
-            level = new_level
-        return 0, np.clip(np.asarray(preds), *self.clamp)
+        return 0, np.clip(ets_one_step(ets_fit(train), train), *self.clamp)
 
 
 class RawSarimaStrategy:
@@ -232,6 +255,9 @@ class DecomposedStrategy:
     and coefficients re-estimated at every refit. Between refits the fitted
     residual/feature history is frozen and extended with the newly observed
     hours, so per-origin work stays O(refit_interval) feature rows.
+
+    This is the one selection path: the benchmark, the service and the
+    CLI's forecast and select commands all fit through it.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -242,9 +268,10 @@ class DecomposedStrategy:
             if cfg.feature_mode != "none"
             else "decomposed_sarima"
         )
+        self._tda = _tda_params(cfg) if cfg.feature_mode in ("topological", "both") else None
         self._ets = None
         self._sarimax = None
-        self._columns: tuple[str, ...] | None = None
+        self.columns: tuple[str, ...] | None = None  # selected on the first refit
         self._col_pick: np.ndarray | None = None  # indices into the raw feature row
         self._tda_scale: float | None = None
         self._refit_len = 0  # series length at the last refit
@@ -255,42 +282,21 @@ class DecomposedStrategy:
 
     # -- feature plumbing ---------------------------------------------------
 
-    def _extract_matrix(self, residual: TimeSeries) -> FeatureMatrix:
-        mode = self.cfg.feature_mode
-        parts = []
-        if mode in ("statistical", "both"):
-            parts.append(extract_stat_features(residual, self.cfg.window))
-        if mode in ("topological", "both"):
-            parts.append(extract_tda_features(residual, self.cfg.tda, scale=self._tda_scale))
-        fm = parts[0]
-        for extra in parts[1:]:
-            fm = fm.hstack(extra)
-        return fm
-
     def _raw_feature_row(self, window: np.ndarray) -> np.ndarray:
-        """Full (pre-selection) feature row for one window."""
+        """Full (pre-selection) feature row for one window; equals the last
+        row of build_features over any series ending in that window."""
         mode = self.cfg.feature_mode
         vals = []
         if mode in ("statistical", "both"):
             vals.append(np.nan_to_num(window_features(window), nan=0.0, posinf=0.0, neginf=0.0))
         if mode in ("topological", "both"):
-            fm = extract_tda_features(TimeSeries(window), self.cfg.tda, scale=self._tda_scale)
+            fm = extract_tda_features(TimeSeries(window), self._tda, scale=self._tda_scale)
             vals.append(fm.matrix[-1])
         return np.concatenate(vals)
 
     def _selected_row(self, resid_values: np.ndarray) -> np.ndarray:
         """Selected-column feature row for the window ending resid_values[-1]."""
         return self._raw_feature_row(resid_values[-self.cfg.window :])[self._col_pick]
-
-    def _aligned_fit_inputs(self, residual: TimeSeries):
-        """Pair exog rows (window ending at j) with the next residual r_{j+1}."""
-        fm = self._extract_matrix(residual)
-        w = self.cfg.window
-        r = residual.values
-        y = TimeSeries(r[w:], residual.start, "residual_target")
-        rows = [i for i, j in enumerate(fm.row_index) if j <= len(r) - 2]
-        fm = fm.select_rows(rows)
-        return y, fm
 
     def _state_through(self, residual: np.ndarray):
         """Frozen refit-time history extended with hours observed since."""
@@ -322,11 +328,11 @@ class DecomposedStrategy:
             self._state_x = None
             return
 
-        if self._tda_scale is None and cfg.feature_mode in ("topological", "both"):
-            self._tda_scale = fit_diagram_scale(residual, cfg.tda)
+        if self._tda_scale is None and self._tda is not None:
+            self._tda_scale = fit_diagram_scale(residual, self._tda)
 
-        y, fm = self._aligned_fit_inputs(residual)
-        if self._columns is None:
+        y, fm = aligned_features(cfg, residual, self._tda_scale)
+        if self.columns is None:
             fm_sel, rep_var = variance_filter(fm)
             fm_sel, rep_corr = correlation_filter(fm_sel, y.values)
             fm_sel, rep_prune = collinearity_prune(fm_sel)
@@ -339,11 +345,10 @@ class DecomposedStrategy:
                 self.pso_result = pso_bic(y, fm_sel, cfg.sarimax_spec, pso_cfg)
                 chosen = self.pso_result.best_subset or fm_sel.column_names
                 fm_sel = fm_sel.select_columns(chosen)
-            self._columns = fm_sel.column_names
-            all_names = tuple(fm.column_names)
-            self._col_pick = np.array([all_names.index(c) for c in self._columns])
+            self.columns = fm_sel.column_names
+            self._col_pick = np.array([fm.column_names.index(c) for c in self.columns])
         else:
-            fm_sel = fm.select_columns(self._columns)
+            fm_sel = fm.select_columns(self.columns)
         self._sarimax = sarimax.fit(
             y, cfg.sarimax_spec, exog=fm_sel, n_restarts=1, seed=cfg.seed
         )
@@ -385,8 +390,8 @@ class DecomposedStrategy:
             state = sarimax.apply_params(fit, residual)
             start = burn
         else:
-            y, fm = self._aligned_fit_inputs(residual)
-            state = sarimax.apply_params(fit, y, exog=fm.select_columns(self._columns))
+            y, fm = aligned_features(self.cfg, residual, self._tda_scale)
+            state = sarimax.apply_params(fit, y, exog=fm.select_columns(self.columns))
             start = self.cfg.window + burn
         preds = train.values[start : start + state.residuals.size] - state.residuals
         return start, np.clip(preds, *self.clamp)
@@ -550,38 +555,6 @@ def forecasts_to_csv(report: EvaluationReport, path) -> None:
         w.writerow(["origin", "step", "actual", "predicted"])
         for origin, step, actual, predicted in report.records:
             w.writerow([origin, step, repr(float(actual)), repr(float(predicted))])
-
-
-def forecast_plot_svg(report: EvaluationReport, path, width: int = 900, height: int = 300) -> None:
-    """Minimal actual-vs-predicted line plot (step-1 forecasts)."""
-    pts = [(r[0], r[2], r[3]) for r in report.records if r[1] == 1]
-    if not pts:
-        raise ValueError("report has no step-1 records")
-    xs = [p[0] for p in pts]
-    lo = min(min(p[1], p[2]) for p in pts)
-    hi = max(max(p[1], p[2]) for p in pts)
-    span = (hi - lo) or 1.0
-
-    def sx(x):
-        return 10 + (x - xs[0]) / max(1, xs[-1] - xs[0]) * (width - 20)
-
-    def sy(v):
-        return height - 10 - (v - lo) / span * (height - 20)
-
-    def polyline(vals, color):
-        coords = " ".join(f"{sx(x):.1f},{sy(v):.1f}" for x, v in vals)
-        return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{coords}"/>'
-
-    svg = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        polyline([(p[0], p[1]) for p in pts], "#333333"),
-        polyline([(p[0], p[2]) for p in pts], "#cc3311"),
-        f'<text x="12" y="16" font-size="12">{report.model_label}: actual (dark) vs predicted (red)</text>',
-        "</svg>",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(svg))
 
 
 def leakage_audit(fm, split_index: int, builder=None, source: TimeSeries | None = None) -> bool:

@@ -630,7 +630,3 @@ def simulate(
         y = y + x @ np.asarray(exog_beta, dtype=float)
     return TimeSeries(y, name=name)
 
-
-def bic_of(fit_result: SarimaxFit) -> float:
-    """BIC stored on the fit: -2 loglik + k ln(n_effective)."""
-    return fit_result.bic

@@ -18,6 +18,7 @@ registered files are only ever opened for reading.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import traceback
 import uuid
@@ -197,7 +198,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(404, {"error": f"no such endpoint {url.path!r}"})
         except Exception:
             diag = uuid.uuid4().hex[:12]
-            traceback.print_exc()
+            # one write, so the id stays on the line before its own traceback
+            sys.stderr.write(f"diagnostic_id {diag} GET {self.path}\n" + traceback.format_exc())
             self._send(500, {"error": "internal pipeline failure", "diagnostic_id": diag})
 
 

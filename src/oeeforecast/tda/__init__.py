@@ -2,14 +2,7 @@
 persistence in dimensions 0 and 1, and diagram vectorizations."""
 
 from .embedding import estimate_delay, estimate_dim_fnn, takens_embed
-from .extract import (
-    TdaParams,
-    diagrams_to_csv,
-    extract_tda_features,
-    fit_diagram_scale,
-    tda_catalog,
-    window_diagrams,
-)
+from .extract import TdaParams, extract_tda_features, fit_diagram_scale, tda_catalog
 from .persistence import PersistenceDiagram, PointCloud, scale_diagram, vr_persistence
 from .vectorize import (
     betti_curve,

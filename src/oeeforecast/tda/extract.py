@@ -1,4 +1,4 @@
-"""Sliding-window topological feature extraction and diagram export.
+"""Sliding-window topological feature extraction.
 
 Per window: delay-embed, compute Rips persistence in dimensions 0 and 1,
 normalize by a fixed diagram scale, then apply every vectorizer on the
@@ -9,7 +9,6 @@ omitted it is taken over the windows being extracted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,25 +141,3 @@ def extract_tda_features(
     rows = [_vectorize(scale_diagram(d, scale), params) for d in diagrams]
     return FeatureMatrix(tda_catalog(params), np.vstack(rows), tuple(ridx))
 
-
-def window_diagrams(ts: TimeSeries, params: TdaParams | None = None):
-    """(window_index, PersistenceDiagram) per sliding window, unscaled."""
-    params = params or TdaParams()
-    n = len(ts)
-    if n < params.window:
-        raise ValueError(f"series length {n} < window {params.window}")
-    x = ts.values
-    out = []
-    for end in range(params.window - 1, n, params.stride):
-        out.append((end, _window_diagram(x[end - params.window + 1 : end + 1], params)))
-    return out
-
-
-def diagrams_to_csv(indexed_diagrams, path) -> None:
-    """Inspection export: one row per persistence pair."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["birth", "death", "dim", "window_index"])
-        for window_index, diagram in indexed_diagrams:
-            for b, d, h in zip(diagram.births, diagram.deaths, diagram.dims):
-                w.writerow([repr(float(b)), repr(float(d)), int(h), window_index])

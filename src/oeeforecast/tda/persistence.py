@@ -6,6 +6,8 @@ the one essential class is capped at the maximum pairwise distance so every
 diagram carries point-count-many H0 pairs. H1 uses the standard boundary
 matrix reduction over Z/2 on the edge/triangle filtration, with the
 deterministic simplex order (filtration value, dimension, vertex tuple).
+Every triangle is in the filtration, so the final complex is simply
+connected and every H1 class dies: only H0 has an essential bar.
 Zero-lifetime pairs are not recorded.
 """
 
@@ -169,21 +171,6 @@ def vr_persistence(cloud: PointCloud, max_hom_dim: int = 1) -> PersistenceDiagra
                 if death > birth:
                     births.append(birth)
                     deaths.append(death)
-                    dims.append(1)
-        # positive edges never claimed by a triangle would be essential H1;
-        # the full clique complex is simply connected so this cannot occur,
-        # but cap defensively rather than drop
-        killed = set(low_owner.keys())
-        mst_edges = set()
-        uf = _UnionFind(n)
-        for w, i, j in edges:
-            if uf.union(i, j):
-                mst_edges.add(edge_index[(i, j)])
-        for pos, (w, d, verts) in enumerate(simplices):
-            if d == 1 and pos not in mst_edges and pos not in killed:
-                if max_filtration > w:
-                    births.append(w)
-                    deaths.append(max_filtration)
                     dims.append(1)
 
     order = np.lexsort((deaths, births, dims))

@@ -28,7 +28,7 @@ from oeeforecast.pipeline import (
     benchmark_to_csv,
     leakage_audit,
 )
-from oeeforecast.sarimax import SarimaxSpec, bic_of, fit, simulate
+from oeeforecast.sarimax import SarimaxSpec, fit, simulate
 from oeeforecast.selection import PsoConfig, pso_bic, rfe_sarimax
 from oeeforecast.series import TimeSeries, load_csv
 from oeeforecast.stat_features import extract_stat_features
@@ -163,8 +163,8 @@ def test_criterion_06_bic_order_selection():
         for p in (0, 1, 2):
             for P in (0, 1):
                 f = fit(ts, SarimaxSpec(p=p, P=P, s=8), n_restarts=1)
-                if bic_of(f) < best_bic:
-                    best, best_bic = (p, P), bic_of(f)
+                if f.bic < best_bic:
+                    best, best_bic = (p, P), f.bic
         correct += best == (1, 1)
     assert correct >= 16, f"true order chosen in only {correct}/20 seeds"
     announce(6, f"BIC grid picks the true order in {correct}/20 seeds")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 
@@ -12,6 +13,9 @@ from oeeforecast.cli import (
     coerce_config_value,
     read_config_file,
 )
+from oeeforecast.pipeline import DecomposedStrategy, load_series
+from oeeforecast.stat_features import CATALOG
+from oeeforecast.tda.extract import TdaParams, tda_catalog
 
 from conftest import make_oee_series
 
@@ -60,8 +64,6 @@ class TestConfigParsing:
         assert vals["sarimax_spec"].p == 2
 
     def test_flag_overrides_file(self, config_file, dataset_csv):
-        import argparse
-
         args = argparse.Namespace(config=str(config_file), horizon=6, spec=None)
         cfg = build_config(args)
         assert cfg.horizon == 6
@@ -172,6 +174,38 @@ class TestCommands:
         doc = json.loads(out.read_text())
         assert doc["final_columns"]
         assert [s["stage"] for s in doc["stages"]][:2] == ["variance_filter", "correlation_filter"]
+
+    def test_select_both_is_the_strategy_selection(self, config_file, tmp_path):
+        out = tmp_path / "manifest_both.json"
+        # a short AR spec and training span keep the fit on ~70 exogenous columns quick
+        spec, test_fraction = "1,0,0,0,0,0,8", 0.45
+        rc = cli_run(
+            ["select", "--config", str(config_file), "--feature-mode", "both", "--spec", spec,
+             "--test-fraction", str(test_fraction), "--output", str(out)]
+        )
+        assert rc == EXIT_OK
+        columns = json.loads(out.read_text())["final_columns"]
+        assert set(columns) & set(CATALOG)
+        assert set(columns) & set(tda_catalog(TdaParams()))
+
+        cfg = build_config(
+            argparse.Namespace(
+                config=str(config_file), spec=spec, feature_mode="both", test_fraction=test_fraction
+            )
+        )
+        series = load_series(cfg)
+        strategy = DecomposedStrategy(cfg)
+        strategy.refit(series.slice(0, int(len(series) * (1 - cfg.test_fraction))))
+        assert columns == list(strategy.columns)
+
+    @pytest.mark.parametrize("command", ["features", "select"])
+    def test_feature_mode_none_is_config_error(self, config_file, tmp_path, command):
+        out = tmp_path / "out"
+        rc = cli_run(
+            [command, "--config", str(config_file), "--feature-mode", "none", "--output", str(out)]
+        )
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
 
     def test_benchmark_two_runs_byte_identical(self, config_file, tmp_path, capsys):
         out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"

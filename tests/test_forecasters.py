@@ -3,11 +3,10 @@ import pytest
 
 from oeeforecast.forecasters import (
     EtsFit,
-    ForecastResult,
     ets_fit,
     ets_forecast,
+    ets_one_step,
     ets_update,
-    recombine_forecasts,
     seasonal_naive_forecast,
 )
 from oeeforecast.series import TimeSeries
@@ -73,6 +72,14 @@ class TestEts:
             for cb in betas:
                 assert _holt_filter(y, ca, cb, l0, b0)[2] >= best - 1e-9
 
+    def test_one_step_predictions_reproduce_fit(self):
+        rng = np.random.default_rng(13)
+        ts = TimeSeries(np.cumsum(rng.normal(size=80)) + 20.0)
+        fit = ets_fit(ts)
+        preds = ets_one_step(fit, ts)
+        assert preds.size == 80
+        assert np.sum((ts.values - preds) ** 2) == pytest.approx(fit.sse, rel=1e-12)
+
 
 class TestSeasonalNaive:
     def test_repeats_last_cycle(self):
@@ -102,42 +109,3 @@ class TestSeasonalNaive:
         with pytest.raises(ValueError):
             seasonal_naive_forecast(TimeSeries([1.0, 2.0]), 3, 1)
 
-
-class TestRecombine:
-    def _fr(self, values, origin=9, label="part"):
-        return ForecastResult(origin, len(values), tuple(values), label)
-
-    def test_arithmetic(self):
-        out = recombine_forecasts(
-            self._fr([10.0, 10.0]), [self._fr([2.0, -2.0])], self._fr([0.5, -0.5])
-        )
-        assert out.values == (12.5, 7.5)
-
-    def test_zero_components_pass_trend_through(self):
-        out = recombine_forecasts(
-            self._fr([10.0, 11.0]), [self._fr([0.0, 0.0])], self._fr([0.0, 0.0])
-        )
-        assert out.values == (10.0, 11.0)
-
-    def test_clamped_to_range(self):
-        high = recombine_forecasts(self._fr([70.0]), [self._fr([5.0])], self._fr([0.0]))
-        low = recombine_forecasts(self._fr([-10.0]), [self._fr([0.0])], self._fr([0.0]))
-        assert high.values == (60.0,)
-        assert low.values == (1.0,)
-
-    def test_output_always_in_range_property(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            parts = rng.normal(0, 40, size=(3, 4))
-            out = recombine_forecasts(
-                self._fr(parts[0]), [self._fr(parts[1])], self._fr(parts[2])
-            )
-            assert all(1.0 <= v <= 60.0 for v in out.values)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="horizon"):
-            recombine_forecasts(self._fr([1.0]), [], self._fr([1.0, 2.0]))
-        with pytest.raises(ValueError, match="origin"):
-            recombine_forecasts(
-                self._fr([1.0]), [], ForecastResult(5, 1, (1.0,), "other")
-            )

@@ -8,7 +8,7 @@ from oeeforecast.pipeline import (
     benchmark,
     benchmark_table,
     benchmark_to_csv,
-    forecast_plot_svg,
+    build_features,
     forecasts_to_csv,
     leakage_audit,
     rolling_forecast,
@@ -173,14 +173,6 @@ class TestBenchmark:
         forecasts_to_csv(reports[0], fpath)
         assert fpath.read_text().splitlines()[0] == "origin,step,actual,predicted"
 
-    def test_svg_plot(self, tmp_path, series_small):
-        cfg = small_cfg()
-        reports = benchmark(cfg, series=series_small, models=("seasonal_naive",))
-        spath = tmp_path / "plot.svg"
-        forecast_plot_svg(reports[0], spath)
-        body = spath.read_text()
-        assert body.startswith("<svg") and "polyline" in body
-
     def test_unknown_model_rejected(self, series_small):
         with pytest.raises(ValueError, match="unknown benchmark model"):
             benchmark(small_cfg(), series=series_small, models=("nope",))
@@ -223,3 +215,39 @@ class TestLeakageAudit:
     def test_structural_only_passes_without_builder(self, series_small):
         fm = extract_stat_features(series_small, 24)
         assert leakage_audit(fm, 300)
+
+
+class TestFeaturePath:
+    @pytest.mark.parametrize("window", [24, 30])
+    @pytest.mark.parametrize("mode", ["statistical", "topological", "both"])
+    def test_single_window_row_is_last_built_row(self, oee_series, mode, window):
+        cfg = small_cfg(feature_mode=mode, window=window)
+        strat = DecomposedStrategy(cfg)
+        strat._tda_scale = 7.5
+        head = oee_series.values[:120]
+        # the second series ends in a constant window, whose non-finite
+        # statistical cells take the imputation path of each builder
+        for values in (head, np.concatenate([head, np.full(window, 4.0)])):
+            fm = build_features(cfg, TimeSeries(values), scale=strat._tda_scale)
+            row = strat._raw_feature_row(values[-window:])
+            assert fm.row_index[-1] == values.size - 1
+            assert row.tobytes() == fm.matrix[-1].tobytes()
+        if mode != "topological":
+            assert (values.size - 1, "skewness") in fm.imputed
+
+    @pytest.mark.parametrize("mode", ["topological", "both"])
+    def test_window_setting_reaches_topological_rows(self, oee_series, mode):
+        # a short AR spec keeps the fit on ~70 exogenous columns quick
+        cfg = small_cfg(feature_mode=mode, window=30, sarimax_spec=SarimaxSpec(p=1, s=8))
+        strat = DecomposedStrategy(cfg)
+        strat.refit(oee_series.slice(0, 300))
+        fc = strat.forecast(oee_series.slice(0, 310), 4)
+        assert fc.shape == (4,)
+        assert np.all((fc >= 1.0) & (fc <= 60.0))
+        start, preds = strat.train_one_step(oee_series.slice(0, 300))
+        assert start == 30 + cfg.sarimax_spec.burn_in
+        assert preds.size == 300 - start
+
+    def test_mode_none_has_no_feature_matrix(self, oee_series):
+        with pytest.raises(ValueError, match="none"):
+            build_features(small_cfg(), oee_series)

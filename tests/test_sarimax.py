@@ -7,7 +7,6 @@ from oeeforecast.sarimax import (
     CollinearityError,
     SarimaxFit,
     SarimaxSpec,
-    bic_of,
     fit,
     forecast,
     simulate,
@@ -219,13 +218,13 @@ class TestBic:
         rng = np.random.default_rng(2)
         f = fit(TimeSeries(rng.normal(size=500)), SarimaxSpec())
         k = 2  # intercept + sigma2
-        assert bic_of(f) == pytest.approx(-2.0 * f.loglik + k * math.log(500), abs=1e-9)
+        assert f.bic == pytest.approx(-2.0 * f.loglik + k * math.log(500), abs=1e-9)
 
     def test_identical_fits_identical_bic(self):
         ts = simulate(SarimaxSpec(p=1), n=400, seed=6, ar=(0.5,))
         f1 = fit(ts, SarimaxSpec(p=1))
         f2 = fit(ts, SarimaxSpec(p=1))
-        assert bic_of(f1) == bic_of(f2)
+        assert f1.bic == f2.bic
 
     def test_true_order_beats_noise_padded_model(self):
         wins = 0
@@ -235,7 +234,7 @@ class TestBic:
             noise_x = rng.normal(size=(500, 3))
             plain = fit(ts, SarimaxSpec(p=1), n_restarts=0)
             padded = fit(ts, SarimaxSpec(p=2), exog=noise_x, n_restarts=0)
-            if bic_of(plain) < bic_of(padded):
+            if plain.bic < padded.bic:
                 wins += 1
         assert wins >= 16  # >= 80% of 20 seeds
 

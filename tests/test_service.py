@@ -150,3 +150,25 @@ class TestEndpoints:
             get_json(f"{base}/equipment/{eid}/{kind}")
         after = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in files.items()}
         assert before == after
+
+
+class TestFailures:
+    def test_500_diagnostic_id_in_server_log(self, tmp_path, capsys):
+        data = write_dataset(tmp_path / "d.csv", 400, seed=1)
+        reg_path = tmp_path / "reg.conf"
+        reg_path.write_text(f"a.dataset = {data}\n")
+        registry = load_registry(reg_path)
+        data.write_text("value\nnot a number\n")  # registered, then unparsable
+        server = serve(registry, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            status, doc = get_error(f"http://127.0.0.1:{server.server_address[1]}/equipment/a/forecast")
+        finally:
+            server.shutdown()
+            server.server_close()
+        assert status == 500
+        lines = capsys.readouterr().err.splitlines()
+        marked = [i for i, line in enumerate(lines) if doc["diagnostic_id"] in line]
+        assert len(marked) == 1
+        assert lines[marked[0] + 1].startswith("Traceback")

@@ -66,14 +66,3 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_tda_features(TimeSeries(np.arange(10.0)))
 
-    def test_diagram_csv_export(self, oee_series, tmp_path):
-        from oeeforecast.tda.extract import diagrams_to_csv, window_diagrams
-
-        indexed = window_diagrams(oee_series.slice(0, 60))
-        path = tmp_path / "diagrams.csv"
-        diagrams_to_csv(indexed, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "birth,death,dim,window_index"
-        # 8 embedded points per window -> 8 H0 pairs at minimum per window
-        assert len(lines) - 1 >= 8 * len(indexed)
-        assert lines[1].endswith(",23")
