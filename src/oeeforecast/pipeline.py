@@ -42,6 +42,7 @@ from .selection import (
     variance_filter,
 )
 from .series import TimeSeries, load_csv, mae, mape
+# window_features is not called here; perfbench/tracing.py patches it by this name
 from .stat_features import extract_stat_features, window_features
 from .tda.extract import TdaParams, extract_tda_features, fit_diagram_scale
 
@@ -158,9 +159,14 @@ class EvaluationReport:
     per_step_errors: tuple[float, ...]
     train_mae: float
     train_mape: float
-    n_skipped: int = 0
     # (origin, step, actual, predicted) for every scored pair
     records: tuple[tuple[int, int, float, float], ...] = ()
+    # (origin, "ExcType: text") for every origin whose forecast raised
+    skipped: tuple[tuple[int, str], ...] = ()
+
+    @property
+    def n_skipped(self) -> int:
+        return len(self.skipped)
 
     def to_json(self) -> str:
         doc = {
@@ -173,6 +179,7 @@ class EvaluationReport:
             "train_mae": self.train_mae,
             "train_mape": self.train_mape,
             "n_skipped": self.n_skipped,
+            "skipped": [list(s) for s in self.skipped],
         }
         return json.dumps(doc, indent=2)
 
@@ -219,7 +226,9 @@ class RawEtsStrategy:
         return np.clip(ets_forecast(state, horizon).values, *self.clamp)
 
     def train_one_step(self, train: TimeSeries):
-        return 0, np.clip(ets_one_step(ets_fit(train), train), *self.clamp)
+        """In-sample one-step predictions from the fit of refit(train), which
+        the harness calls just before on the same span."""
+        return 0, np.clip(ets_one_step(self._fit, train), *self.clamp)
 
 
 class RawSarimaStrategy:
@@ -240,9 +249,10 @@ class RawSarimaStrategy:
         return np.clip(sarimax.forecast(state, horizon).values, *self.clamp)
 
     def train_one_step(self, train: TimeSeries):
-        fit = sarimax.fit(train, self.spec, n_restarts=1, seed=self.seed)
-        burn = fit.spec.burn_in
-        preds = train.values[burn:] - fit.residuals
+        """In-sample one-step predictions from the fit of refit(train), which
+        the harness calls just before on the same span."""
+        burn = self._fit.spec.burn_in
+        preds = train.values[burn:] - self._fit.residuals
         return burn, np.clip(preds, *self.clamp)
 
 
@@ -254,7 +264,8 @@ class DecomposedStrategy:
     feature columns are chosen once, on the first (training-span) refit,
     and coefficients re-estimated at every refit. Between refits the fitted
     residual/feature history is frozen and extended with the newly observed
-    hours, so per-origin work stays O(refit_interval) feature rows.
+    hours: each origin builds the rows since the refit once, plus one row
+    per extra forecast step.
 
     This is the one selection path: the benchmark, the service and the
     CLI's forecast and select commands all fit through it.
@@ -268,11 +279,9 @@ class DecomposedStrategy:
             if cfg.feature_mode != "none"
             else "decomposed_sarima"
         )
-        self._tda = _tda_params(cfg) if cfg.feature_mode in ("topological", "both") else None
         self._ets = None
         self._sarimax = None
         self.columns: tuple[str, ...] | None = None  # selected on the first refit
-        self._col_pick: np.ndarray | None = None  # indices into the raw feature row
         self._tda_scale: float | None = None
         self._refit_len = 0  # series length at the last refit
         self._state_y: np.ndarray | None = None  # residual targets at refit
@@ -280,39 +289,10 @@ class DecomposedStrategy:
         self.selection_reports = []
         self.pso_result = None
 
-    # -- feature plumbing ---------------------------------------------------
-
-    def _raw_feature_row(self, window: np.ndarray) -> np.ndarray:
-        """Full (pre-selection) feature row for one window; equals the last
-        row of build_features over any series ending in that window."""
-        mode = self.cfg.feature_mode
-        vals = []
-        if mode in ("statistical", "both"):
-            vals.append(np.nan_to_num(window_features(window), nan=0.0, posinf=0.0, neginf=0.0))
-        if mode in ("topological", "both"):
-            fm = extract_tda_features(TimeSeries(window), self._tda, scale=self._tda_scale)
-            vals.append(fm.matrix[-1])
-        return np.concatenate(vals)
-
-    def _selected_row(self, resid_values: np.ndarray) -> np.ndarray:
-        """Selected-column feature row for the window ending resid_values[-1]."""
-        return self._raw_feature_row(resid_values[-self.cfg.window :])[self._col_pick]
-
-    def _state_through(self, residual: np.ndarray):
-        """Frozen refit-time history extended with hours observed since."""
-        n = residual.size
-        extra_y, extra_x = [], []
-        for j in range(self._refit_len, n):
-            extra_y.append(residual[j])
-            if self._state_x is not None:
-                extra_x.append(self._selected_row(residual[:j]))
-        y = np.concatenate([self._state_y, np.asarray(extra_y)]) if extra_y else self._state_y
-        if self._state_x is None:
-            return y, None
-        x = np.vstack([self._state_x] + [np.asarray(extra_x)]) if extra_x else self._state_x
-        return y, x
-
-    # -- strategy interface --------------------------------------------------
+    def _selected_rows(self, residual: np.ndarray) -> np.ndarray:
+        """Selected-column rows of every window of residual, by window end."""
+        fm = build_features(self.cfg, TimeSeries(residual), self._tda_scale)
+        return fm.select_columns(self.columns).matrix
 
     def refit(self, past: TimeSeries) -> None:
         cfg = self.cfg
@@ -328,8 +308,8 @@ class DecomposedStrategy:
             self._state_x = None
             return
 
-        if self._tda_scale is None and self._tda is not None:
-            self._tda_scale = fit_diagram_scale(residual, self._tda)
+        if self._tda_scale is None and cfg.feature_mode in ("topological", "both"):
+            self._tda_scale = fit_diagram_scale(residual, _tda_params(cfg))
 
         y, fm = aligned_features(cfg, residual, self._tda_scale)
         if self.columns is None:
@@ -346,7 +326,6 @@ class DecomposedStrategy:
                 chosen = self.pso_result.best_subset or fm_sel.column_names
                 fm_sel = fm_sel.select_columns(chosen)
             self.columns = fm_sel.column_names
-            self._col_pick = np.array([fm.column_names.index(c) for c in self.columns])
         else:
             fm_sel = fm.select_columns(self.columns)
         self._sarimax = sarimax.fit(
@@ -364,35 +343,39 @@ class DecomposedStrategy:
         ]
 
         r = residual.values
+        y = np.concatenate([self._state_y, r[self._refit_len :]])
         if cfg.feature_mode == "none":
-            y, _ = self._state_through(r)
             state = sarimax.apply_params(self._sarimax, TimeSeries(y))
             resid_fc = sarimax.forecast(state, horizon).values
         else:
+            # rows of the windows ending at refit_len - 1 .. len(past) - 1: the
+            # exog of each hour observed since the refit, then the first step's
+            rows = self._selected_rows(r[self._refit_len - cfg.window :])
+            x = np.vstack([self._state_x, rows[:-1]])
+            row = rows[-1:]
             resid_fc = []
-            r_ext = r.copy()
-            for _ in range(horizon):
-                y, x = self._state_through(r_ext)
+            for step in range(horizon):
                 state = sarimax.apply_params(self._sarimax, TimeSeries(y), exog=x)
-                nxt_row = self._selected_row(r_ext)[None, :]
-                nxt = sarimax.forecast(state, 1, exog_future=nxt_row).values[0]
+                nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
                 resid_fc.append(nxt)
-                r_ext = np.append(r_ext, nxt)
+                if step + 1 < horizon:
+                    r = np.append(r, nxt)
+                    y = np.append(y, nxt)
+                    x = np.vstack([x, row])
+                    row = self._selected_rows(r[-cfg.window :])
 
         total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
         return np.clip(total, *self.clamp)
 
     def train_one_step(self, train: TimeSeries):
-        _, _, residual = causal_components(train, self.cfg.periods)
+        """In-sample one-step predictions from the last refit's fit and state.
+
+        The harness calls this right after refit(train) on the same span, so
+        nothing is decomposed, built or fitted again.
+        """
         fit = self._sarimax
-        burn = fit.spec.burn_in
-        if self.cfg.feature_mode == "none":
-            state = sarimax.apply_params(fit, residual)
-            start = burn
-        else:
-            y, fm = aligned_features(self.cfg, residual, self._tda_scale)
-            state = sarimax.apply_params(fit, y, exog=fm.select_columns(self.columns))
-            start = self.cfg.window + burn
+        state = sarimax.apply_params(fit, TimeSeries(self._state_y), exog=self._state_x)
+        start = fit.spec.burn_in + (0 if self.cfg.feature_mode == "none" else self.cfg.window)
         preds = train.values[start : start + state.residuals.size] - state.residuals
         return start, np.clip(preds, *self.clamp)
 
@@ -423,7 +406,7 @@ def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> Eva
     train_mape = mape(t_actual, t_preds)
 
     records = []
-    n_skipped = 0
+    skipped = []
     for k, origin in enumerate(origins):
         past = series.slice(0, origin + 1)
         if k > 0 and k % cfg.refit_interval == 0:
@@ -431,8 +414,8 @@ def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> Eva
         steps = min(cfg.horizon, n - 1 - origin)
         try:
             values = strategy.forecast(past, steps)
-        except (ValueError, np.linalg.LinAlgError):
-            n_skipped += 1
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            skipped.append((origin, f"{type(exc).__name__}: {exc}"))
             continue
         for h in range(1, steps + 1):
             records.append((origin, h, float(series.values[origin + h]), float(values[h - 1])))
@@ -451,12 +434,12 @@ def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> Eva
         mae=mae(actual, pred),
         mape=mape(actual, pred),
         cost_seconds=time.perf_counter() - start_time,
-        n_forecasts=len(origins) - n_skipped,
+        n_forecasts=len(origins) - len(skipped),
         per_step_errors=tuple(per_step),
         train_mae=train_mae,
         train_mape=train_mape,
-        n_skipped=n_skipped,
         records=tuple(records),
+        skipped=tuple(skipped),
     )
 
 

@@ -114,7 +114,7 @@ class _EquipmentCache:
                 "strategy": strategy,
                 "mae_backtest": backtest.mae,
                 "tails": tails,
-                "forecasts": {},  # horizon -> values
+                "forecast": None,  # MAX_HORIZON values; a horizon H answers the first H
             }
             self._cached[eid] = hit
             return hit
@@ -122,10 +122,10 @@ class _EquipmentCache:
     def forecast(self, eid: str, horizon: int):
         hit = self.entry(eid)
         with self._locks[eid]:
-            if horizon not in hit["forecasts"]:
-                values = hit["strategy"].forecast(hit["series"], horizon)
-                hit["forecasts"][horizon] = [float(v) for v in values]
-        return hit, hit["forecasts"][horizon]
+            if hit["forecast"] is None:
+                values = hit["strategy"].forecast(hit["series"], MAX_HORIZON)
+                hit["forecast"] = [float(v) for v in values]
+        return hit, hit["forecast"][:horizon]
 
 
 class _Handler(BaseHTTPRequestHandler):

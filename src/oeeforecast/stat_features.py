@@ -228,17 +228,15 @@ def window_features(x: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def extract_stat_features(ts: TimeSeries, window: int = 24, stride: int = 1) -> FeatureMatrix:
+def extract_stat_features(ts: TimeSeries, window: int = 24) -> FeatureMatrix:
     """One catalog row per sliding window; row_index is the window end position."""
     n = len(ts)
     if window > n:
         raise ValueError(f"window {window} > series length {n}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     x = ts.values
     rows = []
     ridx = []
-    for end in range(window - 1, n, stride):
+    for end in range(window - 1, n):
         rows.append(window_features(x[end - window + 1 : end + 1]))
         ridx.append(end)
     return FeatureMatrix(CATALOG, np.vstack(rows), tuple(ridx))

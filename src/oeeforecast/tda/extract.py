@@ -36,7 +36,6 @@ T_RANGE = (0.0, 1.0)  # diagrams are scaled into the unit range first
 @dataclass(frozen=True)
 class TdaParams:
     window: int = 24
-    stride: int = 1
     delay: int = 8
     embed_dim: int = 3
     homology_dims: tuple[int, ...] = (0, 1)
@@ -53,7 +52,7 @@ class TdaParams:
                 f"window {self.window} < (dim-1)*delay + 1 = "
                 f"{(self.embed_dim - 1) * self.delay + 1}"
             )
-        for nm in ("stride", "betti_bins", "landscape_layers", "landscape_samples"):
+        for nm in ("betti_bins", "landscape_layers", "landscape_samples"):
             if getattr(self, nm) < 1:
                 raise ValueError(f"{nm} must be >= 1")
         if any(h not in (0, 1) for h in self.homology_dims):
@@ -113,7 +112,7 @@ def fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
         raise ValueError(f"series length {n} < window {params.window}")
     top = 0.0
     x = ts.values
-    for end in range(params.window - 1, n, params.stride):
+    for end in range(params.window - 1, n):
         diagram = _window_diagram(x[end - params.window + 1 : end + 1], params)
         if diagram.deaths.size:
             top = max(top, float(diagram.deaths.max()))
@@ -131,7 +130,7 @@ def extract_tda_features(
     x = ts.values
     diagrams = []
     ridx = []
-    for end in range(params.window - 1, n, params.stride):
+    for end in range(params.window - 1, n):
         diagrams.append(_window_diagram(x[end - params.window + 1 : end + 1], params))
         ridx.append(end)
     if scale is None:

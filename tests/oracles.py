@@ -1,16 +1,26 @@
-"""Independent oracles for checking the production persistence code.
+"""Independent oracles for checking production code.
 
-Everything here is written from the textbook definitions with different
-data structures than the package uses: a dense boolean boundary matrix
-reduced column by column over Z/2, and Prim's algorithm for the MST. The
-conventions mirror the production contract: H0 keeps zero-lifetime pairs
-plus one essential bar capped at the cloud diameter; H1 drops
-zero-lifetime pairs.
+The persistence oracles are written from the textbook definitions with
+different data structures than the package uses: a dense boolean boundary
+matrix reduced column by column over Z/2, and Prim's algorithm for the
+MST. The conventions mirror the production contract: H0 keeps
+zero-lifetime pairs plus one essential bar capped at the cloud diameter;
+H1 drops zero-lifetime pairs.
+
+The forecast oracle is the decomposed strategy's first recursion, which
+rebuilt every post-refit row from its own single window at every step.
 """
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+
+from oeeforecast import pipeline, sarimax
+from oeeforecast.forecasters import ets_forecast, ets_update, seasonal_naive_forecast
+from oeeforecast.series import TimeSeries
+from oeeforecast.stat_features import CATALOG, window_features
+from oeeforecast.tda.extract import extract_tda_features, tda_catalog
 
 
 def bruteforce_rips_diagram(points: np.ndarray):
@@ -108,3 +118,44 @@ def diagrams_equal(diagram, oracle_pairs, tol=1e-12) -> bool:
         g[0] == w[0] and abs(g[1] - w[1]) <= tol and abs(g[2] - w[2]) <= tol
         for g, w in zip(got, want)
     )
+
+
+def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
+    """Selected-column feature row of one window, built from that window alone."""
+    cfg = strategy.cfg
+    vals, names = [], []
+    if cfg.feature_mode in ("statistical", "both"):
+        vals.append(np.nan_to_num(window_features(window), nan=0.0, posinf=0.0, neginf=0.0))
+        names += CATALOG
+    if cfg.feature_mode in ("topological", "both"):
+        params = replace(cfg.tda, window=cfg.window)
+        fm = extract_tda_features(TimeSeries(window), params, scale=strategy._tda_scale)
+        vals.append(fm.matrix[-1])
+        names += tda_catalog(params)
+    pick = [names.index(c) for c in strategy.columns]
+    return np.concatenate(vals)[pick]
+
+
+def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.ndarray:
+    """DecomposedStrategy.forecast (a feature mode) with every post-refit
+    row rebuilt from its single window at each recursive step."""
+    cfg = strategy.cfg
+    trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
+    trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon).values
+    seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon).values for p in cfg.periods]
+    r = residual.values.copy()
+    resid_fc = []
+    for _ in range(horizon):
+        y = np.concatenate([strategy._state_y, r[strategy._refit_len :]])
+        new_rows = [
+            _single_window_row(strategy, r[j - cfg.window : j])
+            for j in range(strategy._refit_len, r.size)
+        ]
+        x = np.vstack([strategy._state_x] + new_rows)
+        state = sarimax.apply_params(strategy._sarimax, TimeSeries(y), exog=x)
+        row = _single_window_row(strategy, r[-cfg.window :])[None, :]
+        nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
+        resid_fc.append(nxt)
+        r = np.append(r, nxt)
+    total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
+    return np.clip(total, *cfg.clamp)

@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
+from oeeforecast import pipeline
 from oeeforecast.pipeline import (
     BENCHMARK_MODELS,
     DecomposedStrategy,
     PipelineConfig,
+    RawEtsStrategy,
+    RawSarimaStrategy,
     benchmark,
     benchmark_table,
     benchmark_to_csv,
@@ -19,6 +24,7 @@ from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import extract_stat_features
 
 from conftest import make_oee_series
+from oracles import forecast_rebuilding_rows
 
 
 def small_cfg(**kw):
@@ -136,6 +142,22 @@ class TestRollingHarness:
         b = rolling_forecast(cfg, series=series_small)
         assert a.records == b.records
 
+    def test_skipped_origin_and_reason_recorded(self, series_small):
+        cfg = small_cfg()
+        bad = int(np.floor(len(series_small) * (1 - cfg.test_fraction))) + 3
+
+        class FailsOnce(PerfectForesight):
+            def forecast(self, past, horizon):
+                if len(past) - 1 == bad:
+                    raise np.linalg.LinAlgError("singular design")
+                return super().forecast(past, horizon)
+
+        rep = rolling_forecast(cfg, series=series_small, strategy=FailsOnce(series_small))
+        assert rep.skipped == ((bad, "LinAlgError: singular design"),)
+        assert rep.n_skipped == 1
+        assert bad not in {r[0] for r in rep.records}
+        assert json.loads(rep.to_json())["skipped"] == [[bad, "LinAlgError: singular design"]]
+
     def test_short_series_rejected(self):
         cfg = small_cfg(periods=(8, 24, 168))
         with pytest.raises(ValueError, match="train span"):
@@ -220,20 +242,33 @@ class TestLeakageAudit:
 class TestFeaturePath:
     @pytest.mark.parametrize("window", [24, 30])
     @pytest.mark.parametrize("mode", ["statistical", "topological", "both"])
-    def test_single_window_row_is_last_built_row(self, oee_series, mode, window):
-        cfg = small_cfg(feature_mode=mode, window=window)
+    def test_forecast_matches_row_rebuilding_oracle(self, oee_series, mode, window, monkeypatch):
+        # a short AR spec keeps the fit on ~70 exogenous columns quick
+        cfg = small_cfg(feature_mode=mode, window=window, sarimax_spec=SarimaxSpec(p=1, s=8))
         strat = DecomposedStrategy(cfg)
-        strat._tda_scale = 7.5
-        head = oee_series.values[:120]
-        # the second series ends in a constant window, whose non-finite
-        # statistical cells take the imputation path of each builder
-        for values in (head, np.concatenate([head, np.full(window, 4.0)])):
-            fm = build_features(cfg, TimeSeries(values), scale=strat._tda_scale)
-            row = strat._raw_feature_row(values[-window:])
-            assert fm.row_index[-1] == values.size - 1
-            assert row.tobytes() == fm.matrix[-1].tobytes()
+        strat.refit(oee_series.slice(0, 300))
+        for hours in (0, 5, 23):
+            past = oee_series.slice(0, 300 + hours)
+            fc = strat.forecast(past, 4)
+            np.testing.assert_allclose(fc, forecast_rebuilding_rows(strat, past, 4), rtol=0, atol=1e-9)
+            assert strat.forecast(past, 1)[0] == fc[0]
+
+        # a residual ending in a constant window: its non-finite statistical
+        # cells take the imputation path of each row builder
+        components = pipeline.causal_components
+
+        def flat_tail(ts, periods):
+            trend, seasonal, residual = components(ts, periods)
+            r = residual.values.copy()
+            r[-window:] = 0.5
+            return trend, seasonal, residual.with_values(r)
+
+        monkeypatch.setattr(pipeline, "causal_components", flat_tail)
+        past = oee_series.slice(0, 305)
+        fc = strat.forecast(past, 4)
+        np.testing.assert_allclose(fc, forecast_rebuilding_rows(strat, past, 4), rtol=0, atol=1e-9)
         if mode != "topological":
-            assert (values.size - 1, "skewness") in fm.imputed
+            assert build_features(cfg, TimeSeries(np.full(window, 0.5))).imputed
 
     @pytest.mark.parametrize("mode", ["topological", "both"])
     def test_window_setting_reaches_topological_rows(self, oee_series, mode):
@@ -251,3 +286,33 @@ class TestFeaturePath:
     def test_mode_none_has_no_feature_matrix(self, oee_series):
         with pytest.raises(ValueError, match="none"):
             build_features(small_cfg(), oee_series)
+
+
+class TestInSamplePass:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DecomposedStrategy(
+                small_cfg(feature_mode="statistical", sarimax_spec=SarimaxSpec(p=1, s=8))
+            ),
+            lambda: DecomposedStrategy(small_cfg()),
+            lambda: RawSarimaStrategy(SarimaxSpec(p=2, q=0, P=1, Q=1, s=8)),
+            lambda: RawEtsStrategy(),
+        ],
+        ids=["decomposed_statistical", "decomposed_none", "sarima_raw", "ets_raw"],
+    )
+    def test_reads_the_last_refit(self, series_small, monkeypatch, make):
+        strat = make()
+        train = series_small.slice(0, 300)
+        strat.refit(train)
+        start, preds = strat.train_one_step(train)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the in-sample pass recomputed what refit left")
+
+        monkeypatch.setattr(pipeline.sarimax, "fit", refuse)
+        for name in ("ets_fit", "causal_components", "extract_stat_features"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        again_start, again_preds = strat.train_one_step(train)
+        assert again_start == start
+        assert again_preds.tobytes() == preds.tobytes()

@@ -7,7 +7,7 @@ import urllib.error
 
 import pytest
 
-from oeeforecast.service import load_registry, serve
+from oeeforecast.service import MAX_HORIZON, _EquipmentCache, load_registry, serve
 
 from conftest import make_oee_series
 
@@ -150,6 +150,28 @@ class TestEndpoints:
             get_json(f"{base}/equipment/{eid}/{kind}")
         after = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in files.items()}
         assert before == after
+
+
+class TestForecastCache:
+    def test_one_forecast_per_rebuild_answers_every_horizon(self, tmp_path):
+        data = write_dataset(tmp_path / "d.csv", 400, seed=1)
+        reg_path = tmp_path / "reg.conf"
+        reg_path.write_text(f"a.dataset = {data}\na.periods = 8,24\na.test_fraction = 0.15\n")
+        cache = _EquipmentCache(load_registry(reg_path))
+        hit = cache.entry("a")
+        strategy = hit["strategy"]
+        forecast = strategy.forecast
+        horizons = []
+
+        def counted(past, horizon):
+            horizons.append(horizon)
+            return forecast(past, horizon)
+
+        strategy.forecast = counted
+        answers = {h: cache.forecast("a", h)[1] for h in range(1, MAX_HORIZON + 1)}
+        assert horizons == [MAX_HORIZON]
+        for h, values in answers.items():
+            assert values == [float(v) for v in forecast(hit["series"], h)]
 
 
 class TestFailures:

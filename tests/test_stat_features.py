@@ -147,15 +147,11 @@ class TestWindowFeatures:
 
 class TestExtraction:
     def test_shape_and_row_index(self, oee_series):
-        fm = extract_stat_features(oee_series, window=24, stride=1)
+        fm = extract_stat_features(oee_series, window=24)
         assert fm.n_cols == 76
         assert fm.n_rows == len(oee_series) - 23
         assert fm.row_index[0] == 23
         assert fm.row_index[-1] == len(oee_series) - 1
-
-    def test_stride(self, oee_series):
-        fm = extract_stat_features(oee_series, window=24, stride=6)
-        assert fm.row_index[1] - fm.row_index[0] == 6
 
     def test_rows_depend_only_on_own_window(self, oee_series):
         fm = extract_stat_features(oee_series, window=24)
