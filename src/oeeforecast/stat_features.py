@@ -1,11 +1,20 @@
 """Sliding-window statistical feature catalog for the residual series.
 
 The catalog is fixed and bit-stable: 76 named columns in five groups
-(descriptive, frequency, autocorrelation, entropy, trend/change). Window
-rows depend only on the values inside their own window; the row index is
-the window's end position in the source series. Non-finite values (e.g.
-skewness of a constant window) are imputed to 0 by the FeatureMatrix and
-flagged, so the downstream variance filter sees dead columns instead of
+(descriptive, frequency, autocorrelation, entropy, trend/change). It is
+computed over all windows at once, column by column as in tsfresh: the
+(n_windows, window) stack from sliding_window_view is reduced along axis 1
+(moments, one rfft, row-wise ACF dot products and a batched Durbin-Levinson
+PACF, a (windows, templates, templates) Chebyshev distance tensor for the
+entropies, the regression in closed form). Each row goes through the
+reductions a one-window call uses, so it has the same bits in any batch,
+and the discrete decisions (var > 0, the entropy tolerance, match counts,
+quantile masks, ordinal patterns) are taken exactly as for one window.
+
+Window rows depend only on the values inside their own window; the row
+index is the window's end position in the source series. Non-finite values
+(e.g. skewness of a constant window) are imputed to 0 by the FeatureMatrix
+and flagged, so the downstream variance filter sees dead columns instead of
 NaNs.
 """
 
@@ -17,11 +26,13 @@ import numpy as np
 from scipy import stats as sps
 
 from .feature_matrix import FeatureMatrix
-from .series import TimeSeries, acf_values, pacf_values
+from .series import TimeSeries
 
 N_FFT_COEFS = 8
 N_ACF_LAGS = 8
 CHANGE_QUANTILE_BANDS = ((0.0, 0.2), (0.2, 0.8), (0.8, 1.0))
+# the lag-N_ACF_LAGS autocorrelation needs more than twice as many values
+MIN_WINDOW = 2 * N_ACF_LAGS + 1
 
 
 def _catalog_names() -> tuple[str, ...]:
@@ -53,6 +64,114 @@ def _catalog_names() -> tuple[str, ...]:
 CATALOG = _catalog_names()
 
 
+def _sum_present(terms: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Row sums over the present cells, in column order.
+
+    Each row is summed as ``np.sum`` sums the 1-d array of that row's present
+    cells (numpy's pairwise order depends on the length), so a sum taken over
+    a batch has the bits of the same sum taken over one window.
+    """
+    out = np.zeros(terms.shape[0])
+    counts = present.sum(axis=1)
+    for k in np.unique(counts[counts > 0]):
+        rows = counts == k
+        out[rows] = terms[rows][present[rows]].reshape(-1, k).sum(axis=1)
+    return out
+
+
+def _plogp(counts: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
+    """Shannon terms p*log(p) of per-row counts, and the mask of nonzero counts."""
+    present = counts > 0
+    p = counts / total
+    return p * np.log(np.where(present, p, 1.0)), present
+
+
+def _tolerance(X: np.ndarray) -> np.ndarray:
+    return 0.2 * np.std(X, axis=1)
+
+
+def _match_counts(X: np.ndarray, m: int, r: np.ndarray) -> list[np.ndarray]:
+    """Per window, template length (m, then m + 1) and template: the number of
+    templates, itself included, within Chebyshev distance r[window].
+
+    The (windows, templates, templates) distance tensor is a running maximum
+    over the template offsets; length m + 1 extends length m's tensor on its
+    leading block by one more offset.
+    """
+    n_win, n = X.shape
+    t = n - m + 1
+    dist = np.zeros((n_win, t, t))
+    step = np.empty_like(dist)
+    lim = r[:, None, None]
+    counts = []
+    for k in range(m + 1):
+        if k == m:
+            counts.append(np.count_nonzero(dist <= lim, axis=2))
+            t -= 1
+            dist, step = dist[:, :t, :t], step[:, :t, :t]
+        seg = X[:, k : k + t]
+        np.subtract(seg[:, :, None], seg[:, None, :], out=step)
+        np.abs(step, out=step)
+        np.maximum(dist, step, out=dist)
+    counts.append(np.count_nonzero(dist <= lim, axis=2))
+    return counts
+
+
+def _sample_entropy(counts: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+    # distinct template pairs: the matrix is symmetric with a matching diagonal
+    b, a = ((c.sum(axis=1) - c.shape[1]) // 2 for c in counts)
+    out = np.zeros(r.size)
+    live = (r > 0.0) & (b > 0)
+    out[live & (a == 0)] = math.inf
+    both = live & (a > 0)
+    out[both] = [-math.log(v) for v in a[both] / b[both]]
+    return out
+
+
+def _approximate_entropy(counts: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+    phi = []
+    for c in counts:
+        k = c.shape[1]
+        logs = np.array([math.log(j / k) if j else 0.0 for j in range(k + 1)])
+        # cumsum adds left to right, as the one-window loop does
+        phi.append(np.cumsum(logs[c], axis=1)[:, -1] / k)
+    return np.where(r > 0.0, phi[0] - phi[1], 0.0)
+
+
+def _permutation_entropy(X: np.ndarray, order: int, delay: int, normalize: bool) -> np.ndarray:
+    n_pat = X.shape[1] - (order - 1) * delay
+    at = np.arange(n_pat)[:, None] + np.arange(0, order * delay, delay)
+    ranks = np.argsort(X[:, at], axis=2, kind="stable")
+    codes = ranks @ order ** np.arange(order)
+    hits = codes[:, :, None] == np.arange(order**order)
+    counts = hits.sum(axis=1)
+    # patterns enter the sum in order of first appearance, as in a dict
+    first = np.where(counts > 0, hits.argmax(axis=1), n_pat)
+    seq = np.argsort(first, axis=1, kind="stable")
+    terms, present = _plogp(np.take_along_axis(counts, seq, axis=1), n_pat)
+    h = -_sum_present(terms, present)
+    if normalize:
+        h /= math.log(math.factorial(order))
+    return h
+
+
+def _periodogram(X: np.ndarray) -> np.ndarray:
+    """|rfft|^2 of the demeaned windows without the (zero) DC bin."""
+    return (np.abs(np.fft.rfft(X - X.mean(axis=1, keepdims=True), axis=1)) ** 2)[:, 1:]
+
+
+def _fourier_entropy(ps: np.ndarray, bins: int) -> np.ndarray:
+    top = ps.max(axis=1, initial=0.0)
+    live = top > 0.0
+    u = ps[live] / top[live, None]
+    # np.histogram's bins over [0, 1]: half-open, the last one closed
+    idx = np.minimum(np.searchsorted(np.linspace(0.0, 1.0, bins + 1), u, side="right") - 1, bins - 1)
+    hist = (idx[:, :, None] == np.arange(bins)).sum(axis=1)
+    out = np.zeros(ps.shape[0])
+    out[live] = -_sum_present(*_plogp(hist, ps.shape[1]))
+    return out
+
+
 def sample_entropy(x, m: int = 2, r: float | None = None) -> float:
     """Negative log conditional probability that close templates stay close.
 
@@ -60,172 +179,172 @@ def sample_entropy(x, m: int = 2, r: float | None = None) -> float:
     window) is degenerate and yields 0; no matches at length m+1 yields
     +inf (maximal irregularity), which the feature matrix imputes.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n <= 2 * m:
+    X = np.asarray(x, dtype=float)[None, :]
+    if X.shape[1] <= 2 * m:
         raise ValueError(f"sample_entropy needs length > {2 * m}")
-    if r is None:
-        r = 0.2 * float(np.std(x))
-    if r <= 0.0:
-        return 0.0
-
-    def count_matches(mm):
-        templ = np.lib.stride_tricks.sliding_window_view(x, mm)
-        c = 0
-        for i in range(templ.shape[0] - 1):
-            d = np.max(np.abs(templ[i + 1 :] - templ[i]), axis=1)
-            c += int(np.sum(d <= r))
-        return c
-
-    b = count_matches(m)
-    a = count_matches(m + 1)
-    if b == 0:
-        return 0.0
-    if a == 0:
-        return math.inf
-    return -math.log(a / b)
+    tol = _tolerance(X) if r is None else np.array([float(r)])
+    return float(_sample_entropy(_match_counts(X, m, tol), tol)[0])
 
 
 def approximate_entropy(x, m: int = 2, r: float | None = None) -> float:
     """Regularity statistic phi(m) - phi(m+1); self-matches included."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n <= 2 * m:
+    X = np.asarray(x, dtype=float)[None, :]
+    if X.shape[1] <= 2 * m:
         raise ValueError(f"approximate_entropy needs length > {2 * m}")
-    if r is None:
-        r = 0.2 * float(np.std(x))
-    if r <= 0.0:
-        return 0.0
-
-    def phi(mm):
-        templ = np.lib.stride_tricks.sliding_window_view(x, mm)
-        k = templ.shape[0]
-        total = 0.0
-        for i in range(k):
-            d = np.max(np.abs(templ - templ[i]), axis=1)
-            total += math.log(np.sum(d <= r) / k)
-        return total / k
-
-    return phi(m) - phi(m + 1)
+    tol = _tolerance(X) if r is None else np.array([float(r)])
+    return float(_approximate_entropy(_match_counts(X, m, tol), tol)[0])
 
 
 def permutation_entropy(x, order: int = 3, delay: int = 1, normalize: bool = True) -> float:
     """Shannon entropy of ordinal patterns; 0 for monotone input, 1 for iid noise."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n <= (order - 1) * delay:
+    X = np.asarray(x, dtype=float)[None, :]
+    if X.shape[1] <= (order - 1) * delay:
         raise ValueError(f"permutation_entropy needs length > {(order - 1) * delay}")
-    n_pat = n - (order - 1) * delay
-    idx = np.arange(0, order * delay, delay)
-    patterns: dict[tuple, int] = {}
-    for i in range(n_pat):
-        key = tuple(np.argsort(x[i + idx], kind="stable"))
-        patterns[key] = patterns.get(key, 0) + 1
-    p = np.array(list(patterns.values()), dtype=float) / n_pat
-    h = -float(np.sum(p * np.log(p)))
-    if normalize:
-        h /= math.log(math.factorial(order))
-    return h
+    return float(_permutation_entropy(X, order, delay, normalize)[0])
 
 
 def fourier_entropy(x, bins: int = 10) -> float:
     """Shannon entropy of the binned, max-normalized periodogram."""
-    x = np.asarray(x, dtype=float)
-    ps = np.abs(np.fft.rfft(x - x.mean())) ** 2
-    ps = ps[1:]  # DC term is zero after demeaning
-    top = ps.max() if ps.size else 0.0
-    if top <= 0.0:
-        return 0.0
-    hist, _ = np.histogram(ps / top, bins=bins, range=(0.0, 1.0))
-    p = hist[hist > 0] / hist.sum()
-    return -float(np.sum(p * np.log(p)))
+    X = np.asarray(x, dtype=float)[None, :]
+    return float(_fourier_entropy(_periodogram(X), bins)[0])
 
 
-def _spectral_moments(x: np.ndarray) -> tuple[float, float, float, float]:
+def _descriptive(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
+    pos = var > 0
+    skew = np.full(var.size, math.nan)
+    kurt = np.full(var.size, math.nan)
+    skew[pos] = sps.skew(X[pos], axis=1)
+    kurt[pos] = sps.kurtosis(X[pos], axis=1)
+    sq = X**2
+    return [
+        np.sum(X, axis=1),
+        np.mean(X, axis=1),
+        np.median(X, axis=1),
+        np.sqrt(var),
+        var,
+        skew,
+        kurt,
+        np.sqrt(np.mean(sq, axis=1)),
+        np.sum(sq, axis=1),
+        np.mean(np.abs(np.diff(X, axis=1)), axis=1),
+        np.mean((X[:, 2:] - 2 * X[:, 1:-1] + X[:, :-2]) / 2.0, axis=1),
+    ]
+
+
+def _frequency(X: np.ndarray, ps: np.ndarray) -> list[np.ndarray]:
+    coefs = np.fft.rfft(X, axis=1)[:, :N_FFT_COEFS]
+    cols = []
+    for c in coefs.T:
+        cols += [c.real, c.imag, np.abs(c), np.angle(c)]
     # moments of the demeaned periodogram over frequency-bin index;
     # spectral kurtosis is excess, matching the rest of the catalog
-    ps = np.abs(np.fft.rfft(x - x.mean())) ** 2
-    ps = ps[1:]
-    total = ps.sum()
-    if total <= 0.0:
-        return 0.0, 0.0, math.nan, math.nan
-    k = np.arange(1, ps.size + 1, dtype=float)
+    total = ps.sum(axis=1, keepdims=True)
+    k = np.arange(1, ps.shape[1] + 1, dtype=float)
     w = ps / total
-    c = float(np.sum(k * w))
-    var = float(np.sum((k - c) ** 2 * w))
-    if var <= 0.0:
-        return c, 0.0, math.nan, math.nan
-    sd = math.sqrt(var)
-    skew = float(np.sum(((k - c) / sd) ** 3 * w))
-    kurt = float(np.sum(((k - c) / sd) ** 4 * w)) - 3.0
-    return c, var, skew, kurt
+    c = np.sum(k * w, axis=1, keepdims=True)
+    var = np.sum((k - c) ** 2 * w, axis=1, keepdims=True)
+    z = (k - c) / np.sqrt(var)
+    skew = np.sum(z**3 * w, axis=1)
+    kurt = np.sum(z**4 * w, axis=1) - 3.0
+    live = total[:, 0] > 0.0
+    spread = live & (var[:, 0] > 0.0)
+    cols += [
+        np.where(live, c[:, 0], 0.0),
+        np.where(live, var[:, 0], 0.0),
+        np.where(spread, skew, math.nan),
+        np.where(spread, kurt, math.nan),
+    ]
+    return cols
 
 
-def _change_quantiles(x: np.ndarray, lo_q: float, hi_q: float) -> float:
-    lo, hi = np.quantile(x, [lo_q, hi_q])
-    inside = (x >= lo) & (x <= hi)
-    keep = inside[:-1] & inside[1:]
-    if not np.any(keep):
-        return 0.0
-    return float(np.mean(np.abs(np.diff(x)[keep])))
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; a (1, n) @ (n, 1) matmul takes np.dot's path,
+    so each row has the bits of np.dot on that window."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _autocorrelation(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
+    """series.acf_values / pacf_values (Durbin-Levinson) at lags
+    1..N_ACF_LAGS of every window at once; NaN where var == 0."""
+    n_win, n = X.shape
+    xc = X - X.mean(axis=1, keepdims=True)
+    c0 = _rowdot(xc, xc) / n
+    rho = np.ones((n_win, N_ACF_LAGS + 1))
+    for k in range(1, N_ACF_LAGS + 1):
+        rho[:, k] = (_rowdot(xc[:, k:], xc[:, :-k]) / n) / c0
+    pacf = np.empty((n_win, N_ACF_LAGS))
+    pacf[:, 0] = rho[:, 1]
+    phi = rho[:, 1:2]
+    for k in range(2, N_ACF_LAGS + 1):
+        num = rho[:, k] - _rowdot(phi, np.ascontiguousarray(rho[:, k - 1 : 0 : -1]))
+        den = 1.0 - _rowdot(phi, rho[:, 1:k])
+        phi_kk = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        phi = np.column_stack([phi - phi_kk[:, None] * phi[:, ::-1], phi_kk])
+        pacf[:, k - 1] = phi_kk
+    lags = rho[:, 1:]
+    block = np.column_stack([lags, pacf, np.mean(lags, axis=1), np.std(lags, axis=1)])
+    block[var <= 0] = math.nan
+    return list(block.T)
+
+
+def _trend_and_change(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
+    n_win, w = X.shape
+    # scipy.stats.linregress against 0..w-1; the stacked (2, w) @ (w, 2)
+    # matmul takes np.cov's syrk path, window by window
+    t = np.arange(w, dtype=float)
+    pair = np.empty((n_win, 2, w))
+    pair[:, 0] = t
+    pair[:, 1] = X
+    pair -= pair.mean(axis=2, keepdims=True)
+    cov = np.matmul(pair, pair.transpose(0, 2, 1))
+    cov *= np.true_divide(1, w)
+    ssxm, ssxym, ssym = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (w - 2))
+    pos = var > 0
+    cols = [
+        np.where(pos, slope, 0.0),
+        np.where(pos, X.mean(axis=1) - slope * np.mean(t), X[:, 0]),
+        np.where(pos, r**2, math.nan),
+        np.where(pos, stderr, 0.0),
+    ]
+    step = np.abs(np.diff(X, axis=1))
+    for lo_q, hi_q in CHANGE_QUANTILE_BANDS:
+        lo, hi = np.quantile(X, [lo_q, hi_q], axis=1)
+        inside = (X >= lo[:, None]) & (X <= hi[:, None])
+        keep = inside[:, :-1] & inside[:, 1:]
+        n_keep = keep.sum(axis=1)
+        total = _sum_present(step, keep)
+        cols.append(np.divide(total, n_keep, out=np.zeros_like(total), where=n_keep > 0))
+    return cols
+
+
+def _catalog_rows(X: np.ndarray) -> np.ndarray:
+    """CATALOG rows of a (n_windows, window) stack: one row per window,
+    which depends on that window's values alone."""
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.shape[1] < MIN_WINDOW:
+        raise ValueError(f"window {X.shape[1]} < 2 * N_ACF_LAGS + 1 = {MIN_WINDOW}")
+    var = np.var(X, axis=1)
+    tol = _tolerance(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ps = _periodogram(X)
+        counts = _match_counts(X, 2, tol)
+        cols = _descriptive(X, var) + _frequency(X, ps) + _autocorrelation(X, var)
+        cols += [
+            _sample_entropy(counts, tol),
+            _approximate_entropy(counts, tol),
+            _permutation_entropy(X, 3, 1, True),
+            _fourier_entropy(ps, 10),
+        ]
+        cols += _trend_and_change(X, var)
+    return np.column_stack(cols)
 
 
 def window_features(x: np.ndarray) -> np.ndarray:
     """All catalog features for one window, ordered as CATALOG."""
-    x = np.asarray(x, dtype=float)
-    w = x.size
-    out: list[float] = []
-
-    # group 1: descriptive and deviation
-    var = float(np.var(x))
-    out += [
-        float(np.sum(x)),
-        float(np.mean(x)),
-        float(np.median(x)),
-        math.sqrt(var),
-        var,
-        float(sps.skew(x)) if var > 0 else math.nan,
-        float(sps.kurtosis(x)) if var > 0 else math.nan,
-        math.sqrt(float(np.mean(x**2))),
-        float(np.sum(x**2)),
-        float(np.mean(np.abs(np.diff(x)))),
-        float(np.mean((x[2:] - 2 * x[1:-1] + x[:-2]) / 2.0)),
-    ]
-
-    # group 2: frequency domain
-    coefs = np.fft.rfft(x)
-    for k in range(N_FFT_COEFS):
-        c = coefs[k] if k < coefs.size else 0.0
-        out += [float(np.real(c)), float(np.imag(c)), float(np.abs(c)), float(np.angle(c))]
-    out += list(_spectral_moments(x))
-
-    # group 3: autocorrelation
-    if var > 0:
-        r = acf_values(x, N_ACF_LAGS)
-        pr = pacf_values(x, N_ACF_LAGS)
-        out += list(r[1:])
-        out += list(pr[1:])
-        out += [float(np.mean(r[1:])), float(np.std(r[1:]))]
-    else:
-        out += [math.nan] * (2 * N_ACF_LAGS + 2)
-
-    # group 4: entropy
-    out += [
-        sample_entropy(x),
-        approximate_entropy(x),
-        permutation_entropy(x),
-        fourier_entropy(x),
-    ]
-
-    # group 5: trend and change quantiles
-    if var > 0:
-        reg = sps.linregress(np.arange(w, dtype=float), x)
-        out += [reg.slope, reg.intercept, reg.rvalue**2, reg.stderr]
-    else:
-        out += [0.0, float(x[0]), math.nan, 0.0]
-    out += [_change_quantiles(x, lo, hi) for lo, hi in CHANGE_QUANTILE_BANDS]
-
-    return np.asarray(out, dtype=float)
+    return _catalog_rows(np.asarray(x)[None, :])[0]
 
 
 def extract_stat_features(ts: TimeSeries, window: int = 24) -> FeatureMatrix:
@@ -233,10 +352,5 @@ def extract_stat_features(ts: TimeSeries, window: int = 24) -> FeatureMatrix:
     n = len(ts)
     if window > n:
         raise ValueError(f"window {window} > series length {n}")
-    x = ts.values
-    rows = []
-    ridx = []
-    for end in range(window - 1, n):
-        rows.append(window_features(x[end - window + 1 : end + 1]))
-        ridx.append(end)
-    return FeatureMatrix(CATALOG, np.vstack(rows), tuple(ridx))
+    rows = _catalog_rows(np.lib.stride_tricks.sliding_window_view(ts.values, window))
+    return FeatureMatrix(CATALOG, rows, tuple(range(window - 1, n)))

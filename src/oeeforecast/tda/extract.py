@@ -105,17 +105,23 @@ def _vectorize(diagram, params: TdaParams) -> np.ndarray:
 
 def fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
     """Maximum death over the series' window diagrams; the pipeline fixes
-    this on the training span so later windows share the same normalization."""
+    this on the training span so later windows share the same normalization.
+
+    Every death is a pairwise distance of the window's embedded cloud, and
+    the essential H0 bar dies at the largest one, so the scale is the
+    largest pairwise distance over all windows (vr_persistence's formula),
+    computed without building a diagram.
+    """
     params = params or TdaParams()
     n = len(ts)
     if n < params.window:
         raise ValueError(f"series length {n} < window {params.window}")
-    top = 0.0
-    x = ts.values
-    for end in range(params.window - 1, n):
-        diagram = _window_diagram(x[end - params.window + 1 : end + 1], params)
-        if diagram.deaths.size:
-            top = max(top, float(diagram.deaths.max()))
+    windows = np.lib.stride_tricks.sliding_window_view(ts.values, params.window)
+    span = (params.embed_dim - 1) * params.delay
+    lags = np.arange(params.window - span)[:, None] + params.delay * np.arange(params.embed_dim)
+    pts = windows[:, lags]  # (windows, points, embed_dim), as takens_embed
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    top = float(np.sqrt(np.sum(diff * diff, axis=3)).max())
     return top if top > 0.0 else 1.0
 
 

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS thread per test process, set before numpy loads: beside another
+# process on a small machine, oversubscribed OpenBLAS threads slow the wide
+# SARIMAX fits severalfold.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 
@@ -25,6 +33,10 @@ def make_oee_series(n: int, seed: int, name: str = "synthetic") -> TimeSeries:
     y = level + shift + daily + weekly + noise
     y[stops] = 1.0
     return TimeSeries(np.clip(y, 1.0, 60.0), name=name)
+
+
+# (length, recipe seed) of the gh2/h2/gm2 stand-ins of the acceptance suite
+STAND_INS = {"gh2": (648, 101), "h2": (683, 102), "gm2": (672, 103)}
 
 
 @pytest.fixture

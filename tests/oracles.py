@@ -7,20 +7,33 @@ MST. The conventions mirror the production contract: H0 keeps
 zero-lifetime pairs plus one essential bar capped at the cloud diameter;
 H1 drops zero-lifetime pairs.
 
+The statistical oracles are the catalog's first, per-window implementation:
+one window at a time, scalar numpy and scipy calls, entropies from Python
+loops over templates and patterns. The diagram-scale oracle computes every
+window's persistence diagram and takes the largest death.
+
 The forecast oracle is the decomposed strategy's first recursion, which
 rebuilt every post-refit row from its own single window at every step.
 """
 
+import math
 from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
+from scipy import stats as sps
 
 from oeeforecast import pipeline, sarimax
 from oeeforecast.forecasters import ets_forecast, ets_update, seasonal_naive_forecast
-from oeeforecast.series import TimeSeries
-from oeeforecast.stat_features import CATALOG, window_features
-from oeeforecast.tda.extract import extract_tda_features, tda_catalog
+from oeeforecast.series import TimeSeries, acf_values, pacf_values
+from oeeforecast.stat_features import (
+    CATALOG,
+    CHANGE_QUANTILE_BANDS,
+    N_ACF_LAGS,
+    N_FFT_COEFS,
+    window_features,
+)
+from oeeforecast.tda.extract import TdaParams, _window_diagram, extract_tda_features, tda_catalog
 
 
 def bruteforce_rips_diagram(points: np.ndarray):
@@ -118,6 +131,196 @@ def diagrams_equal(diagram, oracle_pairs, tol=1e-12) -> bool:
         g[0] == w[0] and abs(g[1] - w[1]) <= tol and abs(g[2] - w[2]) <= tol
         for g, w in zip(got, want)
     )
+
+
+def scalar_sample_entropy(x, m: int = 2, r: float | None = None) -> float:
+    """Negative log conditional probability that close templates stay close.
+
+    Chebyshev distance, self-matches excluded. A zero tolerance (constant
+    window) is degenerate and yields 0; no matches at length m+1 yields
+    +inf (maximal irregularity), which the feature matrix imputes.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n <= 2 * m:
+        raise ValueError(f"sample_entropy needs length > {2 * m}")
+    if r is None:
+        r = 0.2 * float(np.std(x))
+    if r <= 0.0:
+        return 0.0
+
+    def count_matches(mm):
+        templ = np.lib.stride_tricks.sliding_window_view(x, mm)
+        c = 0
+        for i in range(templ.shape[0] - 1):
+            d = np.max(np.abs(templ[i + 1 :] - templ[i]), axis=1)
+            c += int(np.sum(d <= r))
+        return c
+
+    b = count_matches(m)
+    a = count_matches(m + 1)
+    if b == 0:
+        return 0.0
+    if a == 0:
+        return math.inf
+    return -math.log(a / b)
+
+
+def scalar_approximate_entropy(x, m: int = 2, r: float | None = None) -> float:
+    """Regularity statistic phi(m) - phi(m+1); self-matches included."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n <= 2 * m:
+        raise ValueError(f"approximate_entropy needs length > {2 * m}")
+    if r is None:
+        r = 0.2 * float(np.std(x))
+    if r <= 0.0:
+        return 0.0
+
+    def phi(mm):
+        templ = np.lib.stride_tricks.sliding_window_view(x, mm)
+        k = templ.shape[0]
+        total = 0.0
+        for i in range(k):
+            d = np.max(np.abs(templ - templ[i]), axis=1)
+            total += math.log(np.sum(d <= r) / k)
+        return total / k
+
+    return phi(m) - phi(m + 1)
+
+
+def scalar_permutation_entropy(x, order: int = 3, delay: int = 1, normalize: bool = True) -> float:
+    """Shannon entropy of ordinal patterns; 0 for monotone input, 1 for iid noise."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n <= (order - 1) * delay:
+        raise ValueError(f"permutation_entropy needs length > {(order - 1) * delay}")
+    n_pat = n - (order - 1) * delay
+    idx = np.arange(0, order * delay, delay)
+    patterns: dict[tuple, int] = {}
+    for i in range(n_pat):
+        key = tuple(np.argsort(x[i + idx], kind="stable"))
+        patterns[key] = patterns.get(key, 0) + 1
+    p = np.array(list(patterns.values()), dtype=float) / n_pat
+    h = -float(np.sum(p * np.log(p)))
+    if normalize:
+        h /= math.log(math.factorial(order))
+    return h
+
+
+def scalar_fourier_entropy(x, bins: int = 10) -> float:
+    """Shannon entropy of the binned, max-normalized periodogram."""
+    x = np.asarray(x, dtype=float)
+    ps = np.abs(np.fft.rfft(x - x.mean())) ** 2
+    ps = ps[1:]  # DC term is zero after demeaning
+    top = ps.max() if ps.size else 0.0
+    if top <= 0.0:
+        return 0.0
+    hist, _ = np.histogram(ps / top, bins=bins, range=(0.0, 1.0))
+    p = hist[hist > 0] / hist.sum()
+    return -float(np.sum(p * np.log(p)))
+
+
+def _spectral_moments(x: np.ndarray) -> tuple[float, float, float, float]:
+    # moments of the demeaned periodogram over frequency-bin index;
+    # spectral kurtosis is excess, matching the rest of the catalog
+    ps = np.abs(np.fft.rfft(x - x.mean())) ** 2
+    ps = ps[1:]
+    total = ps.sum()
+    if total <= 0.0:
+        return 0.0, 0.0, math.nan, math.nan
+    k = np.arange(1, ps.size + 1, dtype=float)
+    w = ps / total
+    c = float(np.sum(k * w))
+    var = float(np.sum((k - c) ** 2 * w))
+    if var <= 0.0:
+        return c, 0.0, math.nan, math.nan
+    sd = math.sqrt(var)
+    skew = float(np.sum(((k - c) / sd) ** 3 * w))
+    kurt = float(np.sum(((k - c) / sd) ** 4 * w)) - 3.0
+    return c, var, skew, kurt
+
+
+def _change_quantiles(x: np.ndarray, lo_q: float, hi_q: float) -> float:
+    lo, hi = np.quantile(x, [lo_q, hi_q])
+    inside = (x >= lo) & (x <= hi)
+    keep = inside[:-1] & inside[1:]
+    if not np.any(keep):
+        return 0.0
+    return float(np.mean(np.abs(np.diff(x)[keep])))
+
+
+def scalar_window_features(x: np.ndarray) -> np.ndarray:
+    """All catalog features for one window, ordered as CATALOG."""
+    x = np.asarray(x, dtype=float)
+    w = x.size
+    out: list[float] = []
+
+    # group 1: descriptive and deviation
+    var = float(np.var(x))
+    out += [
+        float(np.sum(x)),
+        float(np.mean(x)),
+        float(np.median(x)),
+        math.sqrt(var),
+        var,
+        float(sps.skew(x)) if var > 0 else math.nan,
+        float(sps.kurtosis(x)) if var > 0 else math.nan,
+        math.sqrt(float(np.mean(x**2))),
+        float(np.sum(x**2)),
+        float(np.mean(np.abs(np.diff(x)))),
+        float(np.mean((x[2:] - 2 * x[1:-1] + x[:-2]) / 2.0)),
+    ]
+
+    # group 2: frequency domain
+    coefs = np.fft.rfft(x)
+    for k in range(N_FFT_COEFS):
+        c = coefs[k] if k < coefs.size else 0.0
+        out += [float(np.real(c)), float(np.imag(c)), float(np.abs(c)), float(np.angle(c))]
+    out += list(_spectral_moments(x))
+
+    # group 3: autocorrelation
+    if var > 0:
+        r = acf_values(x, N_ACF_LAGS)
+        pr = pacf_values(x, N_ACF_LAGS)
+        out += list(r[1:])
+        out += list(pr[1:])
+        out += [float(np.mean(r[1:])), float(np.std(r[1:]))]
+    else:
+        out += [math.nan] * (2 * N_ACF_LAGS + 2)
+
+    # group 4: entropy
+    out += [
+        scalar_sample_entropy(x),
+        scalar_approximate_entropy(x),
+        scalar_permutation_entropy(x),
+        scalar_fourier_entropy(x),
+    ]
+
+    # group 5: trend and change quantiles
+    if var > 0:
+        reg = sps.linregress(np.arange(w, dtype=float), x)
+        out += [reg.slope, reg.intercept, reg.rvalue**2, reg.stderr]
+    else:
+        out += [0.0, float(x[0]), math.nan, 0.0]
+    out += [_change_quantiles(x, lo, hi) for lo, hi in CHANGE_QUANTILE_BANDS]
+
+    return np.asarray(out, dtype=float)
+
+
+def scalar_fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
+    """Maximum death over the series' window diagrams (1.0 when it is 0)."""
+    params = params or TdaParams()
+    n = len(ts)
+    if n < params.window:
+        raise ValueError(f"series length {n} < window {params.window}")
+    top = 0.0
+    x = ts.values
+    for end in range(params.window - 1, n):
+        diagram = _window_diagram(x[end - params.window + 1 : end + 1], params)
+        if diagram.deaths.size:
+            top = max(top, float(diagram.deaths.max()))
+    return top if top > 0.0 else 1.0
 
 
 def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:

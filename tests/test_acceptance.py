@@ -36,7 +36,7 @@ from oeeforecast.tda.extract import TdaParams, extract_tda_features, fit_diagram
 from oeeforecast.tda.persistence import PersistenceDiagram, PointCloud, vr_persistence
 from oeeforecast.tda.vectorize import betti_curve, landscape, persistence_entropy
 
-from conftest import make_oee_series
+from conftest import STAND_INS, make_oee_series
 from oracles import bruteforce_rips_diagram, diagrams_equal, prim_mst_weights
 
 
@@ -217,9 +217,6 @@ def test_criterion_08_pso_selection():
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:])), "gbest increased"
     assert good_runs >= 4, f"only {good_runs}/5 runs recovered the subset"
     announce(8, f"PSO recovers the informative subset in {good_runs}/5 runs")
-
-
-STAND_INS = {"gh2": (648, 101), "h2": (683, 102), "gm2": (672, 103)}
 
 
 def _standin(name):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oeeforecast.feature_matrix import FeatureMatrix
+from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import (
     CATALOG,
@@ -14,6 +15,48 @@ from oeeforecast.stat_features import (
     sample_entropy,
     window_features,
 )
+
+from conftest import STAND_INS, make_oee_series
+from oracles import (
+    scalar_approximate_entropy,
+    scalar_fourier_entropy,
+    scalar_permutation_entropy,
+    scalar_sample_entropy,
+    scalar_window_features,
+)
+
+ENTROPY_COLUMNS = ("sample_entropy", "approximate_entropy", "permutation_entropy", "fourier_entropy")
+
+
+def causal_residual(name):
+    n, seed = STAND_INS[name]
+    return causal_components(make_oee_series(n, seed=seed, name=name), (8, 24, 168))[2]
+
+
+def degenerate_windows():
+    """Back-to-back 24-value windows: constant, ramp, alternating two-level,
+    stoppages pinned at 1.0, tied values."""
+    rng = np.random.default_rng(4)
+    stopped = rng.normal(30.0, 5.0, 24)
+    stopped[[3, 11, 12, 17]] = 1.0
+    return TimeSeries(
+        np.concatenate(
+            [
+                np.full(24, 3.0),
+                np.arange(24.0),
+                np.tile([1.0, 5.0], 12),
+                stopped,
+                np.round(rng.normal(30.0, 1.5, 24)),
+            ]
+        )
+    )
+
+
+def scalar_extraction(ts, window):
+    x = ts.values
+    ends = range(window - 1, len(x))
+    rows = [scalar_window_features(x[end - window + 1 : end + 1]) for end in ends]
+    return FeatureMatrix(CATALOG, np.vstack(rows), tuple(ends))
 
 
 def col(fm, name):
@@ -168,6 +211,63 @@ class TestExtraction:
     def test_window_larger_than_series(self):
         with pytest.raises(ValueError):
             extract_stat_features(TimeSeries(np.arange(10.0)), window=24)
+
+    @pytest.mark.parametrize(
+        "values", [np.sin(np.arange(40.0)), np.full(40, 2.0)], ids=["varying", "constant"]
+    )
+    def test_window_guard(self, values):
+        with pytest.raises(ValueError, match="17"):
+            extract_stat_features(TimeSeries(values), window=16)
+        fm = extract_stat_features(TimeSeries(values), window=17)
+        assert fm.matrix.shape == (24, 76)
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize(
+        "name, window",
+        [(n, w) for n in STAND_INS for w in (24, 30)] + [("degenerate", 24)],
+    )
+    def test_batched_catalog_matches_per_window_oracle(self, name, window):
+        ts = degenerate_windows() if name == "degenerate" else causal_residual(name)
+        got = extract_stat_features(ts, window)
+        want = scalar_extraction(ts, window)
+        assert got.row_index == want.row_index
+        assert got.imputed == want.imputed
+        np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12, atol=0.0)
+        for column in ENTROPY_COLUMNS:
+            assert got.column(column).tobytes() == want.column(column).tobytes(), column
+
+    @pytest.mark.parametrize("offset", [0, 1, 333])
+    @pytest.mark.parametrize("length", [24, 37, 61])
+    def test_rows_do_not_depend_on_the_batch(self, offset, length):
+        for name in STAND_INS:
+            residual = causal_residual(name)
+            full = extract_stat_features(residual, 24)
+            part = extract_stat_features(residual.slice(offset, offset + length), 24)
+            rows = slice(offset, offset + length - 23)
+            assert part.matrix.tobytes() == full.matrix[rows].tobytes()
+            assert part.imputed == {
+                (r - offset, c) for r, c in full.imputed if offset + 23 <= r < offset + length
+            }
+
+    def test_one_window_entropies_match_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        inputs = [rng.normal(size=200), np.tile([0.0, 1.0, 1.0], 20), np.full(30, 2.0)]
+        calls = [
+            (sample_entropy, scalar_sample_entropy, {}),
+            (sample_entropy, scalar_sample_entropy, {"m": 3, "r": 0.5}),
+            (approximate_entropy, scalar_approximate_entropy, {}),
+            (approximate_entropy, scalar_approximate_entropy, {"m": 1, "r": 0.3}),
+            (permutation_entropy, scalar_permutation_entropy, {}),
+            (permutation_entropy, scalar_permutation_entropy, {"order": 4, "delay": 2}),
+            (permutation_entropy, scalar_permutation_entropy, {"normalize": False}),
+            (fourier_entropy, scalar_fourier_entropy, {}),
+            (fourier_entropy, scalar_fourier_entropy, {"bins": 7}),
+        ]
+        for x in inputs:
+            for batched, scalar, kw in calls:
+                got, want = batched(x, **kw), scalar(x, **kw)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (batched, kw)
 
 
 class TestFeatureMatrix:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
 from oeeforecast.tda.extract import (
     TdaParams,
@@ -8,6 +9,9 @@ from oeeforecast.tda.extract import (
     fit_diagram_scale,
     tda_catalog,
 )
+
+from conftest import STAND_INS, make_oee_series
+from oracles import scalar_fit_diagram_scale
 
 
 class TestParams:
@@ -66,3 +70,19 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_tda_features(TimeSeries(np.arange(10.0)))
 
+
+
+class TestDiagramScale:
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    @pytest.mark.parametrize("window", [24, 30])
+    def test_equals_largest_death_of_every_diagram(self, name, window):
+        n, seed = STAND_INS[name]
+        series = make_oee_series(n, seed=seed, name=name)
+        params = TdaParams(window=window)
+        for length in (340, 518, n):
+            residual = causal_components(series.slice(0, length), (8, 24, 168))[2]
+            assert fit_diagram_scale(residual, params) == scalar_fit_diagram_scale(residual, params)
+
+    def test_constant_series_scale_is_one(self):
+        ts = TimeSeries(np.full(40, 5.0))
+        assert fit_diagram_scale(ts) == scalar_fit_diagram_scale(ts) == 1.0
