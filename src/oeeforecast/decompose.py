@@ -8,6 +8,12 @@ as per-phase means, centers it, and subtracts it before moving to the next
 period. A second pass removes the seasonal leakage the first pass leaves
 in the trend estimate. The residual is computed by exact subtraction, so
 reconstruction is an identity by construction.
+
+The moving average is a fixed linear filter, computed as array code: the
+per-point half-width is an index array into one cumulative sum. Each
+period's phase means are row means of the complete-window span reshaped
+into cycles. Both give the same bits as the per-point and per-phase loops
+they replaced, which are kept as the equivalence oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -44,17 +50,15 @@ def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = x.size
     half = window // 2
-    out = np.empty(n)
-    even = window % 2 == 0
+    i = np.arange(n)
+    k = np.minimum(np.minimum(i, n - 1 - i), half)  # per-point half-width
     csum = np.concatenate(([0.0], np.cumsum(x)))
-    for i in range(n):
-        k = min(half, i, n - 1 - i)
-        if k == half and even:
-            # full even kernel: half-weight endpoints
-            inner = csum[i + k] - csum[i - k + 1]  # x[i-k+1 .. i+k-1]
-            out[i] = (inner + 0.5 * (x[i - k] + x[i + k])) / window
-        else:
-            out[i] = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
+    out = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
+    if window % 2 == 0:
+        # full even kernel: half-weight endpoints
+        j = i[k == half]
+        inner = csum[j + half] - csum[j - half + 1]  # x[j-half+1 .. j+half-1]
+        out[j] = (inner + 0.5 * (x[j - half] + x[j + half])) / window
     return out
 
 
@@ -65,13 +69,17 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
     leftovers; including them biases the phase means by a phase-coherent
     amount, so only complete-window positions contribute.
     """
-    n = x.size
     half = period // 2
-    lo, hi = half, n - half
-    means = np.empty(period)
-    for ph in range(period):
-        start = lo + (ph - lo) % period
-        means[ph] = x[start:hi:period].mean()
+    span = x[half : x.size - half]
+    cycles, rem = divmod(span.size, period)
+    blocks = span[: cycles * period].reshape(cycles, period)
+    # one contiguous row per span column j (phase (half + j) % period): a row
+    # mean sums its samples in the order the mean of the strided slice
+    # span[j::period] does; the first rem columns have one more sample
+    longer = np.vstack([blocks[:, :rem], span[None, cycles * period :]]).T.copy()
+    shorter = blocks[:, rem:].T.copy()
+    by_column = np.concatenate([longer.mean(axis=1), shorter.mean(axis=1)])
+    means = by_column[(np.arange(period) - half) % period]
     return means - means.mean()
 
 

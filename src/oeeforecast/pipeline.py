@@ -163,6 +163,9 @@ class EvaluationReport:
     records: tuple[tuple[int, int, float, float], ...] = ()
     # (origin, "ExcType: text") for every origin whose forecast raised
     skipped: tuple[tuple[int, str], ...] = ()
+    # (origin, "ExcType: text") for every scheduled refit that raised; the
+    # origins after it are forecast from the previous fit
+    refit_failures: tuple[tuple[int, str], ...] = ()
 
     @property
     def n_skipped(self) -> int:
@@ -180,6 +183,7 @@ class EvaluationReport:
             "train_mape": self.train_mape,
             "n_skipped": self.n_skipped,
             "skipped": [list(s) for s in self.skipped],
+            "refit_failures": [list(f) for f in self.refit_failures],
         }
         return json.dumps(doc, indent=2)
 
@@ -295,42 +299,47 @@ class DecomposedStrategy:
         return fm.select_columns(self.columns).matrix
 
     def refit(self, past: TimeSeries) -> None:
+        """Fit every component on past. The fit, the selection and the frozen
+        state change together, only once every fit has succeeded: a refit
+        that raises leaves the previous fit in place."""
         cfg = self.cfg
         trend, _, residual = causal_components(past, cfg.periods)
-        self._ets = ets_fit(trend)
-        self._refit_len = len(past)
+        ets = ets_fit(trend)
 
         if cfg.feature_mode == "none":
-            self._sarimax = sarimax.fit(
-                residual, cfg.sarimax_spec, n_restarts=1, seed=cfg.seed
-            )
+            fit = sarimax.fit(residual, cfg.sarimax_spec, n_restarts=1, seed=cfg.seed)
+            self._ets, self._sarimax, self._refit_len = ets, fit, len(past)
             self._state_y = residual.values.copy()
             self._state_x = None
             return
 
-        if self._tda_scale is None and cfg.feature_mode in ("topological", "both"):
-            self._tda_scale = fit_diagram_scale(residual, _tda_params(cfg))
+        scale = self._tda_scale
+        if scale is None and cfg.feature_mode in ("topological", "both"):
+            scale = fit_diagram_scale(residual, _tda_params(cfg))
 
-        y, fm = aligned_features(cfg, residual, self._tda_scale)
+        y, fm = aligned_features(cfg, residual, scale)
+        reports, pso_result = self.selection_reports, self.pso_result
         if self.columns is None:
             fm_sel, rep_var = variance_filter(fm)
             fm_sel, rep_corr = correlation_filter(fm_sel, y.values)
             fm_sel, rep_prune = collinearity_prune(fm_sel)
-            self.selection_reports = [rep_var, rep_corr, rep_prune]
+            reports = [rep_var, rep_corr, rep_prune]
             if cfg.selection_mode in ("rfe", "rfe+pso"):
                 fm_sel, rep_rfe = rfe_sarimax(y, fm_sel, cfg.sarimax_spec)
-                self.selection_reports.append(rep_rfe)
+                reports.append(rep_rfe)
             if cfg.selection_mode == "rfe+pso" and fm_sel.n_cols > 1:
                 pso_cfg = replace(self.cfg.pso, seed=cfg.seed)
-                self.pso_result = pso_bic(y, fm_sel, cfg.sarimax_spec, pso_cfg)
-                chosen = self.pso_result.best_subset or fm_sel.column_names
+                pso_result = pso_bic(y, fm_sel, cfg.sarimax_spec, pso_cfg)
+                chosen = pso_result.best_subset or fm_sel.column_names
                 fm_sel = fm_sel.select_columns(chosen)
-            self.columns = fm_sel.column_names
         else:
             fm_sel = fm.select_columns(self.columns)
-        self._sarimax = sarimax.fit(
-            y, cfg.sarimax_spec, exog=fm_sel, n_restarts=1, seed=cfg.seed
-        )
+        fit = sarimax.fit(y, cfg.sarimax_spec, exog=fm_sel, n_restarts=1, seed=cfg.seed)
+
+        self._ets, self._sarimax, self._refit_len = ets, fit, len(past)
+        self._tda_scale = scale
+        self.columns = fm_sel.column_names
+        self.selection_reports, self.pso_result = reports, pso_result
         self._state_y = y.values.copy()
         self._state_x = np.asarray(fm_sel.matrix, dtype=float)
 
@@ -407,10 +416,14 @@ def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> Eva
 
     records = []
     skipped = []
+    refit_failures = []
     for k, origin in enumerate(origins):
         past = series.slice(0, origin + 1)
         if k > 0 and k % cfg.refit_interval == 0:
-            strategy.refit(past)
+            try:
+                strategy.refit(past)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                refit_failures.append((origin, f"{type(exc).__name__}: {exc}"))
         steps = min(cfg.horizon, n - 1 - origin)
         try:
             values = strategy.forecast(past, steps)
@@ -440,6 +453,7 @@ def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> Eva
         train_mape=train_mape,
         records=tuple(records),
         skipped=tuple(skipped),
+        refit_failures=tuple(refit_failures),
     )
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as sps
 
 from .feature_matrix import FeatureMatrix
 from .series import TimeSeries
@@ -210,11 +209,18 @@ def fourier_entropy(x, bins: int = 10) -> float:
 
 
 def _descriptive(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
-    pos = var > 0
-    skew = np.full(var.size, math.nan)
-    kurt = np.full(var.size, math.nan)
-    skew[pos] = sps.skew(X[pos], axis=1)
-    kurt[pos] = sps.kurtosis(X[pos], axis=1)
+    # scipy.stats skew/kurtosis (biased, Fisher) in scipy's order of
+    # operations; NaN where scipy finds a window near-constant,
+    # m2 <= (eps * mean)**2, which constant windows (var == 0) are
+    mean = np.mean(X, axis=1, keepdims=True)
+    d = X - mean
+    d2 = d**2
+    m2 = np.mean(d2, axis=1)
+    m3 = np.mean(d2 * d, axis=1)
+    m4 = np.mean(d2**2, axis=1)
+    live = m2 > (np.finfo(float).eps * mean[:, 0]) ** 2
+    skew = np.where(live, m3 / m2**1.5, math.nan)
+    kurt = np.where(live, m4 / m2**2.0 - 3, math.nan)
     sq = X**2
     return [
         np.sum(X, axis=1),

@@ -14,6 +14,9 @@ window's persistence diagram and takes the largest death.
 
 The forecast oracle is the decomposed strategy's first recursion, which
 rebuilt every post-refit row from its own single window at every step.
+
+The decomposition oracles are the first moving-average and phase-mean
+code: one Python iteration per point and one mean per phase.
 """
 
 import math
@@ -34,6 +37,37 @@ from oeeforecast.stat_features import (
     window_features,
 )
 from oeeforecast.tda.extract import TdaParams, _window_diagram, extract_tda_features, tda_catalog
+
+
+def scalar_centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """Centered MA with the even-window half-weight convention, point by point."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    half = window // 2
+    out = np.empty(n)
+    even = window % 2 == 0
+    csum = np.concatenate(([0.0], np.cumsum(x)))
+    for i in range(n):
+        k = min(half, i, n - 1 - i)
+        if k == half and even:
+            # full even kernel: half-weight endpoints
+            inner = csum[i + k] - csum[i - k + 1]  # x[i-k+1 .. i+k-1]
+            out[i] = (inner + 0.5 * (x[i - k] + x[i + k])) / window
+        else:
+            out[i] = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
+    return out
+
+
+def scalar_phase_means(x: np.ndarray, period: int) -> np.ndarray:
+    """Centered per-phase means over the complete-window span, phase by phase."""
+    n = x.size
+    half = period // 2
+    lo, hi = half, n - half
+    means = np.empty(period)
+    for ph in range(period):
+        start = lo + (ph - lo) % period
+        means[ph] = x[start:hi:period].mean()
+    return means - means.mean()
 
 
 def bruteforce_rips_diagram(points: np.ndarray):

@@ -1,13 +1,23 @@
+import sys
+
 import numpy as np
 import pytest
 
 from oeeforecast.decompose import (
+    _phase_means,
     centered_moving_average,
     components_to_csv,
     decompose,
     reconstruct,
 )
+from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries, kpss_test
+
+from conftest import STAND_INS, make_oee_series
+from oracles import scalar_centered_moving_average, scalar_phase_means
+
+# the package re-exports the decompose function under the module's name
+decompose_module = sys.modules["oeeforecast.decompose"]
 
 
 def sine_composite(n=504, seed=0):
@@ -113,3 +123,69 @@ class TestDecompose:
         header = path.read_text().splitlines()[0]
         assert header == "timestamp,trend,seasonal_8,seasonal_24,seasonal_168,residual"
         assert len(path.read_text().splitlines()) == len(oee_series) + 1
+
+
+class TestScalarOracle:
+    """The array filter and phase means against the per-point loops, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_every_prefix_of_the_stand_ins(self, name):
+        n, seed = STAND_INS[name]
+        x = make_oee_series(n, seed=seed, name=name).values
+        for length in range(336, n + 1):
+            prefix = x[:length]
+            for p in (8, 24, 168):
+                got = centered_moving_average(prefix, p)
+                assert np.array_equal(got, scalar_centered_moving_average(prefix, p)), (length, p)
+                got = _phase_means(prefix, p)
+                assert np.array_equal(got, scalar_phase_means(prefix, p)), (length, p)
+
+    @pytest.mark.parametrize("window", [1, 3, 7, 9, 25, 167])
+    def test_odd_windows(self, window):
+        x = make_oee_series(400, seed=5).values
+        assert np.array_equal(
+            centered_moving_average(x, window), scalar_centered_moving_average(x, window)
+        )
+        assert np.array_equal(_phase_means(x, window), scalar_phase_means(x, window))
+
+    @pytest.mark.parametrize("window", [24, 25])
+    def test_series_shorter_than_the_window(self, window):
+        # no point has room for the full kernel: every one is truncated
+        x = np.random.default_rng(2).normal(30.0, 5.0, 11)
+        assert np.array_equal(
+            centered_moving_average(x, window), scalar_centered_moving_average(x, window)
+        )
+
+    @pytest.mark.parametrize("period", [8, 24, 168])
+    @pytest.mark.parametrize("extra", [0, 1, -1])
+    def test_whole_and_partial_cycles(self, period, extra):
+        # the complete-window span n - 2 * (period // 2) holds three cycles,
+        # plus or minus one sample
+        n = 4 * period + extra
+        x = make_oee_series(n, seed=9).values
+        assert (n - 2 * (period // 2)) % period == extra % period
+        assert np.array_equal(_phase_means(x, period), scalar_phase_means(x, period))
+
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_components_equal_oracle_built_ones(self, name, monkeypatch):
+        n, seed = STAND_INS[name]
+        series = make_oee_series(n, seed=seed, name=name)
+        periods = (8, 24, 168)
+        got = decompose(series, periods)
+        got_causal = causal_components(series, periods)
+        monkeypatch.setattr(
+            decompose_module, "centered_moving_average", scalar_centered_moving_average
+        )
+        monkeypatch.setattr(decompose_module, "_phase_means", scalar_phase_means)
+        want = decompose(series, periods)
+        want_causal = causal_components(series, periods)
+
+        assert got.trend.values.tobytes() == want.trend.values.tobytes()
+        assert got.residual.values.tobytes() == want.residual.values.tobytes()
+        for p in periods:
+            assert got.seasonal[p].values.tobytes() == want.seasonal[p].values.tobytes()
+        (trend, seasonal, residual), (w_trend, w_seasonal, w_residual) = got_causal, want_causal
+        assert trend.values.tobytes() == w_trend.values.tobytes()
+        assert residual.values.tobytes() == w_residual.values.tobytes()
+        for p in periods:
+            assert seasonal[p].values.tobytes() == w_seasonal[p].values.tobytes()

@@ -23,7 +23,7 @@ from oeeforecast.selection import PsoConfig
 from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import extract_stat_features
 
-from conftest import make_oee_series
+from conftest import STAND_INS, make_oee_series
 from oracles import forecast_rebuilding_rows
 
 
@@ -157,6 +157,24 @@ class TestRollingHarness:
         assert rep.n_skipped == 1
         assert bad not in {r[0] for r in rep.records}
         assert json.loads(rep.to_json())["skipped"] == [[bad, "LinAlgError: singular design"]]
+
+    def test_failed_refit_recorded_and_forecasting_continues(self, series_small):
+        cfg = small_cfg()
+        split = int(np.floor(len(series_small) * (1 - cfg.test_fraction)))
+        bad = split - 1 + cfg.refit_interval
+
+        class RefitFails(PerfectForesight):
+            def refit(self, past):
+                if len(past) - 1 == bad:
+                    raise ValueError("exog columns with zero variance")
+
+        rep = rolling_forecast(cfg, series=series_small, strategy=RefitFails(series_small))
+        assert rep.refit_failures == ((bad, "ValueError: exog columns with zero variance"),)
+        assert rep.n_skipped == 0
+        assert bad in {r[0] for r in rep.records}
+        assert json.loads(rep.to_json())["refit_failures"] == [
+            [bad, "ValueError: exog columns with zero variance"]
+        ]
 
     def test_short_series_rejected(self):
         cfg = small_cfg(periods=(8, 24, 168))
@@ -316,3 +334,43 @@ class TestInSamplePass:
         again_start, again_preds = strat.train_one_step(train)
         assert again_start == start
         assert again_preds.tobytes() == preds.tobytes()
+
+
+class TestRefitFailures:
+    @pytest.mark.parametrize("mode", ["topological", "statistical"])
+    @pytest.mark.parametrize("name", ["gh2", "gm2"])
+    def test_readme_defaults_complete_on_stand_ins(self, name, mode):
+        # at README defaults a topological refit on these two stand-ins selects
+        # h0_betti_9, which is constant on a later refit's span
+        n, seed = STAND_INS[name]
+        cfg = PipelineConfig(feature_mode=mode)
+        assert cfg.periods == (8, 24, 168) and cfg.test_fraction == 0.2
+        rep = rolling_forecast(cfg, series=make_oee_series(n, seed=seed, name=name))
+        split = int(np.floor(n * (1 - cfg.test_fraction)))
+        assert rep.n_forecasts + rep.n_skipped == len(range(split - 1, n - 1))
+        assert np.isfinite(rep.mae)
+        if mode == "topological":
+            assert rep.refit_failures
+            for _, text in rep.refit_failures:
+                assert text.startswith("ValueError: exog columns with zero variance")
+                assert "h0_betti_9" in text
+
+    @pytest.mark.parametrize("mode", ["statistical", "none"])
+    def test_failed_refit_leaves_previous_fit(self, series_small, monkeypatch, mode):
+        cfg = small_cfg(feature_mode=mode, sarimax_spec=SarimaxSpec(p=1, s=8))
+        strat = DecomposedStrategy(cfg)
+        strat.refit(series_small.slice(0, 300))
+        before = dict(vars(strat))
+        expected = strat.forecast(series_small.slice(0, 330), 2)
+
+        def refuse(*args, **kwargs):
+            raise ValueError("exog columns with zero variance")
+
+        with monkeypatch.context() as m:
+            m.setattr(pipeline.sarimax, "fit", refuse)
+            with pytest.raises(ValueError, match="zero variance"):
+                strat.refit(series_small.slice(0, 324))
+        assert vars(strat).keys() == before.keys()
+        for name, value in before.items():
+            assert vars(strat)[name] is value, name
+        assert strat.forecast(series_small.slice(0, 330), 2).tobytes() == expected.tobytes()

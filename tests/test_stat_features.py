@@ -35,7 +35,8 @@ def causal_residual(name):
 
 def degenerate_windows():
     """Back-to-back 24-value windows: constant, ramp, alternating two-level,
-    stoppages pinned at 1.0, tied values."""
+    stoppages pinned at 1.0, tied values, and a constant with a 1e-15 ripple
+    (var > 0, but skewness and kurtosis are NaN by scipy's near-constant rule)."""
     rng = np.random.default_rng(4)
     stopped = rng.normal(30.0, 5.0, 24)
     stopped[[3, 11, 12, 17]] = 1.0
@@ -47,6 +48,7 @@ def degenerate_windows():
                 np.tile([1.0, 5.0], 12),
                 stopped,
                 np.round(rng.normal(30.0, 1.5, 24)),
+                np.full(24, 5.0) + 1e-15 * np.sin(np.arange(24.0)),
             ]
         )
     )
