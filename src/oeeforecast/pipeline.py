@@ -43,8 +43,8 @@ from .selection import (
 )
 from .series import TimeSeries, load_csv, mae, mape
 # window_features is not called here; perfbench/tracing.py patches it by this name
-from .stat_features import extract_stat_features, window_features
-from .tda.extract import TdaParams, extract_tda_features, fit_diagram_scale
+from .stat_features import MIN_WINDOW, extract_stat_features, window_features
+from .tda.extract import TdaParams, extract_tda_features, fit_diagram_scale, tda_catalog
 
 FEATURE_MODES = ("none", "statistical", "topological", "both")
 SELECTION_MODES = ("none", "rfe", "rfe+pso")
@@ -111,6 +111,10 @@ class PipelineConfig:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
+        if self.feature_mode in ("statistical", "both") and self.window < MIN_WINDOW:
+            raise ValueError(f"window {self.window} < {MIN_WINDOW}, the statistical catalog's least")
+        if self.feature_mode in ("topological", "both"):
+            _tda_params(self)  # TdaParams rejects a window too short to embed
 
 
 def _tda_params(cfg: PipelineConfig) -> TdaParams:
@@ -119,12 +123,14 @@ def _tda_params(cfg: PipelineConfig) -> TdaParams:
 
 
 def build_features(
-    cfg: PipelineConfig, residual: TimeSeries, scale: float | None = None
+    cfg: PipelineConfig, residual: TimeSeries, scale: float | None = None, columns=None
 ) -> FeatureMatrix:
-    """Full (pre-selection) window-feature matrix of cfg.feature_mode.
+    """Window-feature matrix of cfg.feature_mode: the full (pre-selection)
+    catalog, or with ``columns`` exactly those columns, in that order.
 
     Both catalogs slide cfg.window over the residual; scale fixes the
     diagram normalization (None: taken over the windows being extracted).
+    The topological catalog computes only the groups ``columns`` needs.
     """
     mode = cfg.feature_mode
     if mode == "none":
@@ -133,11 +139,16 @@ def build_features(
     if mode in ("statistical", "both"):
         parts.append(extract_stat_features(residual, cfg.window))
     if mode in ("topological", "both"):
-        parts.append(extract_tda_features(residual, _tda_params(cfg), scale=scale))
+        params = _tda_params(cfg)
+        tda_columns = None
+        if columns is not None:
+            catalog = set(tda_catalog(params))
+            tda_columns = [c for c in columns if c in catalog]
+        parts.append(extract_tda_features(residual, params, scale=scale, columns=tda_columns))
     fm = parts[0]
     for extra in parts[1:]:
         fm = fm.hstack(extra)
-    return fm
+    return fm if columns is None else fm.select_columns(columns)
 
 
 def aligned_features(cfg: PipelineConfig, residual: TimeSeries, scale: float | None = None):
@@ -295,8 +306,7 @@ class DecomposedStrategy:
 
     def _selected_rows(self, residual: np.ndarray) -> np.ndarray:
         """Selected-column rows of every window of residual, by window end."""
-        fm = build_features(self.cfg, TimeSeries(residual), self._tda_scale)
-        return fm.select_columns(self.columns).matrix
+        return build_features(self.cfg, TimeSeries(residual), self._tda_scale, self.columns).matrix
 
     def refit(self, past: TimeSeries) -> None:
         """Fit every component on past. The fit, the selection and the frozen

@@ -1,7 +1,18 @@
 """Sliding-window topological feature extraction.
 
-Per window: delay-embed, compute Rips persistence in dimensions 0 and 1,
-normalize by a fixed diagram scale, then apply every vectorizer on the
+Every window is delay-embedded into the same ``(windows, points, embed_dim)``
+stack, and one pass over the stack builds the rows:
+
+- all windows' pairwise distance matrices at once;
+- H0 from a batched Prim minimum spanning tree: the finite deaths are the
+  tree's edge weights (single-linkage merge heights), and the essential bar
+  is capped at the window's largest distance;
+- H1 from vr_persistence, window by window, only when an H1 column is asked
+  for;
+- every vectorizer over ``(windows, pairs)`` arrays, on grids computed once
+  per TdaParams.
+
+Diagrams are normalized by a fixed diagram scale and vectorized on the
 unit-range grid. The scale should come from the training span
 (fit_diagram_scale) so test-side rows cannot influence earlier rows; when
 omitted it is taken over the windows being extracted.
@@ -9,28 +20,43 @@ omitted it is taken over the windows being extracted.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from ..feature_matrix import FeatureMatrix
 from ..series import TimeSeries
-from .embedding import takens_embed
-from .persistence import vr_persistence, scale_diagram
+from .persistence import PointCloud, vr_persistence
 from .vectorize import (
+    HEAT_SAMPLES,
     LIFETIME_STAT_NAMES,
-    betti_curve,
-    bottleneck_amplitude,
-    heat_kernel_norm,
-    landscape,
-    landscape_norm,
-    lifetime_stats,
-    persistence_entropy,
-    silhouette,
-    wasserstein_amplitude,
+    batch_betti,
+    batch_bottleneck,
+    batch_entropy,
+    batch_heat_norm,
+    batch_landscape,
+    batch_landscape_norm,
+    batch_lifetime_stats,
+    batch_silhouette,
+    batch_wasserstein,
+    betti_midpoints,
 )
 
 T_RANGE = (0.0, 1.0)  # diagrams are scaled into the unit range first
+# the vectorizer groups of one homology dimension, in catalog order
+GROUPS = (
+    "entropy",
+    "bottleneck_amp",
+    "wasserstein_amp",
+    "betti",
+    "landscape",
+    "landscape_norm",
+    "silhouette",
+    "heat_l2",
+    "life",
+)
 
 
 @dataclass(frozen=True)
@@ -47,11 +73,10 @@ class TdaParams:
     heat_sigma: float = 0.1  # in units of the scaled diagram range [0, 1]
 
     def __post_init__(self):
-        if self.window < (self.embed_dim - 1) * self.delay + 1:
-            raise ValueError(
-                f"window {self.window} < (dim-1)*delay + 1 = "
-                f"{(self.embed_dim - 1) * self.delay + 1}"
-            )
+        # persistence needs at least two embedded points per window
+        least = (self.embed_dim - 1) * self.delay + 2
+        if self.window < least:
+            raise ValueError(f"window {self.window} < (dim-1)*delay + 2 = {least}")
         for nm in ("betti_bins", "landscape_layers", "landscape_samples"):
             if getattr(self, nm) < 1:
                 raise ValueError(f"{nm} must be >= 1")
@@ -59,48 +84,140 @@ class TdaParams:
             raise ValueError("homology_dims limited to {0, 1}")
 
 
-def tda_catalog(params: TdaParams) -> tuple[str, ...]:
-    """Frozen column layout for extract_tda_features."""
-    names: list[str] = []
-    for h in params.homology_dims:
-        names.append(f"h{h}_entropy")
-        names.append(f"h{h}_bottleneck_amp")
-        names.append(f"h{h}_wasserstein_amp")
-        names += [f"h{h}_betti_{j}" for j in range(params.betti_bins)]
-        names += [
+def _group_names(h: int, group: str, params: TdaParams) -> list[str]:
+    if group == "betti":
+        return [f"h{h}_betti_{j}" for j in range(params.betti_bins)]
+    if group == "landscape":
+        return [
             f"h{h}_landscape_{k}_{j}"
             for k in range(params.landscape_layers)
             for j in range(params.landscape_samples)
         ]
-        names.append(f"h{h}_landscape_norm")
-        names += [f"h{h}_silhouette_{j}" for j in range(params.landscape_samples)]
-        names.append(f"h{h}_heat_l2")
-        names += [f"h{h}_life_{s}" for s in LIFETIME_STAT_NAMES]
-    return tuple(names)
+    if group == "silhouette":
+        return [f"h{h}_silhouette_{j}" for j in range(params.landscape_samples)]
+    if group == "life":
+        return [f"h{h}_life_{s}" for s in LIFETIME_STAT_NAMES]
+    return [f"h{h}_{group}"]
 
 
-def _window_diagram(x: np.ndarray, params: TdaParams):
-    cloud = takens_embed(x, params.delay, params.embed_dim)
-    return vr_persistence(cloud, max_hom_dim=max(params.homology_dims))
+@lru_cache(maxsize=16)
+def _layout(params: TdaParams) -> tuple[tuple[int, str, tuple[str, ...]], ...]:
+    """(homology dim, group, column names) of every catalog block, in order."""
+    return tuple(
+        (h, g, tuple(_group_names(h, g, params))) for h in params.homology_dims for g in GROUPS
+    )
 
 
-def _vectorize(diagram, params: TdaParams) -> np.ndarray:
-    row: list[float] = []
-    for h in params.homology_dims:
-        row.append(persistence_entropy(diagram, h))
-        row.append(bottleneck_amplitude(diagram, h))
-        row.append(wasserstein_amplitude(diagram, h, params.wasserstein_order))
-        row += list(betti_curve(diagram, h, params.betti_bins, T_RANGE))
-        lam = landscape(diagram, h, params.landscape_layers, params.landscape_samples, T_RANGE)
-        row += list(lam.ravel())
-        row.append(landscape_norm(lam, p=2.0, t_range=T_RANGE))
-        row += list(
-            silhouette(diagram, h, params.silhouette_power, params.landscape_samples, T_RANGE)
-        )
-        row.append(heat_kernel_norm(diagram, h, params.heat_sigma, t_range=T_RANGE))
-        stats = lifetime_stats(diagram, h)
-        row += [stats[s] for s in LIFETIME_STAT_NAMES]
-    return np.asarray(row, dtype=float)
+def tda_catalog(params: TdaParams) -> tuple[str, ...]:
+    """Frozen column layout for extract_tda_features."""
+    return tuple(name for _, _, names in _layout(params) for name in names)
+
+
+@lru_cache(maxsize=16)
+def _grids(params: TdaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Betti midpoints, landscape/silhouette grid and heat grid on T_RANGE."""
+    grids = (
+        betti_midpoints(params.betti_bins, T_RANGE),
+        np.linspace(*T_RANGE, params.landscape_samples),
+        np.linspace(*T_RANGE, HEAT_SAMPLES),
+    )
+    for g in grids:
+        g.setflags(write=False)
+    return grids
+
+
+def _embedded_windows(values: np.ndarray, params: TdaParams) -> np.ndarray:
+    """(windows, points, embed_dim) delay embedding of every window, as
+    takens_embed builds one window's cloud."""
+    windows = np.lib.stride_tricks.sliding_window_view(values, params.window)
+    span = (params.embed_dim - 1) * params.delay
+    lags = np.arange(params.window - span)[:, None] + params.delay * np.arange(params.embed_dim)
+    return windows[:, lags]
+
+
+def _distances(pts: np.ndarray) -> np.ndarray:
+    """(windows, points, points) pairwise distances, vr_persistence's formula."""
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=3))
+
+
+def _scale_of(dist: np.ndarray) -> float:
+    top = float(dist.max())
+    return top if top > 0.0 else 1.0
+
+
+def _h0_deaths(dist: np.ndarray) -> np.ndarray:
+    """(windows, points) H0 deaths in ascending order: the minimum spanning
+    tree's edge weights, from Prim's algorithm run on every window at once,
+    then the essential bar capped at the window's largest distance."""
+    n_win, n = dist.shape[:2]
+    rows = np.arange(n_win)
+    deaths = np.empty((n_win, n))
+    in_tree = np.zeros((n_win, n), dtype=bool)
+    in_tree[:, 0] = True
+    best = dist[:, 0].copy()
+    for step in range(n - 1):
+        nxt = np.argmin(np.where(in_tree, np.inf, best), axis=1)
+        deaths[:, step] = best[rows, nxt]
+        in_tree[rows, nxt] = True
+        np.minimum(best, dist[rows, nxt], out=best)
+    deaths[:, :-1].sort(axis=1)
+    deaths[:, -1] = dist.max(axis=(1, 2))
+    return deaths
+
+
+def _h1_pairs(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """H1 (rows, births, deaths) of every window, one entry per pair count."""
+    by_count = defaultdict(list)
+    for i, cloud in enumerate(pts):
+        b, d = vr_persistence(PointCloud(cloud), max_hom_dim=1).restricted(1)
+        by_count[b.size].append((i, b, d))
+    return [
+        (np.array([i for i, _, _ in group]),
+         np.vstack([b for _, b, _ in group]),
+         np.vstack([d for _, _, d in group]))
+        for _, group in sorted(by_count.items())
+    ]
+
+
+def _vectorize(pairs, blocks, n_rows: int, params: TdaParams) -> np.ndarray:
+    """The columns of ``blocks`` for n_rows windows.
+
+    ``pairs`` maps a homology dimension to (rows, births, deaths) groups:
+    the scaled pairs of the windows at ``rows`` as two (rows, pairs)
+    arrays, every row of a group with the same pair count.
+    """
+    mids, grid, heat_grid = _grids(params)
+    starts = np.cumsum([0] + [len(names) for _, _, names in blocks])
+    out = np.zeros((n_rows, starts[-1]))
+    for h, groups in pairs.items():
+        for rows, b, d in groups:
+            lam = None
+            for (dim, group, _), lo, hi in zip(blocks, starts[:-1], starts[1:]):
+                if dim != h:
+                    continue
+                if group in ("landscape", "landscape_norm") and lam is None:
+                    lam = batch_landscape(b, d, params.landscape_layers, grid)
+                if group == "entropy":
+                    v = batch_entropy(b, d)
+                elif group == "bottleneck_amp":
+                    v = batch_bottleneck(b, d)
+                elif group == "wasserstein_amp":
+                    v = batch_wasserstein(b, d, params.wasserstein_order)
+                elif group == "betti":
+                    v = batch_betti(b, d, mids)
+                elif group == "landscape":
+                    v = lam
+                elif group == "landscape_norm":
+                    v = batch_landscape_norm(lam, 2.0, grid)
+                elif group == "silhouette":
+                    v = batch_silhouette(b, d, params.silhouette_power, grid)
+                elif group == "heat_l2":
+                    v = batch_heat_norm(b, d, params.heat_sigma, heat_grid)
+                else:
+                    v = batch_lifetime_stats(b, d)
+                out[rows, lo:hi] = v.reshape(len(rows), hi - lo)
+    return out
 
 
 def fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
@@ -109,40 +226,51 @@ def fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
 
     Every death is a pairwise distance of the window's embedded cloud, and
     the essential H0 bar dies at the largest one, so the scale is the
-    largest pairwise distance over all windows (vr_persistence's formula),
-    computed without building a diagram.
+    largest pairwise distance over all windows, computed without building a
+    diagram.
     """
     params = params or TdaParams()
     n = len(ts)
     if n < params.window:
         raise ValueError(f"series length {n} < window {params.window}")
-    windows = np.lib.stride_tricks.sliding_window_view(ts.values, params.window)
-    span = (params.embed_dim - 1) * params.delay
-    lags = np.arange(params.window - span)[:, None] + params.delay * np.arange(params.embed_dim)
-    pts = windows[:, lags]  # (windows, points, embed_dim), as takens_embed
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    top = float(np.sqrt(np.sum(diff * diff, axis=3)).max())
-    return top if top > 0.0 else 1.0
+    return _scale_of(_distances(_embedded_windows(ts.values, params)))
 
 
 def extract_tda_features(
-    ts: TimeSeries, params: TdaParams | None = None, scale: float | None = None
+    ts: TimeSeries,
+    params: TdaParams | None = None,
+    scale: float | None = None,
+    columns=None,
 ) -> FeatureMatrix:
-    """One vectorized-diagram row per sliding window (row_index = window end)."""
+    """One vectorized-diagram row per sliding window (row_index = window end).
+
+    With ``columns`` (catalog names) only the vectorizer groups holding them
+    are computed, H1 only if one of them is an H1 column, and the matrix
+    has exactly those columns, in that order.
+    """
     params = params or TdaParams()
     n = len(ts)
     if n < params.window:
         raise ValueError(f"series length {n} < window {params.window}")
-    x = ts.values
-    diagrams = []
-    ridx = []
-    for end in range(params.window - 1, n):
-        diagrams.append(_window_diagram(x[end - params.window + 1 : end + 1], params))
-        ridx.append(end)
+    blocks = _layout(params)
+    if columns is not None:
+        columns = tuple(columns)
+        unknown = set(columns).difference(tda_catalog(params))
+        if unknown:
+            raise ValueError(f"not in the topological catalog: {sorted(unknown)}")
+        blocks = tuple(blk for blk in blocks if not set(blk[2]).isdisjoint(columns))
+    pts = _embedded_windows(ts.values, params)
+    dist = _distances(pts)
     if scale is None:
-        scale = max((float(d.deaths.max()) for d in diagrams if d.deaths.size), default=1.0)
-        if scale <= 0.0:
-            scale = 1.0
-    rows = [_vectorize(scale_diagram(d, scale), params) for d in diagrams]
-    return FeatureMatrix(tda_catalog(params), np.vstack(rows), tuple(ridx))
-
+        scale = _scale_of(dist)
+    dims = {h for h, _, _ in blocks}
+    pairs = {}
+    if 0 in dims:
+        deaths = _h0_deaths(dist) / scale
+        pairs[0] = [(np.arange(len(pts)), np.zeros_like(deaths), deaths)]
+    if 1 in dims:
+        pairs[1] = [(rows, b / scale, d / scale) for rows, b, d in _h1_pairs(pts)]
+    matrix = _vectorize(pairs, blocks, len(pts), params)
+    names = tuple(name for _, _, names in blocks for name in names)
+    fm = FeatureMatrix(names, matrix, tuple(range(params.window - 1, n)))
+    return fm if columns is None else fm.select_columns(columns)

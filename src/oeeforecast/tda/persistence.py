@@ -8,7 +8,12 @@ matrix reduction over Z/2 on the edge/triangle filtration, with the
 deterministic simplex order (filtration value, dimension, vertex tuple).
 Every triangle is in the filtration, so the final complex is simply
 connected and every H1 class dies: only H0 has an essential bar.
-Zero-lifetime pairs are not recorded.
+Zero-lifetime H1 pairs are not recorded.
+
+The feature catalog (tda.extract) takes H0 of all windows at once from the
+same merge heights, by a batched Prim spanning tree over the stacked
+distance matrices, and calls vr_persistence window by window only when an
+H1 column is asked for.
 """
 
 from __future__ import annotations

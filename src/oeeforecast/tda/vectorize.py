@@ -1,6 +1,11 @@
 """Diagram vectorizations: entropy, amplitudes, curves, landscapes, kernels.
 
-Each function restricts the diagram to one homology dimension and returns
+The batched forms (``batch_*``) take the pairs of one homology dimension of
+many diagrams with the same pair count, as two ``(diagrams, pairs)`` arrays
+of births and deaths in diagram order, and reduce along the pairs axis. A
+row goes through the reductions a one-diagram call uses, so it has the same
+bits in any batch. The public per-diagram functions are one-row calls into
+them: each restricts the diagram to one homology dimension and returns
 plain floats or vectors. Empty restrictions degrade to zeros rather than
 raising, because downstream feature rows must keep a fixed width.
 """
@@ -11,54 +16,149 @@ import math
 
 import numpy as np
 
+from ..stat_features import _sum_present
 from .persistence import PersistenceDiagram
+
+LIFETIME_STAT_NAMES = ("sum", "mean", "median", "variance", "std", "max", "min")
+HEAT_SAMPLES = 64  # heat_kernel_norm's default grid size
+
+
+def betti_midpoints(bins: int, t_range: tuple[float, float]) -> np.ndarray:
+    """The Betti curve's sample points: the midpoints of ``bins`` equal-width
+    bins over t_range."""
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    lo, hi = t_range
+    if not hi > lo:
+        raise ValueError("t_range must be increasing")
+    return lo + (np.arange(bins) + 0.5) * (hi - lo) / bins
+
+
+def _root(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** (1/p), element by element as a float power: an array power takes
+    sqrt for p = 2, which can differ from it in the last bit."""
+    e = 1.0 / p
+    return np.array([v**e for v in x.tolist()])
+
+
+def batch_entropy(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Shannon entropy of normalized lifetimes; zero-lifetime pairs excluded."""
+    life = d - b
+    alive = life > 0.0
+    total = _sum_present(life, alive)
+    p = np.divide(life, total[:, None], out=np.ones_like(life), where=alive)
+    return np.where(total > 0.0, -_sum_present(p * np.log(p), alive), 0.0)
+
+
+def batch_bottleneck(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Distance to the empty diagram under diagonal matching: max lifetime / 2."""
+    if b.shape[1] == 0:
+        return np.zeros(b.shape[0])
+    return np.max(d - b, axis=1) / 2.0
+
+
+def batch_wasserstein(b: np.ndarray, d: np.ndarray, p: float) -> np.ndarray:
+    """Order-p cost of projecting every pair to the diagonal."""
+    return _root(np.sum(((d - b) / math.sqrt(2.0)) ** p, axis=1), p)
+
+
+def batch_betti(b: np.ndarray, d: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """Count of pairs alive (birth <= t < death) at each midpoint."""
+    t = mids[:, None]
+    alive = (b[:, None, :] <= t) & (t < d[:, None, :])
+    return alive.sum(axis=2).astype(float)
+
+
+def _tents(b: np.ndarray, d: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Tent functions max(0, min(t - b_i, d_i - t)), (diagrams, pairs, grid)."""
+    return np.maximum(0.0, np.minimum(grid - b[:, :, None], d[:, :, None] - grid))
+
+
+def batch_landscape(b: np.ndarray, d: np.ndarray, layers: int, grid: np.ndarray) -> np.ndarray:
+    """Persistence landscapes on grid, (diagrams, layers, grid): layer k is
+    the k-th largest tent value at each t; layers beyond the pair count are
+    zero."""
+    out = np.zeros((b.shape[0], layers, grid.size))
+    tents = _tents(b, d, grid)
+    tents.sort(axis=1)
+    avail = min(layers, tents.shape[1])
+    out[:, :avail] = tents[:, ::-1][:, :avail]
+    return out
+
+
+def batch_landscape_norm(lam: np.ndarray, p: float, grid: np.ndarray) -> np.ndarray:
+    """L^p norm of each (layers, grid) landscape: (integral of
+    sum_k |lambda_k|^p dt)^(1/p), trapezoidal over the grid."""
+    integrand = np.sum(np.abs(lam) ** p, axis=1)
+    return _root(np.trapezoid(integrand, grid, axis=1), p)
+
+
+def batch_silhouette(b: np.ndarray, d: np.ndarray, alpha: float, grid: np.ndarray) -> np.ndarray:
+    """Lifetime-weighted average of the per-pair tent functions."""
+    w = (d - b) ** alpha  # 0^0 == 1, so alpha=0 weights pairs uniformly
+    total = w.sum(axis=1)[:, None]
+    weighted = np.matmul(w[:, None, :], _tents(b, d, grid))[:, 0, :]
+    return np.divide(weighted, total, out=np.zeros_like(weighted), where=total > 0.0)
+
+
+def batch_heat_norm(b: np.ndarray, d: np.ndarray, sigma: float, grid: np.ndarray) -> np.ndarray:
+    """Discrete L2 norm of the Gaussian mixture centred at pair midpoints;
+    zero-lifetime pairs add nothing."""
+    mid = (b + d) / 2.0
+    coef = 1.0 / math.sqrt(4.0 * math.pi * sigma * sigma)
+    # exp(-((t - mid) ** 2) / (4 sigma^2)), in place: the (diagrams, pairs,
+    # grid) array is the largest of the extraction
+    bumps = grid - mid[:, :, None]
+    np.square(bumps, out=bumps)
+    np.negative(bumps, out=bumps)
+    bumps /= 4.0 * sigma * sigma
+    np.exp(bumps, out=bumps)
+    bumps[~(d > b)] = 0.0
+    h = coef * np.sum(bumps, axis=1)
+    return np.sqrt(np.trapezoid(h * h, grid, axis=1))
+
+
+def batch_lifetime_stats(b: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Lifetime statistics, one column per LIFETIME_STAT_NAMES entry."""
+    if b.shape[1] == 0:
+        return np.zeros((b.shape[0], len(LIFETIME_STAT_NAMES)))
+    life = d - b
+    return np.column_stack([
+        life.sum(axis=1),
+        life.mean(axis=1),
+        np.median(life, axis=1),
+        np.var(life, axis=1),
+        np.std(life, axis=1),
+        life.max(axis=1),
+        life.min(axis=1),
+    ])
+
+
+def _one_row(d: PersistenceDiagram, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    b, dd = d.restricted(dim)
+    return b[None, :], dd[None, :]
 
 
 def persistence_entropy(d: PersistenceDiagram, dim: int) -> float:
     """Shannon entropy of normalized lifetimes; zero-lifetime pairs excluded."""
-    life = d.lifetimes(dim)
-    life = life[life > 0.0]
-    total = life.sum()
-    if life.size == 0 or total <= 0.0:
-        return 0.0
-    p = life / total
-    return -float(np.sum(p * np.log(p)))
+    return float(batch_entropy(*_one_row(d, dim))[0])
 
 
 def bottleneck_amplitude(d: PersistenceDiagram, dim: int) -> float:
     """Distance to the empty diagram under diagonal matching: max lifetime / 2."""
-    life = d.lifetimes(dim)
-    return float(life.max() / 2.0) if life.size else 0.0
+    return float(batch_bottleneck(*_one_row(d, dim))[0])
 
 
 def wasserstein_amplitude(d: PersistenceDiagram, dim: int, p: float = 2.0) -> float:
     """Order-p cost of projecting every pair to the diagonal."""
     if p < 1.0:
         raise ValueError("order p must be >= 1")
-    life = d.lifetimes(dim)
-    if life.size == 0:
-        return 0.0
-    return float(np.sum((life / math.sqrt(2.0)) ** p) ** (1.0 / p))
+    return float(batch_wasserstein(*_one_row(d, dim), p)[0])
 
 
 def betti_curve(d: PersistenceDiagram, dim: int, bins: int, t_range: tuple[float, float]) -> np.ndarray:
     """Count of pairs alive (birth <= t < death) at each bin midpoint."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    lo, hi = t_range
-    if not hi > lo:
-        raise ValueError("t_range must be increasing")
-    b, dd = d.restricted(dim)
-    mids = lo + (np.arange(bins) + 0.5) * (hi - lo) / bins
-    if b.size == 0:
-        return np.zeros(bins)
-    alive = (b[None, :] <= mids[:, None]) & (mids[:, None] < dd[None, :])
-    return alive.sum(axis=1).astype(float)
-
-
-def _tents(b: np.ndarray, dd: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Tent functions max(0, min(t - b_i, d_i - t)), one row per pair."""
-    return np.maximum(0.0, np.minimum(grid[None, :] - b[:, None], dd[:, None] - grid[None, :]))
+    return batch_betti(*_one_row(d, dim), betti_midpoints(bins, t_range))[0]
 
 
 def landscape(
@@ -72,18 +172,7 @@ def landscape(
     largest tent value at each t; layers beyond the pair count are zero."""
     if layers < 1 or samples < 1:
         raise ValueError("layers and samples must be >= 1")
-    lo, hi = t_range
-    grid = np.linspace(lo, hi, samples)
-    b, dd = d.restricted(dim)
-    out = np.zeros((layers, samples))
-    if b.size == 0:
-        return out
-    tents = _tents(b, dd, grid)
-    tents.sort(axis=0)
-    avail = min(layers, tents.shape[0])
-    for k in range(avail):
-        out[k] = tents[-(k + 1)]
-    return out
+    return batch_landscape(*_one_row(d, dim), layers, np.linspace(*t_range, samples))[0]
 
 
 def landscape_norm(landscape_matrix: np.ndarray, p: float = 2.0, t_range: tuple[float, float] = (0.0, 1.0)) -> float:
@@ -92,11 +181,7 @@ def landscape_norm(landscape_matrix: np.ndarray, p: float = 2.0, t_range: tuple[
     if p < 1.0:
         raise ValueError("order p must be >= 1")
     lam = np.atleast_2d(np.asarray(landscape_matrix, dtype=float))
-    lo, hi = t_range
-    grid = np.linspace(lo, hi, lam.shape[1])
-    integrand = np.sum(np.abs(lam) ** p, axis=0)
-    area = float(np.trapezoid(integrand, grid))
-    return area ** (1.0 / p)
+    return float(batch_landscape_norm(lam[None], p, np.linspace(*t_range, lam.shape[1]))[0])
 
 
 def silhouette(
@@ -109,24 +194,14 @@ def silhouette(
     """Lifetime-weighted average of the per-pair tent functions."""
     if alpha < 0.0:
         raise ValueError("alpha must be >= 0")
-    lo, hi = t_range
-    grid = np.linspace(lo, hi, samples)
-    b, dd = d.restricted(dim)
-    if b.size == 0:
-        return np.zeros(samples)
-    life = dd - b
-    w = life**alpha  # 0^0 == 1, so alpha=0 weights pairs uniformly
-    total = w.sum()
-    if total <= 0.0:
-        return np.zeros(samples)
-    return (w @ _tents(b, dd, grid)) / total
+    return batch_silhouette(*_one_row(d, dim), alpha, np.linspace(*t_range, samples))[0]
 
 
 def heat_kernel_norm(
     d: PersistenceDiagram,
     dim: int,
     sigma: float,
-    samples: int = 64,
+    samples: int = HEAT_SAMPLES,
     t_range: tuple[float, float] = (0.0, 1.0),
 ) -> float:
     """Discrete L2 norm of the Gaussian mixture centred at pair midpoints.
@@ -136,33 +211,10 @@ def heat_kernel_norm(
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be > 0")
-    b, dd = d.restricted(dim)
-    alive = dd > b
-    b, dd = b[alive], dd[alive]
-    if b.size == 0:
-        return 0.0
-    lo, hi = t_range
-    grid = np.linspace(lo, hi, samples)
-    mid = (b + dd) / 2.0
-    coef = 1.0 / math.sqrt(4.0 * math.pi * sigma * sigma)
-    h = coef * np.sum(np.exp(-((grid[None, :] - mid[:, None]) ** 2) / (4.0 * sigma * sigma)), axis=0)
-    return math.sqrt(float(np.trapezoid(h * h, grid)))
-
-
-LIFETIME_STAT_NAMES = ("sum", "mean", "median", "variance", "std", "max", "min")
+    return float(batch_heat_norm(*_one_row(d, dim), sigma, np.linspace(*t_range, samples))[0])
 
 
 def lifetime_stats(d: PersistenceDiagram, dim: int) -> dict[str, float]:
     """Summary statistics of the lifetimes in one homology dimension."""
-    life = d.lifetimes(dim)
-    if life.size == 0:
-        return {k: 0.0 for k in LIFETIME_STAT_NAMES}
-    return {
-        "sum": float(life.sum()),
-        "mean": float(life.mean()),
-        "median": float(np.median(life)),
-        "variance": float(np.var(life)),
-        "std": float(np.std(life)),
-        "max": float(life.max()),
-        "min": float(life.min()),
-    }
+    row = batch_lifetime_stats(*_one_row(d, dim))[0]
+    return dict(zip(LIFETIME_STAT_NAMES, map(float, row)))

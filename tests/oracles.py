@@ -12,6 +12,11 @@ one window at a time, scalar numpy and scipy calls, entropies from Python
 loops over templates and patterns. The diagram-scale oracle computes every
 window's persistence diagram and takes the largest death.
 
+The topological oracles are the catalog's first, per-window path: one
+delay embedding and one vr_persistence diagram per window, then each
+vectorizer called once per diagram, with the vectorizers' first scalar
+bodies.
+
 The forecast oracle is the decomposed strategy's first recursion, which
 rebuilt every post-refit row from its own single window at every step.
 
@@ -27,6 +32,7 @@ import numpy as np
 from scipy import stats as sps
 
 from oeeforecast import pipeline, sarimax
+from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.forecasters import ets_forecast, ets_update, seasonal_naive_forecast
 from oeeforecast.series import TimeSeries, acf_values, pacf_values
 from oeeforecast.stat_features import (
@@ -36,7 +42,10 @@ from oeeforecast.stat_features import (
     N_FFT_COEFS,
     window_features,
 )
-from oeeforecast.tda.extract import TdaParams, _window_diagram, extract_tda_features, tda_catalog
+from oeeforecast.tda.embedding import takens_embed
+from oeeforecast.tda.extract import T_RANGE, TdaParams, extract_tda_features, tda_catalog
+from oeeforecast.tda.persistence import scale_diagram, vr_persistence
+from oeeforecast.tda.vectorize import LIFETIME_STAT_NAMES
 
 
 def scalar_centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -340,6 +349,153 @@ def scalar_window_features(x: np.ndarray) -> np.ndarray:
     out += [_change_quantiles(x, lo, hi) for lo, hi in CHANGE_QUANTILE_BANDS]
 
     return np.asarray(out, dtype=float)
+
+
+def _window_diagram(x: np.ndarray, params: TdaParams):
+    cloud = takens_embed(x, params.delay, params.embed_dim)
+    return vr_persistence(cloud, max_hom_dim=max(params.homology_dims))
+
+
+def scalar_persistence_entropy(d, dim: int) -> float:
+    life = d.lifetimes(dim)
+    life = life[life > 0.0]
+    total = life.sum()
+    if life.size == 0 or total <= 0.0:
+        return 0.0
+    p = life / total
+    return -float(np.sum(p * np.log(p)))
+
+
+def scalar_bottleneck_amplitude(d, dim: int) -> float:
+    life = d.lifetimes(dim)
+    return float(life.max() / 2.0) if life.size else 0.0
+
+
+def scalar_wasserstein_amplitude(d, dim: int, p: float = 2.0) -> float:
+    life = d.lifetimes(dim)
+    if life.size == 0:
+        return 0.0
+    return float(np.sum((life / math.sqrt(2.0)) ** p) ** (1.0 / p))
+
+
+def scalar_betti_curve(d, dim: int, bins: int, t_range) -> np.ndarray:
+    lo, hi = t_range
+    b, dd = d.restricted(dim)
+    mids = lo + (np.arange(bins) + 0.5) * (hi - lo) / bins
+    if b.size == 0:
+        return np.zeros(bins)
+    alive = (b[None, :] <= mids[:, None]) & (mids[:, None] < dd[None, :])
+    return alive.sum(axis=1).astype(float)
+
+
+def _scalar_tents(b, dd, grid):
+    return np.maximum(0.0, np.minimum(grid[None, :] - b[:, None], dd[:, None] - grid[None, :]))
+
+
+def scalar_landscape(d, dim: int, layers: int, samples: int, t_range) -> np.ndarray:
+    lo, hi = t_range
+    grid = np.linspace(lo, hi, samples)
+    b, dd = d.restricted(dim)
+    out = np.zeros((layers, samples))
+    if b.size == 0:
+        return out
+    tents = _scalar_tents(b, dd, grid)
+    tents.sort(axis=0)
+    for k in range(min(layers, tents.shape[0])):
+        out[k] = tents[-(k + 1)]
+    return out
+
+
+def scalar_landscape_norm(landscape_matrix, p: float = 2.0, t_range=(0.0, 1.0)) -> float:
+    lam = np.atleast_2d(np.asarray(landscape_matrix, dtype=float))
+    lo, hi = t_range
+    grid = np.linspace(lo, hi, lam.shape[1])
+    integrand = np.sum(np.abs(lam) ** p, axis=0)
+    area = float(np.trapezoid(integrand, grid))
+    return area ** (1.0 / p)
+
+
+def scalar_silhouette(d, dim: int, alpha: float = 1.0, samples: int = 10, t_range=(0.0, 1.0)):
+    lo, hi = t_range
+    grid = np.linspace(lo, hi, samples)
+    b, dd = d.restricted(dim)
+    if b.size == 0:
+        return np.zeros(samples)
+    w = (dd - b) ** alpha
+    total = w.sum()
+    if total <= 0.0:
+        return np.zeros(samples)
+    return (w @ _scalar_tents(b, dd, grid)) / total
+
+
+def scalar_heat_kernel_norm(d, dim: int, sigma: float, samples: int = 64, t_range=(0.0, 1.0)):
+    b, dd = d.restricted(dim)
+    alive = dd > b
+    b, dd = b[alive], dd[alive]
+    if b.size == 0:
+        return 0.0
+    lo, hi = t_range
+    grid = np.linspace(lo, hi, samples)
+    mid = (b + dd) / 2.0
+    coef = 1.0 / math.sqrt(4.0 * math.pi * sigma * sigma)
+    h = coef * np.sum(np.exp(-((grid[None, :] - mid[:, None]) ** 2) / (4.0 * sigma * sigma)), axis=0)
+    return math.sqrt(float(np.trapezoid(h * h, grid)))
+
+
+def scalar_lifetime_stats(d, dim: int) -> dict[str, float]:
+    life = d.lifetimes(dim)
+    if life.size == 0:
+        return {k: 0.0 for k in LIFETIME_STAT_NAMES}
+    return {
+        "sum": float(life.sum()),
+        "mean": float(life.mean()),
+        "median": float(np.median(life)),
+        "variance": float(np.var(life)),
+        "std": float(np.std(life)),
+        "max": float(life.max()),
+        "min": float(life.min()),
+    }
+
+
+def scalar_vectorize(diagram, params: TdaParams) -> np.ndarray:
+    """One diagram's catalog row, each vectorizer called on the diagram."""
+    row: list[float] = []
+    for h in params.homology_dims:
+        row.append(scalar_persistence_entropy(diagram, h))
+        row.append(scalar_bottleneck_amplitude(diagram, h))
+        row.append(scalar_wasserstein_amplitude(diagram, h, params.wasserstein_order))
+        row += list(scalar_betti_curve(diagram, h, params.betti_bins, T_RANGE))
+        lam = scalar_landscape(diagram, h, params.landscape_layers, params.landscape_samples, T_RANGE)
+        row += list(lam.ravel())
+        row.append(scalar_landscape_norm(lam, p=2.0, t_range=T_RANGE))
+        row += list(
+            scalar_silhouette(diagram, h, params.silhouette_power, params.landscape_samples, T_RANGE)
+        )
+        row.append(scalar_heat_kernel_norm(diagram, h, params.heat_sigma, t_range=T_RANGE))
+        stats = scalar_lifetime_stats(diagram, h)
+        row += [stats[s] for s in LIFETIME_STAT_NAMES]
+    return np.asarray(row, dtype=float)
+
+
+def scalar_extract_tda_features(ts: TimeSeries, params: TdaParams | None = None, scale=None):
+    """extract_tda_features window by window: one diagram per window, then
+    every vectorizer on each scaled diagram."""
+    params = params or TdaParams()
+    n = len(ts)
+    if n < params.window:
+        raise ValueError(f"series length {n} < window {params.window}")
+    x = ts.values
+    diagrams = []
+    ridx = []
+    for end in range(params.window - 1, n):
+        diagrams.append(_window_diagram(x[end - params.window + 1 : end + 1], params))
+        ridx.append(end)
+    if scale is None:
+        scale = max((float(d.deaths.max()) for d in diagrams if d.deaths.size), default=1.0)
+        if scale <= 0.0:
+            scale = 1.0
+    rows = [scalar_vectorize(scale_diagram(d, scale), params) for d in diagrams]
+    return FeatureMatrix(tda_catalog(params), np.vstack(rows), tuple(ridx))
 
 
 def scalar_fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:

@@ -92,6 +92,13 @@ class TestCommands:
         rc = cli_run(["stats"])
         assert rc == EXIT_CONFIG
 
+    def test_window_too_short_for_feature_mode_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        argv = ["features", "--config", str(config_file), "--output", str(out)]
+        rc = cli_run(argv + ["--feature-mode", "topological", "--window", "17"])
+        assert rc == EXIT_CONFIG and "window 17" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_subcommand_usage_exit(self, capsys):
         rc = cli_run(["frobnicate"])
         assert rc == 2

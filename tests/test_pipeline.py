@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +307,29 @@ class TestFeaturePath:
         with pytest.raises(ValueError, match="none"):
             build_features(small_cfg(), oee_series)
 
+    @pytest.mark.parametrize("mode", ["statistical", "topological", "both"])
+    def test_columns_equal_full_then_select(self, oee_series, mode):
+        cfg = small_cfg(feature_mode=mode)
+        residual = TimeSeries(oee_series.values[:150] - oee_series.values[:150].mean())
+        full = build_features(cfg, residual, scale=20.0)
+        columns = full.column_names[-3:] + full.column_names[:2] + full.column_names[40:41]
+        got = build_features(cfg, residual, scale=20.0, columns=columns)
+        want = full.select_columns(columns)
+        assert got.column_names == columns and got.row_index == want.row_index
+        assert np.array_equal(got.matrix, want.matrix)
+
+    @pytest.mark.parametrize(
+        "mode, window",
+        [("topological", 10), ("topological", 17), ("both", 17), ("statistical", 16), ("both", 16)],
+    )
+    def test_window_checked_against_feature_mode(self, mode, window):
+        with pytest.raises(ValueError, match="window"):
+            small_cfg(feature_mode=mode, window=window)
+
+    @pytest.mark.parametrize("mode, window", [("none", 2), ("statistical", 17), ("topological", 18)])
+    def test_least_windows_accepted(self, mode, window):
+        assert small_cfg(feature_mode=mode, window=window).window == window
+
 
 class TestInSamplePass:
     @pytest.mark.parametrize(
@@ -374,3 +399,34 @@ class TestRefitFailures:
         for name, value in before.items():
             assert vars(strat)[name] is value, name
         assert strat.forecast(series_small.slice(0, 330), 2).tobytes() == expected.tobytes()
+
+
+class TestBenchmarkTracer:
+    def test_tracer_records_topological_layers(self, oee_series):
+        # perfbench's tracer patches pipeline and tda.extract attributes by
+        # name; a renamed or removed one breaks its traced runs
+        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+        try:
+            import tracing
+        finally:
+            sys.path.pop(0)
+        from oeeforecast.tda import extract
+
+        originals = (pipeline.extract_tda_features, extract.vr_persistence, extract._vectorize)
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            cfg = small_cfg(feature_mode="topological", sarimax_spec=SarimaxSpec(p=1, s=8))
+            strat = DecomposedStrategy(cfg)
+            strat.refit(oee_series.slice(0, 300))
+            assert any(c.startswith("h1_") for c in strat.columns)
+            strat.forecast(oee_series.slice(0, 305), 2)
+        finally:
+            tracer.uninstall()
+        assert (pipeline.extract_tda_features, extract.vr_persistence, extract._vectorize) == originals
+        names = [span[3] for span in tracer.spans]
+        for name in ("tda.extract", "tda.fit_diagram_scale", "tda.vr_persistence", "tda.vectorize"):
+            assert name in names
+        # the refit's 300 - 24 + 1 windows plus 2 forecast steps' 6 and 1
+        rows = sum(v for (_, name), v in tracer.counts.items() if name == "tda.rows")
+        assert rows == 277 + 6 + 1

@@ -10,8 +10,12 @@ from oeeforecast.tda.extract import (
     tda_catalog,
 )
 
+from oeeforecast.tda.persistence import PersistenceDiagram
+from oeeforecast.tda import vectorize
+
+import oracles
 from conftest import STAND_INS, make_oee_series
-from oracles import scalar_fit_diagram_scale
+from oracles import scalar_extract_tda_features, scalar_fit_diagram_scale
 
 
 class TestParams:
@@ -22,6 +26,12 @@ class TestParams:
     def test_window_embedding_guard(self):
         with pytest.raises(ValueError):
             TdaParams(window=16, delay=8, embed_dim=3)
+
+    def test_window_needs_two_embedded_points(self):
+        with pytest.raises(ValueError, match="18"):
+            TdaParams(window=17, delay=8, embed_dim=3)
+        fm = extract_tda_features(TimeSeries(np.arange(20.0)), TdaParams(window=18))
+        assert fm.n_rows == 3 and np.all(np.isfinite(fm.matrix))
 
     def test_catalog_size_default(self):
         names = tda_catalog(TdaParams())
@@ -86,3 +96,138 @@ class TestDiagramScale:
     def test_constant_series_scale_is_one(self):
         ts = TimeSeries(np.full(40, 5.0))
         assert fit_diagram_scale(ts) == scalar_fit_diagram_scale(ts) == 1.0
+
+
+# columns that must match the per-window oracle bit for bit; every other
+# cell must be within rtol 1e-12
+def _exact(name):
+    return "_betti_" in name or name.endswith("_entropy") or name.startswith("h0_landscape_")
+
+
+def assert_matches_oracle(got, want):
+    assert got.column_names == want.column_names
+    assert got.row_index == want.row_index
+    np.testing.assert_allclose(got.matrix, want.matrix, rtol=1e-12, atol=0.0)
+    exact = [j for j, name in enumerate(want.column_names) if _exact(name)]
+    assert np.array_equal(got.matrix[:, exact], want.matrix[:, exact])
+
+
+def _residual(name):
+    n, seed = STAND_INS[name]
+    return causal_components(make_oee_series(n, seed=seed, name=name), (8, 24, 168))[2]
+
+
+# windows whose clouds have coincident points, tied distances, or both
+DEGENERATE = {
+    "constant": np.full(30, 5.0),
+    "ramp": np.arange(30.0),  # equally spaced points: every distance tied
+    "integer_lattice": np.tile([0.0, 1.0, 2.0, 1.0], 8),
+    "square_wave": np.tile([0.0, 0.0, 0.0, 10.0, 10.0, 10.0], 6),
+    # stretches of period 5: a window inside one holds 5 distinct points of
+    # its 8, so zero-lifetime H0 pairs sit among inexact lifetimes
+    "period_5": np.concatenate(
+        [np.tile(np.random.default_rng(k).uniform(0.0, 9.0, 5), 8) for k in range(12)]
+    ),
+}
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("window", [24, 30])
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_stand_in_residuals(self, name, window):
+        residual = _residual(name)
+        params = TdaParams(window=window)
+        assert_matches_oracle(
+            extract_tda_features(residual, params), scalar_extract_tda_features(residual, params)
+        )
+        scale = fit_diagram_scale(residual.slice(0, 400), params)
+        assert_matches_oracle(
+            extract_tda_features(residual, params, scale=scale),
+            scalar_extract_tda_features(residual, params, scale=scale),
+        )
+
+    @pytest.mark.parametrize("name", list(DEGENERATE))
+    def test_degenerate_windows(self, name):
+        ts = TimeSeries(DEGENERATE[name])
+        for scale in (None, 1.0, 7.5):
+            assert_matches_oracle(
+                extract_tda_features(ts, scale=scale), scalar_extract_tda_features(ts, scale=scale)
+            )
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            TdaParams(homology_dims=(0,)),
+            TdaParams(homology_dims=(1,)),
+            TdaParams(homology_dims=(1, 0)),
+            TdaParams(landscape_layers=12, landscape_samples=7),
+            TdaParams(betti_bins=1, silhouette_power=0.0, wasserstein_order=3.0, heat_sigma=0.3),
+            TdaParams(window=26, delay=4, embed_dim=4),
+        ],
+        ids=["h0_only", "h1_only", "h1_first", "layers_past_pairs", "one_bin", "dim4"],
+    )
+    def test_non_default_params(self, params):
+        ts = _residual("gh2").slice(0, 160)
+        assert_matches_oracle(extract_tda_features(ts, params), scalar_extract_tda_features(ts, params))
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            ("h0_betti_4", "h0_betti_8", "h0_betti_9", "h0_landscape_0_3"),
+            ("h1_heat_l2", "h1_entropy", "h1_betti_2"),
+            ("h1_life_median", "h0_landscape_norm", "h0_betti_0", "h1_silhouette_3", "h0_life_std"),
+            ("h0_landscape_norm",),
+            ("h1_wasserstein_amp", "h1_bottleneck_amp", "h1_landscape_1_9"),
+        ],
+    )
+    def test_columns_equal_full_then_select(self, columns):
+        ts = _residual("h2").slice(0, 200)
+        scale = fit_diagram_scale(ts)
+        full = extract_tda_features(ts, scale=scale).select_columns(columns)
+        got = extract_tda_features(ts, scale=scale, columns=columns)
+        assert got.column_names == columns and got.row_index == full.row_index
+        assert np.array_equal(got.matrix, full.matrix)
+
+    def test_unknown_column_rejected(self, oee_series):
+        with pytest.raises(ValueError, match="h2_entropy"):
+            extract_tda_features(oee_series.slice(0, 60), columns=["h0_entropy", "h2_entropy"])
+
+    def test_row_does_not_depend_on_batch(self):
+        ts = _residual("gm2").slice(0, 240)
+        scale = fit_diagram_scale(ts)
+        full = extract_tda_features(ts, scale=scale)
+        for start, stop in ((0, 24), (0, 37), (13, 90), (101, 240), (200, 224)):
+            part = extract_tda_features(ts.slice(start, stop), scale=scale)
+            rows = [i for i, end in enumerate(full.row_index) if start + 23 <= end < stop]
+            assert np.array_equal(part.matrix, full.matrix[rows])
+
+    def test_public_vectorizers_are_the_scalar_bodies(self):
+        rng = np.random.default_rng(11)
+        diagrams = [PersistenceDiagram(np.array([]), np.array([]), np.array([], dtype=int), 1.0)]
+        for size in (1, 2, 5, 9, 16):
+            b = rng.uniform(0.0, 0.6, size)
+            life = rng.uniform(0.0, 0.4, size)
+            life[::3] = 0.0  # zero-lifetime pairs
+            life[1::4] = life[-1]  # tied lifetimes
+            d = b + life
+            dims = rng.integers(0, 2, size)
+            diagrams.append(PersistenceDiagram(b, d, dims, float(d.max())))
+        t = (0.0, 1.0)
+        for dg in diagrams:
+            for h in (0, 1):
+                pairs = [
+                    (vectorize.persistence_entropy(dg, h), oracles.scalar_persistence_entropy(dg, h)),
+                    (vectorize.bottleneck_amplitude(dg, h), oracles.scalar_bottleneck_amplitude(dg, h)),
+                    (vectorize.wasserstein_amplitude(dg, h, 3.0),
+                     oracles.scalar_wasserstein_amplitude(dg, h, 3.0)),
+                    (vectorize.betti_curve(dg, h, 7, t), oracles.scalar_betti_curve(dg, h, 7, t)),
+                    (vectorize.landscape(dg, h, 4, 11, t), oracles.scalar_landscape(dg, h, 4, 11, t)),
+                    (vectorize.silhouette(dg, h, 0.5, 11, t), oracles.scalar_silhouette(dg, h, 0.5, 11, t)),
+                    (vectorize.heat_kernel_norm(dg, h, 0.2), oracles.scalar_heat_kernel_norm(dg, h, 0.2)),
+                    (list(vectorize.lifetime_stats(dg, h).values()),
+                     list(oracles.scalar_lifetime_stats(dg, h).values())),
+                ]
+                lam = oracles.scalar_landscape(dg, h, 3, 13, t)
+                pairs.append((vectorize.landscape_norm(lam, 3.0), oracles.scalar_landscape_norm(lam, 3.0)))
+                for got, want in pairs:
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
