@@ -9,10 +9,25 @@ Endpoints (JSON bodies, frozen field names):
     GET /equipment/<id>/decomposition
         {"id", "components": {"trend": [...], "seasonal_<p>": [...],
          "residual": [...]}}    (component tails, last 168 points)
+    GET /healthz
+        {"equipment": [{"id", "cached", "fit_age_s", "rebuild_s":
+         {"refit", "backtest", "decomposition"}, "refit_failures"}, ...]}
+        (the last four are null until the id's first fit; reads no CSV and
+         waits for no rebuild)
 
 Unknown ids give 404, malformed horizons 400, pipeline failures 500 with a
 diagnostic id. Responses are cached per (id, file modification stamp); the
 registered files are only ever opened for reading.
+
+Each request writes one line to stderr once its answer has been sent:
+
+    <method> <path> <status> <ms>ms <cached|rebuilt|->
+
+``rebuilt`` when the fit it used was built while the request waited,
+``cached`` when it was already built, ``-`` when the request used no fit.
+Answers are not held back by Nagle's algorithm waiting for the client's
+delayed ACK: an answer up to 8 KB leaves in one buffered send, and larger
+ones go out with TCP_NODELAY.
 """
 
 from __future__ import annotations
@@ -20,6 +35,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 import traceback
 import uuid
 from dataclasses import dataclass, replace
@@ -96,17 +112,21 @@ class _EquipmentCache:
             hit = self._cached.get(eid)
             if hit is not None and hit["mtime"] == mtime:
                 return hit
+            t0 = time.perf_counter()
             series = load_csv(
                 cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column, name=eid
             )
             strategy = DecomposedStrategy(cfg)
             strategy.refit(series)
+            t1 = time.perf_counter()
             backtest = rolling_forecast(cfg, series=series)
+            t2 = time.perf_counter()
             d = decompose(series, cfg.periods)
             tails = {"trend": [float(v) for v in d.trend.values[-TAIL_POINTS:]]}
             for p in cfg.periods:
                 tails[f"seasonal_{p}"] = [float(v) for v in d.seasonal[p].values[-TAIL_POINTS:]]
             tails["residual"] = [float(v) for v in d.residual.values[-TAIL_POINTS:]]
+            t3 = time.perf_counter()
             hit = {
                 "mtime": mtime,
                 "cfg": cfg,
@@ -115,6 +135,10 @@ class _EquipmentCache:
                 "mae_backtest": backtest.mae,
                 "tails": tails,
                 "forecast": None,  # MAX_HORIZON values; a horizon H answers the first H
+                "built_at": t3,
+                # the refit's share includes reading the CSV
+                "rebuild_s": {"refit": t1 - t0, "backtest": t2 - t1, "decomposition": t3 - t2},
+                "refit_failures": [list(f) for f in backtest.refit_failures],
             }
             self._cached[eid] = hit
             return hit
@@ -127,13 +151,61 @@ class _EquipmentCache:
                 hit["forecast"] = [float(v) for v in values]
         return hit, hit["forecast"][:horizon]
 
+    def health(self) -> list[dict]:
+        """Per id: whether its next answer comes from the cache, and the age,
+        time split and backtest refit failures of its last fit (None before
+        the first). Reads no CSV and waits for no rebuild."""
+        now = time.perf_counter()
+        report = []
+        for eid in self.ids():
+            hit = self._cached.get(eid)
+            mtime = os.stat(self.registry.entries[eid].dataset).st_mtime_ns
+            report.append({
+                "id": eid,
+                "cached": hit is not None and hit["mtime"] == mtime,
+                "fit_age_s": None if hit is None else now - hit["built_at"],
+                "rebuild_s": None if hit is None else hit["rebuild_s"],
+                "refit_failures": None if hit is None else hit["refit_failures"],
+            })
+        return report
+
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "oeeforecast"
     protocol_version = "HTTP/1.1"
+    # The pairing socketserver.StreamRequestHandler names: a buffered writer,
+    # so the headers and body of an answer up to 8 KB leave in one send, and
+    # TCP_NODELAY for the larger ones, whose body would otherwise wait for the
+    # client's delayed ACK of the headers.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
-    def log_message(self, fmt, *args):  # quiet by default; tests capture errors
-        pass
+    def handle_one_request(self):
+        """Serve one request, then write its log line once the answer is sent."""
+        self._status, self._source, self.path = None, "-", ""
+        self._started = time.perf_counter()
+        super().handle_one_request()
+        if self._status is not None:
+            self.wfile.flush()  # the stdlib's send_error replies return unflushed
+            ms = (time.perf_counter() - self._started) * 1e3
+            # one write, so lines from concurrent requests cannot interleave
+            sys.stderr.write(
+                f"{self.command} {self.path} {self._status} {ms:.2f}ms {self._source}\n"
+            )
+
+    def parse_request(self):
+        self._started = time.perf_counter()  # the request line has arrived
+        return super().parse_request()
+
+    def log_request(self, code="-", size="-"):
+        self._status = int(code)  # logged by handle_one_request after the flush
+
+    def log_message(self, fmt, *args):
+        pass  # the stdlib's notices; each request's line is handle_one_request's
+
+    def _used(self, hit: dict):
+        """Note for the log line whether ``hit`` was built during this request."""
+        self._source = "rebuilt" if hit["built_at"] > self._started else "cached"
 
     def _send(self, status: int, doc: dict):
         body = json.dumps(doc).encode("utf-8")
@@ -159,6 +231,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, {"equipment": listing})
                 return
 
+            if parts == ["healthz"]:
+                self._send(200, {"equipment": cache.health()})
+                return
+
             if len(parts) == 3 and parts[0] == "equipment":
                 eid, leaf = parts[1], parts[2]
                 if eid not in cache.registry.entries:
@@ -178,6 +254,7 @@ class _Handler(BaseHTTPRequestHandler):
                         )
                         return
                     hit, values = cache.forecast(eid, horizon)
+                    self._used(hit)
                     self._send(
                         200,
                         {
@@ -192,6 +269,7 @@ class _Handler(BaseHTTPRequestHandler):
                     return
                 if leaf == "decomposition":
                     hit = cache.entry(eid)
+                    self._used(hit)
                     self._send(200, {"id": eid, "components": hit["tails"]})
                     return
 

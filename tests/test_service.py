@@ -1,12 +1,19 @@
+import contextlib
 import csv
 import hashlib
+import http.client
 import json
+import os
+import re
+import statistics
 import threading
+import time
 import urllib.request
 import urllib.error
 
 import pytest
 
+from oeeforecast import service
 from oeeforecast.service import MAX_HORIZON, _EquipmentCache, load_registry, serve
 
 from conftest import make_oee_series
@@ -52,6 +59,40 @@ def served(tmp_path_factory):
 def get_json(url):
     with urllib.request.urlopen(url, timeout=120) as resp:
         return resp.status, json.loads(resp.read().decode())
+
+
+def request(conn, path, method="GET"):
+    conn.request(method, path)
+    resp = conn.getresponse()
+    return resp.status, json.loads(resp.read().decode())
+
+
+def quick_registry(root, ids=("a",)):
+    """Registry of 400-point datasets with the quick fit settings of ``served``."""
+    lines = []
+    for i, eid in enumerate(ids):
+        path = write_dataset(root / f"{eid}.csv", 400, seed=31 + i)
+        lines += [f"{eid}.dataset = {path}", f"{eid}.periods = 8,24",
+                  f"{eid}.test_fraction = 0.15", f"{eid}.sarimax_spec = 2,0,0,1,0,1,8"]
+    (root / "registry.conf").write_text("\n".join(lines) + "\n")
+    return load_registry(root / "registry.conf")
+
+
+@contextlib.contextmanager
+def running(registry):
+    """Serve ``registry``; on exit, wait for every handler thread, so each
+    request's log line has been written (close the connections first)."""
+    server = serve(registry, port=0)
+    server.daemon_threads = False  # so server_close() joins the handler threads
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
 
 
 def get_error(url):
@@ -194,3 +235,108 @@ class TestFailures:
         marked = [i for i, line in enumerate(lines) if doc["diagnostic_id"] in line]
         assert len(marked) == 1
         assert lines[marked[0] + 1].startswith("Traceback")
+
+
+class TestKeepAlive:
+    def test_cached_answers_are_not_delayed(self, served):
+        """Cached answers on one kept-alive connection arrive in well under the
+        ~40 ms a client's delayed ACK holds back a body sent after its headers;
+        the decomposition body (~16 KB) is larger than the handler's buffer."""
+        base, _ = served
+        conn = http.client.HTTPConnection(base.removeprefix("http://"), timeout=120)
+        paths = {"forecast": "/equipment/gm/forecast?horizon=4",
+                 "decomposition": "/equipment/gm/decomposition"}
+        try:
+            for path in paths.values():  # fill the cache
+                assert request(conn, path)[0] == 200
+            for kind, path in paths.items():
+                times = []
+                for _ in range(5):
+                    t0 = time.perf_counter()
+                    assert request(conn, path)[0] == 200
+                    times.append((time.perf_counter() - t0) * 1e3)
+                assert statistics.median(times) < 20.0, (kind, times)
+        finally:
+            conn.close()
+
+
+LOG_LINE = re.compile(r"^(\S*) (\S*) (\d{3}) (\d+\.\d{2})ms (cached|rebuilt|-)$")
+
+
+class TestRequestLog:
+    def test_one_line_per_request(self, tmp_path, capsys):
+        sent = [
+            ("GET", "/equipment/a/forecast?horizon=2", 200, "rebuilt"),
+            ("GET", "/equipment/a/forecast?horizon=5", 200, "cached"),
+            ("GET", "/equipment/a/decomposition", 200, "cached"),
+            ("GET", "/healthz", 200, "-"),
+            ("GET", "/equipment/b/forecast", 404, "-"),
+            ("GET", "/equipment/a/forecast?horizon=abc", 400, "-"),
+            ("POST", "/equipment/a/forecast", 501, "-"),  # the stdlib's own reply
+        ]
+        with running(quick_registry(tmp_path)) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            try:
+                for method, path, status, _ in sent:
+                    conn.request(method, path)
+                    resp = conn.getresponse()
+                    resp.read()
+                    assert resp.status == status
+            finally:
+                conn.close()
+        # the module's shared server may log its last answer after its test
+        # ended, but it serves none of these paths
+        paths = {path for _, path, _, _ in sent}
+        logged = [m for m in map(LOG_LINE.match, capsys.readouterr().err.splitlines())
+                  if m and m.group(2) in paths]
+        assert len(logged) == len(sent)
+        for m, (method, path, status, source) in zip(logged, sent):
+            assert m.group(1, 2, 3, 5) == (method, path, str(status), source)
+            assert float(m.group(4)) > 0.0
+
+
+class TestHealthz:
+    def test_reports_fits_without_loading_or_rebuilding(self, tmp_path, monkeypatch):
+        loads = []
+        load_csv = service.load_csv
+
+        def counted(*args, **kwargs):
+            loads.append(args[0])
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(service, "load_csv", counted)
+        registry = quick_registry(tmp_path, ids=("a", "b"))
+        with running(registry) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            try:
+                status, doc = request(conn, "/healthz")
+                assert status == 200
+                assert [e["id"] for e in doc["equipment"]] == ["a", "b"]
+                for e in doc["equipment"]:
+                    assert e == {"id": e["id"], "cached": False, "fit_age_s": None,
+                                 "rebuild_s": None, "refit_failures": None}
+                assert loads == []
+
+                assert request(conn, "/equipment/a/forecast")[0] == 200
+                assert len(loads) == 1
+                _, doc = request(conn, "/healthz")
+                a, b = doc["equipment"]
+                assert a["cached"] and not b["cached"]
+                assert a["fit_age_s"] >= 0.0
+                assert set(a["rebuild_s"]) == {"refit", "backtest", "decomposition"}
+                assert all(v > 0.0 for v in a["rebuild_s"].values())
+                assert a["refit_failures"] == []
+                assert b["fit_age_s"] is None
+
+                # new data: the fit is kept, but the next answer will rebuild
+                dataset = registry.entries["a"].dataset
+                with open(dataset, "a") as fh:
+                    fh.write("30.0\n")
+                stamp = os.stat(dataset).st_mtime_ns + 10**9
+                os.utime(dataset, ns=(stamp, stamp))
+                _, doc = request(conn, "/healthz")
+                assert not doc["equipment"][0]["cached"]
+                assert doc["equipment"][0]["fit_age_s"] >= a["fit_age_s"]
+                assert len(loads) == 1
+            finally:
+                conn.close()
