@@ -61,10 +61,12 @@ def _init_state(y: np.ndarray) -> tuple[float, float]:
     return float(intercept - slope), float(slope)
 
 
-def _holt_filter(
-    y: np.ndarray, alpha: float, beta: float, l0: float, b0: float, preds: list | None = None
-):
-    """Final (level, slope, sse); each one-step prediction is appended to preds if given."""
+def _holt_filter(y: np.ndarray, alpha, beta, l0: float, b0: float, preds: list | None = None):
+    """Final (level, slope, sse); each one-step prediction is appended to preds if given.
+
+    alpha and beta may be equal-shape arrays: the recursion then runs for
+    every (alpha, beta) pair at once and returns arrays.
+    """
     level, slope, sse = l0, b0, 0.0
     for v in y:
         pred = level + slope
@@ -79,19 +81,10 @@ def _holt_filter(
 
 
 def _holt_sse_grid(y: np.ndarray, alphas: np.ndarray, betas: np.ndarray, l0: float, b0: float):
-    """One-step-ahead SSE for every (alpha, beta) pair, vectorized over the grid."""
+    """The (alpha, beta, sse) of the least one-step-ahead SSE over the grid."""
     a = np.repeat(alphas, betas.size)
     b = np.tile(betas, alphas.size)
-    level = np.full(a.size, l0)
-    slope = np.full(a.size, b0)
-    sse = np.zeros(a.size)
-    for v in y:
-        pred = level + slope
-        err = v - pred
-        sse += err * err
-        new_level = a * v + (1.0 - a) * pred
-        slope = b * (new_level - level) + (1.0 - b) * slope
-        level = new_level
+    _, _, sse = _holt_filter(y, a, b, l0, b0)
     k = int(np.argmin(sse))
     return float(a[k]), float(b[k]), float(sse[k])
 

@@ -151,9 +151,12 @@ def build_features(
     return fm if columns is None else fm.select_columns(columns)
 
 
-def aligned_features(cfg: PipelineConfig, residual: TimeSeries, scale: float | None = None):
-    """(y, fm): exog rows (window ending at j) paired with the next residual r_{j+1}."""
-    fm = build_features(cfg, residual, scale)
+def aligned_features(
+    cfg: PipelineConfig, residual: TimeSeries, scale: float | None = None, columns=None
+):
+    """(y, fm): exog rows (window ending at j) paired with the next residual
+    r_{j+1}; ``columns`` as in build_features."""
+    fm = build_features(cfg, residual, scale, columns)
     r = residual.values
     y = TimeSeries(r[cfg.window :], residual.start, "residual_target")
     rows = [i for i, j in enumerate(fm.row_index) if j <= len(r) - 2]
@@ -327,10 +330,11 @@ class DecomposedStrategy:
         if scale is None and cfg.feature_mode in ("topological", "both"):
             scale = fit_diagram_scale(residual, _tda_params(cfg))
 
-        y, fm = aligned_features(cfg, residual, scale)
+        # once chosen, the columns are the only ones built
+        y, fm_sel = aligned_features(cfg, residual, scale, self.columns)
         reports, pso_result = self.selection_reports, self.pso_result
         if self.columns is None:
-            fm_sel, rep_var = variance_filter(fm)
+            fm_sel, rep_var = variance_filter(fm_sel)
             fm_sel, rep_corr = correlation_filter(fm_sel, y.values)
             fm_sel, rep_prune = collinearity_prune(fm_sel)
             reports = [rep_var, rep_corr, rep_prune]
@@ -342,8 +346,6 @@ class DecomposedStrategy:
                 pso_result = pso_bic(y, fm_sel, cfg.sarimax_spec, pso_cfg)
                 chosen = pso_result.best_subset or fm_sel.column_names
                 fm_sel = fm_sel.select_columns(chosen)
-        else:
-            fm_sel = fm.select_columns(self.columns)
         fit = sarimax.fit(y, cfg.sarimax_spec, exog=fm_sel, n_restarts=1, seed=cfg.seed)
 
         self._ets, self._sarimax, self._refit_len = ets, fit, len(past)
@@ -351,7 +353,10 @@ class DecomposedStrategy:
         self.columns = fm_sel.column_names
         self.selection_reports, self.pso_result = reports, pso_result
         self._state_y = y.values.copy()
-        self._state_x = np.asarray(fm_sel.matrix, dtype=float)
+        # Fortran order, the order of every refit's state while the columns
+        # were selected after the rows: apply_params' matrix products round
+        # differently by memory order
+        self._state_x = np.asfortranarray(fm_sel.matrix, dtype=float)
 
     def forecast(self, past: TimeSeries, horizon: int):
         cfg = self.cfg

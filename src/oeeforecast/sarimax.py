@@ -11,7 +11,10 @@ Two structural facts keep this fast and robust:
 * The CSS filter is linear, so for fixed ARMA coefficients the optimal
   regression block (intercept + betas) is exact least squares on the
   filtered design. The simplex search therefore runs only over the ARMA
-  coefficients, no matter how many exogenous columns are attached.
+  coefficients, no matter how many exogenous columns are attached. The
+  filter is one pass over the whole ``[y | design]`` block (built once per
+  fit): the AR polynomial as an FIR filter, then the inverse MA
+  polynomial. ``apply_params`` runs the same filter on its one column.
 * Stationarity/invertibility are enforced by optimizing in an
   unconstrained space mapped through tanh partial autocorrelations
   (Monahan's recursion), one block each for phi, theta, PHI, THETA.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -38,6 +41,8 @@ from .series import TimeSeries
 
 MAX_ORDER = 8
 _SIGMA2_FLOOR = 1e-12
+_MAX_ITER = 5000  # Nelder-Mead iterations per start
+_FATOL = 1e-8  # Nelder-Mead objective tolerance
 
 
 class CollinearityError(ValueError):
@@ -147,23 +152,13 @@ class SarimaxFit:
 # polynomial and reparameterization helpers
 
 
-def _expand_ar(phi, sphi, s):
-    """Lowest-degree-first coefficients of (1 - phi(B))(1 - PHI(B^s))."""
-    a = np.concatenate(([1.0], -np.asarray(phi, dtype=float)))
-    b = np.zeros(len(sphi) * s + 1)
+def _lag_poly(coefs, seasonal, s, sign):
+    """Lowest-degree-first coefficients of (1 + sign*c(B))(1 + sign*C(B^s)):
+    sign -1 gives the AR side phi(B)PHI(B^s), +1 the MA side theta(B)THETA(B^s)."""
+    a = np.concatenate(([1.0], sign * np.asarray(coefs, dtype=float)))
+    b = np.zeros(len(seasonal) * s + 1)
     b[0] = 1.0
-    for j, v in enumerate(sphi, start=1):
-        b[j * s] = -v
-    return np.convolve(a, b)
-
-
-def _expand_ma(theta, stheta, s):
-    """Lowest-degree-first coefficients of (1 + theta(B))(1 + THETA(B^s))."""
-    a = np.concatenate(([1.0], np.asarray(theta, dtype=float)))
-    b = np.zeros(len(stheta) * s + 1)
-    b[0] = 1.0
-    for j, v in enumerate(stheta, start=1):
-        b[j * s] = v
+    b[s::s] = sign * np.asarray(seasonal, dtype=float)
     return np.convolve(a, b)
 
 
@@ -190,17 +185,21 @@ def _ar_to_pacf(phi):
     return np.asarray(out[::-1])
 
 
+def _arma_blocks(v, spec):
+    """The (p, q, P, Q) blocks of a vector laid out in ARMA order."""
+    i, j, k = spec.p, spec.p + spec.q, spec.p + spec.q + spec.P
+    return v[:i], v[i:j], v[j:k], v[k : k + spec.Q]
+
+
 def _z_to_coefs(z, spec):
     """Unconstrained vector -> (phi, theta, PHI, THETA), all stationary/invertible."""
-    i = 0
-    phi = _pacf_to_ar(np.tanh(z[i : i + spec.p]))
-    i += spec.p
-    theta = -_pacf_to_ar(np.tanh(z[i : i + spec.q]))
-    i += spec.q
-    sphi = _pacf_to_ar(np.tanh(z[i : i + spec.P]))
-    i += spec.P
-    stheta = -_pacf_to_ar(np.tanh(z[i : i + spec.Q]))
-    return phi, theta, sphi, stheta
+    zp, zq, zsp, zsq = _arma_blocks(z, spec)
+    return (
+        _pacf_to_ar(np.tanh(zp)),
+        -_pacf_to_ar(np.tanh(zq)),
+        _pacf_to_ar(np.tanh(zsp)),
+        -_pacf_to_ar(np.tanh(zsq)),
+    )
 
 
 def _coefs_to_z(phi, theta, sphi, stheta):
@@ -226,32 +225,23 @@ def _roots_outside(poly) -> bool:
 # conditional-likelihood machinery
 
 
-def _css_filter(series_block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
-    """Apply the CSS innovation filter to each column of a (n, k) block.
+def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
+    """The CSS innovation filter applied to every column of an (n, k) block.
 
     Returns the filtered block for t >= burn. Pre-sample innovations are
-    zero; AR lags are fully available from the burn-in.
+    zero; burn >= the AR span, so every AR lag of a kept point is real data.
     """
-    n = series_block.shape[0]
-    ar_len = len(ar_full) - 1
-    # w_t = sum_k ar_full[k] * x_{t-k}, valid from t = ar_len
-    out = np.empty((n - burn, series_block.shape[1]))
-    for j in range(series_block.shape[1]):
-        w = np.convolve(series_block[:, j], ar_full)[:n]
-        w = w[burn:]  # burn >= ar_len so all AR lags are real data
-        if len(ma_full) > 1:
-            w = lfilter([1.0], ma_full, w)
-        out[:, j] = w
-    return out
+    w = lfilter(ar_full, [1.0], block, axis=0)[burn:]
+    return lfilter([1.0], ma_full, w, axis=0) if len(ma_full) > 1 else w
 
 
-def _concentrated(y, design, spec, phi, theta, sphi, stheta):
-    """Profile out the regression block; return (-loglik, details)."""
-    ar_full = _expand_ar(phi, sphi, spec.s)
-    ma_full = _expand_ma(theta, stheta, spec.s)
+def _concentrated(block, spec, phi, theta, sphi, stheta):
+    """Profile the regression block out of the CSS likelihood of the
+    (n, 1 + k) block [y | design]; return (loglik, b, resid, sigma2, d_f)."""
+    ar_full = _lag_poly(phi, sphi, spec.s, -1.0)
+    ma_full = _lag_poly(theta, stheta, spec.s, 1.0)
     burn = spec.burn_in
-    n_eff = y.size - burn
-    block = np.column_stack([y, design])
+    n_eff = block.shape[0] - burn
     filt = _css_filter(block, ar_full, ma_full, burn)
     y_f, d_f = filt[:, 0], filt[:, 1:]
     b, *_ = np.linalg.lstsq(d_f, y_f, rcond=None)
@@ -323,19 +313,30 @@ def _norm_pvalue(z: float) -> float:
     return math.erfc(abs(z) / math.sqrt(2.0))
 
 
-def _prepare_exog(exog, n: int):
-    if exog is None:
-        return np.empty((n, 0)), (), np.array([]), np.array([])
+def _as_exog(exog, n: int, what: str = "exog") -> np.ndarray:
+    """exog as an (n, k) float matrix: a FeatureMatrix's matrix, or an array
+    whose single row (or 1-D vector) is read as one column when n > 1."""
     if isinstance(exog, FeatureMatrix):
         x = np.asarray(exog.matrix, dtype=float)
-        names = exog.column_names
     else:
         x = np.atleast_2d(np.asarray(exog, dtype=float))
         if x.shape[0] == 1 and n != 1:
             x = x.T
-        names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
     if x.shape[0] != n:
-        raise ValueError(f"exog has {x.shape[0]} rows, series has {n}")
+        raise ValueError(f"{what} has {x.shape[0]} rows, need {n}")
+    return x
+
+
+def _prepare_exog(exog, n: int):
+    if exog is None:
+        return np.empty((n, 0)), (), np.array([]), np.array([])
+    # one memory order for the standardization: numpy's axis-0 sums round
+    # differently over C- and Fortran-ordered copies of the same matrix
+    x = np.asfortranarray(_as_exog(exog, n))
+    if isinstance(exog, FeatureMatrix):
+        names = exog.column_names
+    else:
+        names = tuple(f"x{j + 1}" for j in range(x.shape[1]))
     mean = x.mean(axis=0)
     scale = x.std(axis=0, ddof=0)
     dead = scale == 0.0
@@ -356,8 +357,6 @@ def fit(
     *,
     n_restarts: int = 3,
     seed: int = 0,
-    max_iter: int = 5000,
-    tol: float = 1e-8,
 ) -> SarimaxFit:
     """Estimate the model by conditional Gaussian maximum likelihood.
 
@@ -382,10 +381,10 @@ def fit(
         )
 
     dims = spec.p + spec.q + spec.P + spec.Q
+    block = np.column_stack([y, design])
 
     def objective(z):
-        coefs = _z_to_coefs(z, spec)
-        ll, *_ = _concentrated(y, design, spec, *coefs)
+        ll, *_ = _concentrated(block, spec, *_z_to_coefs(z, spec))
         return -ll
 
     converged = True
@@ -403,9 +402,9 @@ def fit(
                 z_start,
                 method="Nelder-Mead",
                 options={
-                    "maxiter": max_iter,
-                    "maxfev": 2 * max_iter,
-                    "fatol": tol,
+                    "maxiter": _MAX_ITER,
+                    "maxfev": 2 * _MAX_ITER,
+                    "fatol": _FATOL,
                     "xatol": 1e-6,
                 },
             )
@@ -413,7 +412,7 @@ def fit(
                 best_val, z_best, converged = res.fun, res.x, bool(res.success)
 
     phi, theta, sphi, stheta = _z_to_coefs(z_best, spec)
-    loglik, b, resid, sigma2, d_f = _concentrated(y, design, spec, phi, theta, sphi, stheta)
+    loglik, b, resid, sigma2, d_f = _concentrated(block, spec, phi, theta, sphi, stheta)
     intercept, beta = float(b[0]), np.asarray(b[1:], dtype=float)
     u = y - design @ b
 
@@ -432,15 +431,7 @@ def fit(
     # ARMA-block covariance from the concentrated-likelihood Hessian
     if dims:
         def f_natural(v):
-            i = 0
-            ph = v[i : i + spec.p]
-            i += spec.p
-            th = v[i : i + spec.q]
-            i += spec.q
-            sp = v[i : i + spec.P]
-            i += spec.P
-            st = v[i : i + spec.Q]
-            ll, *_ = _concentrated(y, design, spec, ph, th, sp, st)
+            ll, *_ = _concentrated(block, spec, *_arma_blocks(v, spec))
             return -ll
 
         x_nat = np.concatenate([phi, theta, sphi, stheta])
@@ -516,28 +507,18 @@ def apply_params(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> SarimaxFi
     if spec.n_exog:
         if exog is None:
             raise ValueError("exog required by this fit")
-        x = exog.matrix if isinstance(exog, FeatureMatrix) else np.asarray(exog, dtype=float)
-        if x.shape[0] != n:
-            raise ValueError(f"exog has {x.shape[0]} rows, series has {n}")
-        xs = (x - fit_result.exog_mean) / fit_result.exog_scale
+        xs = (_as_exog(exog, n) - fit_result.exog_mean) / fit_result.exog_scale
         design = np.column_stack([np.ones(n), xs])
     else:
         design = np.ones((n, 1))
     b = np.concatenate([[fit_result.intercept], fit_result.exog_beta])
     u = y - design @ b
-    ar_full = _expand_ar(fit_result.ar, fit_result.sar, spec.s)
-    ma_full = _expand_ma(fit_result.ma, fit_result.sma, spec.s)
+    ar_full = _lag_poly(fit_result.ar, fit_result.sar, spec.s, -1.0)
+    ma_full = _lag_poly(fit_result.ma, fit_result.sma, spec.s, 1.0)
     resid = _css_filter(u[:, None], ar_full, ma_full, spec.burn_in)[:, 0]
     resid.setflags(write=False)
     u.setflags(write=False)
-    return SarimaxFit(
-        **{
-            **fit_result.__dict__,
-            "residuals": resid,
-            "u_history": u,
-            "n_obs": n,
-        }
-    )
+    return replace(fit_result, residuals=resid, u_history=u, n_obs=n)
 
 
 def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> ForecastResult:
@@ -548,19 +529,15 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> Forecast
     if spec.n_exog:
         if exog_future is None:
             raise ValueError("exog_future required: fit uses exogenous columns")
-        xf = (
-            exog_future.matrix
-            if isinstance(exog_future, FeatureMatrix)
-            else np.atleast_2d(np.asarray(exog_future, dtype=float))
-        )
-        if xf.shape[0] != horizon or xf.shape[1] != spec.n_exog:
+        xf = _as_exog(exog_future, horizon, "exog_future")
+        if xf.shape[1] != spec.n_exog:
             raise ValueError(f"exog_future must be ({horizon}, {spec.n_exog}), got {xf.shape}")
         xf = (xf - fit_result.exog_mean) / fit_result.exog_scale
     else:
         xf = np.zeros((horizon, 0))
 
-    ar_full = _expand_ar(fit_result.ar, fit_result.sar, spec.s)
-    ma_full = _expand_ma(fit_result.ma, fit_result.sma, spec.s)
+    ar_full = _lag_poly(fit_result.ar, fit_result.sar, spec.s, -1.0)
+    ma_full = _lag_poly(fit_result.ma, fit_result.sma, spec.s, 1.0)
     n = fit_result.n_obs
     burn = spec.burn_in
 
@@ -607,8 +584,8 @@ def simulate(
     """Draw a series from the model; deterministic for a fixed seed."""
     if len(ar) != spec.p or len(ma) != spec.q or len(sar) != spec.P or len(sma) != spec.Q:
         raise ValueError("parameter lengths must match the model orders")
-    ar_full = _expand_ar(ar, sar, spec.s)
-    ma_full = _expand_ma(ma, sma, spec.s)
+    ar_full = _lag_poly(ar, sar, spec.s, -1.0)
+    ma_full = _lag_poly(ma, sma, spec.s, 1.0)
     if not _roots_outside(ar_full):
         raise ValueError("AR parameters are not stationary")
     if not _roots_outside(ma_full):
@@ -621,12 +598,6 @@ def simulate(
     u = lfilter(ma_full, ar_full, eps)[burn_in:]
     y = intercept + u
     if exog is not None:
-        x = exog.matrix if isinstance(exog, FeatureMatrix) else np.asarray(exog, dtype=float)
-        x = np.atleast_2d(x)
-        if x.shape[0] == 1 and n != 1:
-            x = x.T
-        if x.shape[0] != n:
-            raise ValueError(f"exog has {x.shape[0]} rows, need {n}")
-        y = y + x @ np.asarray(exog_beta, dtype=float)
+        y = y + _as_exog(exog, n) @ np.asarray(exog_beta, dtype=float)
     return TimeSeries(y, name=name)
 

@@ -21,6 +21,9 @@ from . import sarimax
 from .feature_matrix import FeatureMatrix
 from .series import TimeSeries
 
+_RFE_RESTARTS = 1  # seeded Nelder-Mead restarts of each RFE refit
+_PSO_RESTARTS = 0  # seeded Nelder-Mead restarts of each PSO fitness fit
+
 
 @dataclass(frozen=True)
 class SelectionReport:
@@ -206,7 +209,6 @@ def rfe_sarimax(
     spec: sarimax.SarimaxSpec,
     alpha: float = 0.05,
     min_features: int = 3,
-    n_restarts: int = 1,
 ) -> tuple[FeatureMatrix, SelectionReport]:
     """Recursively drop exogenous columns that stay insignificant.
 
@@ -226,7 +228,7 @@ def rfe_sarimax(
     final_pvalues: dict[str, float] = {}
     while True:
         iteration += 1
-        fit_res = sarimax.fit(ts, spec, exog=current, n_restarts=n_restarts)
+        fit_res = sarimax.fit(ts, spec, exog=current, n_restarts=_RFE_RESTARTS)
         pvals = {name: fit_res.pvalue_of(name) for name in current.column_names}
         final_pvalues = pvals
         offenders = sorted(
@@ -250,17 +252,14 @@ def rfe_sarimax(
     return current, report
 
 
-def _pso_fitness(mask: np.ndarray, cache: dict, ts, fm, spec, n_restarts: int):
+def _pso_fitness(mask: np.ndarray, cache: dict, ts, fm, spec):
     key = int(np.packbits(mask.astype(np.uint8), bitorder="little").tobytes().hex() or "0", 16)
     if key in cache:
         return cache[key]
     try:
-        if not mask.any():
-            fit_res = sarimax.fit(ts, spec, exog=None, n_restarts=n_restarts)
-        else:
-            cols = [fm.column_names[j] for j in np.nonzero(mask)[0]]
-            fit_res = sarimax.fit(ts, spec, exog=fm.select_columns(cols), n_restarts=n_restarts)
-        value = fit_res.bic
+        cols = [fm.column_names[j] for j in np.nonzero(mask)[0]]
+        exog = fm.select_columns(cols) if cols else None
+        value = sarimax.fit(ts, spec, exog=exog, n_restarts=_PSO_RESTARTS).bic
     except (ValueError, np.linalg.LinAlgError):
         value = math.inf
     cache[key] = value
@@ -272,7 +271,6 @@ def pso_bic(
     fm: FeatureMatrix,
     spec: sarimax.SarimaxSpec,
     cfg: PsoConfig | None = None,
-    n_restarts: int = 0,
 ) -> PsoResult:
     """Binary particle swarm over column subsets, minimizing fitted BIC.
 
@@ -298,7 +296,7 @@ def pso_bic(
         pos = rng.random((cfg.swarm_size, d)) < 0.5
         pbest = pos.copy()
         pbest_fit = np.array(
-            [_pso_fitness(pos[i], cache, ts, fm, spec, n_restarts) for i in range(cfg.swarm_size)]
+            [_pso_fitness(pos[i], cache, ts, fm, spec) for i in range(cfg.swarm_size)]
         )
         g = int(np.argmin(pbest_fit))
         gbest, gbest_fit = pbest[g].copy(), float(pbest_fit[g])
@@ -320,7 +318,7 @@ def pso_bic(
             pos = rng.random((cfg.swarm_size, d)) < prob
             improved = False
             for i in range(cfg.swarm_size):
-                f = _pso_fitness(pos[i], cache, ts, fm, spec, n_restarts)
+                f = _pso_fitness(pos[i], cache, ts, fm, spec)
                 if f < pbest_fit[i]:
                     pbest[i] = pos[i].copy()
                     pbest_fit[i] = f

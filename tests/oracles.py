@@ -22,6 +22,10 @@ rebuilt every post-refit row from its own single window at every step.
 
 The decomposition oracles are the first moving-average and phase-mean
 code: one Python iteration per point and one mean per phase.
+
+The CSS filter oracle is the SARIMAX estimator's first filter: one column
+at a time, the AR polynomial by np.convolve and the inverse MA polynomial
+by a 1-D lfilter.
 """
 
 import math
@@ -30,6 +34,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy import stats as sps
+from scipy.signal import lfilter
 
 from oeeforecast import pipeline, sarimax
 from oeeforecast.feature_matrix import FeatureMatrix
@@ -552,3 +557,22 @@ def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.nda
         r = np.append(r, nxt)
     total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
     return np.clip(total, *cfg.clamp)
+
+
+def scalar_css_filter(series_block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
+    """Apply the CSS innovation filter to each column of a (n, k) block.
+
+    Returns the filtered block for t >= burn. Pre-sample innovations are
+    zero; AR lags are fully available from the burn-in.
+    """
+    n = series_block.shape[0]
+    ar_len = len(ar_full) - 1
+    # w_t = sum_k ar_full[k] * x_{t-k}, valid from t = ar_len
+    out = np.empty((n - burn, series_block.shape[1]))
+    for j in range(series_block.shape[1]):
+        w = np.convolve(series_block[:, j], ar_full)[:n]
+        w = w[burn:]  # burn >= ar_len so all AR lags are real data
+        if len(ma_full) > 1:
+            w = lfilter([1.0], ma_full, w)
+        out[:, j] = w
+    return out

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oeeforecast import pipeline
+from oeeforecast import pipeline, sarimax
 from oeeforecast.pipeline import (
     BENCHMARK_MODELS,
     DecomposedStrategy,
@@ -403,8 +403,9 @@ class TestRefitFailures:
 
 class TestBenchmarkTracer:
     def test_tracer_records_topological_layers(self, oee_series):
-        # perfbench's tracer patches pipeline and tda.extract attributes by
-        # name; a renamed or removed one breaks its traced runs
+        # perfbench's tracer patches pipeline, tda.extract and sarimax
+        # attributes by name; a renamed or removed one, or a fit that stops
+        # calling sarimax.minimize, breaks its traced runs
         sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
         try:
             import tracing
@@ -412,7 +413,17 @@ class TestBenchmarkTracer:
             sys.path.pop(0)
         from oeeforecast.tda import extract
 
-        originals = (pipeline.extract_tda_features, extract.vr_persistence, extract._vectorize)
+        def patched():
+            return (
+                pipeline.extract_tda_features,
+                extract.vr_persistence,
+                extract._vectorize,
+                sarimax.fit,
+                sarimax.apply_params,
+                sarimax.minimize,
+            )
+
+        originals = patched()
         tracer = tracing.Tracer()
         tracing.install(tracer)
         try:
@@ -423,10 +434,20 @@ class TestBenchmarkTracer:
             strat.forecast(oee_series.slice(0, 305), 2)
         finally:
             tracer.uninstall()
-        assert (pipeline.extract_tda_features, extract.vr_persistence, extract._vectorize) == originals
+        assert patched() == originals
         names = [span[3] for span in tracer.spans]
-        for name in ("tda.extract", "tda.fit_diagram_scale", "tda.vr_persistence", "tda.vectorize"):
+        for name in (
+            "tda.extract",
+            "tda.fit_diagram_scale",
+            "tda.vr_persistence",
+            "tda.vectorize",
+            "sarimax.fit",
+            "sarimax.apply_params",
+        ):
             assert name in names
+        counts = {}
+        for (_, name), v in tracer.counts.items():
+            counts[name] = counts.get(name, 0) + v
         # the refit's 300 - 24 + 1 windows plus 2 forecast steps' 6 and 1
-        rows = sum(v for (_, name), v in tracer.counts.items() if name == "tda.rows")
-        assert rows == 277 + 6 + 1
+        assert counts["tda.rows"] == 277 + 6 + 1
+        assert counts["sarimax.objective_evals"] > 0

@@ -1,8 +1,11 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from oeeforecast import sarimax
+from oeeforecast.pipeline import PipelineConfig, aligned_features, causal_components
 from oeeforecast.sarimax import (
     CollinearityError,
     SarimaxFit,
@@ -12,6 +15,9 @@ from oeeforecast.sarimax import (
     simulate,
 )
 from oeeforecast.series import TimeSeries, acf, ljung_box
+
+from conftest import STAND_INS, make_oee_series
+from oracles import scalar_css_filter
 
 
 def make_fit(ar=(), ma=(), sar=(), sma=(), s=1, intercept=0.0, u_tail=(0.0,) * 12):
@@ -259,3 +265,51 @@ class TestSummaryJson:
         names = [c["name"] for c in doc["coefficients"]]
         assert names == ["intercept", "ar1", "sigma2"]
         assert doc["bic"] == pytest.approx(f.bic)
+
+
+@functools.cache
+def _stand_in_design() -> np.ndarray:
+    """[y | 1 | statistical catalog] of the gh2 stand-in's causal residual."""
+    cfg = PipelineConfig(feature_mode="statistical")
+    _, _, residual = causal_components(make_oee_series(*STAND_INS["gh2"]), cfg.periods)
+    y, fm = aligned_features(cfg, residual)
+    return np.column_stack([y.values, np.ones(fm.n_rows), fm.matrix])
+
+
+class TestCssFilterOracle:
+    SPECS = {
+        "pure_ar": SarimaxSpec(p=3),
+        "pure_ma": SarimaxSpec(q=2),
+        "seasonal_ar_ma": SarimaxSpec(P=1, Q=1, s=8),
+        "mixed": SarimaxSpec(p=2, q=1, P=1, Q=1, s=8),
+        "no_arma": SarimaxSpec(),
+    }
+
+    @pytest.mark.parametrize("width", [1, 2, "stand_in"])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_block_filter_is_the_column_loop(self, name, width):
+        spec = self.SPECS[name]
+        rng = np.random.default_rng(sorted(self.SPECS).index(name))
+        if width == "stand_in":
+            block = _stand_in_design()
+        else:
+            block = rng.normal(10.0, 3.0, size=(240, width))
+        dims = spec.p + spec.q + spec.P + spec.Q
+        for _ in range(10):
+            phi, theta, sphi, stheta = sarimax._z_to_coefs(rng.normal(0.0, 1.0, dims), spec)
+            ar_full = sarimax._lag_poly(phi, sphi, spec.s, -1.0)
+            ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
+            got = sarimax._css_filter(block, ar_full, ma_full, spec.burn_in)
+            want = scalar_css_filter(block, ar_full, ma_full, spec.burn_in)
+            assert np.array_equal(got, want)
+
+
+class TestExogLayout:
+    def test_fit_does_not_depend_on_exog_memory_order(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(400, 10)) * rng.uniform(0.5, 50.0, 10) + rng.uniform(-100, 100, 10)
+        y = TimeSeries(0.05 * x @ rng.normal(size=10) + rng.normal(size=400))
+        c = fit(y, SarimaxSpec(p=1), exog=np.ascontiguousarray(x), n_restarts=0)
+        f = fit(y, SarimaxSpec(p=1), exog=np.asfortranarray(x), n_restarts=0)
+        assert c.estimates == f.estimates
+        assert c.loglik == f.loglik
