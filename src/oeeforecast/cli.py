@@ -4,6 +4,8 @@ Configuration comes from an optional key-value file (``key = value`` lines,
 keys named after PipelineConfig fields) with flag overrides on top. All
 randomized stages take --seed (default 0). Error classes map to distinct
 exit codes: 2 usage, 3 data/CSV, 4 numeric, 5 configuration, 1 unexpected.
+A configuration error names its source: ``file:line: key`` for a config or
+registry file, the flag for a flag.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,6 +21,7 @@ from . import sarimax
 from .decompose import components_to_csv, decompose
 from .pipeline import (
     BENCHMARK_MODELS,
+    ConfigError,
     DecomposedStrategy,
     PipelineConfig,
     benchmark,
@@ -25,10 +29,13 @@ from .pipeline import (
     benchmark_to_csv,
     build_features,
     causal_components,
+    coerce_config_value,
     forecasts_to_csv,
+    load_series,
+    read_settings,
 )
 from .selection import write_manifest
-from .series import CsvError, load_csv, summary_stats
+from .series import CsvError, summary_stats
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -37,89 +44,39 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_CONFIG = 5
 
-
-class ConfigError(ValueError):
-    pass
-
-
-def coerce_config_value(key: str, value: str):
-    """Parse a key-value config entry into the PipelineConfig field type."""
-    if key in ("dataset", "value_column", "feature_mode", "selection_mode"):
-        return value
-    if key == "timestamp_column":
-        return value or None
-    if key == "periods":
-        return tuple(int(v) for v in value.split(","))
-    if key in ("window", "horizon", "refit_interval", "seed"):
-        return int(value)
-    if key == "test_fraction":
-        return float(value)
-    if key == "clamp":
-        lo, hi = value.split(",")
-        return (float(lo), float(hi))
-    if key == "sarimax_spec":
-        parts = [int(v) for v in value.split(",")]
-        if len(parts) != 7:
-            raise ConfigError(f"sarimax_spec needs p,d,q,P,D,Q,s — got {value!r}")
-        p, d, q, sp, sd, sq, s = parts
-        return sarimax.SarimaxSpec(p=p, d=d, q=q, P=sp, D=sd, Q=sq, s=s)
-    raise ConfigError(f"unknown config key {key!r}")
+# the flags not named after their PipelineConfig field
+_FLAG_NAMES = {"dataset": "--input", "value_column": "--column", "sarimax_spec": "--spec"}
 
 
 def read_config_file(path) -> dict:
-    values: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            values[key] = coerce_config_value(key, value)
-    return values
+    """PipelineConfig field values of a ``key = value`` config file."""
+    return {
+        key: coerce_config_value(key, value, f"{where}: {key}")
+        for where, key, value in read_settings(path)
+    }
 
 
 def build_config(args) -> PipelineConfig:
+    """The --config file's values with every flag given on top."""
     values = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in (
-        "dataset",
-        "value_column",
-        "timestamp_column",
-        "periods",
-        "window",
-        "horizon",
-        "test_fraction",
-        "feature_mode",
-        "selection_mode",
-        "refit_interval",
-        "seed",
-    ):
-        flag = getattr(args, key, None)
+    for f in fields(PipelineConfig):
+        flag = getattr(args, f.name, None)
+        if isinstance(flag, str):
+            flag_name = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+            flag = coerce_config_value(f.name, flag, flag_name)
         if flag is not None:
-            values[key] = coerce_config_value(key, str(flag)) if isinstance(flag, str) else flag
-    if getattr(args, "spec", None):
-        values["sarimax_spec"] = coerce_config_value("sarimax_spec", args.spec)
-    if "dataset" not in values or not values["dataset"]:
+            values[f.name] = flag
+    if not values.get("dataset"):
         raise ConfigError("no dataset given (use --input or a config file with 'dataset = ...')")
     try:
         return PipelineConfig(**values)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _load(cfg: PipelineConfig):
-    return load_csv(
-        cfg.dataset,
-        cfg.value_column,
-        timestamp_column=cfg.timestamp_column,
-        name=os.path.basename(str(cfg.dataset)),
-    )
 
 
 def cmd_stats(args) -> int:
     cfg = build_config(args)
-    s = summary_stats(_load(cfg))
+    s = summary_stats(load_series(cfg))
     print(f"count    {s.count}")
     print(f"mean     {s.mean:.2f}")
     print(f"std_dev  {s.std_dev:.2f}")
@@ -139,7 +96,7 @@ def cmd_stats(args) -> int:
 
 def cmd_decompose(args) -> int:
     cfg = build_config(args)
-    d = decompose(_load(cfg), cfg.periods)
+    d = decompose(load_series(cfg), cfg.periods)
     components_to_csv(d, args.output)
     resid_std = float(np.std(d.residual.values))
     print(f"wrote {args.output} (periods {','.join(map(str, cfg.periods))}, residual std {resid_std:.3f})")
@@ -154,7 +111,7 @@ def _require_features(cfg: PipelineConfig, command: str) -> None:
 def cmd_features(args) -> int:
     cfg = build_config(args)
     _require_features(cfg, "features")
-    _, _, residual = causal_components(_load(cfg), cfg.periods)
+    _, _, residual = causal_components(load_series(cfg), cfg.periods)
     fm = build_features(cfg, residual)
     fm.to_csv(args.output)
     print(f"wrote {args.output}: {fm.n_rows} rows x {fm.n_cols} columns")
@@ -165,7 +122,7 @@ def cmd_select(args) -> int:
     """The selection the decomposed model makes on its training span."""
     cfg = build_config(args)
     _require_features(cfg, "select")
-    series = _load(cfg)
+    series = load_series(cfg)
     strategy = DecomposedStrategy(cfg)
     strategy.refit(series.slice(0, int(len(series) * (1 - cfg.test_fraction))))
     write_manifest(args.output, strategy.columns, strategy.selection_reports, strategy.pso_result)
@@ -175,7 +132,7 @@ def cmd_select(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = build_config(args)
-    series = _load(cfg)
+    series = load_series(cfg)
     _, _, residual = causal_components(series, cfg.periods)
     fit = sarimax.fit(residual, cfg.sarimax_spec, seed=cfg.seed)
     doc = fit.to_json()
@@ -190,7 +147,7 @@ def cmd_fit(args) -> int:
 
 def cmd_forecast(args) -> int:
     cfg = build_config(args)
-    series = _load(cfg)
+    series = load_series(cfg)
     strategy = DecomposedStrategy(cfg)
     strategy.refit(series)
     values = strategy.forecast(series, cfg.horizon)
@@ -269,7 +226,9 @@ def _add_io_flags(p, output=False):
         default=None,
         choices=["none", "rfe", "rfe+pso"],
     )
-    p.add_argument("--spec", default=None, help="SARIMAX orders p,d,q,P,D,Q,s")
+    p.add_argument(
+        "--spec", dest="sarimax_spec", default=None, help="SARIMAX orders p,d,q,P,D,Q,s"
+    )
     p.add_argument("--refit-interval", dest="refit_interval", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="seed for randomized stages (default 0)")
     if output:

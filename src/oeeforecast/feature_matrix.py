@@ -61,13 +61,16 @@ class FeatureMatrix:
     def select_columns(self, names) -> "FeatureMatrix":
         names = tuple(names)
         idx = [self.column_names.index(n) for n in names]
-        return FeatureMatrix(names, self.matrix[:, idx], self.row_index, self.imputed)
+        imputed = {(r, c) for r, c in self.imputed if c in names}
+        return FeatureMatrix(names, self.matrix[:, idx], self.row_index, imputed)
 
     def select_rows(self, mask_or_indices) -> "FeatureMatrix":
         sel = np.asarray(mask_or_indices)
         sub = self.matrix[sel]
         ridx = tuple(np.asarray(self.row_index)[sel].tolist())
-        return FeatureMatrix(self.column_names, sub, ridx, self.imputed)
+        kept = set(ridx)
+        imputed = {(r, c) for r, c in self.imputed if r in kept}
+        return FeatureMatrix(self.column_names, sub, ridx, imputed)
 
     def hstack(self, other: "FeatureMatrix") -> "FeatureMatrix":
         if self.row_index != other.row_index:

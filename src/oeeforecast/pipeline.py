@@ -80,6 +80,60 @@ def causal_components(ts: TimeSeries, periods):
     )
 
 
+class ConfigError(ValueError):
+    """A setting that cannot configure a pipeline; the message names where
+    it came from (``file:line: key`` or the flag)."""
+
+
+def read_settings(path):
+    """Yield ``(file:line, key, value)`` for each ``key = value`` line of a
+    settings file, the format of both config files and the service registry.
+    Blank lines and lines starting with ``#`` are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            where = f"{path}:{lineno}"
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ConfigError(f"{where}: expected 'key = value'")
+            yield where, key.strip(), value.strip()
+
+
+def coerce_config_value(key: str, value: str, label: str | None = None):
+    """Parse a settings value into the type of PipelineConfig field ``key``.
+
+    A value that does not parse, or an unknown key, is a ConfigError whose
+    message starts with ``label`` (``file:line: key`` or the flag; the key
+    when not given).
+    """
+    label = label or key
+    try:
+        if key in ("dataset", "value_column", "feature_mode", "selection_mode"):
+            return value
+        if key == "timestamp_column":
+            return value or None
+        if key == "periods":
+            return tuple(int(v) for v in value.split(","))
+        if key in ("window", "horizon", "refit_interval", "seed"):
+            return int(value)
+        if key == "test_fraction":
+            return float(value)
+        if key == "clamp":
+            lo, hi = value.split(",")
+            return (float(lo), float(hi))
+        if key == "sarimax_spec":
+            parts = [int(v) for v in value.split(",")]
+            if len(parts) != 7:
+                raise ValueError("sarimax_spec needs p,d,q,P,D,Q,s")
+            p, d, q, sp, sd, sq, s = parts
+            return sarimax.SarimaxSpec(p=p, d=d, q=q, P=sp, D=sd, Q=sq, s=s)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: cannot read {value!r}: {exc}") from None
+    raise ConfigError(f"{label}: unknown config key {key!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     dataset: str = ""
@@ -96,8 +150,7 @@ class PipelineConfig:
     )
     refit_interval: int = 24
     seed: int = 0
-    pso: PsoConfig = field(default_factory=PsoConfig)
-    tda: TdaParams = field(default_factory=TdaParams)  # its window is taken from `window`
+    pso: PsoConfig = field(default_factory=PsoConfig)  # its seed is replaced by `seed`
     clamp: tuple[float, float] = (OEE_MIN, OEE_MAX)
 
     def __post_init__(self):
@@ -114,12 +167,7 @@ class PipelineConfig:
         if self.feature_mode in ("statistical", "both") and self.window < MIN_WINDOW:
             raise ValueError(f"window {self.window} < {MIN_WINDOW}, the statistical catalog's least")
         if self.feature_mode in ("topological", "both"):
-            _tda_params(self)  # TdaParams rejects a window too short to embed
-
-
-def _tda_params(cfg: PipelineConfig) -> TdaParams:
-    """The topological catalog's parameters at the pipeline's window."""
-    return replace(cfg.tda, window=cfg.window)
+            TdaParams(window=self.window)  # rejects a window too short to embed
 
 
 def build_features(
@@ -139,7 +187,7 @@ def build_features(
     if mode in ("statistical", "both"):
         parts.append(extract_stat_features(residual, cfg.window))
     if mode in ("topological", "both"):
-        params = _tda_params(cfg)
+        params = TdaParams(window=cfg.window)
         tda_columns = None
         if columns is not None:
             catalog = set(tda_catalog(params))
@@ -209,21 +257,22 @@ class EvaluationReport:
 class SeasonalNaiveStrategy:
     """Repeat the raw series' last daily cycle."""
 
-    def __init__(self, period: int = 24, clamp=(OEE_MIN, OEE_MAX)):
-        self.period = period
-        self.clamp = clamp
-        self.label = f"seasonal_naive_{period}"
+    period = 24
+    label = f"seasonal_naive_{period}"
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
 
     def refit(self, past: TimeSeries) -> None:
         pass
 
     def forecast(self, past: TimeSeries, horizon: int):
         fc = seasonal_naive_forecast(past, self.period, horizon)
-        return np.clip(fc.values, *self.clamp)
+        return np.clip(fc.values, *self.cfg.clamp)
 
     def train_one_step(self, train: TimeSeries):
         y = train.values
-        preds = np.clip(y[: -self.period], *self.clamp)
+        preds = np.clip(y[: -self.period], *self.cfg.clamp)
         return self.period, preds
 
 
@@ -232,8 +281,8 @@ class RawEtsStrategy:
 
     label = "ets_raw"
 
-    def __init__(self, clamp=(OEE_MIN, OEE_MAX)):
-        self.clamp = clamp
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
         self._fit = None
 
     def refit(self, past: TimeSeries) -> None:
@@ -241,37 +290,36 @@ class RawEtsStrategy:
 
     def forecast(self, past: TimeSeries, horizon: int):
         state = ets_update(self._fit, past)
-        return np.clip(ets_forecast(state, horizon).values, *self.clamp)
+        return np.clip(ets_forecast(state, horizon).values, *self.cfg.clamp)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the fit of refit(train), which
         the harness calls just before on the same span."""
-        return 0, np.clip(ets_one_step(self._fit, train), *self.clamp)
+        return 0, np.clip(ets_one_step(self._fit, train), *self.cfg.clamp)
 
 
 class RawSarimaStrategy:
     """Seasonal ARMA on the raw series, no exogenous columns."""
 
-    def __init__(self, spec: sarimax.SarimaxSpec, clamp=(OEE_MIN, OEE_MAX), seed: int = 0):
-        self.spec = spec
-        self.clamp = clamp
-        self.seed = seed
-        self.label = "sarima_raw"
+    label = "sarima_raw"
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
         self._fit = None
 
     def refit(self, past: TimeSeries) -> None:
-        self._fit = sarimax.fit(past, self.spec, n_restarts=1, seed=self.seed)
+        self._fit = sarimax.fit(past, self.cfg.sarimax_spec, n_restarts=1, seed=self.cfg.seed)
 
     def forecast(self, past: TimeSeries, horizon: int):
         state = sarimax.apply_params(self._fit, past)
-        return np.clip(sarimax.forecast(state, horizon).values, *self.clamp)
+        return np.clip(sarimax.forecast(state, horizon).values, *self.cfg.clamp)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the fit of refit(train), which
         the harness calls just before on the same span."""
         burn = self._fit.spec.burn_in
         preds = train.values[burn:] - self._fit.residuals
-        return burn, np.clip(preds, *self.clamp)
+        return burn, np.clip(preds, *self.cfg.clamp)
 
 
 class DecomposedStrategy:
@@ -279,19 +327,21 @@ class DecomposedStrategy:
 
     Trend via ETS, seasonals via last-cycle repetition, residual via
     SARIMAX whose exogenous rows are window features of the residual. The
-    feature columns are chosen once, on the first (training-span) refit,
-    and coefficients re-estimated at every refit. Between refits the fitted
-    residual/feature history is frozen and extended with the newly observed
-    hours: each origin builds the rows since the refit once, plus one row
-    per extra forecast step.
+    feature columns are chosen once, on the first refit, and coefficients
+    re-estimated at every refit. Between refits the fitted residual/feature
+    history is frozen and extended with the newly observed hours: each
+    origin builds the rows since the refit once, plus one row per extra
+    forecast step.
 
     This is the one selection path: the benchmark, the service and the
-    CLI's forecast and select commands all fit through it.
+    CLI's forecast and select commands all fit through it. The rolling
+    harness (benchmark, the service's backtest) and ``select`` refit first
+    on the training span; ``forecast`` and the service's served model on
+    the whole series.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self.clamp = cfg.clamp
         self.label = (
             f"decomposed_sarimax_{cfg.feature_mode}"
             if cfg.feature_mode != "none"
@@ -328,7 +378,7 @@ class DecomposedStrategy:
 
         scale = self._tda_scale
         if scale is None and cfg.feature_mode in ("topological", "both"):
-            scale = fit_diagram_scale(residual, _tda_params(cfg))
+            scale = fit_diagram_scale(residual, TdaParams(window=cfg.window))
 
         # once chosen, the columns are the only ones built
         y, fm_sel = aligned_features(cfg, residual, scale, self.columns)
@@ -389,7 +439,7 @@ class DecomposedStrategy:
                     row = self._selected_rows(r[-cfg.window :])
 
         total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
-        return np.clip(total, *self.clamp)
+        return np.clip(total, *cfg.clamp)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the last refit's fit and state.
@@ -401,7 +451,7 @@ class DecomposedStrategy:
         state = sarimax.apply_params(fit, TimeSeries(self._state_y), exog=self._state_x)
         start = fit.spec.burn_in + (0 if self.cfg.feature_mode == "none" else self.cfg.window)
         preds = train.values[start : start + state.residuals.size] - state.residuals
-        return start, np.clip(preds, *self.clamp)
+        return start, np.clip(preds, *self.cfg.clamp)
 
 
 # ---------------------------------------------------------------------------
@@ -494,39 +544,31 @@ def rolling_forecast(
     return _evaluate_strategy(series, cfg, strategy)
 
 
-BENCHMARK_MODELS = (
-    "seasonal_naive",
-    "ets_raw",
-    "sarima_raw",
-    "decomposed_sarima",
-    "decomposed_sarimax_statistical",
-    "decomposed_sarimax_topological",
-)
+# benchmark row label -> its strategy, built from the run's config
+BENCHMARK_STRATEGIES = {
+    "seasonal_naive": SeasonalNaiveStrategy,
+    "ets_raw": RawEtsStrategy,
+    "sarima_raw": RawSarimaStrategy,
+    "decomposed_sarima": lambda cfg: DecomposedStrategy(replace(cfg, feature_mode="none")),
+    "decomposed_sarimax_statistical": lambda cfg: DecomposedStrategy(
+        replace(cfg, feature_mode="statistical")
+    ),
+    "decomposed_sarimax_topological": lambda cfg: DecomposedStrategy(
+        replace(cfg, feature_mode="topological")
+    ),
+}
+BENCHMARK_MODELS = tuple(BENCHMARK_STRATEGIES)
 
 
 def benchmark(
     cfg: PipelineConfig, series: TimeSeries | None = None, models=BENCHMARK_MODELS
 ) -> list[EvaluationReport]:
     """Evaluate the standard model set on identical test origins."""
+    unknown = [m for m in models if m not in BENCHMARK_STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown benchmark model {unknown[0]!r}")
     series = series if series is not None else load_series(cfg)
-    reports = []
-    for model in models:
-        if model == "seasonal_naive":
-            strat = SeasonalNaiveStrategy(clamp=cfg.clamp)
-        elif model == "ets_raw":
-            strat = RawEtsStrategy(clamp=cfg.clamp)
-        elif model == "sarima_raw":
-            strat = RawSarimaStrategy(cfg.sarimax_spec, clamp=cfg.clamp, seed=cfg.seed)
-        elif model == "decomposed_sarima":
-            strat = DecomposedStrategy(replace(cfg, feature_mode="none"))
-        elif model == "decomposed_sarimax_statistical":
-            strat = DecomposedStrategy(replace(cfg, feature_mode="statistical"))
-        elif model == "decomposed_sarimax_topological":
-            strat = DecomposedStrategy(replace(cfg, feature_mode="topological"))
-        else:
-            raise ValueError(f"unknown benchmark model {model!r}")
-        reports.append(_evaluate_strategy(series, cfg, strat))
-    return reports
+    return [_evaluate_strategy(series, cfg, BENCHMARK_STRATEGIES[m](cfg)) for m in models]
 
 
 def benchmark_to_csv(reports, path) -> None:

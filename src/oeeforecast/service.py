@@ -44,7 +44,14 @@ from urllib.parse import parse_qs, urlparse
 import os
 
 from .decompose import decompose
-from .pipeline import DecomposedStrategy, PipelineConfig, rolling_forecast
+from .pipeline import (
+    ConfigError,
+    DecomposedStrategy,
+    PipelineConfig,
+    coerce_config_value,
+    read_settings,
+    rolling_forecast,
+)
 from .series import load_csv
 
 MAX_HORIZON = 8
@@ -55,41 +62,34 @@ TAIL_POINTS = 168
 class EquipmentRegistry:
     entries: dict[str, PipelineConfig]
 
-    def __post_init__(self):
-        for eid, cfg in self.entries.items():
-            if not cfg.dataset or not os.path.exists(cfg.dataset):
-                raise ValueError(f"equipment {eid!r}: dataset path {cfg.dataset!r} not found")
 
-
-def load_registry(path, defaults: PipelineConfig | None = None) -> EquipmentRegistry:
+def load_registry(path) -> EquipmentRegistry:
     """Key-value registry: lines of '<id>.<field> = <value>'.
 
-    '<id>.dataset' is required; other fields override the default pipeline
-    configuration for that equipment (same coercions as the CLI config).
+    '<id>.dataset' is required and must exist; other fields override the
+    default pipeline configuration for that equipment, with the coercions
+    of a config file. Every error is a ConfigError naming the file, line
+    and key.
     """
-    from .cli import coerce_config_value  # shared key-value coercion
-
-    defaults = defaults or PipelineConfig()
-    raw: dict[str, dict[str, str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line or "." not in line.split("=", 1)[0]:
-                raise ValueError(f"{path}:{lineno}: expected '<id>.<field> = <value>'")
-            key, value = (s.strip() for s in line.split("=", 1))
-            eid, fieldname = key.split(".", 1)
-            raw.setdefault(eid, {})[fieldname] = value
-    entries = {}
-    for eid, fields in sorted(raw.items()):
-        if "dataset" not in fields:
-            raise ValueError(f"equipment {eid!r}: missing required '{eid}.dataset'")
-        cfg = defaults
-        for fieldname, value in fields.items():
-            cfg = replace(cfg, **{fieldname: coerce_config_value(fieldname, value)})
-        entries[eid] = cfg
-    return EquipmentRegistry(entries)
+    entries: dict[str, PipelineConfig] = {}
+    first_line: dict[str, str] = {}
+    for where, key, value in read_settings(path):
+        eid, _, name = key.partition(".")
+        label = f"{where}: {key}"
+        if not eid or not name:
+            raise ConfigError(f"{label}: expected '<id>.<field> = <value>'")
+        if name == "dataset" and not os.path.exists(value):
+            raise ConfigError(f"{label}: dataset path {value!r} not found")
+        coerced = coerce_config_value(name, value, label)
+        first_line.setdefault(eid, where)
+        try:
+            entries[eid] = replace(entries.get(eid, PipelineConfig()), **{name: coerced})
+        except ValueError as exc:
+            raise ConfigError(f"{label}: {exc}") from None
+    for eid, where in first_line.items():
+        if not entries[eid].dataset:
+            raise ConfigError(f"{where}: {eid}: missing required '{eid}.dataset'")
+    return EquipmentRegistry(dict(sorted(entries.items())))
 
 
 class _EquipmentCache:
@@ -159,7 +159,10 @@ class _EquipmentCache:
         report = []
         for eid in self.ids():
             hit = self._cached.get(eid)
-            mtime = os.stat(self.registry.entries[eid].dataset).st_mtime_ns
+            try:
+                mtime = os.stat(self.registry.entries[eid].dataset).st_mtime_ns
+            except OSError:  # the file was removed: no answer comes from the cache
+                mtime = None
             report.append({
                 "id": eid,
                 "cached": hit is not None and hit["mtime"] == mtime,

@@ -171,43 +171,6 @@ def _fourier_entropy(ps: np.ndarray, bins: int) -> np.ndarray:
     return out
 
 
-def sample_entropy(x, m: int = 2, r: float | None = None) -> float:
-    """Negative log conditional probability that close templates stay close.
-
-    Chebyshev distance, self-matches excluded. A zero tolerance (constant
-    window) is degenerate and yields 0; no matches at length m+1 yields
-    +inf (maximal irregularity), which the feature matrix imputes.
-    """
-    X = np.asarray(x, dtype=float)[None, :]
-    if X.shape[1] <= 2 * m:
-        raise ValueError(f"sample_entropy needs length > {2 * m}")
-    tol = _tolerance(X) if r is None else np.array([float(r)])
-    return float(_sample_entropy(_match_counts(X, m, tol), tol)[0])
-
-
-def approximate_entropy(x, m: int = 2, r: float | None = None) -> float:
-    """Regularity statistic phi(m) - phi(m+1); self-matches included."""
-    X = np.asarray(x, dtype=float)[None, :]
-    if X.shape[1] <= 2 * m:
-        raise ValueError(f"approximate_entropy needs length > {2 * m}")
-    tol = _tolerance(X) if r is None else np.array([float(r)])
-    return float(_approximate_entropy(_match_counts(X, m, tol), tol)[0])
-
-
-def permutation_entropy(x, order: int = 3, delay: int = 1, normalize: bool = True) -> float:
-    """Shannon entropy of ordinal patterns; 0 for monotone input, 1 for iid noise."""
-    X = np.asarray(x, dtype=float)[None, :]
-    if X.shape[1] <= (order - 1) * delay:
-        raise ValueError(f"permutation_entropy needs length > {(order - 1) * delay}")
-    return float(_permutation_entropy(X, order, delay, normalize)[0])
-
-
-def fourier_entropy(x, bins: int = 10) -> float:
-    """Shannon entropy of the binned, max-normalized periodogram."""
-    X = np.asarray(x, dtype=float)[None, :]
-    return float(_fourier_entropy(_periodogram(X), bins)[0])
-
-
 def _descriptive(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
     # scipy.stats skew/kurtosis (biased, Fisher) in scipy's order of
     # operations; NaN where scipy finds a window near-constant,

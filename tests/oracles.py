@@ -29,7 +29,6 @@ by a 1-D lfilter.
 """
 
 import math
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -526,7 +525,7 @@ def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
         vals.append(np.nan_to_num(window_features(window), nan=0.0, posinf=0.0, neginf=0.0))
         names += CATALOG
     if cfg.feature_mode in ("topological", "both"):
-        params = replace(cfg.tda, window=cfg.window)
+        params = TdaParams(window=cfg.window)
         fm = extract_tda_features(TimeSeries(window), params, scale=strategy._tda_scale)
         vals.append(fm.matrix[-1])
         names += tda_catalog(params)

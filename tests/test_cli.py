@@ -13,6 +13,7 @@ from oeeforecast.cli import (
     coerce_config_value,
     read_config_file,
 )
+from oeeforecast import service
 from oeeforecast.pipeline import DecomposedStrategy, load_series
 from oeeforecast.stat_features import CATALOG
 from oeeforecast.tda.extract import TdaParams, tda_catalog
@@ -64,7 +65,7 @@ class TestConfigParsing:
         assert vals["sarimax_spec"].p == 2
 
     def test_flag_overrides_file(self, config_file, dataset_csv):
-        args = argparse.Namespace(config=str(config_file), horizon=6, spec=None)
+        args = argparse.Namespace(config=str(config_file), horizon=6, sarimax_spec=None)
         cfg = build_config(args)
         assert cfg.horizon == 6
         assert cfg.dataset == str(dataset_csv)
@@ -91,6 +92,36 @@ class TestCommands:
     def test_missing_dataset_is_config_error(self, capsys):
         rc = cli_run(["stats"])
         assert rc == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, text, flags, where",
+        [
+            ("stats --config", "dataset = {data}\nwindow = abc\n", [], "{file}:2: window"),
+            ("stats --config", "dataset = {data}\nclamp = 1\n", [], "{file}:2: clamp"),
+            ("stats --config", "dataset = {data}\n", ["--periods", "8,x"], "--periods"),
+            ("stats --config", "dataset = {data}\n", ["--spec", "1,2"], "--spec"),
+            ("serve --registry", "a.dataset = {data}\nnodot = 1\n", [], "{file}:2: nodot"),
+            ("serve --registry", "# none\na.periods = 8,24\n", [], "{file}:2: a: missing"),
+            ("serve --registry", "a.dataset = {data}.gone\n", [], "{file}:1: a.dataset"),
+            ("serve --registry", "a.dataset = {data}\na.horizon = 0\n", [], "{file}:2: a.horizon"),
+            ("serve --registry", "a.dataset = {data}\na.window = abc\n", [], "{file}:2: a.window"),
+        ],
+        ids=["file_value", "file_clamp", "flag_periods", "flag_spec", "registry_line",
+             "registry_no_dataset", "registry_no_file", "registry_rejected", "registry_value"],
+    )
+    def test_config_errors_exit_5_naming_their_source(
+        self, dataset_csv, tmp_path, monkeypatch, capsys, command, text, flags, where
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the registry was accepted")
+
+        monkeypatch.setattr(service, "serve", refuse)
+        path = tmp_path / "settings.conf"
+        path.write_text(text.format(data=dataset_csv))
+        rc = cli_run(command.split() + [str(path)] + flags)
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, err
+        assert err.startswith("config error: " + where.format(file=path)), err
 
     def test_window_too_short_for_feature_mode_is_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "f.csv"
@@ -197,7 +228,10 @@ class TestCommands:
 
         cfg = build_config(
             argparse.Namespace(
-                config=str(config_file), spec=spec, feature_mode="both", test_fraction=test_fraction
+                config=str(config_file),
+                sarimax_spec=spec,
+                feature_mode="both",
+                test_fraction=test_fraction,
             )
         )
         series = load_series(cfg)

@@ -90,7 +90,7 @@ class TestRollingHarness:
         from oeeforecast.pipeline import SeasonalNaiveStrategy
 
         sarima_rep = rolling_forecast(cfg, series=series)
-        naive_rep = rolling_forecast(cfg, series=series, strategy=SeasonalNaiveStrategy())
+        naive_rep = rolling_forecast(cfg, series=series, strategy=SeasonalNaiveStrategy(cfg))
         assert sarima_rep.mae < naive_rep.mae
 
     def test_report_fields_sane(self, series_small):
@@ -339,8 +339,8 @@ class TestInSamplePass:
                 small_cfg(feature_mode="statistical", sarimax_spec=SarimaxSpec(p=1, s=8))
             ),
             lambda: DecomposedStrategy(small_cfg()),
-            lambda: RawSarimaStrategy(SarimaxSpec(p=2, q=0, P=1, Q=1, s=8)),
-            lambda: RawEtsStrategy(),
+            lambda: RawSarimaStrategy(small_cfg()),
+            lambda: RawEtsStrategy(small_cfg()),
         ],
         ids=["decomposed_statistical", "decomposed_none", "sarima_raw", "ets_raw"],
     )

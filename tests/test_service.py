@@ -340,3 +340,18 @@ class TestHealthz:
                 assert len(loads) == 1
             finally:
                 conn.close()
+
+    def test_a_removed_file_is_not_cached(self, tmp_path):
+        registry = quick_registry(tmp_path, ids=("a", "b"))
+        with running(registry) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            try:
+                assert request(conn, "/equipment/a/forecast")[0] == 200
+                os.remove(registry.entries["a"].dataset)
+                status, doc = request(conn, "/healthz")
+                assert status == 200
+                a, b = doc["equipment"]
+                assert not a["cached"] and a["fit_age_s"] >= 0.0
+                assert not b["cached"] and b["fit_age_s"] is None
+            finally:
+                conn.close()

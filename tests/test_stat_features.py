@@ -6,15 +6,7 @@ import pytest
 from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
-from oeeforecast.stat_features import (
-    CATALOG,
-    approximate_entropy,
-    extract_stat_features,
-    fourier_entropy,
-    permutation_entropy,
-    sample_entropy,
-    window_features,
-)
+from oeeforecast.stat_features import CATALOG, extract_stat_features, window_features
 
 from conftest import STAND_INS, make_oee_series
 from oracles import (
@@ -77,28 +69,31 @@ class TestCatalog:
 
 
 class TestEntropies:
+    """The entropy definitions, on the scalar oracles the catalog columns are
+    tied to bit for bit (TestScalarOracle)."""
+
     def test_monotone_ramp_permutation_zero(self):
-        assert permutation_entropy(np.arange(24.0)) == 0.0
+        assert scalar_permutation_entropy(np.arange(24.0)) == 0.0
 
     def test_constant_permutation_zero(self):
-        assert permutation_entropy(np.ones(24)) == 0.0
+        assert scalar_permutation_entropy(np.ones(24)) == 0.0
 
     def test_iid_uniform_permutation_near_one(self):
         rng = np.random.default_rng(0)
-        h = permutation_entropy(rng.uniform(size=1000))
+        h = scalar_permutation_entropy(rng.uniform(size=1000))
         assert 0.95 <= h <= 1.0
 
     def test_permutation_in_unit_interval_property(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            h = permutation_entropy(rng.normal(size=50))
+            h = scalar_permutation_entropy(rng.normal(size=50))
             assert 0.0 <= h <= 1.0
 
     def test_periodic_sample_entropy_near_zero(self):
         x = np.array([1.0, 2.0] * 50)
         # brute-force template-count oracle for m=2, r=0.5:
         # every m-template recurs identically, so A/B -> ~1 and -ln(A/B) -> ~0
-        h = sample_entropy(x, m=2, r=0.5)
+        h = scalar_sample_entropy(x, m=2, r=0.5)
         assert h == pytest.approx(0.0, abs=0.05)
 
     def test_sample_entropy_matches_bruteforce_count(self):
@@ -115,32 +110,32 @@ class TestEntropies:
             return c // 2
 
         b, a = brute_count(2), brute_count(3)
-        assert sample_entropy(x, 2, r) == pytest.approx(-math.log(a / b))
+        assert scalar_sample_entropy(x, 2, r) == pytest.approx(-math.log(a / b))
 
     def test_constant_window_degenerate_zero(self):
-        assert sample_entropy(np.ones(24)) == 0.0
-        assert approximate_entropy(np.ones(24)) == 0.0
-        assert fourier_entropy(np.ones(24)) == 0.0
+        assert scalar_sample_entropy(np.ones(24)) == 0.0
+        assert scalar_approximate_entropy(np.ones(24)) == 0.0
+        assert scalar_fourier_entropy(np.ones(24)) == 0.0
 
     def test_approximate_entropy_regular_vs_random(self):
         rng = np.random.default_rng(2)
         regular = np.tile([1.0, 2.0], 100)
         random = rng.normal(size=200)
-        assert approximate_entropy(regular) < approximate_entropy(random)
+        assert scalar_approximate_entropy(regular) < scalar_approximate_entropy(random)
 
     def test_entropies_nonnegative_property(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.normal(size=40)
-            assert sample_entropy(x) >= 0.0
-            assert approximate_entropy(x) >= -1e-12
-            assert fourier_entropy(x) >= 0.0
+            assert scalar_sample_entropy(x) >= 0.0
+            assert scalar_approximate_entropy(x) >= -1e-12
+            assert scalar_fourier_entropy(x) >= 0.0
 
     def test_short_window_rejected(self):
         with pytest.raises(ValueError):
-            sample_entropy(np.arange(4.0), m=2)
+            scalar_sample_entropy(np.arange(4.0), m=2)
         with pytest.raises(ValueError):
-            permutation_entropy(np.arange(2.0), order=3)
+            scalar_permutation_entropy(np.arange(2.0), order=3)
 
 
 class TestWindowFeatures:
@@ -255,21 +250,17 @@ class TestScalarOracle:
     def test_one_window_entropies_match_oracle_bit_for_bit(self):
         rng = np.random.default_rng(6)
         inputs = [rng.normal(size=200), np.tile([0.0, 1.0, 1.0], 20), np.full(30, 2.0)]
-        calls = [
-            (sample_entropy, scalar_sample_entropy, {}),
-            (sample_entropy, scalar_sample_entropy, {"m": 3, "r": 0.5}),
-            (approximate_entropy, scalar_approximate_entropy, {}),
-            (approximate_entropy, scalar_approximate_entropy, {"m": 1, "r": 0.3}),
-            (permutation_entropy, scalar_permutation_entropy, {}),
-            (permutation_entropy, scalar_permutation_entropy, {"order": 4, "delay": 2}),
-            (permutation_entropy, scalar_permutation_entropy, {"normalize": False}),
-            (fourier_entropy, scalar_fourier_entropy, {}),
-            (fourier_entropy, scalar_fourier_entropy, {"bins": 7}),
-        ]
+        oracles = {
+            "sample_entropy": scalar_sample_entropy,
+            "approximate_entropy": scalar_approximate_entropy,
+            "permutation_entropy": scalar_permutation_entropy,
+            "fourier_entropy": scalar_fourier_entropy,
+        }
         for x in inputs:
-            for batched, scalar, kw in calls:
-                got, want = batched(x, **kw), scalar(x, **kw)
-                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (batched, kw)
+            fm = extract_stat_features(TimeSeries(x), window=x.size)
+            for column, scalar in oracles.items():
+                want = np.nan_to_num(scalar(x), nan=0.0, posinf=0.0, neginf=0.0)
+                assert fm.column(column)[0].tobytes() == np.float64(want).tobytes(), column
 
 
 class TestFeatureMatrix:
@@ -286,6 +277,13 @@ class TestFeatureMatrix:
         fm = FeatureMatrix(("a", "b"), m, (10, 11))
         assert fm.matrix[0, 1] == 0.0
         assert (10, "b") in fm.imputed
+
+    def test_selection_keeps_only_the_kept_cells_imputed(self):
+        fm = FeatureMatrix(("a", "b"), [[1.0, np.nan], [2.0, 3.0]], (0, 1))
+        assert fm.select_columns(["a"]).imputed == frozenset()
+        assert fm.select_rows([1]).imputed == frozenset()
+        assert fm.select_columns(["b"]).imputed == {(0, "b")}
+        assert fm.select_rows([0]).imputed == {(0, "b")}
 
     def test_select_and_stack(self):
         fm = FeatureMatrix(("a", "b"), np.arange(4.0).reshape(2, 2), (0, 1))
