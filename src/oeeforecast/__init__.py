@@ -37,15 +37,10 @@ from .selection import (
 )
 from .series import (
     SummaryStats,
-    TestResult,
     TimeSeries,
-    acf,
-    kpss_test,
     load_csv,
-    ljung_box,
     mae,
     mape,
-    pacf,
     summary_stats,
 )
 from .sarimax import SarimaxFit, SarimaxSpec, fit, forecast, simulate

@@ -48,30 +48,32 @@ EXIT_CONFIG = 5
 _FLAG_NAMES = {"dataset": "--input", "value_column": "--column", "sarimax_spec": "--spec"}
 
 
-def read_config_file(path) -> dict:
-    """PipelineConfig field values of a ``key = value`` config file."""
-    return {
-        key: coerce_config_value(key, value, f"{where}: {key}")
-        for where, key, value in read_settings(path)
-    }
-
-
 def build_config(args) -> PipelineConfig:
-    """The --config file's values with every flag given on top."""
-    values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    """The --config file's values with every flag given on top.
+
+    A PipelineConfig rejection starts with the field's name, which is
+    replaced by the source that set it (``file:line: key`` or the flag).
+    """
+    values, labels = {}, {}
+    if getattr(args, "config", None):
+        for where, key, value in read_settings(args.config):
+            labels[key] = f"{where}: {key}"
+            values[key] = coerce_config_value(key, value, labels[key])
     for f in fields(PipelineConfig):
         flag = getattr(args, f.name, None)
+        if flag is None:
+            continue
+        labels[f.name] = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
         if isinstance(flag, str):
-            flag_name = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-            flag = coerce_config_value(f.name, flag, flag_name)
-        if flag is not None:
-            values[f.name] = flag
+            flag = coerce_config_value(f.name, flag, labels[f.name])
+        values[f.name] = flag
     if not values.get("dataset"):
         raise ConfigError("no dataset given (use --input or a config file with 'dataset = ...')")
     try:
         return PipelineConfig(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{labels[name]} {rest}" if name in labels else str(exc)) from exc
 
 
 def cmd_stats(args) -> int:
@@ -168,6 +170,11 @@ def cmd_forecast(args) -> int:
 def cmd_benchmark(args) -> int:
     cfg = build_config(args)
     models = tuple(args.models.split(",")) if args.models else BENCHMARK_MODELS
+    unknown = [m for m in models if m not in BENCHMARK_MODELS]
+    if unknown:
+        raise ConfigError(
+            f"--models: unknown model {unknown[0]!r} (valid: {','.join(BENCHMARK_MODELS)})"
+        )
     reports = benchmark(cfg, models=models)
     print(benchmark_table(reports))
     if args.output:

@@ -35,10 +35,6 @@ class DecompositionResult:
     residual: TimeSeries
     periods: tuple[int, ...]
 
-    @property
-    def input_length(self) -> int:
-        return len(self.trend)
-
 
 def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
     """Centered MA with the even-window half-weight convention.

@@ -88,8 +88,13 @@ class ConfigError(ValueError):
 def read_settings(path):
     """Yield ``(file:line, key, value)`` for each ``key = value`` line of a
     settings file, the format of both config files and the service registry.
-    Blank lines and lines starting with ``#`` are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
+    Blank lines and lines starting with ``#`` are skipped. A file that
+    cannot be opened is a ConfigError naming it."""
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot open: {exc.strerror or exc}") from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -1,4 +1,4 @@
-"""Hourly time-series container, CSV ingestion, diagnostics and error metrics.
+"""Hourly time-series container, CSV ingestion, summary statistics and error metrics.
 
 Everything downstream (decomposition, feature extraction, model fitting)
 consumes the :class:`TimeSeries` defined here. Series are immutable value
@@ -18,18 +18,6 @@ import numpy as np
 from scipy import stats as sps
 
 HOUR = timedelta(hours=1)
-
-# Upper-tail KPSS critical values (statistic above the value => reject at
-# that level). Standard tabulation, level and trend regressions.
-_KPSS_CRIT = {
-    "level": {0.10: 0.347, 0.05: 0.463, 0.025: 0.574, 0.01: 0.739},
-    "trend": {0.10: 0.119, 0.05: 0.146, 0.025: 0.176, 0.01: 0.216},
-}
-
-BRACKET_LT_01 = "<0.01"
-BRACKET_01_05 = "0.01-0.05"
-BRACKET_05_10 = "0.05-0.10"
-BRACKET_GT_10 = ">0.10"
 
 
 class CsvError(ValueError):
@@ -87,13 +75,6 @@ class SummaryStats:
     kurtosis: float
     # True when skewness/kurtosis are undefined (zero variance); they are NaN then.
     moments_degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class TestResult:
-    statistic: float
-    p_value_bracket: str
-    reject_at_5pct: bool
 
 
 def load_csv(
@@ -209,104 +190,6 @@ def summary_stats(ts: TimeSeries) -> SummaryStats:
     )
 
 
-def _bracket_from_stat(stat: float, crit: dict[float, float]) -> tuple[str, bool]:
-    if stat > crit[0.01]:
-        return BRACKET_LT_01, True
-    if stat > crit[0.05]:
-        return BRACKET_01_05, True
-    if stat > crit[0.10]:
-        return BRACKET_05_10, False
-    return BRACKET_GT_10, False
-
-
-def kpss_test(ts: TimeSeries, regression: str = "level", lags: int | str = "auto") -> TestResult:
-    """KPSS stationarity test (null: stationary around a level or trend).
-
-    Long-run variance uses the Bartlett kernel; the automatic bandwidth is
-    floor(12 * (n/100)^0.25). The p-value is bracketed from the standard
-    critical-value table, which is all the downstream decision needs.
-    """
-    x = ts.values.astype(float)
-    n = x.size
-    if n < 20:
-        raise ValueError("kpss_test needs length >= 20")
-    if regression not in _KPSS_CRIT:
-        raise ValueError(f"regression must be 'level' or 'trend', got {regression!r}")
-    if np.ptp(x) == 0.0:
-        raise ValueError("kpss_test undefined for a zero-variance series")
-
-    if regression == "level":
-        resid = x - x.mean()
-    else:
-        t = np.arange(n, dtype=float)
-        beta = np.polyfit(t, x, 1)
-        resid = x - np.polyval(beta, t)
-
-    if lags == "auto":
-        lags = int(math.floor(12.0 * (n / 100.0) ** 0.25))
-    lags = int(lags)
-    if lags < 0 or lags >= n:
-        raise ValueError(f"lags must be in [0, n), got {lags}")
-
-    s_cumsum = np.cumsum(resid)
-    eta = float(np.sum(s_cumsum**2)) / (n * n)
-
-    lrv = float(np.sum(resid * resid)) / n
-    for j in range(1, lags + 1):
-        gamma_j = float(np.sum(resid[j:] * resid[:-j])) / n
-        lrv += 2.0 * (1.0 - j / (lags + 1.0)) * gamma_j
-
-    stat = eta / lrv
-    bracket, reject = _bracket_from_stat(stat, _KPSS_CRIT[regression])
-    return TestResult(statistic=stat, p_value_bracket=bracket, reject_at_5pct=reject)
-
-
-def acf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Biased (divide-by-n) autocorrelation for lags 0..max_lag."""
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if max_lag >= n / 2:
-        raise ValueError(f"max_lag {max_lag} must be < length/2 = {n / 2}")
-    xc = x - x.mean()
-    c0 = float(np.dot(xc, xc)) / n
-    if c0 == 0.0:
-        raise ValueError("acf undefined for a zero-variance series")
-    out = np.empty(max_lag + 1)
-    out[0] = 1.0
-    for k in range(1, max_lag + 1):
-        out[k] = (float(np.dot(xc[k:], xc[:-k])) / n) / c0
-    return out
-
-
-def pacf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Partial autocorrelation via the Durbin-Levinson recursion; index 0 is 1."""
-    rho = acf_values(x, max_lag)
-    pacf = np.empty(max_lag + 1)
-    pacf[0] = 1.0
-    if max_lag == 0:
-        return pacf
-    phi_prev = np.array([rho[1]])
-    pacf[1] = rho[1]
-    for k in range(2, max_lag + 1):
-        num = rho[k] - float(np.dot(phi_prev, rho[k - 1 : 0 : -1]))
-        den = 1.0 - float(np.dot(phi_prev, rho[1:k]))
-        phi_kk = num / den if den != 0.0 else 0.0
-        phi = np.empty(k)
-        phi[:-1] = phi_prev - phi_kk * phi_prev[::-1]
-        phi[-1] = phi_kk
-        pacf[k] = phi_kk
-        phi_prev = phi
-    return pacf
-
-
-def acf(ts: TimeSeries, max_lag: int) -> np.ndarray:
-    return acf_values(ts.values, max_lag)
-
-
-def pacf(ts: TimeSeries, max_lag: int) -> np.ndarray:
-    return pacf_values(ts.values, max_lag)
-
-
 def mae(actual, predicted) -> float:
     a = np.asarray(actual, dtype=float)
     p = np.asarray(predicted, dtype=float)
@@ -324,22 +207,3 @@ def mape(actual, predicted) -> float:
     if np.any(a == 0.0):
         raise ValueError("mape undefined: actual contains zero")
     return float(np.mean(np.abs(a - p) / np.abs(a)))
-
-
-def ljung_box(residuals, lags: int, fit_df: int = 0) -> TestResult:
-    """Ljung-Box whiteness test on residuals; df adjusted by fitted parameters."""
-    x = np.asarray(residuals, dtype=float)
-    n = x.size
-    r = acf_values(x, lags)
-    q = n * (n + 2.0) * float(np.sum(r[1:] ** 2 / (n - np.arange(1, lags + 1))))
-    df = max(1, lags - fit_df)
-    p = float(sps.chi2.sf(q, df))
-    if p < 0.01:
-        bracket = BRACKET_LT_01
-    elif p < 0.05:
-        bracket = BRACKET_01_05
-    elif p < 0.10:
-        bracket = BRACKET_05_10
-    else:
-        bracket = BRACKET_GT_10
-    return TestResult(statistic=q, p_value_bracket=bracket, reject_at_5pct=p < 0.05)

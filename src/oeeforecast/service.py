@@ -17,6 +17,7 @@ Endpoints (JSON bodies, frozen field names):
 
 Unknown ids give 404, malformed horizons 400, pipeline failures 500 with a
 diagnostic id. Responses are cached per (id, file modification stamp); the
+listing reads a file only when its stamp differs from the cached one. The
 registered files are only ever opened for reading.
 
 Each request writes one line to stderr once its answer has been sent:
@@ -143,6 +144,15 @@ class _EquipmentCache:
             self._cached[eid] = hit
             return hit
 
+    def series(self, eid: str):
+        """The id's series: the cached one while the file's stamp matches,
+        otherwise read from the file (without a rebuild)."""
+        cfg = self.registry.entries[eid]
+        hit = self._cached.get(eid)
+        if hit is not None and hit["mtime"] == os.stat(cfg.dataset).st_mtime_ns:
+            return hit["series"]
+        return load_csv(cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column)
+
     def forecast(self, eid: str, horizon: int):
         hit = self.entry(eid)
         with self._locks[eid]:
@@ -224,13 +234,10 @@ class _Handler(BaseHTTPRequestHandler):
         parts = [p for p in url.path.split("/") if p]
         try:
             if parts == ["equipment"]:
-                listing = []
-                for eid in cache.ids():
-                    cfg = cache.registry.entries[eid]
-                    series = load_csv(
-                        cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column
-                    )
-                    listing.append({"id": eid, "last_timestamp": series.end.isoformat()})
+                listing = [
+                    {"id": eid, "last_timestamp": cache.series(eid).end.isoformat()}
+                    for eid in cache.ids()
+                ]
                 self._send(200, {"equipment": listing})
                 return
 

@@ -233,8 +233,9 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _autocorrelation(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
-    """series.acf_values / pacf_values (Durbin-Levinson) at lags
-    1..N_ACF_LAGS of every window at once; NaN where var == 0."""
+    """The biased ACF and the Durbin-Levinson PACF (the oracle's
+    acf_values / pacf_values in tests/oracles.py) at lags 1..N_ACF_LAGS of
+    every window at once; NaN where var == 0."""
     n_win, n = X.shape
     xc = X - X.mean(axis=1, keepdims=True)
     c0 = _rowdot(xc, xc) / n

@@ -1,13 +1,10 @@
 """Phase-space reconstruction of scalar windows by delayed coordinates.
 
-The production pipeline pins delay=8 and dimension=3; the mutual-information
-and false-nearest-neighbour estimators are provided as diagnostics for
-checking those choices against a particular series.
+The pipeline uses the paper's fixed embedding, delay 8 and dimension 3
+(TdaParams), so no delay or dimension is estimated from the data.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -28,96 +25,3 @@ def takens_embed(window_values, delay: int, dim: int) -> PointCloud:
     for j in range(dim):
         pts[:, j] = x[j * delay : j * delay + count]
     return PointCloud(pts)
-
-
-def _mutual_information(x: np.ndarray, delay: int, bins: int) -> float:
-    a = x[:-delay]
-    b = x[delay:]
-    lo, hi = x.min(), x.max()
-    joint, _, _ = np.histogram2d(a, b, bins=bins, range=[[lo, hi], [lo, hi]])
-    total = joint.sum()
-    pj = joint / total
-    pa = pj.sum(axis=1)
-    pb = pj.sum(axis=0)
-    mask = pj > 0
-    denom = np.outer(pa, pb)
-    return float(np.sum(pj[mask] * np.log(pj[mask] / denom[mask])))
-
-
-def estimate_delay(x, max_delay: int) -> int:
-    """First local minimum of binned mutual information over delays 1..max_delay.
-
-    A flat MI profile (iid noise) resolves to the smallest delay; if MI never
-    turns, falls back to the first autocorrelation zero crossing, and finally
-    to max_delay.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    if n < 4 * max_delay:
-        raise ValueError(f"need length >= 4 * max_delay, got {n} < {4 * max_delay}")
-    if np.ptp(x) == 0.0:
-        raise ValueError("delay estimation undefined for a constant series")
-
-    # coarse bins: fine grids resolve deterministic curves perfectly and
-    # flatten the MI profile, hiding the quarter-period minimum
-    bins = 8 if n >= 80 else 4
-    mi = np.array([_mutual_information(x, d, bins) for d in range(1, max_delay + 1)])
-
-    # independence floor: MI of shuffled copies bounds the estimator's bias;
-    # once the profile is down there it is minimal/flat, tie-break smallest
-    rng = np.random.default_rng(1234)
-    floor = 1.1 * max(
-        _mutual_information(rng.permutation(x), 1, bins) for _ in range(8)
-    )
-    for d in range(1, max_delay + 1):
-        if mi[d - 1] <= floor:
-            return d
-
-    tol = 0.05 * (mi.max() - mi.min())
-    for d in range(1, max_delay):
-        if mi[d - 1] <= mi[d] + tol:
-            return d
-
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    for d in range(1, max_delay + 1):
-        if np.dot(xc[d:], xc[:-d]) / denom <= 0.0:
-            return d
-    return max_delay
-
-
-def estimate_dim_fnn(x, delay: int, max_dim: int, rtol: float = 10.0, atol: float = 2.0) -> int:
-    """Smallest embedding dimension with a false-nearest-neighbour share < 5%.
-
-    Both Kennel criteria: a neighbour is false when the next delayed
-    coordinate blows up relative to the current distance (rtol) or when the
-    lifted distance is large relative to the data spread (atol); the second
-    test is what keeps pure noise from ever saturating. The ratio
-    denominator is floored so exact repeats (periodic data) don't divide
-    by rounding error.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size < max_dim * delay + 1:
-        raise ValueError(f"length {x.size} too short for max_dim={max_dim}, delay={delay}")
-    sig = float(np.std(x))
-    eps = 1e-8 * max(sig, 1e-12)
-
-    for m in range(1, max_dim + 1):
-        pts = takens_embed(x, delay, m).points
-        count = x.size - m * delay  # points whose next-coordinate exists
-        if count < 2:
-            break
-        pts = pts[:count]
-        false_n = 0
-        for i in range(count):
-            d = np.sqrt(np.sum((pts - pts[i]) ** 2, axis=1))
-            d[i] = np.inf
-            j = int(np.argmin(d))
-            extra = abs(x[i + m * delay] - x[j + m * delay])
-            if extra > rtol * max(d[j], eps):
-                false_n += 1
-            elif sig > 0 and math.hypot(d[j], extra) > atol * sig:
-                false_n += 1
-        if false_n / count < 0.05:
-            return m
-    return max_dim

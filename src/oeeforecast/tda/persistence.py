@@ -185,15 +185,3 @@ def vr_persistence(cloud: PointCloud, max_hom_dim: int = 1) -> PersistenceDiagra
         dims=np.asarray(dims, dtype=int)[order] if dims else np.array([], dtype=int),
         max_filtration=max_filtration,
     )
-
-
-def scale_diagram(d: PersistenceDiagram, scale: float) -> PersistenceDiagram:
-    """Divide births, deaths, and the filtration cap by a positive scale."""
-    if scale <= 0.0:
-        raise ValueError("scale must be > 0")
-    return PersistenceDiagram(
-        births=d.births / scale,
-        deaths=d.deaths / scale,
-        dims=d.dims,
-        max_filtration=d.max_filtration / scale,
-    )

@@ -6,10 +6,14 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 from oeeforecast.series import TimeSeries
+from oracles import acf_values
 
 
 def make_oee_series(n: int, seed: int, name: str = "synthetic") -> TimeSeries:
@@ -33,6 +37,37 @@ def make_oee_series(n: int, seed: int, name: str = "synthetic") -> TimeSeries:
     y = level + shift + daily + weekly + noise
     y[stops] = 1.0
     return TimeSeries(np.clip(y, 1.0, 60.0), name=name)
+
+
+def kpss_level_statistic(x) -> float:
+    """KPSS statistic of the level regression (null: stationary around a
+    level). The long-run variance uses the Bartlett kernel at the automatic
+    bandwidth floor(12 * (n/100)^0.25)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    resid = x - x.mean()
+    lags = int(math.floor(12.0 * (n / 100.0) ** 0.25))
+    eta = float(np.sum(np.cumsum(resid) ** 2)) / (n * n)
+    lrv = float(np.sum(resid * resid)) / n
+    for j in range(1, lags + 1):
+        gamma_j = float(np.sum(resid[j:] * resid[:-j])) / n
+        lrv += 2.0 * (1.0 - j / (lags + 1.0)) * gamma_j
+    return eta / lrv
+
+
+def kpss_rejects_level(x) -> bool:
+    """Whether KPSS rejects level stationarity at 5% (critical value 0.463)."""
+    return kpss_level_statistic(x) > 0.463
+
+
+def ljung_box_rejects(residuals, lags: int, fit_df: int = 0) -> bool:
+    """Whether Ljung-Box rejects whiteness at 5%, with the chi-square degrees
+    of freedom reduced by the number of fitted ARMA parameters."""
+    x = np.asarray(residuals, dtype=float)
+    n = x.size
+    r = acf_values(x, lags)
+    q = n * (n + 2.0) * float(np.sum(r[1:] ** 2 / (n - np.arange(1, lags + 1))))
+    return float(sps.chi2.sf(q, max(1, lags - fit_df))) < 0.05
 
 
 # (length, recipe seed) of the gh2/h2/gm2 stand-ins of the acceptance suite

@@ -9,13 +9,16 @@ H1 drops zero-lifetime pairs.
 
 The statistical oracles are the catalog's first, per-window implementation:
 one window at a time, scalar numpy and scipy calls, entropies from Python
-loops over templates and patterns. The diagram-scale oracle computes every
-window's persistence diagram and takes the largest death.
+loops over templates and patterns, and the ACF/PACF of acf_values and
+pacf_values (moved here unchanged from oeeforecast.series, which no longer
+has them). The diagram-scale oracle computes every window's persistence
+diagram and takes the largest death.
 
 The topological oracles are the catalog's first, per-window path: one
 delay embedding and one vr_persistence diagram per window, then each
 vectorizer called once per diagram, with the vectorizers' first scalar
-bodies.
+bodies and scale_diagram (moved here unchanged from
+oeeforecast.tda.persistence, which no longer has it).
 
 The forecast oracle is the decomposed strategy's first recursion, which
 rebuilt every post-refit row from its own single window at every step.
@@ -38,7 +41,7 @@ from scipy.signal import lfilter
 from oeeforecast import pipeline, sarimax
 from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.forecasters import ets_forecast, ets_update, seasonal_naive_forecast
-from oeeforecast.series import TimeSeries, acf_values, pacf_values
+from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import (
     CATALOG,
     CHANGE_QUANTILE_BANDS,
@@ -48,7 +51,7 @@ from oeeforecast.stat_features import (
 )
 from oeeforecast.tda.embedding import takens_embed
 from oeeforecast.tda.extract import T_RANGE, TdaParams, extract_tda_features, tda_catalog
-from oeeforecast.tda.persistence import scale_diagram, vr_persistence
+from oeeforecast.tda.persistence import PersistenceDiagram, vr_persistence
 from oeeforecast.tda.vectorize import LIFETIME_STAT_NAMES
 
 
@@ -297,6 +300,44 @@ def _change_quantiles(x: np.ndarray, lo_q: float, hi_q: float) -> float:
     return float(np.mean(np.abs(np.diff(x)[keep])))
 
 
+def acf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased (divide-by-n) autocorrelation for lags 0..max_lag."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if max_lag >= n / 2:
+        raise ValueError(f"max_lag {max_lag} must be < length/2 = {n / 2}")
+    xc = x - x.mean()
+    c0 = float(np.dot(xc, xc)) / n
+    if c0 == 0.0:
+        raise ValueError("acf undefined for a zero-variance series")
+    out = np.empty(max_lag + 1)
+    out[0] = 1.0
+    for k in range(1, max_lag + 1):
+        out[k] = (float(np.dot(xc[k:], xc[:-k])) / n) / c0
+    return out
+
+
+def pacf_values(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Partial autocorrelation via the Durbin-Levinson recursion; index 0 is 1."""
+    rho = acf_values(x, max_lag)
+    pacf = np.empty(max_lag + 1)
+    pacf[0] = 1.0
+    if max_lag == 0:
+        return pacf
+    phi_prev = np.array([rho[1]])
+    pacf[1] = rho[1]
+    for k in range(2, max_lag + 1):
+        num = rho[k] - float(np.dot(phi_prev, rho[k - 1 : 0 : -1]))
+        den = 1.0 - float(np.dot(phi_prev, rho[1:k]))
+        phi_kk = num / den if den != 0.0 else 0.0
+        phi = np.empty(k)
+        phi[:-1] = phi_prev - phi_kk * phi_prev[::-1]
+        phi[-1] = phi_kk
+        pacf[k] = phi_kk
+        phi_prev = phi
+    return pacf
+
+
 def scalar_window_features(x: np.ndarray) -> np.ndarray:
     """All catalog features for one window, ordered as CATALOG."""
     x = np.asarray(x, dtype=float)
@@ -479,6 +520,18 @@ def scalar_vectorize(diagram, params: TdaParams) -> np.ndarray:
         stats = scalar_lifetime_stats(diagram, h)
         row += [stats[s] for s in LIFETIME_STAT_NAMES]
     return np.asarray(row, dtype=float)
+
+
+def scale_diagram(d: PersistenceDiagram, scale: float) -> PersistenceDiagram:
+    """Divide births, deaths, and the filtration cap by a positive scale."""
+    if scale <= 0.0:
+        raise ValueError("scale must be > 0")
+    return PersistenceDiagram(
+        births=d.births / scale,
+        deaths=d.deaths / scale,
+        dims=d.dims,
+        max_filtration=d.max_filtration / scale,
+    )
 
 
 def scalar_extract_tda_features(ts: TimeSeries, params: TdaParams | None = None, scale=None):

@@ -11,7 +11,6 @@ from oeeforecast.cli import (
     build_config,
     cli_run,
     coerce_config_value,
-    read_config_file,
 )
 from oeeforecast import service
 from oeeforecast.pipeline import DecomposedStrategy, load_series
@@ -60,9 +59,9 @@ class TestConfigParsing:
             coerce_config_value("nope", "1")
 
     def test_file_round_trip(self, config_file):
-        vals = read_config_file(config_file)
-        assert vals["periods"] == (8, 24)
-        assert vals["sarimax_spec"].p == 2
+        cfg = build_config(argparse.Namespace(config=str(config_file)))
+        assert cfg.periods == (8, 24)
+        assert cfg.sarimax_spec.p == 2
 
     def test_flag_overrides_file(self, config_file, dataset_csv):
         args = argparse.Namespace(config=str(config_file), horizon=6, sarimax_spec=None)
@@ -105,9 +104,17 @@ class TestCommands:
             ("serve --registry", "a.dataset = {data}.gone\n", [], "{file}:1: a.dataset"),
             ("serve --registry", "a.dataset = {data}\na.horizon = 0\n", [], "{file}:2: a.horizon"),
             ("serve --registry", "a.dataset = {data}\na.window = abc\n", [], "{file}:2: a.window"),
+            ("stats --config", "dataset = {data}\nfeature_mode = topological  # comment\n", [],
+             "{file}:2: feature_mode"),
+            ("stats --config", "dataset = {data}\nfeature_mode = topological\n", ["--window", "10"],
+             "--window"),
+            ("stats --config", None, [], "{file}: cannot open"),
+            ("serve --registry", None, [], "{file}: cannot open"),
+            ("benchmark --models nope --config", "dataset = {data}\n", [], "--models: unknown model"),
         ],
         ids=["file_value", "file_clamp", "flag_periods", "flag_spec", "registry_line",
-             "registry_no_dataset", "registry_no_file", "registry_rejected", "registry_value"],
+             "registry_no_dataset", "registry_no_file", "registry_rejected", "registry_value",
+             "file_rejected", "flag_rejected", "config_absent", "registry_absent", "flag_models"],
     )
     def test_config_errors_exit_5_naming_their_source(
         self, dataset_csv, tmp_path, monkeypatch, capsys, command, text, flags, where
@@ -117,7 +124,8 @@ class TestCommands:
 
         monkeypatch.setattr(service, "serve", refuse)
         path = tmp_path / "settings.conf"
-        path.write_text(text.format(data=dataset_csv))
+        if text is not None:  # None: the file does not exist
+            path.write_text(text.format(data=dataset_csv))
         rc = cli_run(command.split() + [str(path)] + flags)
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG, err

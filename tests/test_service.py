@@ -10,6 +10,7 @@ import threading
 import time
 import urllib.request
 import urllib.error
+from datetime import datetime, timedelta
 
 import pytest
 
@@ -95,6 +96,28 @@ def running(registry):
         assert not thread.is_alive()
 
 
+@pytest.fixture
+def csv_loads(monkeypatch):
+    """The paths the service passes to load_csv, in call order."""
+    loads = []
+    load_csv = service.load_csv
+
+    def counted(*args, **kwargs):
+        loads.append(args[0])
+        return load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(service, "load_csv", counted)
+    return loads
+
+
+def append_row(path):
+    """Append one row and move the file's stamp a second ahead."""
+    with open(path, "a") as fh:
+        fh.write("30.0\n")
+    stamp = os.stat(path).st_mtime_ns + 10**9
+    os.utime(path, ns=(stamp, stamp))
+
+
 def get_error(url):
     try:
         with urllib.request.urlopen(url, timeout=120) as resp:
@@ -133,6 +156,29 @@ class TestEndpoints:
         assert ids == sorted(files)
         for entry in doc["equipment"]:
             assert "last_timestamp" in entry
+
+    def test_listing_reads_a_file_only_when_its_stamp_changed(self, tmp_path, csv_loads):
+        registry = quick_registry(tmp_path, ids=("a", "b"))
+        with running(registry) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            try:
+                for eid in ("a", "b"):
+                    assert request(conn, f"/equipment/{eid}/forecast")[0] == 200
+                csv_loads.clear()
+                status, doc = request(conn, "/equipment")
+                assert status == 200 and csv_loads == []
+                before = {e["id"]: e["last_timestamp"] for e in doc["equipment"]}
+
+                dataset = registry.entries["a"].dataset
+                append_row(dataset)
+                _, doc = request(conn, "/equipment")
+                after = {e["id"]: e["last_timestamp"] for e in doc["equipment"]}
+                assert csv_loads == [dataset]
+                assert after["b"] == before["b"]
+                hour_later = datetime.fromisoformat(before["a"]) + timedelta(hours=1)
+                assert datetime.fromisoformat(after["a"]) == hour_later
+            finally:
+                conn.close()
 
     def test_forecast_contract(self, served):
         base, _ = served
@@ -296,15 +342,7 @@ class TestRequestLog:
 
 
 class TestHealthz:
-    def test_reports_fits_without_loading_or_rebuilding(self, tmp_path, monkeypatch):
-        loads = []
-        load_csv = service.load_csv
-
-        def counted(*args, **kwargs):
-            loads.append(args[0])
-            return load_csv(*args, **kwargs)
-
-        monkeypatch.setattr(service, "load_csv", counted)
+    def test_reports_fits_without_loading_or_rebuilding(self, tmp_path, csv_loads):
         registry = quick_registry(tmp_path, ids=("a", "b"))
         with running(registry) as port:
             conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
@@ -315,10 +353,10 @@ class TestHealthz:
                 for e in doc["equipment"]:
                     assert e == {"id": e["id"], "cached": False, "fit_age_s": None,
                                  "rebuild_s": None, "refit_failures": None}
-                assert loads == []
+                assert csv_loads == []
 
                 assert request(conn, "/equipment/a/forecast")[0] == 200
-                assert len(loads) == 1
+                assert len(csv_loads) == 1
                 _, doc = request(conn, "/healthz")
                 a, b = doc["equipment"]
                 assert a["cached"] and not b["cached"]
@@ -329,15 +367,11 @@ class TestHealthz:
                 assert b["fit_age_s"] is None
 
                 # new data: the fit is kept, but the next answer will rebuild
-                dataset = registry.entries["a"].dataset
-                with open(dataset, "a") as fh:
-                    fh.write("30.0\n")
-                stamp = os.stat(dataset).st_mtime_ns + 10**9
-                os.utime(dataset, ns=(stamp, stamp))
+                append_row(registry.entries["a"].dataset)
                 _, doc = request(conn, "/healthz")
                 assert not doc["equipment"][0]["cached"]
                 assert doc["equipment"][0]["fit_age_s"] >= a["fit_age_s"]
-                assert len(loads) == 1
+                assert len(csv_loads) == 1
             finally:
                 conn.close()
 

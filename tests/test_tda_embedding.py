@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oeeforecast.tda.embedding import estimate_delay, estimate_dim_fnn, takens_embed
+from oeeforecast.tda.embedding import takens_embed
 
 
 class TestTakens:
@@ -25,44 +25,3 @@ class TestTakens:
         with pytest.raises(ValueError):
             takens_embed(np.arange(10.0), delay=8, dim=3)
 
-
-class TestDelayEstimation:
-    def test_sine_quarter_period(self):
-        t = np.arange(200)
-        x = np.sin(2 * np.pi * t / 20.0)
-        d = estimate_delay(x, max_delay=10)
-        assert 4 <= d <= 6  # quarter period of 20 is 5
-
-    def test_white_noise_smallest_delay(self):
-        rng = np.random.default_rng(0)
-        assert estimate_delay(rng.normal(size=400), max_delay=10) == 1
-
-    def test_constant_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_delay(np.ones(100), max_delay=10)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_delay(np.arange(20.0), max_delay=10)
-
-
-class TestDimEstimation:
-    def test_noiseless_sine_plane(self):
-        # incommensurate frequency so hourly sampling never repeats a phase
-        # exactly; the limit cycle then needs the plane
-        t = np.arange(400)
-        x = np.sin(0.37 * t)
-        assert estimate_dim_fnn(x, delay=4, max_dim=6) == 2
-
-    def test_iid_noise_hits_cap(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=400)
-        assert estimate_dim_fnn(x, delay=1, max_dim=5) == 5
-
-    def test_line_is_one_dimensional(self):
-        x = np.arange(200.0)
-        assert estimate_dim_fnn(x, delay=1, max_dim=5) == 1
-
-    def test_insufficient_length(self):
-        with pytest.raises(ValueError):
-            estimate_dim_fnn(np.arange(10.0), delay=4, max_dim=5)

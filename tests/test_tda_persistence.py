@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oeeforecast.tda.persistence import (
-    PersistenceDiagram,
-    PointCloud,
-    scale_diagram,
-    vr_persistence,
-)
+from oeeforecast.tda.persistence import PersistenceDiagram, PointCloud, vr_persistence
 
-from oracles import bruteforce_rips_diagram, diagrams_equal, prim_mst_weights
+from oracles import bruteforce_rips_diagram, diagrams_equal, prim_mst_weights, scale_diagram
 
 
 def h_pairs(diagram, dim):

@@ -54,7 +54,7 @@ class TestPersistenceEntropy:
         assert persistence_entropy(diagram([(1.0, 1.0)]), 1) == 0.0
 
     def test_scale_invariance(self):
-        from oeeforecast.tda.persistence import scale_diagram
+        from oracles import scale_diagram
 
         d = diagram([(0.0, 1.0), (0.5, 3.0), (1.0, 1.5)])
         assert persistence_entropy(scale_diagram(d, 7.5), 1) == pytest.approx(
