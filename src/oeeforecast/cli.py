@@ -21,6 +21,8 @@ from . import sarimax
 from .decompose import components_to_csv, decompose
 from .pipeline import (
     BENCHMARK_MODELS,
+    FEATURE_MODES,
+    SELECTION_MODES,
     ConfigError,
     DecomposedStrategy,
     PipelineConfig,
@@ -225,13 +227,13 @@ def _add_io_flags(p, output=False):
         "--mode",
         dest="feature_mode",
         default=None,
-        choices=["none", "statistical", "topological", "both"],
+        choices=FEATURE_MODES,
     )
     p.add_argument(
         "--selection-mode",
         dest="selection_mode",
         default=None,
-        choices=["none", "rfe", "rfe+pso"],
+        choices=SELECTION_MODES,
     )
     p.add_argument(
         "--spec", dest="sarimax_spec", default=None, help="SARIMAX orders p,d,q,P,D,Q,s"

@@ -26,6 +26,7 @@ import numpy as np
 from .series import TimeSeries
 
 DEFAULT_PERIODS = (8, 24, 168)
+PASSES = 2
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
     return means - means.mean()
 
 
-def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS, passes: int = 2) -> DecompositionResult:
+def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
     """Split a series into trend, one seasonal per period, and residual.
 
     Periods must be strictly increasing and nested (each divides the next);
@@ -96,8 +97,6 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS, passes: int = 2) -> Decom
     n = len(ts)
     if n < 2 * periods[-1]:
         raise ValueError(f"series length {n} < 2 x max period {periods[-1]}")
-    if passes < 1:
-        raise ValueError("passes must be >= 1")
 
     x = ts.values.astype(float)
     idx = np.arange(n)
@@ -105,7 +104,7 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS, passes: int = 2) -> Decom
 
     # work = input minus all current seasonal estimates
     work = x.copy()
-    for _ in range(passes):
+    for _ in range(PASSES):
         for p in periods:
             with_p = work + seasonal[p]
             trend_p = centered_moving_average(with_p, p)

@@ -44,7 +44,8 @@ from .selection import (
 from .series import TimeSeries, load_csv, mae, mape
 # window_features is not called here; perfbench/tracing.py patches it by this name
 from .stat_features import MIN_WINDOW, extract_stat_features, window_features
-from .tda.extract import TdaParams, extract_tda_features, fit_diagram_scale, tda_catalog
+from .tda.extract import CATALOG as TDA_CATALOG
+from .tda.extract import TdaParams, extract_tda_features, fit_diagram_scale
 
 FEATURE_MODES = ("none", "statistical", "topological", "both")
 SELECTION_MODES = ("none", "rfe", "rfe+pso")
@@ -125,9 +126,6 @@ def coerce_config_value(key: str, value: str, label: str | None = None):
             return int(value)
         if key == "test_fraction":
             return float(value)
-        if key == "clamp":
-            lo, hi = value.split(",")
-            return (float(lo), float(hi))
         if key == "sarimax_spec":
             parts = [int(v) for v in value.split(",")]
             if len(parts) != 7:
@@ -156,7 +154,6 @@ class PipelineConfig:
     refit_interval: int = 24
     seed: int = 0
     pso: PsoConfig = field(default_factory=PsoConfig)  # its seed is replaced by `seed`
-    clamp: tuple[float, float] = (OEE_MIN, OEE_MAX)
 
     def __post_init__(self):
         if not (0.0 < self.test_fraction < 0.5):
@@ -192,12 +189,8 @@ def build_features(
     if mode in ("statistical", "both"):
         parts.append(extract_stat_features(residual, cfg.window))
     if mode in ("topological", "both"):
-        params = TdaParams(window=cfg.window)
-        tda_columns = None
-        if columns is not None:
-            catalog = set(tda_catalog(params))
-            tda_columns = [c for c in columns if c in catalog]
-        parts.append(extract_tda_features(residual, params, scale=scale, columns=tda_columns))
+        tda_columns = None if columns is None else [c for c in columns if c in TDA_CATALOG]
+        parts.append(extract_tda_features(residual, TdaParams(window=cfg.window), scale, tda_columns))
     fm = parts[0]
     for extra in parts[1:]:
         fm = fm.hstack(extra)
@@ -273,11 +266,11 @@ class SeasonalNaiveStrategy:
 
     def forecast(self, past: TimeSeries, horizon: int):
         fc = seasonal_naive_forecast(past, self.period, horizon)
-        return np.clip(fc.values, *self.cfg.clamp)
+        return np.clip(fc.values, OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
         y = train.values
-        preds = np.clip(y[: -self.period], *self.cfg.clamp)
+        preds = np.clip(y[: -self.period], OEE_MIN, OEE_MAX)
         return self.period, preds
 
 
@@ -295,12 +288,12 @@ class RawEtsStrategy:
 
     def forecast(self, past: TimeSeries, horizon: int):
         state = ets_update(self._fit, past)
-        return np.clip(ets_forecast(state, horizon).values, *self.cfg.clamp)
+        return np.clip(ets_forecast(state, horizon).values, OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the fit of refit(train), which
         the harness calls just before on the same span."""
-        return 0, np.clip(ets_one_step(self._fit, train), *self.cfg.clamp)
+        return 0, np.clip(ets_one_step(self._fit, train), OEE_MIN, OEE_MAX)
 
 
 class RawSarimaStrategy:
@@ -317,14 +310,14 @@ class RawSarimaStrategy:
 
     def forecast(self, past: TimeSeries, horizon: int):
         state = sarimax.apply_params(self._fit, past)
-        return np.clip(sarimax.forecast(state, horizon).values, *self.cfg.clamp)
+        return np.clip(sarimax.forecast(state, horizon).values, OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the fit of refit(train), which
         the harness calls just before on the same span."""
         burn = self._fit.spec.burn_in
         preds = train.values[burn:] - self._fit.residuals
-        return burn, np.clip(preds, *self.cfg.clamp)
+        return burn, np.clip(preds, OEE_MIN, OEE_MAX)
 
 
 class DecomposedStrategy:
@@ -444,7 +437,7 @@ class DecomposedStrategy:
                     row = self._selected_rows(r[-cfg.window :])
 
         total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
-        return np.clip(total, *cfg.clamp)
+        return np.clip(total, OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the last refit's fit and state.
@@ -456,7 +449,7 @@ class DecomposedStrategy:
         state = sarimax.apply_params(fit, TimeSeries(self._state_y), exog=self._state_x)
         start = fit.spec.burn_in + (0 if self.cfg.feature_mode == "none" else self.cfg.window)
         preds = train.values[start : start + state.residuals.size] - state.residuals
-        return start, np.clip(preds, *self.cfg.clamp)
+        return start, np.clip(preds, OEE_MIN, OEE_MAX)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ MAX_ORDER = 8
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 5000  # Nelder-Mead iterations per start
 _FATOL = 1e-8  # Nelder-Mead objective tolerance
+_SIMULATE_BURN_IN = 200  # simulate's leading draws, discarded to forget the zero start
 
 
 class CollinearityError(ValueError):
@@ -578,7 +579,6 @@ def simulate(
     intercept: float = 0.0,
     sigma2: float = 1.0,
     exog=None,
-    burn_in: int = 200,
     name: str = "simulated",
 ) -> TimeSeries:
     """Draw a series from the model; deterministic for a fixed seed."""
@@ -594,8 +594,8 @@ def simulate(
         raise ValueError("sigma2 must be > 0")
 
     rng = np.random.default_rng(seed)
-    eps = rng.normal(0.0, math.sqrt(sigma2), size=n + burn_in)
-    u = lfilter(ma_full, ar_full, eps)[burn_in:]
+    eps = rng.normal(0.0, math.sqrt(sigma2), size=n + _SIMULATE_BURN_IN)
+    u = lfilter(ma_full, ar_full, eps)[_SIMULATE_BURN_IN:]
     y = intercept + u
     if exog is not None:
         y = y + _as_exog(exog, n) @ np.asarray(exog_beta, dtype=float)

@@ -80,7 +80,6 @@ class SummaryStats:
 def load_csv(
     path,
     value_column: str,
-    start: datetime | None = None,
     timestamp_column: str | None = None,
     fill_gaps: bool = False,
     name: str = "",
@@ -92,7 +91,7 @@ def load_csv(
     linearly interpolated when ``fill_gaps`` is true, anything else is an
     error (window features would silently straddle the hole otherwise).
     Without a timestamp column rows are taken as consecutive hours from
-    ``start``.
+    2000-01-01 00:00.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -154,7 +153,7 @@ def load_csv(
                 expected = stamp
             filled.append(values[k])
         values = filled
-    elif start is None:
+    else:
         start = datetime(2000, 1, 1, 0)
 
     return TimeSeries(np.asarray(values), start, name or str(value_column))

@@ -130,7 +130,6 @@ class _EquipmentCache:
             t3 = time.perf_counter()
             hit = {
                 "mtime": mtime,
-                "cfg": cfg,
                 "series": series,
                 "strategy": strategy,
                 "mae_backtest": backtest.mae,

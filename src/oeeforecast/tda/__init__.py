@@ -2,16 +2,6 @@
 persistence in dimensions 0 and 1, and diagram vectorizations."""
 
 from .embedding import takens_embed
-from .extract import TdaParams, extract_tda_features, fit_diagram_scale, tda_catalog
+from .extract import CATALOG, TdaParams, extract_tda_features, fit_diagram_scale
 from .persistence import PersistenceDiagram, PointCloud, vr_persistence
-from .vectorize import (
-    betti_curve,
-    bottleneck_amplitude,
-    heat_kernel_norm,
-    landscape,
-    landscape_norm,
-    lifetime_stats,
-    persistence_entropy,
-    silhouette,
-    wasserstein_amplitude,
-)
+from .vectorize import betti_curve, landscape, persistence_entropy

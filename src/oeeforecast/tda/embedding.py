@@ -1,7 +1,8 @@
 """Phase-space reconstruction of scalar windows by delayed coordinates.
 
 The pipeline uses the paper's fixed embedding, delay 8 and dimension 3
-(TdaParams), so no delay or dimension is estimated from the data.
+(tda.extract's DELAY and EMBED_DIM), so no delay or dimension is estimated
+from the data.
 """
 
 from __future__ import annotations

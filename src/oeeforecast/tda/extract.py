@@ -1,6 +1,6 @@
 """Sliding-window topological feature extraction.
 
-Every window is delay-embedded into the same ``(windows, points, embed_dim)``
+Every window is delay-embedded into the same ``(windows, points, EMBED_DIM)``
 stack, and one pass over the stack builds the rows:
 
 - all windows' pairwise distance matrices at once;
@@ -9,8 +9,8 @@ stack, and one pass over the stack builds the rows:
   is capped at the window's largest distance;
 - H1 from vr_persistence, window by window, only when an H1 column is asked
   for;
-- every vectorizer over ``(windows, pairs)`` arrays, on grids computed once
-  per TdaParams.
+- every vectorizer over ``(windows, pairs)`` arrays, on the module's fixed
+  grids.
 
 Diagrams are normalized by a fixed diagram scale and vectorized on the
 unit-range grid. The scale should come from the training span
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from ..feature_matrix import FeatureMatrix
 from ..series import TimeSeries
 from .persistence import PointCloud, vr_persistence
 from .vectorize import (
-    HEAT_SAMPLES,
     LIFETIME_STAT_NAMES,
     batch_betti,
     batch_bottleneck,
@@ -45,6 +43,18 @@ from .vectorize import (
 )
 
 T_RANGE = (0.0, 1.0)  # diagrams are scaled into the unit range first
+# the paper's fixed catalog: a delay-8, dimension-3 embedding, H0 and H1,
+# and one setting per vectorizer
+DELAY = 8
+EMBED_DIM = 3
+HOMOLOGY_DIMS = (0, 1)
+BETTI_BINS = 10
+LANDSCAPE_LAYERS = 2
+LANDSCAPE_SAMPLES = 10  # also the silhouette's grid size
+SILHOUETTE_POWER = 1.0
+WASSERSTEIN_ORDER = 2.0
+HEAT_SIGMA = 0.1  # in units of the scaled diagram range [0, 1]
+HEAT_SAMPLES = 64
 # the vectorizer groups of one homology dimension, in catalog order
 GROUPS = (
     "entropy",
@@ -62,76 +72,49 @@ GROUPS = (
 @dataclass(frozen=True)
 class TdaParams:
     window: int = 24
-    delay: int = 8
-    embed_dim: int = 3
-    homology_dims: tuple[int, ...] = (0, 1)
-    betti_bins: int = 10
-    landscape_layers: int = 2
-    landscape_samples: int = 10
-    silhouette_power: float = 1.0
-    wasserstein_order: float = 2.0
-    heat_sigma: float = 0.1  # in units of the scaled diagram range [0, 1]
 
     def __post_init__(self):
         # persistence needs at least two embedded points per window
-        least = (self.embed_dim - 1) * self.delay + 2
+        least = (EMBED_DIM - 1) * DELAY + 2
         if self.window < least:
             raise ValueError(f"window {self.window} < (dim-1)*delay + 2 = {least}")
-        for nm in ("betti_bins", "landscape_layers", "landscape_samples"):
-            if getattr(self, nm) < 1:
-                raise ValueError(f"{nm} must be >= 1")
-        if any(h not in (0, 1) for h in self.homology_dims):
-            raise ValueError("homology_dims limited to {0, 1}")
 
 
-def _group_names(h: int, group: str, params: TdaParams) -> list[str]:
+def _group_names(h: int, group: str) -> list[str]:
     if group == "betti":
-        return [f"h{h}_betti_{j}" for j in range(params.betti_bins)]
+        return [f"h{h}_betti_{j}" for j in range(BETTI_BINS)]
     if group == "landscape":
         return [
             f"h{h}_landscape_{k}_{j}"
-            for k in range(params.landscape_layers)
-            for j in range(params.landscape_samples)
+            for k in range(LANDSCAPE_LAYERS)
+            for j in range(LANDSCAPE_SAMPLES)
         ]
     if group == "silhouette":
-        return [f"h{h}_silhouette_{j}" for j in range(params.landscape_samples)]
+        return [f"h{h}_silhouette_{j}" for j in range(LANDSCAPE_SAMPLES)]
     if group == "life":
         return [f"h{h}_life_{s}" for s in LIFETIME_STAT_NAMES]
     return [f"h{h}_{group}"]
 
 
-@lru_cache(maxsize=16)
-def _layout(params: TdaParams) -> tuple[tuple[int, str, tuple[str, ...]], ...]:
-    """(homology dim, group, column names) of every catalog block, in order."""
-    return tuple(
-        (h, g, tuple(_group_names(h, g, params))) for h in params.homology_dims for g in GROUPS
-    )
+# (homology dim, group, column names) of every catalog block, in order
+LAYOUT = tuple((h, g, tuple(_group_names(h, g))) for h in HOMOLOGY_DIMS for g in GROUPS)
+# frozen column layout for extract_tda_features
+CATALOG = tuple(name for _, _, names in LAYOUT for name in names)
+
+# the vectorizers' sample points on T_RANGE
+BETTI_MIDS = betti_midpoints(BETTI_BINS, T_RANGE)
+LANDSCAPE_GRID = np.linspace(*T_RANGE, LANDSCAPE_SAMPLES)
+HEAT_GRID = np.linspace(*T_RANGE, HEAT_SAMPLES)
+for _grid in (BETTI_MIDS, LANDSCAPE_GRID, HEAT_GRID):
+    _grid.setflags(write=False)
 
 
-def tda_catalog(params: TdaParams) -> tuple[str, ...]:
-    """Frozen column layout for extract_tda_features."""
-    return tuple(name for _, _, names in _layout(params) for name in names)
-
-
-@lru_cache(maxsize=16)
-def _grids(params: TdaParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Betti midpoints, landscape/silhouette grid and heat grid on T_RANGE."""
-    grids = (
-        betti_midpoints(params.betti_bins, T_RANGE),
-        np.linspace(*T_RANGE, params.landscape_samples),
-        np.linspace(*T_RANGE, HEAT_SAMPLES),
-    )
-    for g in grids:
-        g.setflags(write=False)
-    return grids
-
-
-def _embedded_windows(values: np.ndarray, params: TdaParams) -> np.ndarray:
-    """(windows, points, embed_dim) delay embedding of every window, as
+def _embedded_windows(values: np.ndarray, window: int) -> np.ndarray:
+    """(windows, points, EMBED_DIM) delay embedding of every window, as
     takens_embed builds one window's cloud."""
-    windows = np.lib.stride_tricks.sliding_window_view(values, params.window)
-    span = (params.embed_dim - 1) * params.delay
-    lags = np.arange(params.window - span)[:, None] + params.delay * np.arange(params.embed_dim)
+    windows = np.lib.stride_tricks.sliding_window_view(values, window)
+    span = (EMBED_DIM - 1) * DELAY
+    lags = np.arange(window - span)[:, None] + DELAY * np.arange(EMBED_DIM)
     return windows[:, lags]
 
 
@@ -170,7 +153,7 @@ def _h1_pairs(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]
     """H1 (rows, births, deaths) of every window, one entry per pair count."""
     by_count = defaultdict(list)
     for i, cloud in enumerate(pts):
-        b, d = vr_persistence(PointCloud(cloud), max_hom_dim=1).restricted(1)
+        b, d = vr_persistence(PointCloud(cloud)).restricted(1)
         by_count[b.size].append((i, b, d))
     return [
         (np.array([i for i, _, _ in group]),
@@ -180,14 +163,13 @@ def _h1_pairs(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]
     ]
 
 
-def _vectorize(pairs, blocks, n_rows: int, params: TdaParams) -> np.ndarray:
+def _vectorize(pairs, blocks, n_rows: int) -> np.ndarray:
     """The columns of ``blocks`` for n_rows windows.
 
     ``pairs`` maps a homology dimension to (rows, births, deaths) groups:
     the scaled pairs of the windows at ``rows`` as two (rows, pairs)
     arrays, every row of a group with the same pair count.
     """
-    mids, grid, heat_grid = _grids(params)
     starts = np.cumsum([0] + [len(names) for _, _, names in blocks])
     out = np.zeros((n_rows, starts[-1]))
     for h, groups in pairs.items():
@@ -197,23 +179,23 @@ def _vectorize(pairs, blocks, n_rows: int, params: TdaParams) -> np.ndarray:
                 if dim != h:
                     continue
                 if group in ("landscape", "landscape_norm") and lam is None:
-                    lam = batch_landscape(b, d, params.landscape_layers, grid)
+                    lam = batch_landscape(b, d, LANDSCAPE_LAYERS, LANDSCAPE_GRID)
                 if group == "entropy":
                     v = batch_entropy(b, d)
                 elif group == "bottleneck_amp":
                     v = batch_bottleneck(b, d)
                 elif group == "wasserstein_amp":
-                    v = batch_wasserstein(b, d, params.wasserstein_order)
+                    v = batch_wasserstein(b, d, WASSERSTEIN_ORDER)
                 elif group == "betti":
-                    v = batch_betti(b, d, mids)
+                    v = batch_betti(b, d, BETTI_MIDS)
                 elif group == "landscape":
                     v = lam
                 elif group == "landscape_norm":
-                    v = batch_landscape_norm(lam, 2.0, grid)
+                    v = batch_landscape_norm(lam, 2.0, LANDSCAPE_GRID)
                 elif group == "silhouette":
-                    v = batch_silhouette(b, d, params.silhouette_power, grid)
+                    v = batch_silhouette(b, d, SILHOUETTE_POWER, LANDSCAPE_GRID)
                 elif group == "heat_l2":
-                    v = batch_heat_norm(b, d, params.heat_sigma, heat_grid)
+                    v = batch_heat_norm(b, d, HEAT_SIGMA, HEAT_GRID)
                 else:
                     v = batch_lifetime_stats(b, d)
                 out[rows, lo:hi] = v.reshape(len(rows), hi - lo)
@@ -233,7 +215,7 @@ def fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
     n = len(ts)
     if n < params.window:
         raise ValueError(f"series length {n} < window {params.window}")
-    return _scale_of(_distances(_embedded_windows(ts.values, params)))
+    return _scale_of(_distances(_embedded_windows(ts.values, params.window)))
 
 
 def extract_tda_features(
@@ -252,14 +234,14 @@ def extract_tda_features(
     n = len(ts)
     if n < params.window:
         raise ValueError(f"series length {n} < window {params.window}")
-    blocks = _layout(params)
+    blocks = LAYOUT
     if columns is not None:
         columns = tuple(columns)
-        unknown = set(columns).difference(tda_catalog(params))
+        unknown = set(columns).difference(CATALOG)
         if unknown:
             raise ValueError(f"not in the topological catalog: {sorted(unknown)}")
         blocks = tuple(blk for blk in blocks if not set(blk[2]).isdisjoint(columns))
-    pts = _embedded_windows(ts.values, params)
+    pts = _embedded_windows(ts.values, params.window)
     dist = _distances(pts)
     if scale is None:
         scale = _scale_of(dist)
@@ -270,7 +252,7 @@ def extract_tda_features(
         pairs[0] = [(np.arange(len(pts)), np.zeros_like(deaths), deaths)]
     if 1 in dims:
         pairs[1] = [(rows, b / scale, d / scale) for rows, b, d in _h1_pairs(pts)]
-    matrix = _vectorize(pairs, blocks, len(pts), params)
+    matrix = _vectorize(pairs, blocks, len(pts))
     names = tuple(name for _, _, names in blocks for name in names)
     fm = FeatureMatrix(names, matrix, tuple(range(params.window - 1, n)))
     return fm if columns is None else fm.select_columns(columns)

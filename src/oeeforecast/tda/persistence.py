@@ -109,10 +109,9 @@ def _h0_pairs(n: int, edges) -> list[tuple[float, float]]:
     return [(0.0, w) for w in deaths]
 
 
-def vr_persistence(cloud: PointCloud, max_hom_dim: int = 1) -> PersistenceDiagram:
-    """Persistence diagram of the Rips filtration up to the diameter cap."""
-    if max_hom_dim not in (0, 1):
-        raise ValueError("max_hom_dim must be 0 or 1")
+def vr_persistence(cloud: PointCloud) -> PersistenceDiagram:
+    """H0 and H1 persistence diagram of the Rips filtration up to the
+    diameter cap."""
     pts = cloud.points
     n = len(cloud)
     if n < 2:
@@ -138,7 +137,7 @@ def vr_persistence(cloud: PointCloud, max_hom_dim: int = 1) -> PersistenceDiagra
     deaths.append(max_filtration)
     dims.append(0)
 
-    if max_hom_dim >= 1 and n >= 3:
+    if n >= 3:
         # filtration order over edges and triangles; vertices are implicit
         edge_index = {}
         simplices = []  # (filt, dim, vertices)

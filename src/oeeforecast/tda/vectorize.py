@@ -4,10 +4,11 @@ The batched forms (``batch_*``) take the pairs of one homology dimension of
 many diagrams with the same pair count, as two ``(diagrams, pairs)`` arrays
 of births and deaths in diagram order, and reduce along the pairs axis. A
 row goes through the reductions a one-diagram call uses, so it has the same
-bits in any batch. The public per-diagram functions are one-row calls into
-them: each restricts the diagram to one homology dimension and returns
-plain floats or vectors. Empty restrictions degrade to zeros rather than
-raising, because downstream feature rows must keep a fixed width.
+bits in any batch. persistence_entropy, betti_curve and landscape are
+one-row calls into them: each restricts the diagram to one homology
+dimension and returns a plain float or vector. Empty restrictions degrade
+to zeros rather than raising, because downstream feature rows must keep a
+fixed width.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from ..stat_features import _sum_present
 from .persistence import PersistenceDiagram
 
 LIFETIME_STAT_NAMES = ("sum", "mean", "median", "variance", "std", "max", "min")
-HEAT_SAMPLES = 64  # heat_kernel_norm's default grid size
 
 
 def betti_midpoints(bins: int, t_range: tuple[float, float]) -> np.ndarray:
@@ -144,18 +144,6 @@ def persistence_entropy(d: PersistenceDiagram, dim: int) -> float:
     return float(batch_entropy(*_one_row(d, dim))[0])
 
 
-def bottleneck_amplitude(d: PersistenceDiagram, dim: int) -> float:
-    """Distance to the empty diagram under diagonal matching: max lifetime / 2."""
-    return float(batch_bottleneck(*_one_row(d, dim))[0])
-
-
-def wasserstein_amplitude(d: PersistenceDiagram, dim: int, p: float = 2.0) -> float:
-    """Order-p cost of projecting every pair to the diagonal."""
-    if p < 1.0:
-        raise ValueError("order p must be >= 1")
-    return float(batch_wasserstein(*_one_row(d, dim), p)[0])
-
-
 def betti_curve(d: PersistenceDiagram, dim: int, bins: int, t_range: tuple[float, float]) -> np.ndarray:
     """Count of pairs alive (birth <= t < death) at each bin midpoint."""
     return batch_betti(*_one_row(d, dim), betti_midpoints(bins, t_range))[0]
@@ -173,48 +161,3 @@ def landscape(
     if layers < 1 or samples < 1:
         raise ValueError("layers and samples must be >= 1")
     return batch_landscape(*_one_row(d, dim), layers, np.linspace(*t_range, samples))[0]
-
-
-def landscape_norm(landscape_matrix: np.ndarray, p: float = 2.0, t_range: tuple[float, float] = (0.0, 1.0)) -> float:
-    """L^p norm of the landscape: (integral of sum_k |lambda_k|^p dt)^(1/p),
-    trapezoidal over the sample grid."""
-    if p < 1.0:
-        raise ValueError("order p must be >= 1")
-    lam = np.atleast_2d(np.asarray(landscape_matrix, dtype=float))
-    return float(batch_landscape_norm(lam[None], p, np.linspace(*t_range, lam.shape[1]))[0])
-
-
-def silhouette(
-    d: PersistenceDiagram,
-    dim: int,
-    alpha: float = 1.0,
-    samples: int = 10,
-    t_range: tuple[float, float] = (0.0, 1.0),
-) -> np.ndarray:
-    """Lifetime-weighted average of the per-pair tent functions."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    return batch_silhouette(*_one_row(d, dim), alpha, np.linspace(*t_range, samples))[0]
-
-
-def heat_kernel_norm(
-    d: PersistenceDiagram,
-    dim: int,
-    sigma: float,
-    samples: int = HEAT_SAMPLES,
-    t_range: tuple[float, float] = (0.0, 1.0),
-) -> float:
-    """Discrete L2 norm of the Gaussian mixture centred at pair midpoints.
-
-    Diagonal (zero-lifetime) pairs carry no topological signal and are
-    skipped, so degenerate diagrams map to 0 like every other feature.
-    """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
-    return float(batch_heat_norm(*_one_row(d, dim), sigma, np.linspace(*t_range, samples))[0])
-
-
-def lifetime_stats(d: PersistenceDiagram, dim: int) -> dict[str, float]:
-    """Summary statistics of the lifetimes in one homology dimension."""
-    row = batch_lifetime_stats(*_one_row(d, dim))[0]
-    return dict(zip(LIFETIME_STAT_NAMES, map(float, row)))

@@ -18,7 +18,9 @@ The topological oracles are the catalog's first, per-window path: one
 delay embedding and one vr_persistence diagram per window, then each
 vectorizer called once per diagram, with the vectorizers' first scalar
 bodies and scale_diagram (moved here unchanged from
-oeeforecast.tda.persistence, which no longer has it).
+oeeforecast.tda.persistence, which no longer has it). They read the
+catalog's fixed settings (delay, dimension, bins, grids) from the
+constants of oeeforecast.tda.extract.
 
 The forecast oracle is the decomposed strategy's first recursion, which
 rebuilt every post-refit row from its own single window at every step.
@@ -40,7 +42,13 @@ from scipy.signal import lfilter
 
 from oeeforecast import pipeline, sarimax
 from oeeforecast.feature_matrix import FeatureMatrix
-from oeeforecast.forecasters import ets_forecast, ets_update, seasonal_naive_forecast
+from oeeforecast.forecasters import (
+    OEE_MAX,
+    OEE_MIN,
+    ets_forecast,
+    ets_update,
+    seasonal_naive_forecast,
+)
 from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import (
     CATALOG,
@@ -50,7 +58,8 @@ from oeeforecast.stat_features import (
     window_features,
 )
 from oeeforecast.tda.embedding import takens_embed
-from oeeforecast.tda.extract import T_RANGE, TdaParams, extract_tda_features, tda_catalog
+from oeeforecast.tda import extract as tda
+from oeeforecast.tda.extract import T_RANGE, TdaParams, extract_tda_features
 from oeeforecast.tda.persistence import PersistenceDiagram, vr_persistence
 from oeeforecast.tda.vectorize import LIFETIME_STAT_NAMES
 
@@ -396,9 +405,8 @@ def scalar_window_features(x: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _window_diagram(x: np.ndarray, params: TdaParams):
-    cloud = takens_embed(x, params.delay, params.embed_dim)
-    return vr_persistence(cloud, max_hom_dim=max(params.homology_dims))
+def _window_diagram(x: np.ndarray):
+    return vr_persistence(takens_embed(x, tda.DELAY, tda.EMBED_DIM))
 
 
 def scalar_persistence_entropy(d, dim: int) -> float:
@@ -502,21 +510,21 @@ def scalar_lifetime_stats(d, dim: int) -> dict[str, float]:
     }
 
 
-def scalar_vectorize(diagram, params: TdaParams) -> np.ndarray:
+def scalar_vectorize(diagram) -> np.ndarray:
     """One diagram's catalog row, each vectorizer called on the diagram."""
     row: list[float] = []
-    for h in params.homology_dims:
+    for h in tda.HOMOLOGY_DIMS:
         row.append(scalar_persistence_entropy(diagram, h))
         row.append(scalar_bottleneck_amplitude(diagram, h))
-        row.append(scalar_wasserstein_amplitude(diagram, h, params.wasserstein_order))
-        row += list(scalar_betti_curve(diagram, h, params.betti_bins, T_RANGE))
-        lam = scalar_landscape(diagram, h, params.landscape_layers, params.landscape_samples, T_RANGE)
+        row.append(scalar_wasserstein_amplitude(diagram, h, tda.WASSERSTEIN_ORDER))
+        row += list(scalar_betti_curve(diagram, h, tda.BETTI_BINS, T_RANGE))
+        lam = scalar_landscape(diagram, h, tda.LANDSCAPE_LAYERS, tda.LANDSCAPE_SAMPLES, T_RANGE)
         row += list(lam.ravel())
         row.append(scalar_landscape_norm(lam, p=2.0, t_range=T_RANGE))
         row += list(
-            scalar_silhouette(diagram, h, params.silhouette_power, params.landscape_samples, T_RANGE)
+            scalar_silhouette(diagram, h, tda.SILHOUETTE_POWER, tda.LANDSCAPE_SAMPLES, T_RANGE)
         )
-        row.append(scalar_heat_kernel_norm(diagram, h, params.heat_sigma, t_range=T_RANGE))
+        row.append(scalar_heat_kernel_norm(diagram, h, tda.HEAT_SIGMA, tda.HEAT_SAMPLES, T_RANGE))
         stats = scalar_lifetime_stats(diagram, h)
         row += [stats[s] for s in LIFETIME_STAT_NAMES]
     return np.asarray(row, dtype=float)
@@ -545,14 +553,14 @@ def scalar_extract_tda_features(ts: TimeSeries, params: TdaParams | None = None,
     diagrams = []
     ridx = []
     for end in range(params.window - 1, n):
-        diagrams.append(_window_diagram(x[end - params.window + 1 : end + 1], params))
+        diagrams.append(_window_diagram(x[end - params.window + 1 : end + 1]))
         ridx.append(end)
     if scale is None:
         scale = max((float(d.deaths.max()) for d in diagrams if d.deaths.size), default=1.0)
         if scale <= 0.0:
             scale = 1.0
-    rows = [scalar_vectorize(scale_diagram(d, scale), params) for d in diagrams]
-    return FeatureMatrix(tda_catalog(params), np.vstack(rows), tuple(ridx))
+    rows = [scalar_vectorize(scale_diagram(d, scale)) for d in diagrams]
+    return FeatureMatrix(tda.CATALOG, np.vstack(rows), tuple(ridx))
 
 
 def scalar_fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
@@ -564,7 +572,7 @@ def scalar_fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) ->
     top = 0.0
     x = ts.values
     for end in range(params.window - 1, n):
-        diagram = _window_diagram(x[end - params.window + 1 : end + 1], params)
+        diagram = _window_diagram(x[end - params.window + 1 : end + 1])
         if diagram.deaths.size:
             top = max(top, float(diagram.deaths.max()))
     return top if top > 0.0 else 1.0
@@ -581,7 +589,7 @@ def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
         params = TdaParams(window=cfg.window)
         fm = extract_tda_features(TimeSeries(window), params, scale=strategy._tda_scale)
         vals.append(fm.matrix[-1])
-        names += tda_catalog(params)
+        names += tda.CATALOG
     pick = [names.index(c) for c in strategy.columns]
     return np.concatenate(vals)[pick]
 
@@ -608,7 +616,7 @@ def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.nda
         resid_fc.append(nxt)
         r = np.append(r, nxt)
     total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
-    return np.clip(total, *cfg.clamp)
+    return np.clip(total, OEE_MIN, OEE_MAX)
 
 
 def scalar_css_filter(series_block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:

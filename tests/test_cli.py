@@ -15,7 +15,7 @@ from oeeforecast.cli import (
 from oeeforecast import service
 from oeeforecast.pipeline import DecomposedStrategy, load_series
 from oeeforecast.stat_features import CATALOG
-from oeeforecast.tda.extract import TdaParams, tda_catalog
+from oeeforecast.tda.extract import CATALOG as TDA_CATALOG
 
 from conftest import make_oee_series
 
@@ -96,7 +96,8 @@ class TestCommands:
         "command, text, flags, where",
         [
             ("stats --config", "dataset = {data}\nwindow = abc\n", [], "{file}:2: window"),
-            ("stats --config", "dataset = {data}\nclamp = 1\n", [], "{file}:2: clamp"),
+            ("stats --config", "dataset = {data}\nhorizon = four\n", [], "{file}:2: horizon"),
+            ("stats --config", "dataset = {data}\nclamp = 1,60\n", [], "{file}:2: clamp"),
             ("stats --config", "dataset = {data}\n", ["--periods", "8,x"], "--periods"),
             ("stats --config", "dataset = {data}\n", ["--spec", "1,2"], "--spec"),
             ("serve --registry", "a.dataset = {data}\nnodot = 1\n", [], "{file}:2: nodot"),
@@ -112,7 +113,7 @@ class TestCommands:
             ("serve --registry", None, [], "{file}: cannot open"),
             ("benchmark --models nope --config", "dataset = {data}\n", [], "--models: unknown model"),
         ],
-        ids=["file_value", "file_clamp", "flag_periods", "flag_spec", "registry_line",
+        ids=["file_value", "file_horizon", "file_clamp", "flag_periods", "flag_spec", "registry_line",
              "registry_no_dataset", "registry_no_file", "registry_rejected", "registry_value",
              "file_rejected", "flag_rejected", "config_absent", "registry_absent", "flag_models"],
     )
@@ -232,7 +233,7 @@ class TestCommands:
         assert rc == EXIT_OK
         columns = json.loads(out.read_text())["final_columns"]
         assert set(columns) & set(CATALOG)
-        assert set(columns) & set(tda_catalog(TdaParams()))
+        assert set(columns) & set(TDA_CATALOG)
 
         cfg = build_config(
             argparse.Namespace(

@@ -3,12 +3,8 @@ import pytest
 
 from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
-from oeeforecast.tda.extract import (
-    TdaParams,
-    extract_tda_features,
-    fit_diagram_scale,
-    tda_catalog,
-)
+from oeeforecast.tda import extract
+from oeeforecast.tda.extract import CATALOG, TdaParams, extract_tda_features, fit_diagram_scale
 
 from oeeforecast.tda.persistence import PersistenceDiagram
 from oeeforecast.tda import vectorize
@@ -20,25 +16,23 @@ from oracles import scalar_extract_tda_features, scalar_fit_diagram_scale
 
 class TestParams:
     def test_defaults_consistent(self):
-        p = TdaParams()
-        assert p.window == 24 and p.delay == 8 and p.embed_dim == 3
+        assert TdaParams().window == 24 and extract.DELAY == 8 and extract.EMBED_DIM == 3
 
     def test_window_embedding_guard(self):
         with pytest.raises(ValueError):
-            TdaParams(window=16, delay=8, embed_dim=3)
+            TdaParams(window=16)
 
     def test_window_needs_two_embedded_points(self):
         with pytest.raises(ValueError, match="18"):
-            TdaParams(window=17, delay=8, embed_dim=3)
+            TdaParams(window=17)
         fm = extract_tda_features(TimeSeries(np.arange(20.0)), TdaParams(window=18))
         assert fm.n_rows == 3 and np.all(np.isfinite(fm.matrix))
 
     def test_catalog_size_default(self):
-        names = tda_catalog(TdaParams())
         # per homology dim: 3 scalars + 10 betti + 20 landscape + 1 norm +
         # 10 silhouette + 1 heat + 7 lifetime stats = 52
-        assert len(names) == 104
-        assert len(set(names)) == 104
+        assert len(CATALOG) == 104
+        assert len(set(CATALOG)) == 104
 
 
 class TestExtraction:
@@ -155,22 +149,6 @@ class TestScalarOracle:
             )
 
     @pytest.mark.parametrize(
-        "params",
-        [
-            TdaParams(homology_dims=(0,)),
-            TdaParams(homology_dims=(1,)),
-            TdaParams(homology_dims=(1, 0)),
-            TdaParams(landscape_layers=12, landscape_samples=7),
-            TdaParams(betti_bins=1, silhouette_power=0.0, wasserstein_order=3.0, heat_sigma=0.3),
-            TdaParams(window=26, delay=4, embed_dim=4),
-        ],
-        ids=["h0_only", "h1_only", "h1_first", "layers_past_pairs", "one_bin", "dim4"],
-    )
-    def test_non_default_params(self, params):
-        ts = _residual("gh2").slice(0, 160)
-        assert_matches_oracle(extract_tda_features(ts, params), scalar_extract_tda_features(ts, params))
-
-    @pytest.mark.parametrize(
         "columns",
         [
             ("h0_betti_4", "h0_betti_8", "h0_betti_9", "h0_landscape_0_3"),
@@ -215,19 +193,23 @@ class TestScalarOracle:
         t = (0.0, 1.0)
         for dg in diagrams:
             for h in (0, 1):
+                b, d = (a[None, :] for a in dg.restricted(h))
+                lam = oracles.scalar_landscape(dg, h, 3, 13, t)
                 pairs = [
                     (vectorize.persistence_entropy(dg, h), oracles.scalar_persistence_entropy(dg, h)),
-                    (vectorize.bottleneck_amplitude(dg, h), oracles.scalar_bottleneck_amplitude(dg, h)),
-                    (vectorize.wasserstein_amplitude(dg, h, 3.0),
+                    (vectorize.batch_bottleneck(b, d)[0], oracles.scalar_bottleneck_amplitude(dg, h)),
+                    (vectorize.batch_wasserstein(b, d, 3.0)[0],
                      oracles.scalar_wasserstein_amplitude(dg, h, 3.0)),
                     (vectorize.betti_curve(dg, h, 7, t), oracles.scalar_betti_curve(dg, h, 7, t)),
                     (vectorize.landscape(dg, h, 4, 11, t), oracles.scalar_landscape(dg, h, 4, 11, t)),
-                    (vectorize.silhouette(dg, h, 0.5, 11, t), oracles.scalar_silhouette(dg, h, 0.5, 11, t)),
-                    (vectorize.heat_kernel_norm(dg, h, 0.2), oracles.scalar_heat_kernel_norm(dg, h, 0.2)),
-                    (list(vectorize.lifetime_stats(dg, h).values()),
+                    (vectorize.batch_silhouette(b, d, 0.5, np.linspace(*t, 11))[0],
+                     oracles.scalar_silhouette(dg, h, 0.5, 11, t)),
+                    (vectorize.batch_heat_norm(b, d, 0.2, np.linspace(*t, 64))[0],
+                     oracles.scalar_heat_kernel_norm(dg, h, 0.2)),
+                    (vectorize.batch_lifetime_stats(b, d)[0],
                      list(oracles.scalar_lifetime_stats(dg, h).values())),
+                    (vectorize.batch_landscape_norm(lam[None], 3.0, np.linspace(*t, 13))[0],
+                     oracles.scalar_landscape_norm(lam, 3.0)),
                 ]
-                lam = oracles.scalar_landscape(dg, h, 3, 13, t)
-                pairs.append((vectorize.landscape_norm(lam, 3.0), oracles.scalar_landscape_norm(lam, 3.0)))
                 for got, want in pairs:
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)

@@ -5,15 +5,16 @@ import pytest
 
 from oeeforecast.tda.persistence import PersistenceDiagram
 from oeeforecast.tda.vectorize import (
+    LIFETIME_STAT_NAMES,
+    batch_bottleneck,
+    batch_heat_norm,
+    batch_landscape_norm,
+    batch_lifetime_stats,
+    batch_silhouette,
+    batch_wasserstein,
     betti_curve,
-    bottleneck_amplitude,
-    heat_kernel_norm,
     landscape,
-    landscape_norm,
-    lifetime_stats,
     persistence_entropy,
-    silhouette,
-    wasserstein_amplitude,
 )
 
 
@@ -33,6 +34,16 @@ def diagram(pairs, dim=1, cap=None):
 
 
 EMPTY = diagram([])
+
+
+def one_row(pairs):
+    """(births, deaths) of one diagram as the (1, pairs) arrays batch_* take."""
+    arr = np.asarray(pairs, dtype=float).reshape(-1, 2)
+    return arr[None, :, 0], arr[None, :, 1]
+
+
+def grid(samples, t_range=(0.0, 1.0)):
+    return np.linspace(*t_range, samples)
 
 
 class TestPersistenceEntropy:
@@ -64,22 +75,14 @@ class TestPersistenceEntropy:
 
 class TestAmplitudes:
     def test_bottleneck(self):
-        assert bottleneck_amplitude(EMPTY, 1) == 0.0
-        assert bottleneck_amplitude(diagram([(1.0, 3.0)]), 1) == pytest.approx(1.0)
-        assert bottleneck_amplitude(diagram([(0.0, 1.0), (0.0, 4.0)]), 1) == pytest.approx(2.0)
+        assert batch_bottleneck(*one_row([]))[0] == 0.0
+        assert batch_bottleneck(*one_row([(1.0, 3.0)]))[0] == pytest.approx(1.0)
+        assert batch_bottleneck(*one_row([(0.0, 1.0), (0.0, 4.0)]))[0] == pytest.approx(2.0)
 
     def test_wasserstein(self):
-        assert wasserstein_amplitude(EMPTY, 1) == 0.0
-        assert wasserstein_amplitude(diagram([(0.0, 2.0)]), 1, p=2.0) == pytest.approx(
-            math.sqrt(2.0)
-        )
-        assert wasserstein_amplitude(
-            diagram([(0.0, 1.0), (0.0, 1.0)]), 1, p=2.0
-        ) == pytest.approx(1.0)
-
-    def test_wasserstein_order_guard(self):
-        with pytest.raises(ValueError):
-            wasserstein_amplitude(EMPTY, 1, p=0.5)
+        assert batch_wasserstein(*one_row([]), 2.0)[0] == 0.0
+        assert batch_wasserstein(*one_row([(0.0, 2.0)]), 2.0)[0] == pytest.approx(math.sqrt(2.0))
+        assert batch_wasserstein(*one_row([(0.0, 1.0), (0.0, 1.0)]), 2.0)[0] == pytest.approx(1.0)
 
 
 class TestBettiCurve:
@@ -140,88 +143,83 @@ class TestLandscape:
 
 class TestLandscapeNorm:
     def test_zero_landscape(self):
-        assert landscape_norm(np.zeros((2, 10))) == 0.0
+        assert batch_landscape_norm(np.zeros((1, 2, 10)), 2.0, grid(10))[0] == 0.0
 
     def test_homogeneity(self):
         rng = np.random.default_rng(4)
-        lam = np.abs(rng.normal(size=(2, 30)))
-        a = landscape_norm(lam, p=2.0, t_range=(0.0, 1.0))
-        b = landscape_norm(3.0 * lam, p=2.0, t_range=(0.0, 1.0))
+        lam = np.abs(rng.normal(size=(1, 2, 30)))
+        a = batch_landscape_norm(lam, 2.0, grid(30))[0]
+        b = batch_landscape_norm(3.0 * lam, 2.0, grid(30))[0]
         assert b == pytest.approx(3.0 * a)
 
     def test_single_tent_area(self):
         lam = landscape(diagram([(0.0, 2.0)]), 1, 1, 2001, (0.0, 2.0))
         # tent of height 1 over base 2 has area exactly 1
-        assert landscape_norm(lam, p=1.0, t_range=(0.0, 2.0)) == pytest.approx(1.0, abs=1e-6)
+        area = batch_landscape_norm(lam[None], 1.0, grid(2001, (0.0, 2.0)))[0]
+        assert area == pytest.approx(1.0, abs=1e-6)
 
 
 class TestSilhouette:
     def test_single_pair_is_its_tent(self):
-        d = diagram([(0.0, 2.0)])
-        s = silhouette(d, 1, alpha=1.0, samples=21, t_range=(0.0, 2.0))
-        lam = landscape(d, 1, 1, 21, (0.0, 2.0))
+        s = batch_silhouette(*one_row([(0.0, 2.0)]), 1.0, grid(21, (0.0, 2.0)))[0]
+        lam = landscape(diagram([(0.0, 2.0)]), 1, 1, 21, (0.0, 2.0))
         assert np.allclose(s, lam[0])
 
     def test_alpha_zero_uniform_average(self):
-        d = diagram([(0.0, 2.0), (1.0, 3.0)])
-        s = silhouette(d, 1, alpha=0.0, samples=31, t_range=(0.0, 3.0))
-        grid = np.linspace(0.0, 3.0, 31)
-        t1 = np.maximum(0.0, np.minimum(grid - 0.0, 2.0 - grid))
-        t2 = np.maximum(0.0, np.minimum(grid - 1.0, 3.0 - grid))
+        t = grid(31, (0.0, 3.0))
+        s = batch_silhouette(*one_row([(0.0, 2.0), (1.0, 3.0)]), 0.0, t)[0]
+        t1 = np.maximum(0.0, np.minimum(t - 0.0, 2.0 - t))
+        t2 = np.maximum(0.0, np.minimum(t - 1.0, 3.0 - t))
         assert np.allclose(s, (t1 + t2) / 2.0)
 
     def test_weighted_hand_value(self):
         # pairs (0,2) and (0,4), alpha=1, t=1: (2*1 + 4*1) / 6 = 1
-        d = diagram([(0.0, 2.0), (0.0, 4.0)])
-        s = silhouette(d, 1, alpha=1.0, samples=5, t_range=(0.0, 4.0))
+        s = batch_silhouette(*one_row([(0.0, 2.0), (0.0, 4.0)]), 1.0, grid(5, (0.0, 4.0)))[0]
         assert s[1] == pytest.approx(1.0)  # grid point t=1
 
     def test_empty_zero(self):
-        assert np.all(silhouette(EMPTY, 1, 1.0, 10, (0.0, 1.0)) == 0.0)
+        assert np.all(batch_silhouette(*one_row([]), 1.0, grid(10))[0] == 0.0)
 
 
 class TestHeatKernel:
     def test_empty_zero(self):
-        assert heat_kernel_norm(EMPTY, 1, sigma=0.1) == 0.0
+        assert batch_heat_norm(*one_row([]), 0.1, grid(64))[0] == 0.0
 
     def test_single_pair_against_quadrature_oracle(self):
         # closed-form Gaussian integrated on an independent fine grid
         sigma = 0.15
-        d = diagram([(0.2, 0.8)])
-        got = heat_kernel_norm(d, 1, sigma=sigma, samples=4001, t_range=(-3.0, 4.0))
+        got = batch_heat_norm(*one_row([(0.2, 0.8)]), sigma, grid(4001, (-3.0, 4.0)))[0]
         ts = np.linspace(-3.0, 4.0, 20001)
         f = np.exp(-((ts - 0.5) ** 2) / (4 * sigma**2)) / math.sqrt(4 * math.pi * sigma**2)
         want = math.sqrt(np.trapezoid(f * f, ts))
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_two_identical_pairs_double_pointwise(self):
-        one = diagram([(0.0, 1.0)])
-        two = diagram([(0.0, 1.0), (0.0, 1.0)])
-        a = heat_kernel_norm(one, 1, sigma=0.1, samples=501, t_range=(0.0, 1.0))
-        b = heat_kernel_norm(two, 1, sigma=0.1, samples=501, t_range=(0.0, 1.0))
+        a = batch_heat_norm(*one_row([(0.0, 1.0)]), 0.1, grid(501))[0]
+        b = batch_heat_norm(*one_row([(0.0, 1.0), (0.0, 1.0)]), 0.1, grid(501))[0]
         assert b == pytest.approx(2.0 * a, rel=1e-12)
 
-    def test_sigma_guard(self):
-        with pytest.raises(ValueError):
-            heat_kernel_norm(EMPTY, 1, sigma=0.0)
+
+def lifetime_stats(pairs):
+    return dict(zip(LIFETIME_STAT_NAMES, batch_lifetime_stats(*one_row(pairs))[0]))
 
 
 class TestLifetimeStats:
     def test_hand_values(self):
-        s = lifetime_stats(diagram([(0.0, 1.0), (1.0, 4.0)]), 1)
+        s = lifetime_stats([(0.0, 1.0), (1.0, 4.0)])
         assert s["sum"] == pytest.approx(4.0)
         assert s["mean"] == pytest.approx(2.0)
         assert s["max"] == pytest.approx(3.0)
         assert s["min"] == pytest.approx(1.0)
 
     def test_empty_zeros(self):
-        s = lifetime_stats(EMPTY, 1)
+        s = lifetime_stats([])
         assert all(v == 0.0 for v in s.values())
 
     def test_random_pairs_match_recomputation(self):
         rng = np.random.default_rng(5)
         pairs = [(b, b + life) for b, life in rng.uniform(0.0, 2.0, size=(100, 2))]
-        s = lifetime_stats(diagram(pairs), 1)
+        s = lifetime_stats(pairs)
         life = np.array([d - b for b, d in pairs])
         assert s["sum"] == pytest.approx(life.sum(), abs=1e-12)
         assert s["mean"] == pytest.approx(life.mean(), abs=1e-12)
