@@ -9,11 +9,15 @@ period. A second pass removes the seasonal leakage the first pass leaves
 in the trend estimate. The residual is computed by exact subtraction, so
 reconstruction is an identity by construction.
 
-The moving average is a fixed linear filter, computed as array code: the
-per-point half-width is an index array into one cumulative sum. Each
-period's phase means are row means of the complete-window span reshaped
-into cycles. Both give the same bits as the per-point and per-phase loops
-they replaced, which are kept as the equivalence oracle in tests/oracles.py.
+The moving average is a fixed linear filter, computed as array code from
+one cumulative sum: the points with room for the full kernel take
+differences of two slices of it, and only the shrinking edges index it
+point by point. Each period's phase means are row sums of the
+complete-window span reshaped into cycles, divided by their counts (the
+arithmetic of ndarray.mean, without its Python wrapper). Every forecast
+origin decomposes its whole past, so this is per-origin cost. Both give
+the same bits as the per-point and per-phase loops they replaced, which
+are kept as the equivalence oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -47,15 +51,21 @@ def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = x.size
     half = window // 2
-    i = np.arange(n)
-    k = np.minimum(np.minimum(i, n - 1 - i), half)  # per-point half-width
     csum = np.concatenate(([0.0], np.cumsum(x)))
-    out = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
-    if window % 2 == 0:
-        # full even kernel: half-weight endpoints
-        j = i[k == half]
-        inner = csum[j + half] - csum[j - half + 1]  # x[j-half+1 .. j+half-1]
-        out[j] = (inner + 0.5 * (x[j - half] + x[j + half])) / window
+    out = np.empty(n)
+    m = n - 2 * half  # points with room for the full kernel: half .. n - 1 - half
+    if m > 0:
+        if window % 2 == 0:
+            # full even kernel: half-weight endpoints around x[i-half+1 .. i+half-1]
+            inner = csum[2 * half : n] - csum[1 : m + 1]
+            out[half : n - half] = (inner + 0.5 * (x[:m] + x[2 * half :])) / window
+        else:
+            out[half : n - half] = (csum[window:] - csum[:m]) / window
+        i = np.concatenate((np.arange(half), np.arange(n - half, n)))
+    else:
+        i = np.arange(n)
+    k = np.minimum(i, n - 1 - i)  # shrunk half-width of an edge point
+    out[i] = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
     return out
 
 
@@ -75,9 +85,12 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
     # span[j::period] does; the first rem columns have one more sample
     longer = np.vstack([blocks[:, :rem], span[None, cycles * period :]]).T.copy()
     shorter = blocks[:, rem:].T.copy()
-    by_column = np.concatenate([longer.mean(axis=1), shorter.mean(axis=1)])
+    # sum / count is ndarray.mean's own arithmetic, without its Python wrapper
+    by_column = np.concatenate(
+        [np.add.reduce(longer, axis=1) / (cycles + 1), np.add.reduce(shorter, axis=1) / cycles]
+    )
     means = by_column[(np.arange(period) - half) % period]
-    return means - means.mean()
+    return means - np.add.reduce(means) / period
 
 
 def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:

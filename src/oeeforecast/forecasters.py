@@ -9,6 +9,7 @@ that recombined forecasts are clamped to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ class ForecastResult:
     def __post_init__(self):
         if self.horizon < 1 or len(self.values) != self.horizon:
             raise ValueError("horizon must be >= 1 and match len(values)")
-        if not all(np.isfinite(v) for v in self.values):
+        if not all(math.isfinite(v) for v in self.values):
             raise ValueError("forecast values must be finite")
 
 
@@ -65,17 +66,21 @@ def _holt_filter(y: np.ndarray, alpha, beta, l0: float, b0: float, preds: list |
     """Final (level, slope, sse); each one-step prediction is appended to preds if given.
 
     alpha and beta may be equal-shape arrays: the recursion then runs for
-    every (alpha, beta) pair at once and returns arrays.
+    every (alpha, beta) pair at once and returns arrays. The loop reads y as
+    Python floats and takes 1 - alpha and 1 - beta once: the same IEEE
+    operations in the same order as on numpy scalars, without their
+    per-operation overhead.
     """
+    keep_a, keep_b = 1.0 - alpha, 1.0 - beta
     level, slope, sse = l0, b0, 0.0
-    for v in y:
+    for v in y.tolist():
         pred = level + slope
         if preds is not None:
             preds.append(pred)
         err = v - pred
         sse += err * err
-        new_level = alpha * v + (1.0 - alpha) * pred
-        slope = beta * (new_level - level) + (1.0 - beta) * slope
+        new_level = alpha * v + keep_a * pred
+        slope = beta * (new_level - level) + keep_b * slope
         level = new_level
     return level, slope, sse
 

@@ -194,7 +194,9 @@ def build_features(
     fm = parts[0]
     for extra in parts[1:]:
         fm = fm.hstack(extra)
-    return fm if columns is None else fm.select_columns(columns)
+    if columns is None or (mode == "topological" and len(tda_columns) == len(columns)):
+        return fm  # extract_tda_features has already selected exactly these columns
+    return fm.select_columns(columns)
 
 
 def aligned_features(

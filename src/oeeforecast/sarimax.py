@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
@@ -118,6 +118,13 @@ class SarimaxFit:
     exog_mean: np.ndarray
     exog_scale: np.ndarray
     u_history: np.ndarray  # regression residual series, full length
+    # the coefficients' lag polynomials, built once per fit or updated state
+    ar_poly: np.ndarray = field(init=False, repr=False, compare=False)  # phi(B)PHI(B^s)
+    ma_poly: np.ndarray = field(init=False, repr=False, compare=False)  # theta(B)THETA(B^s)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ar_poly", _lag_poly(self.ar, self.sar, self.spec.s, -1.0))
+        object.__setattr__(self, "ma_poly", _lag_poly(self.ma, self.sma, self.spec.s, 1.0))
 
     def unstandardized_beta(self) -> np.ndarray:
         """Exogenous coefficients in the columns' natural units."""
@@ -514,9 +521,7 @@ def apply_params(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> SarimaxFi
         design = np.ones((n, 1))
     b = np.concatenate([[fit_result.intercept], fit_result.exog_beta])
     u = y - design @ b
-    ar_full = _lag_poly(fit_result.ar, fit_result.sar, spec.s, -1.0)
-    ma_full = _lag_poly(fit_result.ma, fit_result.sma, spec.s, 1.0)
-    resid = _css_filter(u[:, None], ar_full, ma_full, spec.burn_in)[:, 0]
+    resid = _css_filter(u[:, None], fit_result.ar_poly, fit_result.ma_poly, spec.burn_in)[:, 0]
     resid.setflags(write=False)
     u.setflags(write=False)
     return replace(fit_result, residuals=resid, u_history=u, n_obs=n)
@@ -537,8 +542,7 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> Forecast
     else:
         xf = np.zeros((horizon, 0))
 
-    ar_full = _lag_poly(fit_result.ar, fit_result.sar, spec.s, -1.0)
-    ma_full = _lag_poly(fit_result.ma, fit_result.sma, spec.s, 1.0)
+    ar_full, ma_full = fit_result.ar_poly, fit_result.ma_poly
     n = fit_result.n_obs
     burn = spec.burn_in
 

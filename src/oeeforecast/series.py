@@ -36,7 +36,7 @@ class TimeSeries:
         arr = np.array(self.values, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("TimeSeries needs a 1-d sequence with length >= 1")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("TimeSeries values must be finite (no NaN/inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

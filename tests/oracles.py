@@ -31,6 +31,10 @@ code: one Python iteration per point and one mean per phase.
 The CSS filter oracle is the SARIMAX estimator's first filter: one column
 at a time, the AR polynomial by np.convolve and the inverse MA polynomial
 by a 1-D lfilter.
+
+The Holt oracle is the trend smoother's first recursion: it iterates the
+numpy array itself, so every step is numpy-scalar arithmetic, and forms
+1 - alpha and 1 - beta at every step.
 """
 
 import math
@@ -636,3 +640,22 @@ def scalar_css_filter(series_block: np.ndarray, ar_full, ma_full, burn: int) -> 
             w = lfilter([1.0], ma_full, w)
         out[:, j] = w
     return out
+
+
+def scalar_holt_filter(y: np.ndarray, alpha, beta, l0: float, b0: float, preds: list | None = None):
+    """Final (level, slope, sse); each one-step prediction is appended to preds if given.
+
+    alpha and beta may be equal-shape arrays: the recursion then runs for
+    every (alpha, beta) pair at once and returns arrays.
+    """
+    level, slope, sse = l0, b0, 0.0
+    for v in y:
+        pred = level + slope
+        if preds is not None:
+            preds.append(pred)
+        err = v - pred
+        sse += err * err
+        new_level = alpha * v + (1.0 - alpha) * pred
+        slope = beta * (new_level - level) + (1.0 - beta) * slope
+        level = new_level
+    return level, slope, sse

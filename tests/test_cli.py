@@ -1,6 +1,10 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,21 @@ class TestCommands:
         assert rc == EXIT_OK
         assert "count    420" in out
         assert "mean" in out and "median" in out
+
+    @pytest.mark.parametrize("module", ["oeeforecast", "oeeforecast.cli"])
+    def test_python_m_runs_the_command_line(self, dataset_csv, module):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", module, "stats", "--input", str(dataset_csv)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "count    420" in done.stdout
+        assert "median" in done.stdout
 
     def test_stats_missing_file_exit_code(self, tmp_path, capsys):
         rc = cli_run(["stats", "--input", str(tmp_path / "absent.csv")])

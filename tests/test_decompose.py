@@ -156,6 +156,17 @@ class TestScalarOracle:
             centered_moving_average(x, window), scalar_centered_moving_average(x, window)
         )
 
+    @pytest.mark.parametrize("window", [2, 3, 5, 8, 24, 25, 168])
+    def test_lengths_around_the_full_kernel(self, window):
+        # none, one or two points with room for the full kernel: the interior
+        # slices are empty or one or two points long
+        half = window // 2
+        rng = np.random.default_rng(window)
+        for n in sorted({window - 1, window, window + 1, 2 * half, 2 * half + 1}):
+            x = rng.normal(30.0, 5.0, n)
+            got = centered_moving_average(x, window)
+            assert got.tobytes() == scalar_centered_moving_average(x, window).tobytes(), n
+
     @pytest.mark.parametrize("period", [8, 24, 168])
     @pytest.mark.parametrize("extra", [0, 1, -1])
     def test_whole_and_partial_cycles(self, period, extra):

@@ -1,15 +1,40 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
+from oeeforecast import forecasters
 from oeeforecast.forecasters import (
     EtsFit,
+    _holt_filter,
+    _init_state,
     ets_fit,
     ets_forecast,
     ets_one_step,
     ets_update,
     seasonal_naive_forecast,
 )
+from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
+
+from conftest import STAND_INS, make_oee_series
+from oracles import scalar_holt_filter
+
+
+def bits(*values):
+    """The float64 bytes of each value: equal bits, -0.0 and NaN included."""
+    return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+
+@pytest.fixture(scope="module")
+def standin_trends():
+    """The causal trend of each stand-in, the series every ets_fit and
+    ets_update of a decomposed forecast filters."""
+    trends = {}
+    for name, (n, seed) in STAND_INS.items():
+        series = make_oee_series(n, seed=seed, name=name)
+        trends[name] = causal_components(series, (8, 24, 168))[0]
+    return trends
 
 
 class TestEts:
@@ -58,7 +83,7 @@ class TestEts:
             ets_fit(TimeSeries(np.arange(5.0)))
 
     def test_grid_and_scalar_filter_agree(self):
-        from oeeforecast.forecasters import _holt_filter, _holt_sse_grid, _init_state
+        from oeeforecast.forecasters import _holt_sse_grid
 
         rng = np.random.default_rng(12)
         y = np.cumsum(rng.normal(size=60)) + 20.0
@@ -79,6 +104,57 @@ class TestEts:
         preds = ets_one_step(fit, ts)
         assert preds.size == 80
         assert np.sum((ts.values - preds) ** 2) == pytest.approx(fit.sse, rel=1e-12)
+
+
+class TestHoltOracle:
+    """The Holt recursion against its first, numpy-scalar loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_scalar_shape_on_stand_in_trends(self, standin_trends, name):
+        y = standin_trends[name].values
+        l0, b0 = _init_state(y)
+        rng = np.random.default_rng(21)
+        pairs = [(0.01, 0.0), (0.99, 0.99), (0.5, 0.5)]
+        pairs += [(rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(0.0, 1.0 - 1e-4)) for _ in range(12)]
+        for alpha, beta in pairs:
+            preds, want_preds = [], []
+            got = _holt_filter(y, alpha, beta, l0, b0, preds)
+            want = scalar_holt_filter(y, alpha, beta, l0, b0, want_preds)
+            assert bits(*got) == bits(*want), (alpha, beta)
+            assert bits(preds) == bits(want_preds), (alpha, beta)
+
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_grid_shape_on_stand_in_trends(self, standin_trends, name):
+        # the (alpha, beta) grid ets_fit scans, one recursion for every pair
+        y = standin_trends[name].values
+        l0, b0 = _init_state(y)
+        alphas, betas = np.arange(0.01, 1.00, 0.01), np.arange(0.00, 1.00, 0.01)
+        a, b = np.repeat(alphas, betas.size), np.tile(betas, alphas.size)
+        assert bits(*_holt_filter(y, a, b, l0, b0)) == bits(*scalar_holt_filter(y, a, b, l0, b0))
+
+    def test_grid_shape_on_seeded_pairs(self):
+        rng = np.random.default_rng(22)
+        for seed in range(5):
+            y = np.cumsum(rng.normal(size=60 + 40 * seed)) + 20.0
+            l0, b0 = _init_state(y)
+            a = rng.uniform(1e-4, 1.0 - 1e-4, 64)
+            b = rng.uniform(0.0, 1.0 - 1e-4, 64)
+            assert bits(*_holt_filter(y, a, b, l0, b0)) == bits(
+                *scalar_holt_filter(y, a, b, l0, b0)
+            ), seed
+
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_fit_update_one_step_with_oracle_patched_in(self, standin_trends, name, monkeypatch):
+        trend = standin_trends[name]
+        longer = trend.with_values(np.append(trend.values, trend.values[-24:] + 0.5))
+
+        def run():
+            fit = ets_fit(trend)
+            return bits(*astuple(fit), *astuple(ets_update(fit, longer)), ets_one_step(fit, longer))
+
+        got = run()
+        monkeypatch.setattr(forecasters, "_holt_filter", scalar_holt_filter)
+        assert got == run()
 
 
 class TestSeasonalNaive:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oeeforecast import pipeline, sarimax
+from oeeforecast import forecasters, pipeline, sarimax
 from oeeforecast.pipeline import (
     BENCHMARK_MODELS,
     DecomposedStrategy,
@@ -26,7 +26,15 @@ from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import extract_stat_features
 
 from conftest import STAND_INS, make_oee_series
-from oracles import forecast_rebuilding_rows
+from oracles import (
+    forecast_rebuilding_rows,
+    scalar_centered_moving_average,
+    scalar_holt_filter,
+    scalar_phase_means,
+)
+
+# the package re-exports the decompose function under the module's name
+decompose_module = sys.modules["oeeforecast.decompose"]
 
 
 def small_cfg(**kw):
@@ -451,3 +459,75 @@ class TestBenchmarkTracer:
         # the refit's 300 - 24 + 1 windows plus 2 forecast steps' 6 and 1
         assert counts["tda.rows"] == 277 + 6 + 1
         assert counts["sarimax.objective_evals"] > 0
+
+
+REFIT_AT = 400  # length of the refit span of the forecast-path fixture
+
+
+@pytest.fixture(scope="module")
+def refitted():
+    """Feature mode -> a DecomposedStrategy refitted on the first REFIT_AT
+    hours of a stand-in at the default periods, and that series."""
+    series = make_oee_series(648, seed=7, name="stand_in_a")
+    fitted = {}
+    for mode in ("none", "statistical", "topological"):
+        strat = DecomposedStrategy(small_cfg(periods=(8, 24, 168), feature_mode=mode))
+        strat.refit(series.slice(0, REFIT_AT))
+        fitted[mode] = strat, series
+    return fitted
+
+
+class TestForecastPath:
+    """What every origin's forecast runs: the decomposition of the whole past
+    and the Holt filter over the whole trend."""
+
+    @pytest.mark.parametrize("mode", ["none", "statistical", "topological"])
+    def test_bits_equal_the_scalar_oracles(self, refitted, mode, monkeypatch):
+        strat, series = refitted[mode]
+
+        def forecasts():
+            return [
+                strat.forecast(series.slice(0, REFIT_AT + hours), horizon).tobytes()
+                for hours in (0, 5, 12, 23)
+                for horizon in (1, 4)
+            ]
+
+        got = forecasts()
+        monkeypatch.setattr(
+            decompose_module, "centered_moving_average", scalar_centered_moving_average
+        )
+        monkeypatch.setattr(decompose_module, "_phase_means", scalar_phase_means)
+        monkeypatch.setattr(forecasters, "_holt_filter", scalar_holt_filter)
+        assert got == forecasts()
+
+    @pytest.mark.parametrize(
+        "mode, extractor",
+        [("none", None), ("statistical", "extract_stat_features"),
+         ("topological", "extract_tda_features")],
+    )
+    def test_reaches_the_names_the_benchmark_tracer_patches(
+        self, refitted, mode, extractor, monkeypatch
+    ):
+        # perfbench/tracing.py times a layer by replacing these module
+        # attributes; a call that no longer goes through one loses its span
+        boundaries = [
+            (pipeline, "decompose"),
+            (pipeline, "ets_update"),
+            (pipeline, "ets_forecast"),
+            (pipeline, "seasonal_naive_forecast"),
+            (sarimax, "apply_params"),
+            (sarimax, "forecast"),
+        ]
+        if extractor is not None:
+            boundaries.append((pipeline, extractor))
+        reached = set()
+        for module, name in boundaries:
+
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                reached.add(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+        strat, series = refitted[mode]
+        strat.forecast(series.slice(0, REFIT_AT + 5), 2)
+        assert reached == {name for _, name in boundaries}

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ class TestForecast:
         assert fc.values[0] == pytest.approx(expected_1, abs=1e-10)
         assert fc.values[1] == pytest.approx(f.intercept, abs=1e-10)
         assert fc.values[2] == pytest.approx(f.intercept, abs=1e-10)
+
+    def test_lag_polynomials_follow_the_coefficients(self):
+        # apply_params and forecast read the polynomials a fit or state carries
+        ts = simulate(SarimaxSpec(p=1, q=1, P=1, Q=1, s=8), n=400, seed=23, ar=(0.4,),
+                      ma=(0.3,), sar=(0.2,), sma=(-0.3,))
+        f = fit(ts, SarimaxSpec(p=1, q=1, P=1, Q=1, s=8), n_restarts=0)
+        state = sarimax.apply_params(f, ts.slice(0, 350))
+        moved = replace(state, ar=(0.1,))
+        for obj in (f, state, moved):
+            assert obj.ar_poly.tobytes() == sarimax._lag_poly(obj.ar, obj.sar, 8, -1.0).tobytes()
+            assert obj.ma_poly.tobytes() == sarimax._lag_poly(obj.ma, obj.sma, 8, 1.0).tobytes()
+        assert forecast(moved, 3).values != forecast(state, 3).values
 
     def test_exog_future_required_and_shaped(self):
         rng = np.random.default_rng(3)
