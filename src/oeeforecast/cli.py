@@ -90,8 +90,9 @@ def cmd_stats(args) -> int:
     print(f"q75      {s.q75:.2f}")
     print(f"max      {s.max:.2f}")
     if s.moments_degenerate:
-        print("skewness undefined (zero variance)")
-        print("kurtosis undefined (zero variance)")
+        why = "zero variance" if s.std_dev == 0.0 else "near-constant values"
+        print(f"skewness undefined ({why})")
+        print(f"kurtosis undefined ({why})")
     else:
         print(f"skewness {s.skewness:.2f}")
         print(f"kurtosis {s.kurtosis:.2f}")

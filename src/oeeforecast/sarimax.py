@@ -23,6 +23,13 @@ Standard errors: regression block from sigma2 * (X~'X~)^-1 on the filtered
 design; ARMA block from the numerical Hessian of the concentrated
 log-likelihood; the two blocks are asymptotically independent for
 regression-with-ARMA-errors models.
+
+scipy supplies the simplex search (``scipy.optimize.minimize``) and the
+filter (``scipy.signal.lfilter``). Both are imported where a fit, a filter
+or a simulation first runs, not with this module: the two packages take
+about a second to import, and ``import oeeforecast`` and the commands that
+fit nothing should not pay for it. A server that fits on its first requests
+calls ``import_fit_path`` before it starts answering.
 """
 
 from __future__ import annotations
@@ -32,8 +39,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter
 
 from .feature_matrix import FeatureMatrix
 from .forecasters import ForecastResult
@@ -44,6 +49,23 @@ _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 5000  # Nelder-Mead iterations per start
 _FATOL = 1e-8  # Nelder-Mead objective tolerance
 _SIMULATE_BURN_IN = 200  # simulate's leading draws, discarded to forget the zero start
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported at the first call.
+
+    ``fit`` calls it through this module global; perfbench/tracing.py
+    wraps this name to count the objective evaluations.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
+
+
+def import_fit_path() -> None:
+    """Import the optimizer and the filter now instead of at the first fit."""
+    import scipy.optimize  # noqa: F401
+    import scipy.signal  # noqa: F401
 
 
 class CollinearityError(ValueError):
@@ -239,6 +261,8 @@ def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
     Returns the filtered block for t >= burn. Pre-sample innovations are
     zero; burn >= the AR span, so every AR lag of a kept point is real data.
     """
+    from scipy.signal import lfilter
+
     w = lfilter(ar_full, [1.0], block, axis=0)[burn:]
     return lfilter([1.0], ma_full, w, axis=0) if len(ma_full) > 1 else w
 
@@ -596,6 +620,8 @@ def simulate(
         raise ValueError("MA parameters are not invertible")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
+
+    from scipy.signal import lfilter
 
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(sigma2), size=n + _SIMULATE_BURN_IN)

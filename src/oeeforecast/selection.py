@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from . import sarimax
 from .feature_matrix import FeatureMatrix
@@ -134,6 +133,8 @@ def correlation_filter(
 ) -> tuple[FeatureMatrix, SelectionReport]:
     """Break up highly correlated column pairs, keeping the member whose
     Spearman correlation with the target is stronger."""
+    from scipy.stats import spearmanr
+
     y = np.asarray(target, dtype=float)
     if y.size != fm.n_rows:
         raise ValueError(f"target length {y.size} != row count {fm.n_rows}")
@@ -149,7 +150,7 @@ def correlation_filter(
         if np.ptp(col) == 0.0 or np.ptp(y) == 0.0:
             importance[name] = 0.0
         else:
-            rho = sps.spearmanr(col, y).statistic
+            rho = spearmanr(col, y).statistic
             importance[name] = abs(float(rho)) if math.isfinite(rho) else 0.0
 
     pairs = [

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
-from scipy import stats as sps
 
 HOUR = timedelta(hours=1)
 
@@ -73,7 +72,8 @@ class SummaryStats:
     max: float
     skewness: float
     kurtosis: float
-    # True when skewness/kurtosis are undefined (zero variance); they are NaN then.
+    # True when skewness/kurtosis are undefined: zero variance, or a spread
+    # within rounding of the mean (scipy's near-constant rule). They are NaN then.
     moments_degenerate: bool = False
 
 
@@ -159,6 +159,32 @@ def load_csv(
     return TimeSeries(np.asarray(values), start, name or str(value_column))
 
 
+def _adjusted_moments(x: np.ndarray) -> tuple[float, float]:
+    """Adjusted skewness and excess kurtosis: scipy.stats.skew(x, bias=False)
+    and kurtosis(x, bias=False) in scipy's order of operations.
+
+    Both are NaN when scipy finds the sample near-constant, m2 <=
+    (eps * mean)**2, which a zero variance is. Below 3 and 4 points they
+    keep their biased values, as scipy does.
+    """
+    n = x.size
+    mean = np.mean(x, keepdims=True)
+    d = x - mean
+    d2 = d**2
+    m2 = np.mean(d2)
+    if m2 <= (np.finfo(float).eps * mean[0]) ** 2:
+        return math.nan, math.nan
+    m3 = np.mean(d2 * d)
+    m4 = np.mean(d2**2)
+    skew = m3 / m2**1.5
+    if n > 2:
+        skew = ((n - 1.0) * n) ** 0.5 / (n - 2.0) * m3 / m2**1.5
+    kurt = m4 / m2**2.0
+    if n > 3:
+        kurt = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0) + 3.0
+    return float(skew), float(kurt - 3)
+
+
 def summary_stats(ts: TimeSeries) -> SummaryStats:
     """Descriptive statistics; sample (n-1) std, adjusted skewness, excess kurtosis."""
     x = ts.values
@@ -166,18 +192,11 @@ def summary_stats(ts: TimeSeries) -> SummaryStats:
     if n < 2:
         raise ValueError("summary_stats needs length >= 2")
     q25, med, q75 = np.quantile(x, [0.25, 0.5, 0.75])
-    std = float(np.std(x, ddof=1))
-    if std == 0.0:
-        skew = kurt = math.nan
-        degenerate = True
-    else:
-        skew = float(sps.skew(x, bias=False))
-        kurt = float(sps.kurtosis(x, fisher=True, bias=False))
-        degenerate = not (math.isfinite(skew) and math.isfinite(kurt))
+    skew, kurt = _adjusted_moments(x)
     return SummaryStats(
         count=n,
         mean=float(np.mean(x)),
-        std_dev=std,
+        std_dev=float(np.std(x, ddof=1)),
         min=float(np.min(x)),
         q25=float(q25),
         median=float(med),
@@ -185,7 +204,7 @@ def summary_stats(ts: TimeSeries) -> SummaryStats:
         max=float(np.max(x)),
         skewness=skew,
         kurtosis=kurt,
-        moments_degenerate=degenerate,
+        moments_degenerate=not (math.isfinite(skew) and math.isfinite(kurt)),
     )
 
 

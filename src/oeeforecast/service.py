@@ -29,11 +29,17 @@ Each request writes one line to stderr once its answer has been sent:
 Answers are not held back by Nagle's algorithm waiting for the client's
 delayed ACK: an answer up to 8 KB leaves in one buffered send, and larger
 ones go out with TCP_NODELAY.
+
+Importing this module loads no scipy module. ``serve`` imports the fit path
+(scipy's optimizer and ARMA filter) before it binds the port: every rebuild
+fits, so deferring that import further would only add it to the first
+forecast request.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import time
@@ -42,8 +48,8 @@ import uuid
 from dataclasses import dataclass, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
-import os
 
+from . import sarimax
 from .decompose import decompose
 from .pipeline import (
     ConfigError,
@@ -292,6 +298,7 @@ class _Handler(BaseHTTPRequestHandler):
 
 def serve(registry: EquipmentRegistry, port: int) -> ThreadingHTTPServer:
     """Build the HTTP server (call serve_forever() or run it in a thread)."""
+    sarimax.import_fit_path()
     server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
     server.cache = _EquipmentCache(registry)  # type: ignore[attr-defined]
     return server

@@ -35,6 +35,9 @@ by a 1-D lfilter.
 The Holt oracle is the trend smoother's first recursion: it iterates the
 numpy array itself, so every step is numpy-scalar arithmetic, and forms
 1 - alpha and 1 - beta at every step.
+
+The summary-moments oracle is summary_stats' first skewness and kurtosis:
+scipy's bias-adjusted calls.
 """
 
 import math
@@ -659,3 +662,10 @@ def scalar_holt_filter(y: np.ndarray, alpha, beta, l0: float, b0: float, preds: 
         slope = beta * (new_level - level) + (1.0 - beta) * slope
         level = new_level
     return level, slope, sse
+
+
+def scipy_adjusted_moments(x: np.ndarray) -> tuple[float, float]:
+    """(skewness, kurtosis) as summary_stats first computed them."""
+    skew = float(sps.skew(x, bias=False))
+    kurt = float(sps.kurtosis(x, fisher=True, bias=False))
+    return skew, kurt

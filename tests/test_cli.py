@@ -24,6 +24,19 @@ from oeeforecast.tda.extract import CATALOG as TDA_CATALOG
 from conftest import make_oee_series
 
 
+def run_python(*args):
+    """A fresh interpreter on this checkout's sources."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+
+
 @pytest.fixture(scope="module")
 def dataset_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "equipment.csv"
@@ -84,18 +97,24 @@ class TestCommands:
 
     @pytest.mark.parametrize("module", ["oeeforecast", "oeeforecast.cli"])
     def test_python_m_runs_the_command_line(self, dataset_csv, module):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-m", module, "stats", "--input", str(dataset_csv)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
-            timeout=120,
-        )
+        done = run_python("-m", module, "stats", "--input", str(dataset_csv))
         assert done.returncode == EXIT_OK, done.stderr
         assert "count    420" in done.stdout
         assert "median" in done.stdout
+
+    @pytest.mark.parametrize(
+        "values, reason",
+        [([1e10, 1e10 + 2e-6] * 2 + [1e10], "near-constant values"), ([5.0] * 4, "zero variance")],
+        ids=["near_constant", "constant"],
+    )
+    def test_stats_names_why_moments_are_undefined(self, tmp_path, values, reason):
+        path = tmp_path / "flat.csv"
+        path.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+        done = run_python("-m", "oeeforecast", "stats", "--input", str(path))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stderr == ""
+        assert f"skewness undefined ({reason})" in done.stdout
+        assert f"kurtosis undefined ({reason})" in done.stdout
 
     def test_stats_missing_file_exit_code(self, tmp_path, capsys):
         rc = cli_run(["stats", "--input", str(tmp_path / "absent.csv")])
@@ -286,3 +305,58 @@ class TestCommands:
         )
         assert rc1 == rc2 == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# Prints, as JSON, the scipy modules loaded after importing the package, then
+# (exit code, scipy modules loaded) after each command of sys.argv[1], a JSON
+# list of argument lists.
+_SCIPY_AFTER_COMMANDS = """
+import contextlib, io, json, sys
+import oeeforecast, oeeforecast.cli, oeeforecast.service
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = [scipy_modules()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = oeeforecast.cli.cli_run(argv)
+    loaded.append([rc, scipy_modules()])
+print(json.dumps(loaded))
+"""
+
+_SCIPY_AFTER_SERVE = """
+import sys
+from oeeforecast.service import load_registry, serve
+
+server = serve(load_registry(sys.argv[1]), port=0)
+server.server_close()
+print(" ".join(m for m in ("scipy.optimize", "scipy.signal") if m in sys.modules))
+"""
+
+
+class TestScipyImport:
+    """scipy takes most of a second to import, and only a fit or a filter needs it."""
+
+    def test_commands_that_fit_nothing_load_no_scipy(self, dataset_csv, tmp_path):
+        data = ["--input", str(dataset_csv), "--periods", "8,24"]
+        commands = [
+            ["stats"] + data,
+            ["decompose"] + data + ["--output", str(tmp_path / "d.csv")],
+            ["features", "--feature-mode", "statistical"] + data + ["--output", str(tmp_path / "s.csv")],
+            ["features", "--feature-mode", "topological"] + data + ["--output", str(tmp_path / "t.csv")],
+            ["stats", "--help"],
+            ["stats", "--input", str(dataset_csv), "--periods", "8,x"],
+        ]
+        done = run_python("-c", _SCIPY_AFTER_COMMANDS, json.dumps(commands))
+        assert done.returncode == 0, done.stderr
+        on_import, *after_commands = json.loads(done.stdout)
+        assert on_import == []
+        assert after_commands == [[EXIT_OK, []]] * 5 + [[EXIT_CONFIG, []]]
+
+    def test_serve_loads_the_fit_path_before_answering(self, dataset_csv, tmp_path):
+        registry = tmp_path / "registry.conf"
+        registry.write_text(f"a.dataset = {dataset_csv}\n")
+        done = run_python("-c", _SCIPY_AFTER_SERVE, str(registry))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["scipy.optimize", "scipy.signal"]

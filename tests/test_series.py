@@ -7,7 +7,7 @@ import pytest
 from oeeforecast.series import CsvError, TimeSeries, load_csv, mae, mape, summary_stats
 
 from conftest import kpss_level_statistic, kpss_rejects_level, ljung_box_rejects
-from oracles import acf_values, pacf_values
+from oracles import acf_values, pacf_values, scipy_adjusted_moments
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -138,6 +138,38 @@ class TestSummaryStats:
     def test_length_one_rejected(self):
         with pytest.raises(ValueError):
             summary_stats(TimeSeries([1.0]))
+
+    def test_near_constant_series_flags_moments(self):
+        s = summary_stats(TimeSeries(NEAR_CONSTANT))
+        assert s.std_dev > 0.0
+        assert s.moments_degenerate
+        assert math.isnan(s.skewness) and math.isnan(s.kurtosis)
+
+
+# alternating 1e10 and 1e10 + 2e-6: a nonzero variance inside scipy's
+# near-constant rule, m2 <= (eps * mean)**2
+NEAR_CONSTANT = np.array([1e10, 1e10 + 2e-6, 1e10, 1e10 + 2e-6, 1e10])
+
+
+def _moment_cases():
+    rng = np.random.default_rng(20)
+    for n in (2, 3, 4, 5, 50, 420, 648, 20000):
+        for k in range(3):
+            x = rng.normal(rng.uniform(-50.0, 50.0), rng.uniform(0.01, 20.0), n)
+            yield f"n{n}-{k}", x
+            yield f"n{n}-{k}-ties", np.round(x)
+        yield f"n{n}-levels", rng.integers(0, 3, n).astype(float)
+    yield "constant", np.full(6, 0.1)
+    yield "near_constant", NEAR_CONSTANT
+
+
+@pytest.mark.parametrize("x", [pytest.param(x, id=i) for i, x in _moment_cases()])
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_moments_bit_equal_to_scipy(x):
+    s = summary_stats(TimeSeries(x))
+    skew, kurt = scipy_adjusted_moments(x)
+    for got, want in ((s.skewness, skew), (s.kurtosis, kurt)):
+        assert got == want or (math.isnan(got) and math.isnan(want)), (got, want)
 
 
 class TestKpss:
