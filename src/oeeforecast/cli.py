@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .pipeline import (
     BENCHMARK_MODELS,
     FEATURE_MODES,
     SELECTION_MODES,
+    SETTINGS,
     ConfigError,
     DecomposedStrategy,
     PipelineConfig,
@@ -46,12 +46,27 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_CONFIG = 5
 
-# the flags not named after their PipelineConfig field
+# the flags not named after their setting, and the one alias
 _FLAG_NAMES = {"dataset": "--input", "value_column": "--column", "sarimax_spec": "--spec"}
+_FLAG_ALIASES = {"feature_mode": ("--mode",)}
+_FLAG_HELP = {
+    "dataset": "CSV dataset path",
+    "value_column": "value column name",
+    "periods": "comma-separated, e.g. 8,24,168",
+    "feature_mode": "one of " + ", ".join(FEATURE_MODES),
+    "selection_mode": "one of " + ", ".join(SELECTION_MODES),
+    "sarimax_spec": "SARIMAX orders p,d,q,P,D,Q,s with d = D = 0",
+    "seed": "seed for randomized stages (default 0)",
+}
+
+
+def _flag(key: str) -> str:
+    return _FLAG_NAMES.get(key, "--" + key.replace("_", "-"))
 
 
 def build_config(args) -> PipelineConfig:
-    """The --config file's values with every flag given on top.
+    """The --config file's values with every flag given on top, each read
+    by the same parser.
 
     A PipelineConfig rejection starts with the field's name, which is
     replaced by the source that set it (``file:line: key`` or the flag).
@@ -61,14 +76,11 @@ def build_config(args) -> PipelineConfig:
         for where, key, value in read_settings(args.config):
             labels[key] = f"{where}: {key}"
             values[key] = coerce_config_value(key, value, labels[key])
-    for f in fields(PipelineConfig):
-        flag = getattr(args, f.name, None)
-        if flag is None:
-            continue
-        labels[f.name] = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
-        if isinstance(flag, str):
-            flag = coerce_config_value(f.name, flag, labels[f.name])
-        values[f.name] = flag
+    for key in SETTINGS:
+        flag = getattr(args, key, None)
+        if flag is not None:
+            labels[key] = _flag(key)
+            values[key] = coerce_config_value(key, flag, labels[key])
     if not values.get("dataset"):
         raise ConfigError("no dataset given (use --input or a config file with 'dataset = ...')")
     try:
@@ -215,32 +227,9 @@ def cmd_serve(args) -> int:
 
 
 def _add_io_flags(p, output=False):
-    p.add_argument("--input", dest="dataset", help="CSV dataset path")
     p.add_argument("--config", help="key-value config file")
-    p.add_argument("--column", dest="value_column", default=None, help="value column name")
-    p.add_argument("--timestamp-column", dest="timestamp_column", default=None)
-    p.add_argument("--periods", default=None, help="comma-separated, e.g. 8,24,168")
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float, default=None)
-    p.add_argument(
-        "--feature-mode",
-        "--mode",
-        dest="feature_mode",
-        default=None,
-        choices=FEATURE_MODES,
-    )
-    p.add_argument(
-        "--selection-mode",
-        dest="selection_mode",
-        default=None,
-        choices=SELECTION_MODES,
-    )
-    p.add_argument(
-        "--spec", dest="sarimax_spec", default=None, help="SARIMAX orders p,d,q,P,D,Q,s"
-    )
-    p.add_argument("--refit-interval", dest="refit_interval", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized stages (default 0)")
+    for key in SETTINGS:
+        p.add_argument(_flag(key), *_FLAG_ALIASES.get(key, ()), dest=key, help=_FLAG_HELP.get(key))
     if output:
         p.add_argument("--output", required=True, help="output file path")
 

@@ -107,6 +107,34 @@ def read_settings(path):
             yield where, key.strip(), value.strip()
 
 
+def _read_spec(value: str) -> sarimax.SarimaxSpec:
+    parts = [int(v) for v in value.split(",")]
+    if len(parts) != 7:
+        raise ValueError("sarimax_spec needs p,d,q,P,D,Q,s")
+    p, d, q, sp, sd, sq, s = parts
+    if d or sd:
+        raise ValueError("integrated models (d or D > 0) are out of scope")
+    return sarimax.SarimaxSpec(p=p, q=q, P=sp, Q=sq, s=s)
+
+
+# PipelineConfig field -> the one parser of its text in a config file, a
+# registry line and a flag; PipelineConfig then checks the value
+SETTINGS = {
+    "dataset": str,
+    "value_column": str,
+    "timestamp_column": lambda value: value or None,
+    "periods": lambda value: tuple(int(v) for v in value.split(",")),
+    "window": int,
+    "horizon": int,
+    "test_fraction": float,
+    "feature_mode": str,
+    "selection_mode": str,
+    "sarimax_spec": _read_spec,
+    "refit_interval": int,
+    "seed": int,
+}
+
+
 def coerce_config_value(key: str, value: str, label: str | None = None):
     """Parse a settings value into the type of PipelineConfig field ``key``.
 
@@ -115,26 +143,12 @@ def coerce_config_value(key: str, value: str, label: str | None = None):
     when not given).
     """
     label = label or key
+    if key not in SETTINGS:
+        raise ConfigError(f"{label}: unknown config key {key!r}")
     try:
-        if key in ("dataset", "value_column", "feature_mode", "selection_mode"):
-            return value
-        if key == "timestamp_column":
-            return value or None
-        if key == "periods":
-            return tuple(int(v) for v in value.split(","))
-        if key in ("window", "horizon", "refit_interval", "seed"):
-            return int(value)
-        if key == "test_fraction":
-            return float(value)
-        if key == "sarimax_spec":
-            parts = [int(v) for v in value.split(",")]
-            if len(parts) != 7:
-                raise ValueError("sarimax_spec needs p,d,q,P,D,Q,s")
-            p, d, q, sp, sd, sq, s = parts
-            return sarimax.SarimaxSpec(p=p, d=d, q=q, P=sp, D=sd, Q=sq, s=s)
+        return SETTINGS[key](value)
     except ValueError as exc:
         raise ConfigError(f"{label}: cannot read {value!r}: {exc}") from None
-    raise ConfigError(f"{label}: unknown config key {key!r}")
 
 
 @dataclass(frozen=True)

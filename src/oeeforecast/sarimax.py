@@ -75,10 +75,8 @@ class CollinearityError(ValueError):
 @dataclass(frozen=True)
 class SarimaxSpec:
     p: int = 0
-    d: int = 0
     q: int = 0
     P: int = 0
-    D: int = 0
     Q: int = 0
     s: int = 1
     n_exog: int = 0
@@ -88,8 +86,6 @@ class SarimaxSpec:
             v = getattr(self, nm)
             if not (0 <= v <= MAX_ORDER):
                 raise ValueError(f"order {nm}={v} outside [0, {MAX_ORDER}]")
-        if self.d != 0 or self.D != 0:
-            raise ValueError("integrated models (d or D > 0) are out of scope")
         if self.s < 1:
             raise ValueError("seasonal period s must be >= 1")
         if self.n_exog < 0:
@@ -404,7 +400,7 @@ def fit(
     xs, exog_names, exog_mean, exog_scale = _prepare_exog(exog, n)
     if spec.n_exog and spec.n_exog != xs.shape[1]:
         raise ValueError(f"spec.n_exog={spec.n_exog} but exog has {xs.shape[1]} columns")
-    spec = SarimaxSpec(spec.p, 0, spec.q, spec.P, 0, spec.Q, spec.s, xs.shape[1])
+    spec = SarimaxSpec(spec.p, spec.q, spec.P, spec.Q, spec.s, xs.shape[1])
     design = np.column_stack([np.ones(n), xs])
     n_eff = n - spec.burn_in
     if n_eff <= design.shape[1] + spec.p + spec.q + spec.P + spec.Q:

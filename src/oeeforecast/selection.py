@@ -20,8 +20,16 @@ from . import sarimax
 from .feature_matrix import FeatureMatrix
 from .series import TimeSeries
 
+_VARIANCE_THRESHOLD = 0.01  # least sample variance a column keeps
+_RHO_THRESHOLD = 0.9  # |Pearson r| above which a pair is redundant
+_REL_TOL = 1e-7  # least |R_jj| / |R_00| of a kept column in the pivoted QR
 _RFE_RESTARTS = 1  # seeded Nelder-Mead restarts of each RFE refit
 _PSO_RESTARTS = 0  # seeded Nelder-Mead restarts of each PSO fitness fit
+# the PSO velocity rule's weights, and its stagnation limit (see pso_bic)
+_INERTIA = 0.7
+_COGNITIVE = 1.4
+_SOCIAL = 1.8
+_STAGNATION_LIMIT = 30
 
 
 @dataclass(frozen=True)
@@ -55,19 +63,13 @@ class SelectionReport:
 class PsoConfig:
     swarm_size: int = 40
     max_iterations: int = 300
-    inertia: float = 0.7
-    cognitive: float = 1.4
-    social: float = 1.8
     runs: int = 5
     stability_threshold: int = 3
     seed: int = 0
-    stagnation_limit: int = 30
 
     def __post_init__(self):
         if self.swarm_size < 2:
             raise ValueError("swarm_size must be >= 2")
-        if not (0.0 < self.inertia < 1.0):
-            raise ValueError("inertia must be in (0, 1)")
         if self.runs < 1 or self.stability_threshold > self.runs:
             raise ValueError("need runs >= 1 and stability_threshold <= runs")
         if self.max_iterations < 1:
@@ -98,28 +100,22 @@ class PsoResult:
         )
 
 
-def variance_filter(
-    fm: FeatureMatrix, threshold: float = 0.01, split_index: int | None = None
-) -> tuple[FeatureMatrix, SelectionReport]:
-    """Drop columns whose sample variance falls below the threshold.
+def variance_filter(fm: FeatureMatrix) -> tuple[FeatureMatrix, SelectionReport]:
+    """Drop columns whose sample variance falls below _VARIANCE_THRESHOLD.
 
-    Variance is computed on the training span only (rows with row_index <
-    split_index) when a split is given, so test rows can never influence
-    which columns survive.
+    The variance is taken over every row given: the pipeline selects on
+    the rows of the span it fits, so later rows cannot decide which columns
+    survive.
     """
     if fm.n_rows < 1:
         raise ValueError("need at least one row")
-    rows = np.asarray(fm.row_index)
-    train = fm.matrix[rows < split_index] if split_index is not None else fm.matrix
-    if train.shape[0] < 1:
-        raise ValueError("no training rows before split_index")
-    var = train.var(axis=0, ddof=1) if train.shape[0] > 1 else np.zeros(fm.n_cols)
+    var = fm.matrix.var(axis=0, ddof=1) if fm.n_rows > 1 else np.zeros(fm.n_cols)
 
     kept, dropped, metrics = [], {}, {}
     for j, name in enumerate(fm.column_names):
         metrics[name] = float(var[j])
-        if var[j] < threshold:
-            dropped[name] = f"variance {var[j]:.3e} < {threshold}"
+        if var[j] < _VARIANCE_THRESHOLD:
+            dropped[name] = f"variance {var[j]:.3e} < {_VARIANCE_THRESHOLD}"
         else:
             kept.append(name)
     if not kept:
@@ -128,11 +124,9 @@ def variance_filter(
     return fm.select_columns(kept), report
 
 
-def correlation_filter(
-    fm: FeatureMatrix, target, rho_threshold: float = 0.9
-) -> tuple[FeatureMatrix, SelectionReport]:
-    """Break up highly correlated column pairs, keeping the member whose
-    Spearman correlation with the target is stronger."""
+def correlation_filter(fm: FeatureMatrix, target) -> tuple[FeatureMatrix, SelectionReport]:
+    """Break up column pairs correlated above _RHO_THRESHOLD, keeping the
+    member whose Spearman correlation with the target is stronger."""
     from scipy.stats import spearmanr
 
     y = np.asarray(target, dtype=float)
@@ -157,7 +151,7 @@ def correlation_filter(
         (abs(corr[i, j]), names[i], names[j])
         for i in range(len(names))
         for j in range(i + 1, len(names))
-        if abs(corr[i, j]) > rho_threshold
+        if abs(corr[i, j]) > _RHO_THRESHOLD
     ]
     pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
 
@@ -173,15 +167,14 @@ def correlation_filter(
     return fm.select_columns(kept), report
 
 
-def collinearity_prune(
-    fm: FeatureMatrix, rel_tol: float = 1e-7
-) -> tuple[FeatureMatrix, SelectionReport]:
+def collinearity_prune(fm: FeatureMatrix) -> tuple[FeatureMatrix, SelectionReport]:
     """Drop columns until the standardized design is numerically full rank.
 
     Pairwise correlation screening cannot see exact dependencies among
     three or more columns (the catalog contains some by construction, e.g.
     an aggregate equal to the mean of its parts). A pivoted QR keeps the
-    best-conditioned subset deterministically.
+    best-conditioned subset deterministically: the columns whose pivot
+    exceeds _REL_TOL times the first.
     """
     from scipy.linalg import qr
 
@@ -193,7 +186,7 @@ def collinearity_prune(
     r, piv = qr(xs, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
     top = diag[0] if diag.size else 0.0
-    keep_piv = sorted(piv[j] for j in range(diag.size) if top > 0 and diag[j] > rel_tol * top)
+    keep_piv = sorted(piv[j] for j in range(diag.size) if top > 0 and diag[j] > _REL_TOL * top)
     kept = tuple(fm.column_names[j] for j in keep_piv)
     dropped = {
         name: "linearly dependent on kept columns"
@@ -240,8 +233,6 @@ def rfe_sarimax(
             break
         n_drop = max(1, math.ceil(0.10 * len(offenders)))
         n_drop = min(n_drop, current.n_cols - min_features)
-        if n_drop <= 0:
-            break
         for p, name in offenders[:n_drop]:
             dropped[name] = f"p={p:.4f} > {alpha} at iteration {iteration}"
         keep = [n for n in current.column_names if n not in dropped]
@@ -254,7 +245,7 @@ def rfe_sarimax(
 
 
 def _pso_fitness(mask: np.ndarray, cache: dict, ts, fm, spec):
-    key = int(np.packbits(mask.astype(np.uint8), bitorder="little").tobytes().hex() or "0", 16)
+    key = mask.tobytes()
     if key in cache:
         return cache[key]
     try:
@@ -276,8 +267,10 @@ def pso_bic(
     """Binary particle swarm over column subsets, minimizing fitted BIC.
 
     Velocities are real-valued and updated with the usual inertia /
-    cognitive / social rule against the binary positions; positions are
-    resampled through the sigmoid transfer each iteration. Runs are
+    cognitive / social rule (weights _INERTIA, _COGNITIVE, _SOCIAL) against
+    the binary positions; positions are resampled through the sigmoid
+    transfer each iteration. A run stops after max_iterations, or after
+    _STAGNATION_LIMIT iterations without a better global best. Runs are
     independently seeded; Set 1 is the best subset across runs and Set 2
     the columns appearing in at least stability_threshold run winners.
     """
@@ -310,9 +303,9 @@ def pso_bic(
             r_p = rng.random((cfg.swarm_size, d))
             r_g = rng.random((cfg.swarm_size, d))
             vel = (
-                cfg.inertia * vel
-                + cfg.cognitive * r_p * (pbest.astype(float) - pos.astype(float))
-                + cfg.social * r_g * (gbest.astype(float) - pos.astype(float))
+                _INERTIA * vel
+                + _COGNITIVE * r_p * (pbest.astype(float) - pos.astype(float))
+                + _SOCIAL * r_g * (gbest.astype(float) - pos.astype(float))
             )
             np.clip(vel, -6.0, 6.0, out=vel)
             prob = 1.0 / (1.0 + np.exp(-vel))
@@ -328,7 +321,7 @@ def pso_bic(
                         improved = True
             trace.append(gbest_fit)
             stagnant = 0 if improved else stagnant + 1
-            if stagnant >= cfg.stagnation_limit:
+            if stagnant >= _STAGNATION_LIMIT:
                 break
 
         if math.isfinite(gbest_fit):

@@ -13,7 +13,6 @@ import pytest
 from scipy import stats as sps
 
 from oeeforecast.series import TimeSeries
-from oracles import acf_values
 
 
 def make_oee_series(n: int, seed: int, name: str = "synthetic") -> TimeSeries:
@@ -63,6 +62,10 @@ def kpss_rejects_level(x) -> bool:
 def ljung_box_rejects(residuals, lags: int, fit_df: int = 0) -> bool:
     """Whether Ljung-Box rejects whiteness at 5%, with the chi-square degrees
     of freedom reduced by the number of fitted ARMA parameters."""
+    # imported here: perfbench/test_inputs.py loads this file by path,
+    # without tests/ on sys.path, for make_oee_series alone
+    from oracles import acf_values
+
     x = np.asarray(residuals, dtype=float)
     n = x.size
     r = acf_values(x, lags)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,14 @@ from oeeforecast.cli import (
     coerce_config_value,
 )
 from oeeforecast import service
-from oeeforecast.pipeline import DecomposedStrategy, load_series
+from oeeforecast.pipeline import (
+    FEATURE_MODES,
+    SELECTION_MODES,
+    SETTINGS,
+    DecomposedStrategy,
+    PipelineConfig,
+    load_series,
+)
 from oeeforecast.stat_features import CATALOG
 from oeeforecast.tda.extract import CATALOG as TDA_CATALOG
 
@@ -70,6 +78,9 @@ class TestConfigParsing:
         assert coerce_config_value("test_fraction", "0.2") == 0.2
         spec = coerce_config_value("sarimax_spec", "4,0,0,1,0,1,8")
         assert (spec.p, spec.P, spec.Q, spec.s) == (4, 1, 1, 8)
+
+    def test_every_field_but_pso_is_a_setting(self):
+        assert set(SETTINGS) == {f.name for f in fields(PipelineConfig)} - {"pso"}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -138,6 +149,17 @@ class TestCommands:
             ("stats --config", "dataset = {data}\nclamp = 1,60\n", [], "{file}:2: clamp"),
             ("stats --config", "dataset = {data}\n", ["--periods", "8,x"], "--periods"),
             ("stats --config", "dataset = {data}\n", ["--spec", "1,2"], "--spec"),
+            ("stats --config", "dataset = {data}\nsarimax_spec = 2,1,0,1,0,1,8\n", [],
+             "{file}:2: sarimax_spec: cannot read '2,1,0,1,0,1,8': integrated"),
+            ("stats --config", "dataset = {data}\n", ["--spec", "2,0,0,1,1,1,8"],
+             "--spec: cannot read '2,0,0,1,1,1,8': integrated"),
+            ("stats --config", "dataset = {data}\n", ["--window", "abc"], "--window"),
+            ("stats --config", "dataset = {data}\n", ["--horizon", "x"], "--horizon"),
+            ("stats --config", "dataset = {data}\n", ["--test-fraction", "x"], "--test-fraction"),
+            ("stats --config", "dataset = {data}\n", ["--refit-interval", "x"], "--refit-interval"),
+            ("stats --config", "dataset = {data}\n", ["--seed", "x"], "--seed"),
+            ("stats --config", "dataset = {data}\n", ["--feature-mode", "foo"], "--feature-mode"),
+            ("stats --config", "dataset = {data}\n", ["--selection-mode", "foo"], "--selection-mode"),
             ("serve --registry", "a.dataset = {data}\nnodot = 1\n", [], "{file}:2: nodot"),
             ("serve --registry", "# none\na.periods = 8,24\n", [], "{file}:2: a: missing"),
             ("serve --registry", "a.dataset = {data}.gone\n", [], "{file}:1: a.dataset"),
@@ -151,7 +173,9 @@ class TestCommands:
             ("serve --registry", None, [], "{file}: cannot open"),
             ("benchmark --models nope --config", "dataset = {data}\n", [], "--models: unknown model"),
         ],
-        ids=["file_value", "file_horizon", "file_clamp", "flag_periods", "flag_spec", "registry_line",
+        ids=["file_value", "file_horizon", "file_clamp", "flag_periods", "flag_spec", "file_spec_d",
+             "flag_spec_D", "flag_window", "flag_horizon", "flag_test_fraction", "flag_refit_interval",
+             "flag_seed", "flag_feature_mode", "flag_selection_mode", "registry_line",
              "registry_no_dataset", "registry_no_file", "registry_rejected", "registry_value",
              "file_rejected", "flag_rejected", "config_absent", "registry_absent", "flag_models"],
     )
@@ -176,6 +200,11 @@ class TestCommands:
         rc = cli_run(argv + ["--feature-mode", "topological", "--window", "17"])
         assert rc == EXIT_CONFIG and "window 17" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_help_names_every_mode(self, capsys):
+        assert cli_run(["stats", "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert [m for m in FEATURE_MODES + SELECTION_MODES if m not in out] == []
 
     def test_unknown_subcommand_usage_exit(self, capsys):
         rc = cli_run(["frobnicate"])
