@@ -42,6 +42,7 @@ from .selection import (
     variance_filter,
 )
 from .series import TimeSeries, load_csv, mae, mape
+from .stat_features import CATALOG as STAT_CATALOG
 # window_features is not called here; perfbench/tracing.py patches it by this name
 from .stat_features import MIN_WINDOW, extract_stat_features, window_features
 from .tda.extract import CATALOG as TDA_CATALOG
@@ -49,6 +50,8 @@ from .tda.extract import TdaParams, extract_tda_features, fit_diagram_scale
 
 FEATURE_MODES = ("none", "statistical", "topological", "both")
 SELECTION_MODES = ("none", "rfe", "rfe+pso")
+_STAT_NAMES = frozenset(STAT_CATALOG)
+_TDA_NAMES = frozenset(TDA_CATALOG)
 
 
 def causal_components(ts: TimeSeries, periods):
@@ -194,23 +197,28 @@ def build_features(
 
     Both catalogs slide cfg.window over the residual; scale fixes the
     diagram normalization (None: taken over the windows being extracted).
-    The topological catalog computes only the groups ``columns`` needs.
+    With ``columns`` each catalog computes only the groups that hold its
+    share of them.
     """
     mode = cfg.feature_mode
     if mode == "none":
         raise ValueError("feature_mode 'none' has no feature matrix")
+
+    def share(catalog):
+        return None if columns is None else [c for c in columns if c in catalog]
+
     parts = []
     if mode in ("statistical", "both"):
-        parts.append(extract_stat_features(residual, cfg.window))
+        parts.append(extract_stat_features(residual, cfg.window, share(_STAT_NAMES)))
     if mode in ("topological", "both"):
-        tda_columns = None if columns is None else [c for c in columns if c in TDA_CATALOG]
-        parts.append(extract_tda_features(residual, TdaParams(window=cfg.window), scale, tda_columns))
+        params = TdaParams(window=cfg.window)
+        parts.append(extract_tda_features(residual, params, scale, share(_TDA_NAMES)))
     fm = parts[0]
     for extra in parts[1:]:
         fm = fm.hstack(extra)
-    if columns is None or (mode == "topological" and len(tda_columns) == len(columns)):
-        return fm  # extract_tda_features has already selected exactly these columns
-    return fm.select_columns(columns)
+    if columns is not None and fm.column_names != tuple(columns):
+        fm = fm.select_columns(columns)  # both catalogs' columns, interleaved
+    return fm
 
 
 def aligned_features(
@@ -345,7 +353,7 @@ class DecomposedStrategy:
     re-estimated at every refit. Between refits the fitted residual/feature
     history is frozen and extended with the newly observed hours: each
     origin builds the rows since the refit once, plus one row per extra
-    forecast step.
+    forecast step, and stacks their regression design under the refit's.
 
     This is the one selection path: the benchmark, the service and the
     CLI's forecast and select commands all fit through it. The rolling
@@ -367,13 +375,23 @@ class DecomposedStrategy:
         self._tda_scale: float | None = None
         self._refit_len = 0  # series length at the last refit
         self._state_y: np.ndarray | None = None  # residual targets at refit
-        self._state_x: np.ndarray | None = None  # aligned exog rows at refit
+        # regression design of the refit's exog rows (sarimax.exog_design)
+        self._state_design: np.ndarray | None = None
         self.selection_reports = []
         self.pso_result = None
 
     def _selected_rows(self, residual: np.ndarray) -> np.ndarray:
         """Selected-column rows of every window of residual, by window end."""
         return build_features(self.cfg, TimeSeries(residual), self._tda_scale, self.columns).matrix
+
+    def _design(self, rows: np.ndarray, order: str) -> np.ndarray:
+        """The refit's design with the design of the exog ``rows`` under it,
+        in memory order ``order``."""
+        state = self._state_design
+        design = np.empty((len(state) + len(rows), state.shape[1]), order=order)
+        design[: len(state)] = state
+        design[len(state) :] = sarimax.exog_design(self._sarimax, rows, len(rows))
+        return design
 
     def refit(self, past: TimeSeries) -> None:
         """Fit every component on past. The fit, the selection and the frozen
@@ -387,7 +405,7 @@ class DecomposedStrategy:
             fit = sarimax.fit(residual, cfg.sarimax_spec, n_restarts=1, seed=cfg.seed)
             self._ets, self._sarimax, self._refit_len = ets, fit, len(past)
             self._state_y = residual.values.copy()
-            self._state_x = None
+            self._state_design = None
             return
 
         scale = self._tda_scale
@@ -417,10 +435,10 @@ class DecomposedStrategy:
         self.columns = fm_sel.column_names
         self.selection_reports, self.pso_result = reports, pso_result
         self._state_y = y.values.copy()
-        # Fortran order, the order of every refit's state while the columns
-        # were selected after the rows: apply_params' matrix products round
-        # differently by memory order
-        self._state_x = np.asfortranarray(fm_sel.matrix, dtype=float)
+        # the design in Fortran order, the order of every refit's state while
+        # the columns were selected after the rows: apply_params' matrix
+        # products round differently by memory order
+        self._state_design = sarimax.exog_design(fit, np.asfortranarray(fm_sel.matrix), len(y))
 
     def forecast(self, past: TimeSeries, horizon: int):
         cfg = self.cfg
@@ -439,17 +457,21 @@ class DecomposedStrategy:
             # rows of the windows ending at refit_len - 1 .. len(past) - 1: the
             # exog of each hour observed since the refit, then the first step's
             rows = self._selected_rows(r[self._refit_len - cfg.window :])
-            x = np.vstack([self._state_x, rows[:-1]])
-            row = rows[-1:]
+            new, row = rows[:-1], rows[-1:]
+            # the design's memory order is the one each origin's has always
+            # had (C at the refit origin, Fortran after it): apply_params'
+            # product rounds by memory order
+            order = "F" if len(new) else "C"
             resid_fc = []
             for step in range(horizon):
-                state = sarimax.apply_params(self._sarimax, TimeSeries(y), exog=x)
+                design = self._design(new, order)
+                state = sarimax.apply_params(self._sarimax, TimeSeries(y), design=design)
                 nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
                 resid_fc.append(nxt)
                 if step + 1 < horizon:
                     r = np.append(r, nxt)
                     y = np.append(y, nxt)
-                    x = np.vstack([x, row])
+                    new = np.vstack([new, row])
                     row = self._selected_rows(r[-cfg.window :])
 
         total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
@@ -462,7 +484,7 @@ class DecomposedStrategy:
         nothing is decomposed, built or fitted again.
         """
         fit = self._sarimax
-        state = sarimax.apply_params(fit, TimeSeries(self._state_y), exog=self._state_x)
+        state = sarimax.apply_params(fit, TimeSeries(self._state_y), design=self._state_design)
         start = fit.spec.burn_in + (0 if self.cfg.feature_mode == "none" else self.cfg.window)
         preds = train.values[start : start + state.residuals.size] - state.residuals
         return start, np.clip(preds, OEE_MIN, OEE_MAX)

@@ -12,9 +12,11 @@ Two structural facts keep this fast and robust:
   regression block (intercept + betas) is exact least squares on the
   filtered design. The simplex search therefore runs only over the ARMA
   coefficients, no matter how many exogenous columns are attached. The
-  filter is one pass over the whole ``[y | design]`` block (built once per
-  fit): the AR polynomial as an FIR filter, then the inverse MA
-  polynomial. ``apply_params`` runs the same filter on its one column.
+  filter runs over the whole ``[y | design]`` block (built once per fit):
+  the AR polynomial as an FIR filter, then the inverse MA polynomial.
+  ``apply_params`` runs the same filter on its one column, after one
+  product of the regression design (which a caller may keep and extend)
+  with the coefficients.
 * Stationarity/invertibility are enforced by optimizing in an
   unconstrained space mapped through tanh partial autocorrelations
   (Monahan's recursion), one block each for phi, theta, PHI, THETA.
@@ -49,6 +51,7 @@ _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 5000  # Nelder-Mead iterations per start
 _FATOL = 1e-8  # Nelder-Mead objective tolerance
 _SIMULATE_BURN_IN = 200  # simulate's leading draws, discarded to forget the zero start
+_CONVOLVE_COLUMNS = 2  # widest block whose AR stage runs column by column
 
 
 def minimize(fun, x0, **kwargs):
@@ -256,10 +259,18 @@ def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
 
     Returns the filtered block for t >= burn. Pre-sample innovations are
     zero; burn >= the AR span, so every AR lag of a kept point is real data.
+    The AR stage is an FIR filter: np.convolve column by column on blocks of
+    at most _CONVOLVE_COLUMNS columns (lfilter pads the polynomial and does
+    about twice the multiply-adds), one lfilter pass over wider blocks; both
+    give the same bits, and both leave each column contiguous.
     """
     from scipy.signal import lfilter
 
-    w = lfilter(ar_full, [1.0], block, axis=0)[burn:]
+    if block.shape[1] <= _CONVOLVE_COLUMNS:
+        n = block.shape[0]
+        w = np.array([np.convolve(col, ar_full)[burn:n] for col in block.T]).T
+    else:
+        w = lfilter(ar_full, [1.0], block, axis=0)[burn:]
     return lfilter([1.0], ma_full, w, axis=0) if len(ma_full) > 1 else w
 
 
@@ -523,22 +534,36 @@ def fit(
     )
 
 
-def apply_params(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> SarimaxFit:
+def exog_design(fit_result: SarimaxFit, exog, n: int) -> np.ndarray:
+    """The n-row regression design [1 | exog standardized as in the fit]
+    that apply_params multiplies by the intercept and betas; a column of
+    ones for a fit without exogenous columns."""
+    if not fit_result.spec.n_exog:
+        return np.ones((n, 1))
+    if exog is None:
+        raise ValueError("exog required by this fit")
+    xs = (_as_exog(exog, n) - fit_result.exog_mean) / fit_result.exog_scale
+    return np.column_stack([np.ones(n), xs])
+
+
+def apply_params(fit_result: SarimaxFit, ts: TimeSeries, exog=None, design=None) -> SarimaxFit:
     """Update state (u history, innovations) on new data with frozen coefficients.
 
     Used between periodic refits: the rolling loop appends observations and
     needs fresh lag state for forecasting without re-estimating anything.
+    ``design`` is exog_design's matrix for these rows, given instead of
+    exog: a caller that extends a state keeps the design of the rows it has
+    already seen and stacks only the new rows' under it. The design's
+    memory order is the caller's to choose, since its product with the
+    coefficients rounds differently in C and Fortran order.
     """
     y = ts.values.astype(float)
     n = y.size
     spec = fit_result.spec
-    if spec.n_exog:
-        if exog is None:
-            raise ValueError("exog required by this fit")
-        xs = (_as_exog(exog, n) - fit_result.exog_mean) / fit_result.exog_scale
-        design = np.column_stack([np.ones(n), xs])
-    else:
-        design = np.ones((n, 1))
+    if design is None:
+        design = exog_design(fit_result, exog, n)
+    elif design.shape != (n, 1 + spec.n_exog):
+        raise ValueError(f"design is {design.shape}, need {(n, 1 + spec.n_exog)}")
     b = np.concatenate([[fit_result.intercept], fit_result.exog_beta])
     u = y - design @ b
     resid = _css_filter(u[:, None], fit_result.ar_poly, fit_result.ma_poly, spec.burn_in)[:, 0]

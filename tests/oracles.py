@@ -22,8 +22,16 @@ oeeforecast.tda.persistence, which no longer has it). They read the
 catalog's fixed settings (delay, dimension, bins, grids) from the
 constants of oeeforecast.tda.extract.
 
-The forecast oracle is the decomposed strategy's first recursion, which
-rebuilt every post-refit row from its own single window at every step.
+The batch catalog oracle (batch_catalog_rows) is the statistical
+catalog's second implementation, moved here unchanged: all 76 columns of
+every window at once, one column at a time, whatever the selection.
+
+The forecast oracles are the decomposed strategy's first recursion, which
+rebuilt every post-refit row from its own single window at every step, and
+its path before the refit's design was kept: the whole batch catalog of
+the rows since the refit, selected, stacked under the refit's rows, and the
+whole stack standardized again at every step. Both rebuild the refit's rows
+from the refit span.
 
 The decomposition oracles are the first moving-average and phase-mean
 code: one Python iteration per point and one mean per phase.
@@ -60,9 +68,9 @@ from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import (
     CATALOG,
     CHANGE_QUANTILE_BANDS,
+    MIN_WINDOW,
     N_ACF_LAGS,
     N_FFT_COEFS,
-    window_features,
 )
 from oeeforecast.tda.embedding import takens_embed
 from oeeforecast.tda import extract as tda
@@ -412,6 +420,255 @@ def scalar_window_features(x: np.ndarray) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
+def _batch_sum_present(terms: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Row sums over the present cells, in column order.
+
+    Each row is summed as ``np.sum`` sums the 1-d array of that row's present
+    cells (numpy's pairwise order depends on the length), so a sum taken over
+    a batch has the bits of the same sum taken over one window.
+    """
+    out = np.zeros(terms.shape[0])
+    counts = present.sum(axis=1)
+    for k in np.unique(counts[counts > 0]):
+        rows = counts == k
+        out[rows] = terms[rows][present[rows]].reshape(-1, k).sum(axis=1)
+    return out
+
+
+def _batch_plogp(counts: np.ndarray, total) -> tuple[np.ndarray, np.ndarray]:
+    """Shannon terms p*log(p) of per-row counts, and the mask of nonzero counts."""
+    present = counts > 0
+    p = counts / total
+    return p * np.log(np.where(present, p, 1.0)), present
+
+
+def _batch_tolerance(X: np.ndarray) -> np.ndarray:
+    return 0.2 * np.std(X, axis=1)
+
+
+def _batch_match_counts(X: np.ndarray, m: int, r: np.ndarray) -> list[np.ndarray]:
+    """Per window, template length (m, then m + 1) and template: the number of
+    templates, itself included, within Chebyshev distance r[window].
+
+    The (windows, templates, templates) distance tensor is a running maximum
+    over the template offsets; length m + 1 extends length m's tensor on its
+    leading block by one more offset.
+    """
+    n_win, n = X.shape
+    t = n - m + 1
+    dist = np.zeros((n_win, t, t))
+    step = np.empty_like(dist)
+    lim = r[:, None, None]
+    counts = []
+    for k in range(m + 1):
+        if k == m:
+            counts.append(np.count_nonzero(dist <= lim, axis=2))
+            t -= 1
+            dist, step = dist[:, :t, :t], step[:, :t, :t]
+        seg = X[:, k : k + t]
+        np.subtract(seg[:, :, None], seg[:, None, :], out=step)
+        np.abs(step, out=step)
+        np.maximum(dist, step, out=dist)
+    counts.append(np.count_nonzero(dist <= lim, axis=2))
+    return counts
+
+
+def _batch_sample_entropy(counts: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+    # distinct template pairs: the matrix is symmetric with a matching diagonal
+    b, a = ((c.sum(axis=1) - c.shape[1]) // 2 for c in counts)
+    out = np.zeros(r.size)
+    live = (r > 0.0) & (b > 0)
+    out[live & (a == 0)] = math.inf
+    both = live & (a > 0)
+    out[both] = [-math.log(v) for v in a[both] / b[both]]
+    return out
+
+
+def _batch_approximate_entropy(counts: list[np.ndarray], r: np.ndarray) -> np.ndarray:
+    phi = []
+    for c in counts:
+        k = c.shape[1]
+        logs = np.array([math.log(j / k) if j else 0.0 for j in range(k + 1)])
+        # cumsum adds left to right, as the one-window loop does
+        phi.append(np.cumsum(logs[c], axis=1)[:, -1] / k)
+    return np.where(r > 0.0, phi[0] - phi[1], 0.0)
+
+
+def _batch_permutation_entropy(X: np.ndarray, order: int, delay: int, normalize: bool) -> np.ndarray:
+    n_pat = X.shape[1] - (order - 1) * delay
+    at = np.arange(n_pat)[:, None] + np.arange(0, order * delay, delay)
+    ranks = np.argsort(X[:, at], axis=2, kind="stable")
+    codes = ranks @ order ** np.arange(order)
+    hits = codes[:, :, None] == np.arange(order**order)
+    counts = hits.sum(axis=1)
+    # patterns enter the sum in order of first appearance, as in a dict
+    first = np.where(counts > 0, hits.argmax(axis=1), n_pat)
+    seq = np.argsort(first, axis=1, kind="stable")
+    terms, present = _batch_plogp(np.take_along_axis(counts, seq, axis=1), n_pat)
+    h = -_batch_sum_present(terms, present)
+    if normalize:
+        h /= math.log(math.factorial(order))
+    return h
+
+
+def _batch_periodogram(X: np.ndarray) -> np.ndarray:
+    """|rfft|^2 of the demeaned windows without the (zero) DC bin."""
+    return (np.abs(np.fft.rfft(X - X.mean(axis=1, keepdims=True), axis=1)) ** 2)[:, 1:]
+
+
+def _batch_fourier_entropy(ps: np.ndarray, bins: int) -> np.ndarray:
+    top = ps.max(axis=1, initial=0.0)
+    live = top > 0.0
+    u = ps[live] / top[live, None]
+    # np.histogram's bins over [0, 1]: half-open, the last one closed
+    idx = np.minimum(np.searchsorted(np.linspace(0.0, 1.0, bins + 1), u, side="right") - 1, bins - 1)
+    hist = (idx[:, :, None] == np.arange(bins)).sum(axis=1)
+    out = np.zeros(ps.shape[0])
+    out[live] = -_batch_sum_present(*_batch_plogp(hist, ps.shape[1]))
+    return out
+
+
+def _batch_descriptive(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
+    # scipy.stats skew/kurtosis (biased, Fisher) in scipy's order of
+    # operations; NaN where scipy finds a window near-constant,
+    # m2 <= (eps * mean)**2, which constant windows (var == 0) are
+    mean = np.mean(X, axis=1, keepdims=True)
+    d = X - mean
+    d2 = d**2
+    m2 = np.mean(d2, axis=1)
+    m3 = np.mean(d2 * d, axis=1)
+    m4 = np.mean(d2**2, axis=1)
+    live = m2 > (np.finfo(float).eps * mean[:, 0]) ** 2
+    skew = np.where(live, m3 / m2**1.5, math.nan)
+    kurt = np.where(live, m4 / m2**2.0 - 3, math.nan)
+    sq = X**2
+    return [
+        np.sum(X, axis=1),
+        np.mean(X, axis=1),
+        np.median(X, axis=1),
+        np.sqrt(var),
+        var,
+        skew,
+        kurt,
+        np.sqrt(np.mean(sq, axis=1)),
+        np.sum(sq, axis=1),
+        np.mean(np.abs(np.diff(X, axis=1)), axis=1),
+        np.mean((X[:, 2:] - 2 * X[:, 1:-1] + X[:, :-2]) / 2.0, axis=1),
+    ]
+
+
+def _batch_frequency(X: np.ndarray, ps: np.ndarray) -> list[np.ndarray]:
+    coefs = np.fft.rfft(X, axis=1)[:, :N_FFT_COEFS]
+    cols = []
+    for c in coefs.T:
+        cols += [c.real, c.imag, np.abs(c), np.angle(c)]
+    # moments of the demeaned periodogram over frequency-bin index;
+    # spectral kurtosis is excess, matching the rest of the catalog
+    total = ps.sum(axis=1, keepdims=True)
+    k = np.arange(1, ps.shape[1] + 1, dtype=float)
+    w = ps / total
+    c = np.sum(k * w, axis=1, keepdims=True)
+    var = np.sum((k - c) ** 2 * w, axis=1, keepdims=True)
+    z = (k - c) / np.sqrt(var)
+    skew = np.sum(z**3 * w, axis=1)
+    kurt = np.sum(z**4 * w, axis=1) - 3.0
+    live = total[:, 0] > 0.0
+    spread = live & (var[:, 0] > 0.0)
+    cols += [
+        np.where(live, c[:, 0], 0.0),
+        np.where(live, var[:, 0], 0.0),
+        np.where(spread, skew, math.nan),
+        np.where(spread, kurt, math.nan),
+    ]
+    return cols
+
+
+def _batch_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products; a (1, n) @ (n, 1) matmul takes np.dot's path,
+    so each row has the bits of np.dot on that window."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _batch_autocorrelation(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
+    """The biased ACF and the Durbin-Levinson PACF (the oracle's
+    acf_values / pacf_values in tests/oracles.py) at lags 1..N_ACF_LAGS of
+    every window at once; NaN where var == 0."""
+    n_win, n = X.shape
+    xc = X - X.mean(axis=1, keepdims=True)
+    c0 = _batch_rowdot(xc, xc) / n
+    rho = np.ones((n_win, N_ACF_LAGS + 1))
+    for k in range(1, N_ACF_LAGS + 1):
+        rho[:, k] = (_batch_rowdot(xc[:, k:], xc[:, :-k]) / n) / c0
+    pacf = np.empty((n_win, N_ACF_LAGS))
+    pacf[:, 0] = rho[:, 1]
+    phi = rho[:, 1:2]
+    for k in range(2, N_ACF_LAGS + 1):
+        num = rho[:, k] - _batch_rowdot(phi, np.ascontiguousarray(rho[:, k - 1 : 0 : -1]))
+        den = 1.0 - _batch_rowdot(phi, rho[:, 1:k])
+        phi_kk = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        phi = np.column_stack([phi - phi_kk[:, None] * phi[:, ::-1], phi_kk])
+        pacf[:, k - 1] = phi_kk
+    lags = rho[:, 1:]
+    block = np.column_stack([lags, pacf, np.mean(lags, axis=1), np.std(lags, axis=1)])
+    block[var <= 0] = math.nan
+    return list(block.T)
+
+
+def _batch_trend_and_change(X: np.ndarray, var: np.ndarray) -> list[np.ndarray]:
+    n_win, w = X.shape
+    # scipy.stats.linregress against 0..w-1; the stacked (2, w) @ (w, 2)
+    # matmul takes np.cov's syrk path, window by window
+    t = np.arange(w, dtype=float)
+    pair = np.empty((n_win, 2, w))
+    pair[:, 0] = t
+    pair[:, 1] = X
+    pair -= pair.mean(axis=2, keepdims=True)
+    cov = np.matmul(pair, pair.transpose(0, 2, 1))
+    cov *= np.true_divide(1, w)
+    ssxm, ssxym, ssym = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    stderr = np.sqrt((1 - r**2) * ssym / ssxm / (w - 2))
+    pos = var > 0
+    cols = [
+        np.where(pos, slope, 0.0),
+        np.where(pos, X.mean(axis=1) - slope * np.mean(t), X[:, 0]),
+        np.where(pos, r**2, math.nan),
+        np.where(pos, stderr, 0.0),
+    ]
+    step = np.abs(np.diff(X, axis=1))
+    for lo_q, hi_q in CHANGE_QUANTILE_BANDS:
+        lo, hi = np.quantile(X, [lo_q, hi_q], axis=1)
+        inside = (X >= lo[:, None]) & (X <= hi[:, None])
+        keep = inside[:, :-1] & inside[:, 1:]
+        n_keep = keep.sum(axis=1)
+        total = _batch_sum_present(step, keep)
+        cols.append(np.divide(total, n_keep, out=np.zeros_like(total), where=n_keep > 0))
+    return cols
+
+
+def batch_catalog_rows(X: np.ndarray) -> np.ndarray:
+    """CATALOG rows of a (n_windows, window) stack: one row per window,
+    which depends on that window's values alone."""
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.shape[1] < MIN_WINDOW:
+        raise ValueError(f"window {X.shape[1]} < 2 * N_ACF_LAGS + 1 = {MIN_WINDOW}")
+    var = np.var(X, axis=1)
+    tol = _batch_tolerance(X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ps = _batch_periodogram(X)
+        counts = _batch_match_counts(X, 2, tol)
+        cols = _batch_descriptive(X, var) + _batch_frequency(X, ps) + _batch_autocorrelation(X, var)
+        cols += [
+            _batch_sample_entropy(counts, tol),
+            _batch_approximate_entropy(counts, tol),
+            _batch_permutation_entropy(X, 3, 1, True),
+            _batch_fourier_entropy(ps, 10),
+        ]
+        cols += _batch_trend_and_change(X, var)
+    return np.column_stack(cols)
+
+
 def _window_diagram(x: np.ndarray):
     return vr_persistence(takens_embed(x, tda.DELAY, tda.EMBED_DIM))
 
@@ -590,7 +847,8 @@ def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
     cfg = strategy.cfg
     vals, names = [], []
     if cfg.feature_mode in ("statistical", "both"):
-        vals.append(np.nan_to_num(window_features(window), nan=0.0, posinf=0.0, neginf=0.0))
+        row = batch_catalog_rows(window[None, :])[0]
+        vals.append(np.nan_to_num(row, nan=0.0, posinf=0.0, neginf=0.0))
         names += CATALOG
     if cfg.feature_mode in ("topological", "both"):
         params = TdaParams(window=cfg.window)
@@ -601,6 +859,72 @@ def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
     return np.concatenate(vals)[pick]
 
 
+def refit_state_rows(strategy, past: TimeSeries) -> np.ndarray:
+    """The exog rows of the strategy's last refit, rebuilt from the refit
+    span of past: the selected columns of every aligned window, from the
+    batch catalog oracle and the topological extraction, in the Fortran
+    order the refit kept them in."""
+    cfg = strategy.cfg
+    refit_past = past.slice(0, strategy._refit_len)
+    r = pipeline.causal_components(refit_past, cfg.periods)[2].values
+    return np.asfortranarray(_selected_window_rows(strategy, r)[:-1])
+
+
+def _selected_window_rows(strategy, r: np.ndarray) -> np.ndarray:
+    """Selected-column rows of every window of r, as the forecast first built
+    them: the whole statistical catalog (the batch oracle) and the
+    topological one, then the selection."""
+    cfg = strategy.cfg
+    ridx = tuple(range(cfg.window - 1, r.size))
+    parts = []
+    if cfg.feature_mode in ("statistical", "both"):
+        X = np.lib.stride_tricks.sliding_window_view(r, cfg.window)
+        parts.append(FeatureMatrix(CATALOG, batch_catalog_rows(X), ridx))
+    if cfg.feature_mode in ("topological", "both"):
+        params = TdaParams(window=cfg.window)
+        parts.append(extract_tda_features(TimeSeries(r), params, strategy._tda_scale))
+    fm = parts[0]
+    for extra in parts[1:]:
+        fm = fm.hstack(extra)
+    return fm.select_columns(strategy.columns).matrix
+
+
+def _standardizing_apply(strategy, y: np.ndarray, x: np.ndarray):
+    """apply_params with the whole exog standardized again, as at every
+    forecast step before the refit's design was kept."""
+    fit = strategy._sarimax
+    design = np.column_stack([np.ones(len(x)), (x - fit.exog_mean) / fit.exog_scale])
+    return sarimax.apply_params(fit, TimeSeries(y), design=design)
+
+
+def forecast_standardizing_per_call(strategy, past: TimeSeries, horizon: int, state_rows):
+    """DecomposedStrategy.forecast (a feature mode) as it first ran: the rows
+    since the refit from the batch catalog oracle, stacked under the refit's
+    rows (``refit_state_rows``) by np.vstack, which picks the memory order,
+    and the whole stack standardized again at each step."""
+    cfg = strategy.cfg
+    trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
+    trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon).values
+    seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon).values for p in cfg.periods]
+    r = residual.values
+    y = np.concatenate([strategy._state_y, r[strategy._refit_len :]])
+    rows = _selected_window_rows(strategy, r[strategy._refit_len - cfg.window :])
+    x = np.vstack([state_rows, rows[:-1]])
+    row = rows[-1:]
+    resid_fc = []
+    for step in range(horizon):
+        state = _standardizing_apply(strategy, y, x)
+        nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
+        resid_fc.append(nxt)
+        if step + 1 < horizon:
+            r = np.append(r, nxt)
+            y = np.append(y, nxt)
+            x = np.vstack([x, row])
+            row = _selected_window_rows(strategy, r[-cfg.window :])
+    total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
+    return np.clip(total, OEE_MIN, OEE_MAX)
+
+
 def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.ndarray:
     """DecomposedStrategy.forecast (a feature mode) with every post-refit
     row rebuilt from its single window at each recursive step."""
@@ -608,6 +932,7 @@ def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.nda
     trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
     trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon).values
     seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon).values for p in cfg.periods]
+    state_rows = refit_state_rows(strategy, past)
     r = residual.values.copy()
     resid_fc = []
     for _ in range(horizon):
@@ -616,8 +941,7 @@ def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.nda
             _single_window_row(strategy, r[j - cfg.window : j])
             for j in range(strategy._refit_len, r.size)
         ]
-        x = np.vstack([strategy._state_x] + new_rows)
-        state = sarimax.apply_params(strategy._sarimax, TimeSeries(y), exog=x)
+        state = _standardizing_apply(strategy, y, np.vstack([state_rows] + new_rows))
         row = _single_window_row(strategy, r[-cfg.window :])[None, :]
         nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
         resid_fc.append(nxt)

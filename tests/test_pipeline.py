@@ -28,6 +28,8 @@ from oeeforecast.stat_features import extract_stat_features
 from conftest import STAND_INS, make_oee_series
 from oracles import (
     forecast_rebuilding_rows,
+    forecast_standardizing_per_call,
+    refit_state_rows,
     scalar_centered_moving_average,
     scalar_holt_filter,
     scalar_phase_means,
@@ -459,6 +461,26 @@ class TestBenchmarkTracer:
         # the refit's 300 - 24 + 1 windows plus 2 forecast steps' 6 and 1
         assert counts["tda.rows"] == 277 + 6 + 1
         assert counts["sarimax.objective_evals"] > 0
+
+
+class TestDesignReuse:
+    """Each origin builds only the selected columns of the rows since the
+    refit and stacks their design under the one the refit kept; its
+    forecasts have the bits of the path that built the whole catalog and
+    standardized the whole exog stack at every step."""
+
+    @pytest.mark.parametrize("mode", ["statistical", "topological", "both"])
+    def test_every_origin_of_a_refit_interval_bytes_equal(self, oee_series, mode):
+        # a short AR spec keeps the fit on ~70 exogenous columns quick
+        cfg = small_cfg(feature_mode=mode, sarimax_spec=SarimaxSpec(p=1, s=8))
+        strat = DecomposedStrategy(cfg)
+        strat.refit(oee_series.slice(0, 300))
+        state_rows = refit_state_rows(strat, oee_series)
+        for hours in range(cfg.refit_interval):  # from the refit origin on
+            past = oee_series.slice(0, 300 + hours)
+            for horizon in (1, 4):
+                want = forecast_standardizing_per_call(strat, past, horizon, state_rows)
+                assert strat.forecast(past, horizon).tobytes() == want.tobytes(), (hours, horizon)
 
 
 REFIT_AT = 400  # length of the refit span of the forecast-path fixture

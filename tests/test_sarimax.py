@@ -316,6 +316,55 @@ class TestCssFilterOracle:
             assert np.array_equal(got, want)
 
 
+    def test_bytes_equal_the_column_loop_on_random_blocks(self):
+        # blocks of one or two columns take np.convolve, wider ones lfilter
+        rng = np.random.default_rng(40)
+        specs = list(self.SPECS.values())
+        for trial in range(300):
+            spec = specs[trial % len(specs)]
+            width = 1 + trial % 3
+            block = rng.normal(10.0, 3.0, size=(int(rng.integers(60, 700)), width))
+            if trial % 2:
+                block = np.asfortranarray(block)
+            dims = spec.p + spec.q + spec.P + spec.Q
+            phi, theta, sphi, stheta = sarimax._z_to_coefs(rng.normal(0.0, 1.0, dims), spec)
+            ar_full = sarimax._lag_poly(phi, sphi, spec.s, -1.0)
+            ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
+            got = sarimax._css_filter(block, ar_full, ma_full, spec.burn_in)
+            want = scalar_css_filter(block, ar_full, ma_full, spec.burn_in)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (trial, width)
+            if len(ma_full) == 1:
+                # the AR stage leaves each column contiguous on either path,
+                # so a fit's dot products of a column take one BLAS kernel
+                assert got.strides[0] == got.itemsize
+
+
+class TestApplyDesign:
+    def test_kept_design_equals_exog_in_either_order(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(320, 4)) * rng.uniform(0.5, 20.0, 4)
+        y = 0.1 * x @ rng.normal(size=4) + rng.normal(size=320)
+        f = fit(TimeSeries(y[:260]), SarimaxSpec(p=2, P=1, s=8), exog=x[:260], n_restarts=0)
+        ts = TimeSeries(y)
+        for order in "CF":
+            design = np.asarray(sarimax.exog_design(f, x, 320), order=order)
+            a = sarimax.apply_params(f, ts, exog=np.asarray(x, order=order))
+            b = sarimax.apply_params(f, ts, design=design)
+            assert a.u_history.tobytes() == b.u_history.tobytes()
+            assert a.residuals.tobytes() == b.residuals.tobytes()
+
+    def test_design_shape_checked(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(200, 2))
+        y = TimeSeries(x @ [0.5, -0.3] + rng.normal(size=200))
+        f = fit(y, SarimaxSpec(p=1), exog=x, n_restarts=0)
+        with pytest.raises(ValueError, match="design"):
+            sarimax.apply_params(f, y, design=np.ones((200, 2)))
+        no_exog = fit(y, SarimaxSpec(p=1), n_restarts=0)
+        assert sarimax.exog_design(no_exog, None, 5).tobytes() == np.ones((5, 1)).tobytes()
+
+
 class TestExogLayout:
     def test_fit_does_not_depend_on_exog_memory_order(self):
         rng = np.random.default_rng(21)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oeeforecast import stat_features
 from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
@@ -10,6 +11,7 @@ from oeeforecast.stat_features import CATALOG, extract_stat_features, window_fea
 
 from conftest import STAND_INS, make_oee_series
 from oracles import (
+    batch_catalog_rows,
     scalar_approximate_entropy,
     scalar_fourier_entropy,
     scalar_permutation_entropy,
@@ -261,6 +263,97 @@ class TestScalarOracle:
             for column, scalar in oracles.items():
                 want = np.nan_to_num(scalar(x), nan=0.0, posinf=0.0, neginf=0.0)
                 assert fm.column(column)[0].tobytes() == np.float64(want).tobytes(), column
+
+
+def batch_extraction(ts, window, columns=None):
+    """The batch catalog oracle's matrix, then the selection."""
+    X = np.lib.stride_tricks.sliding_window_view(ts.values, window)
+    fm = FeatureMatrix(CATALOG, batch_catalog_rows(X), tuple(range(window - 1, len(ts))))
+    return fm if columns is None else fm.select_columns(columns)
+
+
+def assert_same_bytes(got, want):
+    assert got.column_names == want.column_names
+    assert got.row_index == want.row_index
+    assert got.imputed == want.imputed
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+
+
+def catalog_groups():
+    """Each column group of the catalog, as the names it builds."""
+    starts = stat_features._GROUP_STARTS
+    return [CATALOG[lo:hi] for lo, hi in zip(starts, starts[1:])]
+
+
+def oracle_inputs():
+    """The stand-ins' residuals and the degenerate windows."""
+    return [causal_residual(name) for name in STAND_INS] + [degenerate_windows()]
+
+
+class TestBatchOracle:
+    """extract_stat_features builds only the selected groups, and each of
+    its columns has the bits of the whole batch catalog it replaced."""
+
+    @pytest.mark.parametrize("window", [17, 24, 30])
+    def test_whole_catalog(self, window):
+        for ts in oracle_inputs():
+            assert_same_bytes(extract_stat_features(ts, window), batch_extraction(ts, window))
+
+    @pytest.mark.parametrize("group", range(len(stat_features._GROUPS)))
+    def test_each_group_alone(self, group):
+        columns = catalog_groups()[group]
+        for ts in oracle_inputs():
+            for window in (24, 25):
+                want = batch_extraction(ts, window, columns)
+                assert_same_bytes(extract_stat_features(ts, window, columns), want)
+
+    def test_random_subsets_in_any_order(self):
+        rng = np.random.default_rng(11)
+        inputs = oracle_inputs()
+        for trial in range(40):
+            ts = inputs[trial % len(inputs)]
+            size = int(rng.integers(1, len(CATALOG) + 1))
+            columns = tuple(rng.choice(CATALOG, size=size, replace=False))
+            window = int(rng.integers(17, 41))
+            want = batch_extraction(ts, window, columns)
+            assert_same_bytes(extract_stat_features(ts, window, columns), want)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.full(40, 3.0),
+            np.full(40, -0.0),
+            np.arange(40.0),
+            np.arange(40.0)[::-1].copy(),
+            np.tile([1.0, 1.0, 5.0, 5.0], 10),
+            np.round(np.random.default_rng(12).normal(30.0, 1.5, 40)),
+        ],
+        ids=["constant", "negative_zero", "ramp", "falling_ramp", "tied_pairs", "rounded"],
+    )
+    def test_constant_tied_and_ramp_windows(self, values):
+        ts = TimeSeries(values)
+        for window in (17, 24, 31):
+            assert_same_bytes(extract_stat_features(ts, window), batch_extraction(ts, window))
+
+    def test_random_scales_and_lengths(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            window = int(rng.integers(17, 64))
+            x = rng.normal(size=window + int(rng.integers(0, 40))) * 10.0 ** rng.integers(-4, 5)
+            ts = TimeSeries(x)
+            assert_same_bytes(extract_stat_features(ts, window), batch_extraction(ts, window))
+
+    def test_unknown_and_empty_selections(self):
+        ts = causal_residual("gh2")
+        with pytest.raises(ValueError, match="statistical catalog"):
+            extract_stat_features(ts, 24, ["mean", "h0_entropy"])
+        empty = extract_stat_features(ts, 24, [])
+        assert empty.matrix.shape == (len(ts) - 23, 0)
+
+    def test_one_window_is_the_oracle_row(self):
+        rng = np.random.default_rng(14)
+        for x in (rng.normal(size=24), np.full(24, 2.0), np.arange(30.0)):
+            assert window_features(x).tobytes() == batch_catalog_rows(x[None, :])[0].tobytes()
 
 
 class TestFeatureMatrix:
