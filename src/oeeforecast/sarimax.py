@@ -259,16 +259,18 @@ def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
 
     Returns the filtered block for t >= burn. Pre-sample innovations are
     zero; burn >= the AR span, so every AR lag of a kept point is real data.
-    The AR stage is an FIR filter: np.convolve column by column on blocks of
-    at most _CONVOLVE_COLUMNS columns (lfilter pads the polynomial and does
-    about twice the multiply-adds), one lfilter pass over wider blocks; both
-    give the same bits, and both leave each column contiguous.
+    The AR stage is an FIR filter. lfilter with a one-tap denominator is
+    itself np.convolve(b, column) for each column under np.apply_along_axis,
+    so the same call, arguments in the same order, on blocks of at most
+    _CONVOLVE_COLUMNS columns gives the same bits at any polynomial and
+    series length and skips that wrapper's per-call cost; wider blocks take
+    one lfilter pass. Both paths leave each column contiguous.
     """
     from scipy.signal import lfilter
 
     if block.shape[1] <= _CONVOLVE_COLUMNS:
         n = block.shape[0]
-        w = np.array([np.convolve(col, ar_full)[burn:n] for col in block.T]).T
+        w = np.array([np.convolve(ar_full, col)[burn:n] for col in block.T]).T
     else:
         w = lfilter(ar_full, [1.0], block, axis=0)[burn:]
     return lfilter([1.0], ma_full, w, axis=0) if len(ma_full) > 1 else w
@@ -546,22 +548,22 @@ def exog_design(fit_result: SarimaxFit, exog, n: int) -> np.ndarray:
     return np.column_stack([np.ones(n), xs])
 
 
-def apply_params(fit_result: SarimaxFit, ts: TimeSeries, exog=None, design=None) -> SarimaxFit:
+def apply_params(fit_result: SarimaxFit, ts: TimeSeries, design=None) -> SarimaxFit:
     """Update state (u history, innovations) on new data with frozen coefficients.
 
     Used between periodic refits: the rolling loop appends observations and
     needs fresh lag state for forecasting without re-estimating anything.
-    ``design`` is exog_design's matrix for these rows, given instead of
-    exog: a caller that extends a state keeps the design of the rows it has
-    already seen and stacks only the new rows' under it. The design's
-    memory order is the caller's to choose, since its product with the
-    coefficients rounds differently in C and Fortran order.
+    ``design`` is exog_design's matrix for these rows, required when the fit
+    has exogenous columns: a caller that extends a state keeps the design
+    of the rows it has already seen and stacks only the new rows' under it.
+    The design's memory order is the caller's to choose, since its product
+    with the coefficients rounds differently in C and Fortran order.
     """
     y = ts.values.astype(float)
     n = y.size
     spec = fit_result.spec
     if design is None:
-        design = exog_design(fit_result, exog, n)
+        design = exog_design(fit_result, None, n)
     elif design.shape != (n, 1 + spec.n_exog):
         raise ValueError(f"design is {design.shape}, need {(n, 1 + spec.n_exog)}")
     b = np.concatenate([[fit_result.intercept], fit_result.exog_beta])

@@ -295,6 +295,9 @@ class TestCssFilterOracle:
         "seasonal_ar_ma": SarimaxSpec(P=1, Q=1, s=8),
         "mixed": SarimaxSpec(p=2, q=1, P=1, Q=1, s=8),
         "no_arma": SarimaxSpec(),
+        # 27 and 50 AR taps: long enough for a blocked BLAS dot to reorder sums
+        "daily_ar": SarimaxSpec(p=2, P=1, s=24),
+        "daily_mixed": SarimaxSpec(p=1, q=1, P=2, Q=1, s=24),
     }
 
     @pytest.mark.parametrize("width", [1, 2, "stand_in"])
@@ -315,6 +318,28 @@ class TestCssFilterOracle:
             want = scalar_css_filter(block, ar_full, ma_full, spec.burn_in)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_narrow_blocks_equal_lfilter_at_every_length(self, name):
+        # blocks of one or two columns skip lfilter, which every block took
+        # before; series as short as the AR polynomial included
+        from scipy.signal import lfilter
+
+        spec = self.SPECS[name]
+        rng = np.random.default_rng(50 + sorted(self.SPECS).index(name))
+        dims = spec.p + spec.q + spec.P + spec.Q
+        for _ in range(10):
+            phi, theta, sphi, stheta = sarimax._z_to_coefs(rng.normal(0.0, 1.0, dims), spec)
+            ar_full = sarimax._lag_poly(phi, sphi, spec.s, -1.0)
+            ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
+            burn = spec.burn_in
+            for n in (len(ar_full), len(ar_full) + 1, burn + 1, burn + 7, 300):
+                for width in (1, 2):
+                    block = rng.normal(10.0, 3.0, size=(n, width))
+                    want = lfilter(ar_full, [1.0], block, axis=0)[burn:]
+                    if len(ma_full) > 1:
+                        want = lfilter([1.0], ma_full, want, axis=0)
+                    got = sarimax._css_filter(block, ar_full, ma_full, burn)
+                    assert got.tobytes() == want.tobytes(), (n, width)
 
     def test_bytes_equal_the_column_loop_on_random_blocks(self):
         # blocks of one or two columns take np.convolve, wider ones lfilter
@@ -341,18 +366,21 @@ class TestCssFilterOracle:
 
 
 class TestApplyDesign:
-    def test_kept_design_equals_exog_in_either_order(self):
+    def test_state_follows_the_design_in_either_order(self):
         rng = np.random.default_rng(41)
         x = rng.normal(size=(320, 4)) * rng.uniform(0.5, 20.0, 4)
         y = 0.1 * x @ rng.normal(size=4) + rng.normal(size=320)
         f = fit(TimeSeries(y[:260]), SarimaxSpec(p=2, P=1, s=8), exog=x[:260], n_restarts=0)
-        ts = TimeSeries(y)
+        b = np.concatenate([[f.intercept], f.exog_beta])
+        by_hand = np.column_stack([np.ones(320), (x - f.exog_mean) / f.exog_scale])
+        assert sarimax.exog_design(f, x, 320).tobytes() == by_hand.tobytes()
         for order in "CF":
-            design = np.asarray(sarimax.exog_design(f, x, 320), order=order)
-            a = sarimax.apply_params(f, ts, exog=np.asarray(x, order=order))
-            b = sarimax.apply_params(f, ts, design=design)
-            assert a.u_history.tobytes() == b.u_history.tobytes()
-            assert a.residuals.tobytes() == b.residuals.tobytes()
+            design = np.asarray(by_hand, order=order)
+            state = sarimax.apply_params(f, TimeSeries(y), design=design)
+            u = y - design @ b
+            resid = scalar_css_filter(u[:, None], f.ar_poly, f.ma_poly, f.spec.burn_in)[:, 0]
+            assert state.u_history.tobytes() == u.tobytes()
+            assert state.residuals.tobytes() == resid.tobytes()
 
     def test_design_shape_checked(self):
         rng = np.random.default_rng(42)
@@ -361,6 +389,8 @@ class TestApplyDesign:
         f = fit(y, SarimaxSpec(p=1), exog=x, n_restarts=0)
         with pytest.raises(ValueError, match="design"):
             sarimax.apply_params(f, y, design=np.ones((200, 2)))
+        with pytest.raises(ValueError, match="exog required"):
+            sarimax.apply_params(f, y)
         no_exog = fit(y, SarimaxSpec(p=1), n_restarts=0)
         assert sarimax.exog_design(no_exog, None, 5).tobytes() == np.ones((5, 1)).tobytes()
 
