@@ -93,20 +93,30 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
     return means - np.add.reduce(means) / period
 
 
-def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
-    """Split a series into trend, one seasonal per period, and residual.
-
-    Periods must be strictly increasing and nested (each divides the next);
-    the series must cover at least two of the longest cycles.
-    """
+def check_periods(periods) -> tuple[int, ...]:
+    """The periods as a tuple of ints, or a ValueError starting with
+    ``periods``: they must be non-empty, at least 1, strictly increasing and
+    nested (each divides the next)."""
     periods = tuple(int(p) for p in periods)
     if not periods:
         raise ValueError("periods must be non-empty")
+    if periods[0] < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
     for a, b in zip(periods, periods[1:]):
         if b <= a:
             raise ValueError(f"periods must be strictly increasing, got {periods}")
         if b % a != 0:
             raise ValueError(f"periods must be nested (each divides the next), got {periods}")
+    return periods
+
+
+def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
+    """Split a series into trend, one seasonal per period, and residual.
+
+    The periods pass check_periods; the series must cover at least two of
+    the longest cycles.
+    """
+    periods = check_periods(periods)
     n = len(ts)
     if n < 2 * periods[-1]:
         raise ValueError(f"series length {n} < 2 x max period {periods[-1]}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import sarimax
-from .decompose import decompose
+from .decompose import check_periods, decompose
 from .feature_matrix import FeatureMatrix
 from .forecasters import (
     OEE_MAX,
@@ -170,9 +170,9 @@ class PipelineConfig:
     )
     refit_interval: int = 24
     seed: int = 0
-    pso: PsoConfig = field(default_factory=PsoConfig)  # its seed is replaced by `seed`
 
     def __post_init__(self):
+        check_periods(self.periods)
         if not (0.0 < self.test_fraction < 0.5):
             raise ValueError("test_fraction must be in (0, 0.5)")
         if self.horizon < 1:
@@ -183,6 +183,8 @@ class PipelineConfig:
             raise ValueError(f"selection_mode must be one of {SELECTION_MODES}")
         if self.refit_interval < 1:
             raise ValueError("refit_interval must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.feature_mode in ("statistical", "both") and self.window < MIN_WINDOW:
             raise ValueError(f"window {self.window} < {MIN_WINDOW}, the statistical catalog's least")
         if self.feature_mode in ("topological", "both"):
@@ -424,8 +426,7 @@ class DecomposedStrategy:
                 fm_sel, rep_rfe = rfe_sarimax(y, fm_sel, cfg.sarimax_spec)
                 reports.append(rep_rfe)
             if cfg.selection_mode == "rfe+pso" and fm_sel.n_cols > 1:
-                pso_cfg = replace(self.cfg.pso, seed=cfg.seed)
-                pso_result = pso_bic(y, fm_sel, cfg.sarimax_spec, pso_cfg)
+                pso_result = pso_bic(y, fm_sel, cfg.sarimax_spec, PsoConfig(seed=cfg.seed))
                 chosen = pso_result.best_subset or fm_sel.column_names
                 fm_sel = fm_sel.select_columns(chosen)
         fit = sarimax.fit(y, cfg.sarimax_spec, exog=fm_sel, n_restarts=1, seed=cfg.seed)

@@ -13,7 +13,8 @@ Two structural facts keep this fast and robust:
   filtered design. The simplex search therefore runs only over the ARMA
   coefficients, no matter how many exogenous columns are attached. The
   filter runs over the whole ``[y | design]`` block (built once per fit):
-  the AR polynomial as an FIR filter, then the inverse MA polynomial.
+  the AR polynomial as one ``np.convolve`` per column, then the inverse MA
+  polynomial through ``scipy.signal.lfilter``.
   ``apply_params`` runs the same filter on its one column, after one
   product of the regression design (which a caller may keep and extend)
   with the coefficients.
@@ -27,11 +28,12 @@ log-likelihood; the two blocks are asymptotically independent for
 regression-with-ARMA-errors models.
 
 scipy supplies the simplex search (``scipy.optimize.minimize``) and the
-filter (``scipy.signal.lfilter``). Both are imported where a fit, a filter
-or a simulation first runs, not with this module: the two packages take
-about a second to import, and ``import oeeforecast`` and the commands that
-fit nothing should not pay for it. A server that fits on its first requests
-calls ``import_fit_path`` before it starts answering.
+recursive filter (``scipy.signal.lfilter``) of the MA stage and of
+``simulate``. Both are imported where a fit, a filter or a simulation
+first runs, not with this module: the two packages take about a second to
+import, and ``import oeeforecast`` and the commands that fit nothing should
+not pay for it. A server that fits on its first requests calls
+``import_fit_path`` before it starts answering.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 5000  # Nelder-Mead iterations per start
 _FATOL = 1e-8  # Nelder-Mead objective tolerance
 _SIMULATE_BURN_IN = 200  # simulate's leading draws, discarded to forget the zero start
-_CONVOLVE_COLUMNS = 2  # widest block whose AR stage runs column by column
 
 
 def minimize(fun, x0, **kwargs):
@@ -259,20 +260,15 @@ def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
 
     Returns the filtered block for t >= burn. Pre-sample innovations are
     zero; burn >= the AR span, so every AR lag of a kept point is real data.
-    The AR stage is an FIR filter. lfilter with a one-tap denominator is
-    itself np.convolve(b, column) for each column under np.apply_along_axis,
-    so the same call, arguments in the same order, on blocks of at most
-    _CONVOLVE_COLUMNS columns gives the same bits at any polynomial and
-    series length and skips that wrapper's per-call cost; wider blocks take
-    one lfilter pass. Both paths leave each column contiguous.
+    The AR stage is an FIR filter: one np.convolve(ar_full, column) per
+    column, the very call lfilter with a one-tap denominator makes for each
+    column, without its wrapper's per-call cost. It leaves each column
+    contiguous. The MA stage inverts the MA polynomial with lfilter.
     """
     from scipy.signal import lfilter
 
-    if block.shape[1] <= _CONVOLVE_COLUMNS:
-        n = block.shape[0]
-        w = np.array([np.convolve(ar_full, col)[burn:n] for col in block.T]).T
-    else:
-        w = lfilter(ar_full, [1.0], block, axis=0)[burn:]
+    n = block.shape[0]
+    w = np.array([np.convolve(ar_full, col)[burn:n] for col in block.T]).T
     return lfilter([1.0], ma_full, w, axis=0) if len(ma_full) > 1 else w
 
 
@@ -369,8 +365,10 @@ def _as_exog(exog, n: int, what: str = "exog") -> np.ndarray:
 
 
 def _prepare_exog(exog, n: int):
+    """The regression design [1 | exog standardized], checked for
+    collinearity, with the column names, means and scales."""
     if exog is None:
-        return np.empty((n, 0)), (), np.array([]), np.array([])
+        return np.ones((n, 1)), (), np.array([]), np.array([])
     # one memory order for the standardization: numpy's axis-0 sums round
     # differently over C- and Fortran-ordered copies of the same matrix
     x = np.asfortranarray(_as_exog(exog, n))
@@ -384,11 +382,11 @@ def _prepare_exog(exog, n: int):
     if dead.any():
         bad = [names[j] for j in np.nonzero(dead)[0]]
         raise ValueError(f"exog columns with zero variance cannot be standardized: {bad}")
-    xs = (x - mean) / scale
-    cond = np.linalg.cond(np.column_stack([np.ones(n), xs]))
+    design = np.column_stack([np.ones(n), (x - mean) / scale])
+    cond = np.linalg.cond(design)
     if cond > 1e10:
         raise CollinearityError(f"exogenous design condition number {cond:.3e} > 1e10")
-    return xs, names, mean, scale
+    return design, names, mean, scale
 
 
 def fit(
@@ -410,11 +408,11 @@ def fit(
     """
     y = ts.values.astype(float)
     n = y.size
-    xs, exog_names, exog_mean, exog_scale = _prepare_exog(exog, n)
-    if spec.n_exog and spec.n_exog != xs.shape[1]:
-        raise ValueError(f"spec.n_exog={spec.n_exog} but exog has {xs.shape[1]} columns")
-    spec = SarimaxSpec(spec.p, spec.q, spec.P, spec.Q, spec.s, xs.shape[1])
-    design = np.column_stack([np.ones(n), xs])
+    design, exog_names, exog_mean, exog_scale = _prepare_exog(exog, n)
+    n_exog = design.shape[1] - 1
+    if spec.n_exog and spec.n_exog != n_exog:
+        raise ValueError(f"spec.n_exog={spec.n_exog} but exog has {n_exog} columns")
+    spec = SarimaxSpec(spec.p, spec.q, spec.P, spec.Q, spec.s, n_exog)
     n_eff = n - spec.burn_in
     if n_eff <= design.shape[1] + spec.p + spec.q + spec.P + spec.Q:
         raise ValueError(

@@ -81,15 +81,13 @@ def load_csv(
     path,
     value_column: str,
     timestamp_column: str | None = None,
-    fill_gaps: bool = False,
     name: str = "",
 ) -> TimeSeries:
     """Read one value column from a headered CSV into a TimeSeries.
 
     If ``timestamp_column`` is given it must hold ISO-8601 hour-resolution
-    stamps; rows must be hourly-contiguous. Gaps of at most 3 hours are
-    linearly interpolated when ``fill_gaps`` is true, anything else is an
-    error (window features would silently straddle the hole otherwise).
+    stamps; rows must be hourly-contiguous, and a gap is an error naming
+    the row (window features would silently straddle the hole otherwise).
     Without a timestamp column rows are taken as consecutive hours from
     2000-01-01 00:00.
     """
@@ -133,26 +131,13 @@ def load_csv(
 
     if stamps:
         start = stamps[0].replace(minute=0, second=0, microsecond=0)
-        filled = [values[0]]
-        expected = start
         for k in range(1, len(stamps)):
-            expected = expected + HOUR
             stamp = stamps[k].replace(minute=0, second=0, microsecond=0)
-            gap = int(round((stamp - expected) / HOUR))
+            gap = int(round((stamp - (start + k * HOUR)) / HOUR))
             if gap < 0:
                 raise CsvError(f"{path}: timestamps not increasing at row {k + 1}")
             if gap > 0:
-                if not fill_gaps or gap > 3:
-                    raise CsvError(
-                        f"{path}: {gap}-hour gap before row {k + 1}"
-                        + ("" if fill_gaps else " (pass fill_gaps=True for gaps <= 3h)")
-                    )
-                lo, hi = filled[-1], values[k]
-                for g in range(1, gap + 1):
-                    filled.append(lo + (hi - lo) * g / (gap + 1))
-                expected = stamp
-            filled.append(values[k])
-        values = filled
+                raise CsvError(f"{path}: {gap}-hour gap before row {k + 1}")
     else:
         start = datetime(2000, 1, 1, 0)
 

@@ -79,8 +79,8 @@ class TestConfigParsing:
         spec = coerce_config_value("sarimax_spec", "4,0,0,1,0,1,8")
         assert (spec.p, spec.P, spec.Q, spec.s) == (4, 1, 1, 8)
 
-    def test_every_field_but_pso_is_a_setting(self):
-        assert set(SETTINGS) == {f.name for f in fields(PipelineConfig)} - {"pso"}
+    def test_every_field_is_a_setting(self):
+        assert set(SETTINGS) == {f.name for f in fields(PipelineConfig)}
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -148,6 +148,12 @@ class TestCommands:
             ("stats --config", "dataset = {data}\nhorizon = four\n", [], "{file}:2: horizon"),
             ("stats --config", "dataset = {data}\nclamp = 1,60\n", [], "{file}:2: clamp"),
             ("stats --config", "dataset = {data}\n", ["--periods", "8,x"], "--periods"),
+            ("decompose --output unused.csv --config", "dataset = {data}\n", ["--periods", "0"],
+             "--periods must be >= 1"),
+            ("stats --config", "dataset = {data}\n", ["--periods", "24,8"],
+             "--periods must be strictly increasing"),
+            ("stats --config", "dataset = {data}\n", ["--periods", "8,20"],
+             "--periods must be nested"),
             ("stats --config", "dataset = {data}\n", ["--spec", "1,2"], "--spec"),
             ("stats --config", "dataset = {data}\nsarimax_spec = 2,1,0,1,0,1,8\n", [],
              "{file}:2: sarimax_spec: cannot read '2,1,0,1,0,1,8': integrated"),
@@ -158,6 +164,7 @@ class TestCommands:
             ("stats --config", "dataset = {data}\n", ["--test-fraction", "x"], "--test-fraction"),
             ("stats --config", "dataset = {data}\n", ["--refit-interval", "x"], "--refit-interval"),
             ("stats --config", "dataset = {data}\n", ["--seed", "x"], "--seed"),
+            ("forecast --config", "dataset = {data}\n", ["--seed", "-1"], "--seed must be >= 0"),
             ("stats --config", "dataset = {data}\n", ["--feature-mode", "foo"], "--feature-mode"),
             ("stats --config", "dataset = {data}\n", ["--selection-mode", "foo"], "--selection-mode"),
             ("serve --registry", "a.dataset = {data}\nnodot = 1\n", [], "{file}:2: nodot"),
@@ -165,6 +172,8 @@ class TestCommands:
             ("serve --registry", "a.dataset = {data}.gone\n", [], "{file}:1: a.dataset"),
             ("serve --registry", "a.dataset = {data}\na.horizon = 0\n", [], "{file}:2: a.horizon"),
             ("serve --registry", "a.dataset = {data}\na.window = abc\n", [], "{file}:2: a.window"),
+            ("serve --registry", "a.dataset = {data}\na.periods = 24,8\n", [],
+             "{file}:2: a.periods: periods must be strictly increasing"),
             ("stats --config", "dataset = {data}\nfeature_mode = topological  # comment\n", [],
              "{file}:2: feature_mode"),
             ("stats --config", "dataset = {data}\nfeature_mode = topological\n", ["--window", "10"],
@@ -173,11 +182,13 @@ class TestCommands:
             ("serve --registry", None, [], "{file}: cannot open"),
             ("benchmark --models nope --config", "dataset = {data}\n", [], "--models: unknown model"),
         ],
-        ids=["file_value", "file_horizon", "file_clamp", "flag_periods", "flag_spec", "file_spec_d",
+        ids=["file_value", "file_horizon", "file_clamp", "flag_periods", "flag_periods_zero",
+             "flag_periods_decreasing", "flag_periods_not_nested", "flag_spec", "file_spec_d",
              "flag_spec_D", "flag_window", "flag_horizon", "flag_test_fraction", "flag_refit_interval",
-             "flag_seed", "flag_feature_mode", "flag_selection_mode", "registry_line",
-             "registry_no_dataset", "registry_no_file", "registry_rejected", "registry_value",
-             "file_rejected", "flag_rejected", "config_absent", "registry_absent", "flag_models"],
+             "flag_seed", "flag_seed_negative", "flag_feature_mode", "flag_selection_mode",
+             "registry_line", "registry_no_dataset", "registry_no_file", "registry_rejected",
+             "registry_value", "registry_periods", "file_rejected", "flag_rejected", "config_absent",
+             "registry_absent", "flag_models"],
     )
     def test_config_errors_exit_5_naming_their_source(
         self, dataset_csv, tmp_path, monkeypatch, capsys, command, text, flags, where

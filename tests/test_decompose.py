@@ -115,6 +115,8 @@ class TestDecompose:
             decompose(TimeSeries(np.arange(400.0)), periods=(8, 36))
         with pytest.raises(ValueError, match="increasing"):
             decompose(TimeSeries(np.arange(400.0)), periods=(24, 8))
+        with pytest.raises(ValueError, match=">= 1"):
+            decompose(TimeSeries(np.arange(400.0)), periods=(0,))
 
     def test_csv_export(self, tmp_path, oee_series):
         d = decompose(oee_series)

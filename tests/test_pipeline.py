@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 from pathlib import Path
@@ -133,13 +134,12 @@ class TestRollingHarness:
         assert rep.model_label == "decomposed_sarimax_topological"
         assert np.isfinite(rep.mae)
 
-    def test_selection_mode_rfe_pso(self, series_small):
-        cfg = small_cfg(
-            feature_mode="statistical",
-            selection_mode="rfe+pso",
-            test_fraction=0.1,
-            pso=PsoConfig(swarm_size=8, max_iterations=10, runs=2, stability_threshold=2),
+    def test_selection_mode_rfe_pso(self, series_small, monkeypatch):
+        small_pso = functools.partial(
+            PsoConfig, swarm_size=8, max_iterations=10, runs=2, stability_threshold=2
         )
+        monkeypatch.setattr(pipeline, "PsoConfig", small_pso)
+        cfg = small_cfg(feature_mode="statistical", selection_mode="rfe+pso", test_fraction=0.1)
         strat = DecomposedStrategy(cfg)
         rep = rolling_forecast(cfg, series=series_small, strategy=strat)
         assert np.isfinite(rep.mae)

@@ -320,8 +320,8 @@ class TestCssFilterOracle:
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_narrow_blocks_equal_lfilter_at_every_length(self, name):
-        # blocks of one or two columns skip lfilter, which every block took
-        # before; series as short as the AR polynomial included
+        # the AR stage convolves each column, the calls lfilter's FIR path
+        # makes, at any width; series as short as the AR polynomial included
         from scipy.signal import lfilter
 
         spec = self.SPECS[name]
@@ -333,7 +333,7 @@ class TestCssFilterOracle:
             ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
             burn = spec.burn_in
             for n in (len(ar_full), len(ar_full) + 1, burn + 1, burn + 7, 300):
-                for width in (1, 2):
+                for width in (1, 2, 3, 8, 63):
                     block = rng.normal(10.0, 3.0, size=(n, width))
                     want = lfilter(ar_full, [1.0], block, axis=0)[burn:]
                     if len(ma_full) > 1:
@@ -342,7 +342,7 @@ class TestCssFilterOracle:
                     assert got.tobytes() == want.tobytes(), (n, width)
 
     def test_bytes_equal_the_column_loop_on_random_blocks(self):
-        # blocks of one or two columns take np.convolve, wider ones lfilter
+        # blocks of one to three columns, in C and Fortran order
         rng = np.random.default_rng(40)
         specs = list(self.SPECS.values())
         for trial in range(300):
@@ -360,8 +360,8 @@ class TestCssFilterOracle:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (trial, width)
             if len(ma_full) == 1:
-                # the AR stage leaves each column contiguous on either path,
-                # so a fit's dot products of a column take one BLAS kernel
+                # the AR stage leaves each column contiguous, so a fit's dot
+                # products of a column take one BLAS kernel
                 assert got.strides[0] == got.itemsize
 
 

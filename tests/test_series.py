@@ -84,24 +84,8 @@ class TestLoadCsv:
             tmp_path,
             "ts,value\n2024-01-01T00:00,5\n2024-01-01T03:00,8\n",
         )
-        with pytest.raises(CsvError, match="gap"):
+        with pytest.raises(CsvError, match="2-hour gap before row 2"):
             load_csv(p, "value", timestamp_column="ts")
-
-    def test_short_gap_interpolated_with_flag(self, tmp_path):
-        p = write_csv(
-            tmp_path,
-            "ts,value\n2024-01-01T00:00,5\n2024-01-01T03:00,8\n",
-        )
-        ts = load_csv(p, "value", timestamp_column="ts", fill_gaps=True)
-        assert list(ts.values) == [5.0, 6.0, 7.0, 8.0]
-
-    def test_long_gap_still_rejected(self, tmp_path):
-        p = write_csv(
-            tmp_path,
-            "ts,value\n2024-01-01T00:00,5\n2024-01-01T05:00,8\n",
-        )
-        with pytest.raises(CsvError, match="gap"):
-            load_csv(p, "value", timestamp_column="ts", fill_gaps=True)
 
 
 class TestSummaryStats:
