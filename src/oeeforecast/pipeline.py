@@ -69,19 +69,16 @@ def causal_components(ts: TimeSeries, periods):
     n = trend.size
     period = max(periods)
     half = period // 2
+    # decompose needs n >= 2 * period, so the last complete window ends at
+    # or after index period and the segment below always fits
     last_full = n - 1 - half
-    if last_full >= period:
-        seg = trend[last_full - period + 1 : last_full + 1]
-        slope = np.polyfit(np.arange(period, dtype=float), seg, 1)[0]
-        steps = np.arange(1, n - last_full)
-        trend[last_full + 1 :] = trend[last_full] + slope * steps
+    seg = trend[last_full - period + 1 : last_full + 1]
+    slope = np.polyfit(np.arange(period, dtype=float), seg, 1)[0]
+    steps = np.arange(1, n - last_full)
+    trend[last_full + 1 :] = trend[last_full] + slope * steps
     seasonal_sum = sum(c.values for c in d.seasonal.values())
     residual = ts.values - seasonal_sum - trend
-    return (
-        ts.with_values(trend),
-        {p: d.seasonal[p] for p in d.periods},
-        ts.with_values(residual),
-    )
+    return ts.with_values(trend), d.seasonal, ts.with_values(residual)
 
 
 class ConfigError(ValueError):
@@ -423,7 +420,7 @@ class DecomposedStrategy:
             fm_sel, rep_prune = collinearity_prune(fm_sel)
             reports = [rep_var, rep_corr, rep_prune]
             if cfg.selection_mode in ("rfe", "rfe+pso"):
-                fm_sel, rep_rfe = rfe_sarimax(y, fm_sel, cfg.sarimax_spec)
+                fm_sel, rep_rfe = rfe_sarimax(y, fm_sel, cfg.sarimax_spec, seed=cfg.seed)
                 reports.append(rep_rfe)
             if cfg.selection_mode == "rfe+pso" and fm_sel.n_cols > 1:
                 pso_result = pso_bic(y, fm_sel, cfg.sarimax_spec, PsoConfig(seed=cfg.seed))

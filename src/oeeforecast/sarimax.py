@@ -239,7 +239,7 @@ def _coefs_to_z(phi, theta, sphi, stheta):
         _ar_to_pacf(sphi),
         _ar_to_pacf(-np.asarray(stheta, dtype=float)),
     ]
-    r = np.concatenate(blocks) if blocks else np.array([])
+    r = np.concatenate(blocks)
     return np.arctanh(np.clip(r, -0.98, 0.98))
 
 
@@ -312,9 +312,8 @@ def _hannan_rissanen(u: np.ndarray, spec: SarimaxSpec) -> np.ndarray:
     start = max([0] + ar_lags + ma_lags)
     if n - start < 10 + len(ar_lags) + len(ma_lags):
         return np.zeros(dims)
-    cols = [u[start - k : n - k] for k in ar_lags]
-    if eps is not None:
-        cols += [eps[start - k : n - k] for k in ma_lags]
+    # eps is None only without MA lags, when the second list is empty
+    cols = [u[start - k : n - k] for k in ar_lags] + [eps[start - k : n - k] for k in ma_lags]
     try:
         coef, *_ = np.linalg.lstsq(np.column_stack(cols), u[start:], rcond=None)
     except np.linalg.LinAlgError:
@@ -323,8 +322,8 @@ def _hannan_rissanen(u: np.ndarray, spec: SarimaxSpec) -> np.ndarray:
     phi = coef[: spec.p]
     sphi = coef[spec.p : spec.p + spec.P]
     k = spec.p + spec.P
-    theta = coef[k : k + spec.q] if eps is not None else np.zeros(spec.q)
-    stheta = coef[k + spec.q : k + spec.q + spec.Q] if eps is not None else np.zeros(spec.Q)
+    theta = coef[k : k + spec.q]
+    stheta = coef[k + spec.q : k + spec.q + spec.Q]
     return _coefs_to_z(phi, theta, sphi, stheta)
 
 

@@ -203,13 +203,15 @@ def rfe_sarimax(
     spec: sarimax.SarimaxSpec,
     alpha: float = 0.05,
     min_features: int = 3,
+    seed: int = 0,
 ) -> tuple[FeatureMatrix, SelectionReport]:
     """Recursively drop exogenous columns that stay insignificant.
 
     Each round refits the model on the surviving columns and removes the
     worst ceil(10%) of the columns whose p-value exceeds alpha (at least
     one), until everything is significant or min_features remain. The
-    target series must be row-aligned with the feature matrix.
+    target series must be row-aligned with the feature matrix. ``seed``
+    seeds every refit's perturbed starts.
     """
     if fm.n_cols < 1:
         raise ValueError("need at least one feature column")
@@ -222,7 +224,7 @@ def rfe_sarimax(
     final_pvalues: dict[str, float] = {}
     while True:
         iteration += 1
-        fit_res = sarimax.fit(ts, spec, exog=current, n_restarts=_RFE_RESTARTS)
+        fit_res = sarimax.fit(ts, spec, exog=current, n_restarts=_RFE_RESTARTS, seed=seed)
         pvals = {name: fit_res.pvalue_of(name) for name in current.column_names}
         final_pvalues = pvals
         offenders = sorted(

@@ -108,7 +108,7 @@ def load_csv(
             tcol = header.index(timestamp_column)
 
         values: list[float] = []
-        stamps: list[datetime] = []
+        start = prev = None
         for rownum, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
@@ -120,25 +120,26 @@ def load_csv(
                     f"{path}: non-numeric value {cell!r} in column "
                     f"{value_column!r} at row {rownum}"
                 ) from None
-            if tcol is not None:
-                try:
-                    stamps.append(datetime.fromisoformat(row[tcol].strip()))
-                except ValueError:
-                    raise CsvError(f"{path}: bad timestamp {row[tcol]!r} at row {rownum}") from None
+            if tcol is None:
+                continue
+            try:
+                stamp = datetime.fromisoformat(row[tcol].strip())
+            except ValueError:
+                raise CsvError(f"{path}: bad timestamp {row[tcol]!r} at row {rownum}") from None
+            stamp = stamp.replace(minute=0, second=0, microsecond=0)
+            if prev is None:
+                start = stamp
+            else:
+                gap = int(round((stamp - prev - HOUR) / HOUR))
+                if gap < 0:
+                    raise CsvError(f"{path}: timestamps not increasing at row {rownum}")
+                if gap > 0:
+                    raise CsvError(f"{path}: {gap}-hour gap before row {rownum}")
+            prev = stamp
 
     if not values:
         raise CsvError(f"{path}: no data rows")
-
-    if stamps:
-        start = stamps[0].replace(minute=0, second=0, microsecond=0)
-        for k in range(1, len(stamps)):
-            stamp = stamps[k].replace(minute=0, second=0, microsecond=0)
-            gap = int(round((stamp - (start + k * HOUR)) / HOUR))
-            if gap < 0:
-                raise CsvError(f"{path}: timestamps not increasing at row {k + 1}")
-            if gap > 0:
-                raise CsvError(f"{path}: {gap}-hour gap before row {k + 1}")
-    else:
+    if start is None:
         start = datetime(2000, 1, 1, 0)
 
     return TimeSeries(np.asarray(values), start, name or str(value_column))

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..feature_matrix import FeatureMatrix
 from ..series import TimeSeries
-from .persistence import PointCloud, vr_persistence
+from .persistence import PointCloud, _distances, vr_persistence
 from .vectorize import (
     LIFETIME_STAT_NAMES,
     batch_betti,
@@ -116,12 +116,6 @@ def _embedded_windows(values: np.ndarray, window: int) -> np.ndarray:
     span = (EMBED_DIM - 1) * DELAY
     lags = np.arange(window - span)[:, None] + DELAY * np.arange(EMBED_DIM)
     return windows[:, lags]
-
-
-def _distances(pts: np.ndarray) -> np.ndarray:
-    """(windows, points, points) pairwise distances, vr_persistence's formula."""
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=3))
 
 
 def _scale_of(dist: np.ndarray) -> float:

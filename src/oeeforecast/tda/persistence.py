@@ -1,19 +1,29 @@
 """Vietoris-Rips persistent homology in dimensions 0 and 1.
 
-H0 comes from a union-find sweep over edges in ascending weight order: the
-finite death times are exactly the minimum-spanning-tree edge weights, and
-the one essential class is capped at the maximum pairwise distance so every
-diagram carries point-count-many H0 pairs. H1 uses the standard boundary
-matrix reduction over Z/2 on the edge/triangle filtration, with the
-deterministic simplex order (filtration value, dimension, vertex tuple).
-Every triangle is in the filtration, so the final complex is simply
-connected and every H1 class dies: only H0 has an essential bar.
-Zero-lifetime H1 pairs are not recorded.
+The filtration is read from two lists: the edges sorted by (length, i, j),
+an edge's rank being its index there, and the triangles sorted by (longest
+edge, i, j, k). That is the simplex order (filtration value, dimension,
+vertex tuple) restricted to each dimension.
 
-The feature catalog (tda.extract) takes H0 of all windows at once from the
-same merge heights, by a batched Prim spanning tree over the stacked
-distance matrices, and calls vr_persistence window by window only when an
-H1 column is asked for.
+H0 is a component-label sweep over the sorted edges (Kruskal): an edge
+joining two labels merges them and kills one component at its length, so
+the finite deaths are exactly the minimum-spanning-tree edge weights. The
+one essential class is capped at the maximum pairwise distance, so every
+diagram carries point-count-many H0 pairs, zero-lifetime ones included.
+
+H1 is the standard boundary reduction over Z/2 (Zomorodian & Carlsson):
+each triangle's column is the bitmask of its three edge ranks, XORed in
+triangle order against the column that owns its largest rank until that
+rank is unowned or the column is empty. A nonempty column pairs the edge
+at its largest rank (birth) with the triangle (death); zero-lifetime H1
+pairs are not recorded. Every triangle is in the filtration, so the final
+complex is simply connected and every H1 class dies: only H0 has an
+essential bar.
+
+The feature catalog (tda.extract) shares _distances, takes H0 of all
+windows at once from the same merge heights, by a batched Prim spanning
+tree over the stacked distance matrices, and calls vr_persistence window
+by window only when an H1 column is asked for.
 """
 
 from __future__ import annotations
@@ -77,110 +87,65 @@ class PersistenceDiagram:
         return int(np.sum(self.dims == dim))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _h0_pairs(n: int, edges) -> list[tuple[float, float]]:
-    """Finite H0 deaths are the MST edge weights (elder rule, births all 0)."""
-    uf = _UnionFind(n)
-    deaths = []
-    for w, i, j in edges:
-        if uf.union(i, j):
-            deaths.append(w)
-            if len(deaths) == n - 1:
-                break
-    return [(0.0, w) for w in deaths]
+def _distances(pts: np.ndarray) -> np.ndarray:
+    """(clouds, points, points) pairwise Euclidean distances of a
+    (clouds, points, dim) stack: vr_persistence's distance matrix and the
+    feature catalog's, from one formula so both read the same doubles."""
+    diff = pts[:, :, None, :] - pts[:, None, :, :]
+    return np.sqrt(np.sum(diff * diff, axis=3))
 
 
 def vr_persistence(cloud: PointCloud) -> PersistenceDiagram:
     """H0 and H1 persistence diagram of the Rips filtration up to the
     diameter cap."""
-    pts = cloud.points
     n = len(cloud)
     if n < 2:
         raise ValueError("vr_persistence needs at least 2 points")
-
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    dist = _distances(cloud.points[None])[0]
     max_filtration = float(dist.max())
-
-    edges = sorted(
-        (float(dist[i, j]), i, j) for i in range(n) for j in range(i + 1, n)
-    )
+    d = dist.tolist()
+    # an edge's rank is its index here; ties fall to the vertex pair
+    edges = sorted((d[i][j], i, j) for i in range(n) for j in range(i + 1, n))
 
     # H0 keeps zero-lifetime pairs so the pair count always equals the point
     # count (stable feature dimensionality); H1 below drops them.
-    births, deaths, dims = [], [], []
-    for b, d in _h0_pairs(n, edges):
-        births.append(b)
-        deaths.append(d)
-        dims.append(0)
+    pairs = []  # (dim, birth, death)
+    label = list(range(n))
+    for w, i, j in edges:
+        keep, gone = label[i], label[j]
+        if keep != gone:
+            label = [keep if c == gone else c for c in label]
+            pairs.append((0, 0.0, w))
+            if len(pairs) == n - 1:
+                break
     # the one essential component, capped at the diameter
-    births.append(0.0)
-    deaths.append(max_filtration)
-    dims.append(0)
+    pairs.append((0, 0.0, max_filtration))
 
-    if n >= 3:
-        # filtration order over edges and triangles; vertices are implicit
-        edge_index = {}
-        simplices = []  # (filt, dim, vertices)
-        for w, i, j in edges:
-            simplices.append((w, 1, (i, j)))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    w = max(dist[i, j], dist[i, k], dist[j, k])
-                    simplices.append((float(w), 2, (i, j, k)))
-        simplices.sort(key=lambda s: (s[0], s[1], s[2]))
-        for pos, (w, d, verts) in enumerate(simplices):
-            if d == 1:
-                edge_index[verts] = pos
+    # each triangle's boundary column is the bitmask of its edges' ranks
+    bit = [[0] * n for _ in range(n)]
+    for rank, (_, i, j) in enumerate(edges):
+        bit[i][j] = 1 << rank
+    triangles = sorted(
+        (max(d[i][j], d[i][k], d[j][k]), i, j, k)
+        for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+    )
+    owner: dict[int, int] = {}  # pivot rank -> the reduced column holding it
+    for w, i, j, k in triangles:
+        col = bit[i][j] | bit[i][k] | bit[j][k]
+        while col:
+            pivot = col.bit_length() - 1
+            if pivot not in owner:
+                owner[pivot] = col
+                if w > edges[pivot][0]:
+                    pairs.append((1, edges[pivot][0], w))
+                break
+            col ^= owner[pivot]
 
-        filt = [s[0] for s in simplices]
-        low_owner: dict[int, int] = {}  # row -> column position that owns it
-        columns: dict[int, set[int]] = {}
-        for pos, (w, d, verts) in enumerate(simplices):
-            if d != 2:
-                continue
-            i, j, k = verts
-            col = {edge_index[(i, j)], edge_index[(i, k)], edge_index[(j, k)]}
-            while col:
-                pivot = max(col)
-                owner = low_owner.get(pivot)
-                if owner is None:
-                    break
-                col ^= columns[owner]
-            if col:
-                pivot = max(col)
-                low_owner[pivot] = pos
-                columns[pos] = col
-                birth, death = filt[pivot], w
-                if death > birth:
-                    births.append(birth)
-                    deaths.append(death)
-                    dims.append(1)
-
+    dims, births, deaths = zip(*pairs)
     order = np.lexsort((deaths, births, dims))
     return PersistenceDiagram(
-        births=np.asarray(births)[order] if births else np.array([]),
-        deaths=np.asarray(deaths)[order] if deaths else np.array([]),
-        dims=np.asarray(dims, dtype=int)[order] if dims else np.array([], dtype=int),
+        births=np.asarray(births)[order],
+        deaths=np.asarray(deaths)[order],
+        dims=np.asarray(dims, dtype=int)[order],
         max_filtration=max_filtration,
     )

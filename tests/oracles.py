@@ -7,6 +7,12 @@ MST. The conventions mirror the production contract: H0 keeps
 zero-lifetime pairs plus one essential bar capped at the cloud diameter;
 H1 drops zero-lifetime pairs.
 
+The simplex-list oracle (simplex_list_vr_persistence) is vr_persistence's
+first body, moved here unchanged with its union-find: H0 from a union-find
+sweep, H1 from one mixed list of edges and triangles sorted by (filtration,
+dimension, vertices) and reduced over Python sets of list positions. The
+production function must match it byte for byte, tie order included.
+
 The statistical oracles are the catalog's first, per-window implementation:
 one window at a time, scalar numpy and scipy calls, entropies from Python
 loops over templates and patterns, and the ACF/PACF of acf_values and
@@ -75,7 +81,7 @@ from oeeforecast.stat_features import (
 from oeeforecast.tda.embedding import takens_embed
 from oeeforecast.tda import extract as tda
 from oeeforecast.tda.extract import T_RANGE, TdaParams, extract_tda_features
-from oeeforecast.tda.persistence import PersistenceDiagram, vr_persistence
+from oeeforecast.tda.persistence import PersistenceDiagram, PointCloud, vr_persistence
 from oeeforecast.tda.vectorize import LIFETIME_STAT_NAMES
 
 
@@ -204,6 +210,115 @@ def diagrams_equal(diagram, oracle_pairs, tol=1e-12) -> bool:
     return all(
         g[0] == w[0] and abs(g[1] - w[1]) <= tol and abs(g[2] - w[2]) <= tol
         for g, w in zip(got, want)
+    )
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[rb] = ra
+        return True
+
+
+def _h0_pairs(n: int, edges) -> list[tuple[float, float]]:
+    """Finite H0 deaths are the MST edge weights (elder rule, births all 0)."""
+    uf = _UnionFind(n)
+    deaths = []
+    for w, i, j in edges:
+        if uf.union(i, j):
+            deaths.append(w)
+            if len(deaths) == n - 1:
+                break
+    return [(0.0, w) for w in deaths]
+
+
+def simplex_list_vr_persistence(cloud: PointCloud) -> PersistenceDiagram:
+    """H0 and H1 persistence diagram of the Rips filtration up to the
+    diameter cap."""
+    pts = cloud.points
+    n = len(cloud)
+    if n < 2:
+        raise ValueError("vr_persistence needs at least 2 points")
+
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    max_filtration = float(dist.max())
+
+    edges = sorted(
+        (float(dist[i, j]), i, j) for i in range(n) for j in range(i + 1, n)
+    )
+
+    # H0 keeps zero-lifetime pairs so the pair count always equals the point
+    # count (stable feature dimensionality); H1 below drops them.
+    births, deaths, dims = [], [], []
+    for b, d in _h0_pairs(n, edges):
+        births.append(b)
+        deaths.append(d)
+        dims.append(0)
+    # the one essential component, capped at the diameter
+    births.append(0.0)
+    deaths.append(max_filtration)
+    dims.append(0)
+
+    if n >= 3:
+        # filtration order over edges and triangles; vertices are implicit
+        edge_index = {}
+        simplices = []  # (filt, dim, vertices)
+        for w, i, j in edges:
+            simplices.append((w, 1, (i, j)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    w = max(dist[i, j], dist[i, k], dist[j, k])
+                    simplices.append((float(w), 2, (i, j, k)))
+        simplices.sort(key=lambda s: (s[0], s[1], s[2]))
+        for pos, (w, d, verts) in enumerate(simplices):
+            if d == 1:
+                edge_index[verts] = pos
+
+        filt = [s[0] for s in simplices]
+        low_owner: dict[int, int] = {}  # row -> column position that owns it
+        columns: dict[int, set[int]] = {}
+        for pos, (w, d, verts) in enumerate(simplices):
+            if d != 2:
+                continue
+            i, j, k = verts
+            col = {edge_index[(i, j)], edge_index[(i, k)], edge_index[(j, k)]}
+            while col:
+                pivot = max(col)
+                owner = low_owner.get(pivot)
+                if owner is None:
+                    break
+                col ^= columns[owner]
+            if col:
+                pivot = max(col)
+                low_owner[pivot] = pos
+                columns[pos] = col
+                birth, death = filt[pivot], w
+                if death > birth:
+                    births.append(birth)
+                    deaths.append(death)
+                    dims.append(1)
+
+    order = np.lexsort((deaths, births, dims))
+    return PersistenceDiagram(
+        births=np.asarray(births)[order] if births else np.array([]),
+        deaths=np.asarray(deaths)[order] if deaths else np.array([]),
+        dims=np.asarray(dims, dtype=int)[order] if dims else np.array([], dtype=int),
+        max_filtration=max_filtration,
     )
 
 

@@ -148,6 +148,31 @@ class TestRollingHarness:
         assert stages[:2] == ["variance_filter", "correlation_filter"]
         assert "rfe_sarimax" in stages
 
+    def test_rfe_refits_take_the_seed(self, series_small, monkeypatch):
+        in_rfe, seeds = [], []
+        real_fit, real_rfe = sarimax.fit, pipeline.rfe_sarimax
+
+        def rfe(*args, **kwargs):
+            in_rfe.append(True)
+            try:
+                return real_rfe(*args, **kwargs)
+            finally:
+                in_rfe.pop()
+
+        def fit(*args, **kwargs):
+            if in_rfe:
+                seeds.append(kwargs.get("seed"))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "rfe_sarimax", rfe)
+        monkeypatch.setattr(sarimax, "fit", fit)
+        cfg = small_cfg(
+            feature_mode="statistical", selection_mode="rfe", seed=3,
+            sarimax_spec=SarimaxSpec(p=1, s=8),
+        )
+        DecomposedStrategy(cfg).refit(series_small.slice(0, 300))
+        assert seeds and set(seeds) == {3}
+
     def test_determinism_same_seed(self, series_small):
         cfg = small_cfg(feature_mode="none")
         a = rolling_forecast(cfg, series=series_small)

@@ -87,6 +87,24 @@ class TestLoadCsv:
         with pytest.raises(CsvError, match="2-hour gap before row 2"):
             load_csv(p, "value", timestamp_column="ts")
 
+    def test_gap_row_counts_blank_lines(self, tmp_path):
+        # rows are numbered as the value and timestamp errors number them:
+        # every data line after the header, blank ones included
+        p = write_csv(
+            tmp_path,
+            "ts,value\n2024-01-01T00:00,5\n\n2024-01-01T01:00,6\n2024-01-01T04:00,8\n",
+        )
+        with pytest.raises(CsvError, match="2-hour gap before row 4$"):
+            load_csv(p, "value", timestamp_column="ts")
+
+    def test_not_increasing_row_counts_blank_lines(self, tmp_path):
+        p = write_csv(
+            tmp_path,
+            "ts,value\n2024-01-01T00:00,5\n2024-01-01T01:00,6\n\n2024-01-01T01:00,7\n",
+        )
+        with pytest.raises(CsvError, match="timestamps not increasing at row 4$"):
+            load_csv(p, "value", timestamp_column="ts")
+
 
 class TestSummaryStats:
     def test_matches_hand_computation(self):

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from oeeforecast.pipeline import causal_components
+from oeeforecast.tda.extract import _embedded_windows
 from oeeforecast.tda.persistence import PersistenceDiagram, PointCloud, vr_persistence
 
-from oracles import bruteforce_rips_diagram, diagrams_equal, prim_mst_weights, scale_diagram
+from conftest import STAND_INS, make_oee_series
+from oracles import (
+    bruteforce_rips_diagram,
+    diagrams_equal,
+    prim_mst_weights,
+    scale_diagram,
+    simplex_list_vr_persistence,
+)
 
 
 def h_pairs(diagram, dim):
@@ -87,6 +96,38 @@ class TestVrOracleEquivalence:
         life = d.lifetimes(1)
         assert life.size >= 1
         assert life.max() > 0.5
+
+
+def assert_same_bytes(cloud):
+    got, want = vr_persistence(cloud), simplex_list_vr_persistence(cloud)
+    for name in ("births", "deaths", "dims"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.max_filtration == want.max_filtration
+
+
+class TestSimplexListOracle:
+    """Byte-level equivalence with the simplex-list reduction, tie order
+    included: rounding, grids and constants make tied edges and triangles,
+    and duplicate points make zero-length edges."""
+
+    @pytest.mark.parametrize("n", range(2, 26))
+    def test_seeded_clouds(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            normal = rng.normal(size=(n, 3))
+            assert_same_bytes(PointCloud(normal))
+            assert_same_bytes(PointCloud(np.round(normal, 1)))
+            assert_same_bytes(PointCloud(rng.integers(0, 3, size=(n, 2)).astype(float)))
+            assert_same_bytes(PointCloud(np.full((n, 3), rng.normal())))
+
+    @pytest.mark.parametrize("window", [18, 24, 30])
+    @pytest.mark.parametrize("name", sorted(STAND_INS))
+    def test_stand_in_windows(self, name, window):
+        n, seed = STAND_INS[name]
+        _, _, residual = causal_components(make_oee_series(n, seed=seed, name=name), (8, 24, 168))
+        for pts in _embedded_windows(residual.values, window):
+            assert_same_bytes(PointCloud(pts))
 
 
 class TestInvariances:
