@@ -12,7 +12,6 @@ from .decompose import DecompositionResult, decompose, reconstruct
 from .feature_matrix import FeatureMatrix
 from .forecasters import (
     EtsFit,
-    ForecastResult,
     OEE_MAX,
     OEE_MIN,
     ets_fit,

@@ -9,7 +9,6 @@ that recombined forecasts are clamped to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,6 @@ class EtsFit:
     level: float
     slope: float
     sse: float
-    n_obs: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -36,20 +34,6 @@ class EtsFit:
             raise ValueError(f"beta must be in [0,1), got {self.beta}")
         if self.sse < 0.0:
             raise ValueError("sse must be >= 0")
-
-
-@dataclass(frozen=True)
-class ForecastResult:
-    origin_index: int
-    horizon: int
-    values: tuple[float, ...]
-    model_label: str
-
-    def __post_init__(self):
-        if self.horizon < 1 or len(self.values) != self.horizon:
-            raise ValueError("horizon must be >= 1 and match len(values)")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError("forecast values must be finite")
 
 
 def _init_state(y: np.ndarray) -> tuple[float, float]:
@@ -124,7 +108,7 @@ def ets_fit(ts: TimeSeries) -> EtsFit:
             step /= 2.0
 
     level, slope, sse = _holt_filter(y, alpha, beta, l0, b0)
-    return EtsFit(alpha=alpha, beta=beta, level=level, slope=slope, sse=sse, n_obs=y.size)
+    return EtsFit(alpha=alpha, beta=beta, level=level, slope=slope, sse=sse)
 
 
 def ets_update(fit: EtsFit, ts: TimeSeries) -> EtsFit:
@@ -132,7 +116,7 @@ def ets_update(fit: EtsFit, ts: TimeSeries) -> EtsFit:
     y = ts.values.astype(float)
     l0, b0 = _init_state(y)
     level, slope, sse = _holt_filter(y, fit.alpha, fit.beta, l0, b0)
-    return EtsFit(fit.alpha, fit.beta, level, slope, sse, n_obs=y.size)
+    return EtsFit(fit.alpha, fit.beta, level, slope, sse)
 
 
 def ets_one_step(fit: EtsFit, ts: TimeSeries) -> np.ndarray:
@@ -143,29 +127,21 @@ def ets_one_step(fit: EtsFit, ts: TimeSeries) -> np.ndarray:
     return np.asarray(preds)
 
 
-def ets_forecast(fit: EtsFit, horizon: int) -> ForecastResult:
-    """Linear continuation: forecast(h) = level + h * slope."""
+def ets_forecast(fit: EtsFit, horizon: int) -> np.ndarray:
+    """Linear continuation: forecast(h) = level + h * slope, h = 1..horizon."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    vals = tuple(fit.level + h * fit.slope for h in range(1, horizon + 1))
-    return ForecastResult(
-        origin_index=fit.n_obs - 1, horizon=horizon, values=vals, model_label="ets"
-    )
+    vals = np.array([fit.level + h * fit.slope for h in range(1, horizon + 1)], dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError("forecast values must be finite")
+    return vals
 
 
-def seasonal_naive_forecast(seasonal: TimeSeries, period: int, horizon: int) -> ForecastResult:
+def seasonal_naive_forecast(seasonal: TimeSeries, period: int, horizon: int) -> np.ndarray:
     """Repeat the last complete cycle of the component."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     n = len(seasonal)
     if n < period:
         raise ValueError(f"series length {n} < period {period}")
-    x = seasonal.values
-    vals = tuple(float(x[n - period + ((h - 1) % period)]) for h in range(1, horizon + 1))
-    return ForecastResult(
-        origin_index=n - 1,
-        horizon=horizon,
-        values=vals,
-        model_label=f"seasonal_naive_{period}",
-    )
-
+    return seasonal.values[n - period + (np.arange(horizon) % period)]

@@ -89,10 +89,11 @@ class ConfigError(ValueError):
 def read_settings(path):
     """Yield ``(file:line, key, value)`` for each ``key = value`` line of a
     settings file, the format of both config files and the service registry.
-    Blank lines and lines starting with ``#`` are skipped. A file that
-    cannot be opened is a ConfigError naming it."""
+    Blank lines and lines starting with ``#`` are skipped, and so is a
+    leading UTF-8 byte-order mark. A file that cannot be opened is a
+    ConfigError naming it."""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"{path}: cannot open: {exc.strerror or exc}") from None
     with fh:
@@ -288,8 +289,7 @@ class SeasonalNaiveStrategy:
         pass
 
     def forecast(self, past: TimeSeries, horizon: int):
-        fc = seasonal_naive_forecast(past, self.period, horizon)
-        return np.clip(fc.values, OEE_MIN, OEE_MAX)
+        return np.clip(seasonal_naive_forecast(past, self.period, horizon), OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
         y = train.values
@@ -311,7 +311,7 @@ class RawEtsStrategy:
 
     def forecast(self, past: TimeSeries, horizon: int):
         state = ets_update(self._fit, past)
-        return np.clip(ets_forecast(state, horizon).values, OEE_MIN, OEE_MAX)
+        return np.clip(ets_forecast(state, horizon), OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the fit of refit(train), which
@@ -333,7 +333,7 @@ class RawSarimaStrategy:
 
     def forecast(self, past: TimeSeries, horizon: int):
         state = sarimax.apply_params(self._fit, past)
-        return np.clip(sarimax.forecast(state, horizon).values, OEE_MIN, OEE_MAX)
+        return np.clip(sarimax.forecast(state, horizon), OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
         """In-sample one-step predictions from the fit of refit(train), which
@@ -441,16 +441,14 @@ class DecomposedStrategy:
     def forecast(self, past: TimeSeries, horizon: int):
         cfg = self.cfg
         trend, seasonal, residual = causal_components(past, cfg.periods)
-        trend_fc = ets_forecast(ets_update(self._ets, trend), horizon).values
-        seas_fc = [
-            seasonal_naive_forecast(seasonal[p], p, horizon).values for p in cfg.periods
-        ]
+        trend_fc = ets_forecast(ets_update(self._ets, trend), horizon)
+        seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon) for p in cfg.periods]
 
         r = residual.values
         y = np.concatenate([self._state_y, r[self._refit_len :]])
         if cfg.feature_mode == "none":
             state = sarimax.apply_params(self._sarimax, TimeSeries(y))
-            resid_fc = sarimax.forecast(state, horizon).values
+            resid_fc = sarimax.forecast(state, horizon)
         else:
             # rows of the windows ending at refit_len - 1 .. len(past) - 1: the
             # exog of each hour observed since the refit, then the first step's
@@ -464,7 +462,7 @@ class DecomposedStrategy:
             for step in range(horizon):
                 design = self._design(new, order)
                 state = sarimax.apply_params(self._sarimax, TimeSeries(y), design=design)
-                nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
+                nxt = sarimax.forecast(state, 1, exog_future=row)[0]
                 resid_fc.append(nxt)
                 if step + 1 < horizon:
                     r = np.append(r, nxt)
@@ -472,7 +470,7 @@ class DecomposedStrategy:
                     new = np.vstack([new, row])
                     row = self._selected_rows(r[-cfg.window :])
 
-        total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
+        total = trend_fc + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
         return np.clip(total, OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .feature_matrix import FeatureMatrix
-from .forecasters import ForecastResult
 from .series import TimeSeries
 
 MAX_ORDER = 8
@@ -111,9 +110,6 @@ class SarimaxSpec:
     def n_params(self) -> int:
         # intercept + betas + ARMA coefficients + sigma2
         return 1 + self.n_exog + self.p + self.q + self.P + self.Q + 1
-
-    def label(self) -> str:
-        return f"sarimax({self.p},0,{self.q})({self.P},0,{self.Q})_{self.s}"
 
 
 @dataclass(frozen=True)
@@ -571,8 +567,12 @@ def apply_params(fit_result: SarimaxFit, ts: TimeSeries, design=None) -> Sarimax
     return replace(fit_result, residuals=resid, u_history=u, n_obs=n)
 
 
-def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> ForecastResult:
-    """Recursive mean forecast; unknown future innovations are zero."""
+def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarray:
+    """Recursive mean forecast of the next ``horizon`` hours as a float array.
+
+    Unknown future innovations are zero. Raises ValueError if a value is
+    not finite, as a diverging state or an infinite exogenous entry gives.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     spec = fit_result.spec
@@ -606,12 +606,9 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> Forecast
         u_ext[t] = acc
 
     mean = fit_result.intercept + xf @ np.asarray(fit_result.exog_beta) + u_ext[n:]
-    return ForecastResult(
-        origin_index=n - 1,
-        horizon=horizon,
-        values=tuple(float(v) for v in mean),
-        model_label=spec.label(),
-    )
+    if not np.isfinite(mean).all():
+        raise ValueError("forecast values must be finite")
+    return mean
 
 
 def simulate(

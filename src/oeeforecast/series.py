@@ -89,9 +89,12 @@ def load_csv(
     stamps; rows must be hourly-contiguous, and a gap is an error naming
     the row (window features would silently straddle the hole otherwise).
     Without a timestamp column rows are taken as consecutive hours from
-    2000-01-01 00:00.
+    2000-01-01 00:00. A value that does not parse or is not finite
+    (``nan``, ``inf``), and a stamp with a UTC offset where the first row's
+    has none or the reverse, are errors naming the row. A leading UTF-8
+    byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -120,6 +123,11 @@ def load_csv(
                     f"{path}: non-numeric value {cell!r} in column "
                     f"{value_column!r} at row {rownum}"
                 ) from None
+            if not math.isfinite(values[-1]):
+                raise CsvError(
+                    f"{path}: non-finite value {row[vcol]!r} in column "
+                    f"{value_column!r} at row {rownum}"
+                )
             if tcol is None:
                 continue
             try:
@@ -129,6 +137,12 @@ def load_csv(
             stamp = stamp.replace(minute=0, second=0, microsecond=0)
             if prev is None:
                 start = stamp
+            elif (stamp.tzinfo is None) != (start.tzinfo is None):
+                raise CsvError(
+                    f"{path}: timestamp {row[tcol]!r} at row {rownum} "
+                    f"{'lacks' if stamp.tzinfo is None else 'has'} a UTC offset, "
+                    "unlike the first row's"
+                )
             else:
                 gap = int(round((stamp - prev - HOUR) / HOUR))
                 if gap < 0:

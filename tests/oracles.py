@@ -1019,8 +1019,8 @@ def forecast_standardizing_per_call(strategy, past: TimeSeries, horizon: int, st
     and the whole stack standardized again at each step."""
     cfg = strategy.cfg
     trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
-    trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon).values
-    seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon).values for p in cfg.periods]
+    trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon)
+    seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon) for p in cfg.periods]
     r = residual.values
     y = np.concatenate([strategy._state_y, r[strategy._refit_len :]])
     rows = _selected_window_rows(strategy, r[strategy._refit_len - cfg.window :])
@@ -1029,7 +1029,7 @@ def forecast_standardizing_per_call(strategy, past: TimeSeries, horizon: int, st
     resid_fc = []
     for step in range(horizon):
         state = _standardizing_apply(strategy, y, x)
-        nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
+        nxt = sarimax.forecast(state, 1, exog_future=row)[0]
         resid_fc.append(nxt)
         if step + 1 < horizon:
             r = np.append(r, nxt)
@@ -1045,8 +1045,8 @@ def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.nda
     row rebuilt from its single window at each recursive step."""
     cfg = strategy.cfg
     trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
-    trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon).values
-    seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon).values for p in cfg.periods]
+    trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon)
+    seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon) for p in cfg.periods]
     state_rows = refit_state_rows(strategy, past)
     r = residual.values.copy()
     resid_fc = []
@@ -1058,7 +1058,7 @@ def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.nda
         ]
         state = _standardizing_apply(strategy, y, np.vstack([state_rows] + new_rows))
         row = _single_window_row(strategy, r[-cfg.window :])[None, :]
-        nxt = sarimax.forecast(state, 1, exog_future=row).values[0]
+        nxt = sarimax.forecast(state, 1, exog_future=row)[0]
         resid_fc.append(nxt)
         r = np.append(r, nxt)
     total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)

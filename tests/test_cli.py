@@ -137,6 +137,21 @@ class TestCommands:
         rc = cli_run(["stats", "--input", str(p)])
         assert rc == EXIT_DATA
 
+    def test_stats_non_finite_value_exit_code(self, tmp_path, capsys):
+        p = tmp_path / "x.csv"
+        p.write_text("ts,value\n2024-01-01T00:00,5\n2024-01-01T01:00,nan\n2024-01-01T02:00,6\n")
+        rc = cli_run(["stats", "--input", str(p)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_DATA, err
+        assert err == f"data error: {p}: non-finite value 'nan' in column 'value' at row 2\n"
+
+    def test_config_file_with_byte_order_mark(self, dataset_csv, tmp_path):
+        path = tmp_path / "bom.conf"
+        path.write_text(f"\ufeffdataset = {dataset_csv}\nhorizon = 6\n", encoding="utf-8")
+        cfg = build_config(argparse.Namespace(config=str(path)))
+        assert cfg.dataset == str(dataset_csv)
+        assert cfg.horizon == 6
+
     def test_missing_dataset_is_config_error(self, capsys):
         rc = cli_run(["stats"])
         assert rc == EXIT_CONFIG

@@ -44,13 +44,13 @@ class TestEts:
         fit = ets_fit(TimeSeries(2.0 + 0.5 * t))
         fc = ets_forecast(fit, 3)
         expect = [2.0 + 0.5 * n, 2.0 + 0.5 * (n + 1), 2.0 + 0.5 * (n + 2)]
-        assert np.allclose(fc.values, expect, atol=1e-3)
+        assert np.allclose(fc, expect, atol=1e-3)
 
     def test_constant_series(self):
         fit = ets_fit(TimeSeries(np.full(40, 12.0)))
         assert fit.level == pytest.approx(12.0, abs=1e-6)
         assert abs(fit.slope) < 1e-6
-        assert np.allclose(ets_forecast(fit, 5).values, 12.0, atol=1e-5)
+        assert np.allclose(ets_forecast(fit, 5), 12.0, atol=1e-5)
 
     def test_noisy_line_slope_recovered(self):
         rng = np.random.default_rng(8)
@@ -58,7 +58,7 @@ class TestEts:
         fit = ets_fit(TimeSeries(1.0 + 0.5 * t + rng.normal(0, 1, 500)))
         assert 0.4 <= fit.slope <= 0.6
         fc = ets_forecast(fit, 10)
-        implied_slope = (fc.values[-1] - fc.values[0]) / 9.0
+        implied_slope = (fc[-1] - fc[0]) / 9.0
         assert abs(implied_slope - 0.5) <= 0.1
 
     def test_level_shift_linearity(self):
@@ -66,8 +66,8 @@ class TestEts:
         y = np.cumsum(rng.normal(size=80)) + 50.0
         f0 = ets_fit(TimeSeries(y))
         f1 = ets_update(EtsFit(f0.alpha, f0.beta, 0, 0, 0), TimeSeries(y + 25.0))
-        a = ets_forecast(f0, 4).values
-        b = ets_forecast(f1, 4).values
+        a = ets_forecast(f0, 4)
+        b = ets_forecast(f1, 4)
         assert np.allclose(np.asarray(b) - np.asarray(a), 25.0, atol=1e-8)
 
     def test_update_refilters_with_frozen_params(self):
@@ -160,24 +160,24 @@ class TestHoltOracle:
 class TestSeasonalNaive:
     def test_repeats_last_cycle(self):
         fc = seasonal_naive_forecast(TimeSeries([9.0, 9.0, 9.0, 1.0, 2.0, 3.0]), 3, 5)
-        assert fc.values == (1.0, 2.0, 3.0, 1.0, 2.0)
+        assert fc.tolist() == [1.0, 2.0, 3.0, 1.0, 2.0]
 
     def test_horizon_one(self):
         fc = seasonal_naive_forecast(TimeSeries([1.0, 2.0, 3.0]), 3, 1)
-        assert fc.values == (1.0,)
+        assert fc.tolist() == [1.0]
 
     def test_exact_periodicity_on_sine(self):
         t = np.arange(240)
         x = np.sin(2 * np.pi * t / 24.0)
         fc = seasonal_naive_forecast(TimeSeries(x), 24, 48)
         future = np.sin(2 * np.pi * (240 + np.arange(48)) / 24.0)
-        assert np.max(np.abs(np.asarray(fc.values) - future)) < 1e-9
+        assert np.max(np.abs(np.asarray(fc) - future)) < 1e-9
 
     def test_periodicity_property(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=30)
         fc = seasonal_naive_forecast(TimeSeries(x), 5, 17)
-        v = fc.values
+        v = fc
         for h in range(17 - 5):
             assert v[h] == v[h + 5]
 
@@ -185,3 +185,28 @@ class TestSeasonalNaive:
         with pytest.raises(ValueError):
             seasonal_naive_forecast(TimeSeries([1.0, 2.0]), 3, 1)
 
+
+
+class TestReturnContract:
+    """Each component forecaster returns horizon float64 values, finite."""
+
+    def test_ets_forecast_is_a_float_array_of_horizon_values(self):
+        fc = ets_forecast(EtsFit(0.5, 0.5, 10.0, 1.0, 0.0), 3)
+        assert isinstance(fc, np.ndarray)
+        assert fc.dtype == np.float64 and fc.shape == (3,)
+
+    def test_seasonal_naive_forecast_is_a_float_array_of_horizon_values(self):
+        fc = seasonal_naive_forecast(TimeSeries([1.0, 2.0, 3.0, 4.0]), 2, 5)
+        assert isinstance(fc, np.ndarray)
+        assert fc.dtype == np.float64 and fc.shape == (5,)
+
+    def test_ets_forecast_rejects_an_overflowing_continuation(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            ets_forecast(EtsFit(0.5, 0.5, 1e308, 1e308, 0.0), 2)
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_is_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            ets_forecast(EtsFit(0.5, 0.5, 10.0, 1.0, 0.0), horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            seasonal_naive_forecast(TimeSeries([1.0, 2.0, 3.0]), 3, horizon)

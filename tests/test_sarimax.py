@@ -174,12 +174,12 @@ class TestForecast:
         rng = np.random.default_rng(5)
         f = fit(TimeSeries(rng.normal(10.0, 1.0, 300)), SarimaxSpec())
         fc = forecast(f, 5)
-        assert np.allclose(fc.values, f.intercept)
+        assert np.allclose(fc, f.intercept)
 
     def test_ar1_geometric_decay(self):
         f = make_fit(ar=(0.5,), u_tail=(0.0,) * 11 + (4.0,))
         fc = forecast(f, 4)
-        assert np.allclose(fc.values, [2.0, 1.0, 0.5, 0.25], atol=1e-12)
+        assert np.allclose(fc, [2.0, 1.0, 0.5, 0.25], atol=1e-12)
 
     def test_sarma_matches_independent_recursion(self):
         ts = simulate(SarimaxSpec(p=1, P=1, s=8), n=600, seed=17, ar=(0.6,), sar=(0.3,))
@@ -194,7 +194,7 @@ class TestForecast:
             nxt = phi * u[-1] + sphi * u[-8] - phi * sphi * u[-9]
             preds.append(f.intercept + nxt)
             u.append(nxt)
-        assert np.allclose(fc.values, preds, atol=1e-10)
+        assert np.allclose(fc, preds, atol=1e-10)
 
     def test_ma_forecast_uses_known_innovations_only(self):
         # MA(1): step-1 forecast uses the last residual, step >= 2 collapse to intercept
@@ -202,9 +202,9 @@ class TestForecast:
         f = fit(ts, SarimaxSpec(q=1), n_restarts=1)
         fc = forecast(f, 3)
         expected_1 = f.intercept + f.ma[0] * f.residuals[-1]
-        assert fc.values[0] == pytest.approx(expected_1, abs=1e-10)
-        assert fc.values[1] == pytest.approx(f.intercept, abs=1e-10)
-        assert fc.values[2] == pytest.approx(f.intercept, abs=1e-10)
+        assert fc[0] == pytest.approx(expected_1, abs=1e-10)
+        assert fc[1] == pytest.approx(f.intercept, abs=1e-10)
+        assert fc[2] == pytest.approx(f.intercept, abs=1e-10)
 
     def test_lag_polynomials_follow_the_coefficients(self):
         # apply_params and forecast read the polynomials a fit or state carries
@@ -216,7 +216,7 @@ class TestForecast:
         for obj in (f, state, moved):
             assert obj.ar_poly.tobytes() == sarimax._lag_poly(obj.ar, obj.sar, 8, -1.0).tobytes()
             assert obj.ma_poly.tobytes() == sarimax._lag_poly(obj.ma, obj.sma, 8, 1.0).tobytes()
-        assert forecast(moved, 3).values != forecast(state, 3).values
+        assert not np.array_equal(forecast(moved, 3), forecast(state, 3))
 
     def test_exog_future_required_and_shaped(self):
         rng = np.random.default_rng(3)
@@ -228,7 +228,22 @@ class TestForecast:
         with pytest.raises(ValueError, match="exog_future"):
             forecast(f, 2, exog_future=np.ones((3, 1)))
         fc = forecast(f, 2, exog_future=np.zeros((2, 1)))
-        assert fc.horizon == 2
+        assert fc.shape == (2,)
+
+    def test_returns_a_float_array_of_horizon_values(self):
+        f = make_fit(ar=(0.5,), u_tail=(0.0,) * 11 + (4.0,))
+        fc = forecast(f, 4)
+        assert isinstance(fc, np.ndarray)
+        assert fc.dtype == np.float64 and fc.shape == (4,)
+        with pytest.raises(ValueError, match="horizon"):
+            forecast(f, 0)
+
+    def test_non_finite_exog_future_is_rejected(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=300)
+        f = fit(TimeSeries(rng.normal(size=300) + x), SarimaxSpec(), exog=x[:, None])
+        with pytest.raises(ValueError, match="must be finite"):
+            forecast(f, 2, exog_future=np.array([[0.0], [np.inf]]))
 
 
 class TestBic:

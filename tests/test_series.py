@@ -105,6 +105,40 @@ class TestLoadCsv:
         with pytest.raises(CsvError, match="timestamps not increasing at row 4$"):
             load_csv(p, "value", timestamp_column="ts")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_row(self, tmp_path, cell):
+        p = write_csv(
+            tmp_path,
+            f"ts,value\n2024-01-01T00:00,5\n2024-01-01T01:00,{cell}\n2024-01-01T02:00,6\n",
+        )
+        with pytest.raises(
+            CsvError, match=f"non-finite value '{cell}' in column 'value' at row 2$"
+        ):
+            load_csv(p, "value", timestamp_column="ts")
+
+    @pytest.mark.parametrize(
+        "first, second, says",
+        [
+            ("2024-01-01T00:00+00:00", "2024-01-01T01:00", "lacks"),
+            ("2024-01-01T00:00", "2024-01-01T01:00+00:00", "has"),
+        ],
+        ids=["aware_then_naive", "naive_then_aware"],
+    )
+    def test_mixed_offset_and_naive_stamps_name_row(self, tmp_path, first, second, says):
+        p = write_csv(tmp_path, f"ts,value\n{first},5\n\n{second},6\n")
+        with pytest.raises(CsvError, match=f"at row 3 {says} a UTC offset"):
+            load_csv(p, "value", timestamp_column="ts")
+
+    def test_offset_aware_stamps_load(self, tmp_path):
+        p = write_csv(tmp_path, "ts,value\n2024-01-01T00:00+02:00,5\n2024-01-01T01:00+02:00,6\n")
+        assert list(load_csv(p, "value", timestamp_column="ts").values) == [5.0, 6.0]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        p = write_csv(tmp_path, "\ufeffvalue,ts\n5,2024-01-01T00:00\n6,2024-01-01T01:00\n")
+        ts = load_csv(p, "value", timestamp_column="ts")
+        assert list(ts.values) == [5.0, 6.0]
+        assert ts.start == datetime(2024, 1, 1, 0)
+
 
 class TestSummaryStats:
     def test_matches_hand_computation(self):

@@ -146,6 +146,12 @@ class TestRegistry:
         reg = load_registry(p)
         assert reg.entries["a"].horizon == 6
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        data = write_dataset(tmp_path / "d.csv", 400, seed=1)
+        p = tmp_path / "reg.conf"
+        p.write_text(f"\ufeffa.dataset = {data}\n", encoding="utf-8")
+        assert load_registry(p).entries["a"].dataset == str(data)
+
 
 class TestEndpoints:
     def test_list_equipment(self, served):
