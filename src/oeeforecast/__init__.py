@@ -8,7 +8,7 @@ forecasts with a rolling-origin benchmark harness and a file-backed
 serving endpoint.
 """
 
-from .decompose import DecompositionResult, decompose, reconstruct
+from .decompose import DecompositionResult, decompose
 from .feature_matrix import FeatureMatrix
 from .forecasters import (
     EtsFit,
@@ -22,7 +22,6 @@ from .pipeline import (
     EvaluationReport,
     PipelineConfig,
     benchmark,
-    leakage_audit,
     rolling_forecast,
 )
 from .selection import (

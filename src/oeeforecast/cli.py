@@ -152,7 +152,7 @@ def cmd_fit(args) -> int:
     series = load_series(cfg)
     _, _, residual = causal_components(series, cfg.periods)
     fit = sarimax.fit(residual, cfg.sarimax_spec, seed=cfg.seed)
-    doc = fit.to_json()
+    doc = sarimax.coefficients_json(fit, residual)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(doc)

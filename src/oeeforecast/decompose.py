@@ -146,19 +146,6 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
     )
 
 
-def reconstruct(d: DecompositionResult) -> TimeSeries:
-    """Element-wise sum of all components; inverse of decompose."""
-    n = len(d.trend)
-    total = d.trend.values.copy()
-    for p, comp in d.seasonal.items():
-        if len(comp) != n:
-            raise ValueError(f"seasonal_{p} length {len(comp)} != trend length {n}")
-        total = total + comp.values
-    if len(d.residual) != n:
-        raise ValueError(f"residual length {len(d.residual)} != trend length {n}")
-    return d.trend.with_values(total + d.residual.values)
-
-
 def components_to_csv(d: DecompositionResult, path) -> None:
     """One row per timestamp: observed components side by side."""
     header = ["timestamp", "trend"]

@@ -14,7 +14,6 @@ residuals.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -41,7 +40,7 @@ from .selection import (
     rfe_sarimax,
     variance_filter,
 )
-from .series import TimeSeries, load_csv, mae, mape
+from .series import TimeSeries, json_text, load_csv, mae, mape
 from .stat_features import CATALOG as STAT_CATALOG
 # window_features is not called here; perfbench/tracing.py patches it by this name
 from .stat_features import MIN_WINDOW, extract_stat_features, window_features
@@ -269,7 +268,7 @@ class EvaluationReport:
             "skipped": [list(s) for s in self.skipped],
             "refit_failures": [list(f) for f in self.refit_failures],
         }
-        return json.dumps(doc, indent=2)
+        return json_text(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -641,35 +640,3 @@ def forecasts_to_csv(report: EvaluationReport, path) -> None:
         w.writerow(["origin", "step", "actual", "predicted"])
         for origin, step, actual, predicted in report.records:
             w.writerow([origin, step, repr(float(actual)), repr(float(predicted))])
-
-
-def leakage_audit(fm, split_index: int, builder=None, source: TimeSeries | None = None) -> bool:
-    """Check that feature rows cannot see past their own window end.
-
-    Structural checks always run: strictly increasing row indices within
-    plausible bounds. With a builder (series -> FeatureMatrix) and the
-    source series, the perturbation probe also runs: post-split values are
-    rewritten and pre-split rows must come back bit-identical.
-    """
-    ridx = list(fm.row_index)
-    if any(b <= a for a, b in zip(ridx, ridx[1:])):
-        return False
-    if ridx and ridx[0] < 0:
-        return False
-
-    if builder is not None and source is not None:
-        rng = np.random.default_rng(0)
-        mutated = source.values.copy()
-        tail = mutated[split_index:]
-        mutated[split_index:] = np.clip(
-            tail + rng.uniform(5.0, 25.0, tail.size) * np.sign(30.0 - tail), OEE_MIN, OEE_MAX
-        )
-        probe = builder(TimeSeries(mutated, source.start, source.name))
-        if tuple(probe.row_index) != tuple(fm.row_index):
-            return False
-        keep = [i for i, r in enumerate(ridx) if r < split_index]
-        base_rows = np.asarray(fm.matrix)[keep]
-        probe_rows = np.asarray(probe.matrix)[keep]
-        if not np.array_equal(base_rows, probe_rows):
-            return False
-    return True

@@ -23,8 +23,10 @@ Two structural facts keep this fast and robust:
   (Monahan's recursion), one block each for phi, theta, PHI, THETA.
 
 Standard errors: regression block from sigma2 * (X~'X~)^-1 on the filtered
-design; ARMA block from the numerical Hessian of the concentrated
-log-likelihood; the two blocks are asymptotically independent for
+design, which gives ``fit`` its exogenous p-values; ARMA block from the
+numerical Hessian of the concentrated log-likelihood, 4*d*(d+1)/2
+evaluations for d ARMA coefficients, which only ``coefficients_json``
+pays. The two blocks are asymptotically independent for
 regression-with-ARMA-errors models.
 
 scipy supplies the simplex search (``scipy.optimize.minimize``) and the
@@ -38,14 +40,13 @@ not pay for it. A server that fits on its first requests calls
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .feature_matrix import FeatureMatrix
-from .series import TimeSeries
+from .series import TimeSeries, json_text
 
 MAX_ORDER = 8
 _SIGMA2_FLOOR = 1e-12
@@ -122,16 +123,11 @@ class SarimaxFit:
     exog_beta: tuple[float, ...]  # standardized units
     intercept: float
     sigma2: float
-    param_names: tuple[str, ...]
-    estimates: tuple[float, ...]
-    stderr: tuple[float, ...]
-    p_values: tuple[float, ...]
+    exog_pvalues: tuple[float, ...]  # of exog_beta, in exog_names order
     loglik: float
     bic: float
-    residuals: np.ndarray  # innovations, length n_obs - burn_in
-    n_obs: int
+    residuals: np.ndarray  # innovations, length u_history.size - burn_in
     converged: bool
-    stderr_ok: bool
     exog_names: tuple[str, ...]
     exog_mean: np.ndarray
     exog_scale: np.ndarray
@@ -144,34 +140,9 @@ class SarimaxFit:
         object.__setattr__(self, "ar_poly", _lag_poly(self.ar, self.sar, self.spec.s, -1.0))
         object.__setattr__(self, "ma_poly", _lag_poly(self.ma, self.sma, self.spec.s, 1.0))
 
-    def unstandardized_beta(self) -> np.ndarray:
-        """Exogenous coefficients in the columns' natural units."""
-        if not self.exog_beta:
-            return np.array([])
-        return np.asarray(self.exog_beta) / self.exog_scale
-
     def pvalue_of(self, name: str) -> float:
-        return self.p_values[self.param_names.index(name)]
-
-    def to_json(self) -> str:
-        table = [
-            {"name": n, "estimate": e, "stderr": s, "p_value": p}
-            for n, e, s, p in zip(self.param_names, self.estimates, self.stderr, self.p_values)
-        ]
-        doc = {
-            "spec": {
-                "order": [self.spec.p, 0, self.spec.q],
-                "seasonal_order": [self.spec.P, 0, self.spec.Q, self.spec.s],
-                "n_exog": self.spec.n_exog,
-            },
-            "coefficients": table,
-            "loglik": self.loglik,
-            "bic": self.bic,
-            "sigma2": self.sigma2,
-            "n_obs": self.n_obs,
-            "converged": self.converged,
-        }
-        return json.dumps(doc, indent=2)
+        """The p-value of the exogenous column ``name``."""
+        return self.exog_pvalues[self.exog_names.index(name)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +312,6 @@ def _numeric_hessian(f, x: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _norm_pvalue(z: float) -> float:
-    return math.erfc(abs(z) / math.sqrt(2.0))
-
-
 def _as_exog(exog, n: int, what: str = "exog") -> np.ndarray:
     """exog as an (n, k) float matrix: a FeatureMatrix's matrix, or an array
     whose single row (or 1-D vector) is read as one column when n > 1."""
@@ -449,56 +416,7 @@ def fit(
     loglik, b, resid, sigma2, d_f = _concentrated(block, spec, phi, theta, sphi, stheta)
     intercept, beta = float(b[0]), np.asarray(b[1:], dtype=float)
     u = y - design @ b
-
-    k_params = spec.n_params
-    bic = -2.0 * loglik + k_params * math.log(n_eff)
-
-    # regression-block covariance from the filtered design
-    stderr_ok = True
-    try:
-        cov_reg = sigma2 * np.linalg.inv(d_f.T @ d_f)
-        reg_se = np.sqrt(np.maximum(np.diag(cov_reg), 0.0))
-    except np.linalg.LinAlgError:
-        stderr_ok = False
-        reg_se = np.full(design.shape[1], math.nan)
-
-    # ARMA-block covariance from the concentrated-likelihood Hessian
-    if dims:
-        def f_natural(v):
-            ll, *_ = _concentrated(block, spec, *_arma_blocks(v, spec))
-            return -ll
-
-        x_nat = np.concatenate([phi, theta, sphi, stheta])
-        hess = _numeric_hessian(f_natural, x_nat)
-        try:
-            cov_arma = np.linalg.inv(hess)
-            diag = np.diag(cov_arma)
-            if np.any(diag <= 0):
-                raise np.linalg.LinAlgError
-            arma_se = np.sqrt(diag)
-        except np.linalg.LinAlgError:
-            stderr_ok = False
-            arma_se = np.full(dims, math.nan)
-    else:
-        arma_se = np.array([])
-
-    sigma2_se = sigma2 * math.sqrt(2.0 / n_eff)
-
-    names = ("intercept",) + tuple(exog_names)
-    names += tuple(f"ar{i + 1}" for i in range(spec.p))
-    names += tuple(f"ma{i + 1}" for i in range(spec.q))
-    names += tuple(f"sar{i + 1}" for i in range(spec.P))
-    names += tuple(f"sma{i + 1}" for i in range(spec.Q))
-    names += ("sigma2",)
-    estimates = np.concatenate([[intercept], beta, phi, theta, sphi, stheta, [sigma2]])
-    stderrs = np.concatenate([reg_se, arma_se, [sigma2_se]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pvals = np.array(
-            [
-                _norm_pvalue(e / s) if (math.isfinite(s) and s > 0) else math.nan
-                for e, s in zip(estimates, stderrs)
-            ]
-        )
+    bic = -2.0 * loglik + spec.n_params * math.log(n_eff)
 
     resid = np.asarray(resid)
     resid.setflags(write=False)
@@ -512,21 +430,97 @@ def fit(
         exog_beta=tuple(float(v) for v in beta),
         intercept=intercept,
         sigma2=sigma2,
-        param_names=names,
-        estimates=tuple(float(v) for v in estimates),
-        stderr=tuple(float(v) for v in stderrs),
-        p_values=tuple(float(v) for v in pvals),
+        exog_pvalues=_pvalues(beta, _regression_se(d_f, sigma2)[1:]),
         loglik=float(loglik),
         bic=float(bic),
         residuals=resid,
-        n_obs=n,
         converged=converged,
-        stderr_ok=stderr_ok,
         exog_names=tuple(exog_names),
         exog_mean=exog_mean,
         exog_scale=exog_scale,
         u_history=u,
     )
+
+
+def _regression_se(d_f: np.ndarray, sigma2: float) -> np.ndarray:
+    """Standard errors of the regression block, sigma2 * (X~'X~)^-1 on the
+    filtered design; NaN when X~'X~ is singular."""
+    try:
+        cov_reg = sigma2 * np.linalg.inv(d_f.T @ d_f)
+    except np.linalg.LinAlgError:
+        return np.full(d_f.shape[1], math.nan)
+    return np.sqrt(np.maximum(np.diag(cov_reg), 0.0))
+
+
+def _pvalues(estimates, stderrs) -> tuple[float, ...]:
+    """Two-sided normal p-values; NaN where an error is not finite and positive."""
+    return tuple(
+        math.erfc(abs(e / s) / math.sqrt(2.0)) if (math.isfinite(s) and s > 0) else math.nan
+        for e, s in zip(estimates, stderrs)
+    )
+
+
+def coefficients_json(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> str:
+    """The coefficient table, as JSON, of ``fit_result`` made on ``ts`` and
+    ``exog``.
+
+    Rebuilds the fit's [y | design] block and evaluates the concentrated
+    likelihood at the fitted coefficients. The regression block's errors
+    are computed as ``fit`` computes them, the ARMA block's from the
+    numerical Hessian there, sigma2's from its asymptotic variance
+    2 sigma2^2 / n_eff. An error the Hessian does not give (it is not
+    positive definite), and its p-value, are written as null.
+    """
+    spec = fit_result.spec
+    y = ts.values.astype(float)
+    design, *_ = _prepare_exog(exog, y.size)
+    if design.shape[1] != 1 + spec.n_exog:
+        raise ValueError(f"exog has {design.shape[1] - 1} columns, the fit {spec.n_exog}")
+    block = np.column_stack([y, design])
+    arma = np.array(fit_result.ar + fit_result.ma + fit_result.sar + fit_result.sma)
+    *_, d_f = _concentrated(block, spec, *_arma_blocks(arma, spec))
+
+    def f_natural(v):
+        ll, *_ = _concentrated(block, spec, *_arma_blocks(v, spec))
+        return -ll
+
+    hess = _numeric_hessian(f_natural, arma)
+    arma_se = np.full(arma.size, math.nan)
+    try:
+        diag = np.diag(np.linalg.inv(hess))
+        if not np.any(diag <= 0):
+            arma_se = np.sqrt(diag)
+    except np.linalg.LinAlgError:
+        pass
+
+    sigma2 = fit_result.sigma2
+    names = ("intercept",) + fit_result.exog_names
+    for prefix, order in (("ar", spec.p), ("ma", spec.q), ("sar", spec.P), ("sma", spec.Q)):
+        names += tuple(f"{prefix}{i + 1}" for i in range(order))
+    names += ("sigma2",)
+    estimates = [fit_result.intercept, *fit_result.exog_beta, *map(float, arma), sigma2]
+    stderrs = np.concatenate([
+        _regression_se(d_f, sigma2),
+        arma_se,
+        [sigma2 * math.sqrt(2.0 / (y.size - spec.burn_in))],
+    ])
+    table = [
+        {"name": n, "estimate": e, "stderr": float(s), "p_value": p}
+        for n, e, s, p in zip(names, estimates, stderrs, _pvalues(estimates, stderrs))
+    ]
+    return json_text({
+        "spec": {
+            "order": [spec.p, 0, spec.q],
+            "seasonal_order": [spec.P, 0, spec.Q, spec.s],
+            "n_exog": spec.n_exog,
+        },
+        "coefficients": table,
+        "loglik": fit_result.loglik,
+        "bic": fit_result.bic,
+        "sigma2": sigma2,
+        "n_obs": y.size,
+        "converged": fit_result.converged,
+    })
 
 
 def exog_design(fit_result: SarimaxFit, exog, n: int) -> np.ndarray:
@@ -564,7 +558,7 @@ def apply_params(fit_result: SarimaxFit, ts: TimeSeries, design=None) -> Sarimax
     resid = _css_filter(u[:, None], fit_result.ar_poly, fit_result.ma_poly, spec.burn_in)[:, 0]
     resid.setflags(write=False)
     u.setflags(write=False)
-    return replace(fit_result, residuals=resid, u_history=u, n_obs=n)
+    return replace(fit_result, residuals=resid, u_history=u)
 
 
 def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarray:
@@ -587,7 +581,7 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarr
         xf = np.zeros((horizon, 0))
 
     ar_full, ma_full = fit_result.ar_poly, fit_result.ma_poly
-    n = fit_result.n_obs
+    n = fit_result.u_history.size
     burn = spec.burn_in
 
     u_ext = np.concatenate([fit_result.u_history, np.zeros(horizon)])

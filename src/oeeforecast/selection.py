@@ -18,7 +18,7 @@ import numpy as np
 
 from . import sarimax
 from .feature_matrix import FeatureMatrix
-from .series import TimeSeries
+from .series import TimeSeries, json_text
 
 _VARIANCE_THRESHOLD = 0.01  # least sample variance a column keeps
 _RHO_THRESHOLD = 0.9  # |Pearson r| above which a pair is redundant
@@ -47,15 +47,14 @@ class SelectionReport:
             raise ValueError("kept and dropped must partition the input columns")
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
                 "stage": self.stage,
                 "input_columns": list(self.input_columns),
                 "kept_columns": list(self.kept_columns),
                 "dropped_columns": self.dropped_columns,
                 "metrics": {k: float(v) for k, v in self.metrics.items()},
-            },
-            indent=2,
+            }
         )
 
 
@@ -83,7 +82,7 @@ class PsoResult:
     per_run: tuple[dict, ...]  # {"selected", "bic", "iterations"}
 
     def to_json(self) -> str:
-        return json.dumps(
+        return json_text(
             {
                 "best_subset": list(self.best_subset),
                 "stable_subset": list(self.stable_subset),
@@ -95,8 +94,7 @@ class PsoResult:
                     }
                     for r in self.per_run
                 ],
-            },
-            indent=2,
+            }
         )
 
 
@@ -357,4 +355,4 @@ def write_manifest(path, final_columns, reports=(), pso: PsoResult | None = None
     if pso is not None:
         doc["pso"] = json.loads(pso.to_json())
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(json_text(doc))

@@ -1,4 +1,5 @@
-"""Hourly time-series container, CSV ingestion, summary statistics and error metrics.
+"""Hourly time-series container, CSV ingestion, summary statistics, error
+metrics and the JSON writer of the reports.
 
 Everything downstream (decomposition, feature extraction, model fitting)
 consumes the :class:`TimeSeries` defined here. Series are immutable value
@@ -10,6 +11,7 @@ copies.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -225,3 +227,19 @@ def mape(actual, predicted) -> float:
     if np.any(a == 0.0):
         raise ValueError("mape undefined: actual contains zero")
     return float(np.mean(np.abs(a - p) / np.abs(a)))
+
+
+def json_text(doc) -> str:
+    """``doc`` as indented JSON, with every non-finite float written as
+    null: NaN and infinity are not JSON."""
+
+    def finite(v):
+        if isinstance(v, float):
+            return v if math.isfinite(v) else None
+        if isinstance(v, dict):
+            return {k: finite(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [finite(x) for x in v]
+        return v
+
+    return json.dumps(finite(doc), indent=2, allow_nan=False)

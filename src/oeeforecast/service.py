@@ -73,10 +73,10 @@ class EquipmentRegistry:
 def load_registry(path) -> EquipmentRegistry:
     """Key-value registry: lines of '<id>.<field> = <value>'.
 
-    '<id>.dataset' is required and must exist; other fields override the
-    default pipeline configuration for that equipment, with the coercions
-    of a config file. Every error is a ConfigError naming the file, line
-    and key.
+    '<id>.dataset' is required and must name a regular file; other fields
+    override the default pipeline configuration for that equipment, with
+    the coercions of a config file. Every error is a ConfigError naming
+    the file, line and key.
     """
     entries: dict[str, PipelineConfig] = {}
     first_line: dict[str, str] = {}
@@ -85,8 +85,8 @@ def load_registry(path) -> EquipmentRegistry:
         label = f"{where}: {key}"
         if not eid or not name:
             raise ConfigError(f"{label}: expected '<id>.<field> = <value>'")
-        if name == "dataset" and not os.path.exists(value):
-            raise ConfigError(f"{label}: dataset path {value!r} not found")
+        if name == "dataset" and not os.path.isfile(value):
+            raise ConfigError(f"{label}: dataset path {value!r} not found or not a regular file")
         coerced = coerce_config_value(name, value, label)
         first_line.setdefault(eid, where)
         try:

@@ -6,6 +6,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import json
 import math
 
 import numpy as np
@@ -36,6 +37,15 @@ def make_oee_series(n: int, seed: int, name: str = "synthetic") -> TimeSeries:
     y = level + shift + daily + weekly + noise
     y[stops] = 1.0
     return TimeSeries(np.clip(y, 1.0, 60.0), name=name)
+
+
+def strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens, which are not JSON."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def kpss_level_statistic(x) -> float:

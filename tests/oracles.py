@@ -52,6 +52,11 @@ numpy array itself, so every step is numpy-scalar arithmetic, and forms
 
 The summary-moments oracle is summary_stats' first skewness and kurtosis:
 scipy's bias-adjusted calls.
+
+The decomposition inverse (reconstruct) and the leakage audit
+(leakage_audit) are checks the acceptance criteria run, moved here
+unchanged from oeeforecast.decompose and oeeforecast.pipeline, which no
+longer have them.
 """
 
 import math
@@ -62,6 +67,7 @@ from scipy import stats as sps
 from scipy.signal import lfilter
 
 from oeeforecast import pipeline, sarimax
+from oeeforecast.decompose import DecompositionResult
 from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.forecasters import (
     OEE_MAX,
@@ -1108,3 +1114,48 @@ def scipy_adjusted_moments(x: np.ndarray) -> tuple[float, float]:
     skew = float(sps.skew(x, bias=False))
     kurt = float(sps.kurtosis(x, fisher=True, bias=False))
     return skew, kurt
+
+
+def reconstruct(d: DecompositionResult) -> TimeSeries:
+    """Element-wise sum of all components; inverse of decompose."""
+    n = len(d.trend)
+    total = d.trend.values.copy()
+    for p, comp in d.seasonal.items():
+        if len(comp) != n:
+            raise ValueError(f"seasonal_{p} length {len(comp)} != trend length {n}")
+        total = total + comp.values
+    if len(d.residual) != n:
+        raise ValueError(f"residual length {len(d.residual)} != trend length {n}")
+    return d.trend.with_values(total + d.residual.values)
+
+
+def leakage_audit(fm, split_index: int, builder=None, source: TimeSeries | None = None) -> bool:
+    """Check that feature rows cannot see past their own window end.
+
+    Structural checks always run: strictly increasing row indices within
+    plausible bounds. With a builder (series -> FeatureMatrix) and the
+    source series, the perturbation probe also runs: post-split values are
+    rewritten and pre-split rows must come back bit-identical.
+    """
+    ridx = list(fm.row_index)
+    if any(b <= a for a, b in zip(ridx, ridx[1:])):
+        return False
+    if ridx and ridx[0] < 0:
+        return False
+
+    if builder is not None and source is not None:
+        rng = np.random.default_rng(0)
+        mutated = source.values.copy()
+        tail = mutated[split_index:]
+        mutated[split_index:] = np.clip(
+            tail + rng.uniform(5.0, 25.0, tail.size) * np.sign(30.0 - tail), OEE_MIN, OEE_MAX
+        )
+        probe = builder(TimeSeries(mutated, source.start, source.name))
+        if tuple(probe.row_index) != tuple(fm.row_index):
+            return False
+        keep = [i for i, r in enumerate(ridx) if r < split_index]
+        base_rows = np.asarray(fm.matrix)[keep]
+        probe_rows = np.asarray(probe.matrix)[keep]
+        if not np.array_equal(base_rows, probe_rows):
+            return False
+    return True

@@ -19,14 +19,13 @@ import urllib.request
 import numpy as np
 import pytest
 
-from oeeforecast.decompose import decompose, reconstruct
+from oeeforecast.decompose import decompose
 from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.pipeline import (
     DecomposedStrategy,
     PipelineConfig,
     benchmark,
     benchmark_to_csv,
-    leakage_audit,
 )
 from oeeforecast.sarimax import SarimaxSpec, fit, simulate
 from oeeforecast.selection import PsoConfig, pso_bic, rfe_sarimax
@@ -37,7 +36,13 @@ from oeeforecast.tda.persistence import PersistenceDiagram, PointCloud, vr_persi
 from oeeforecast.tda.vectorize import betti_curve, landscape, persistence_entropy
 
 from conftest import STAND_INS, make_oee_series
-from oracles import bruteforce_rips_diagram, diagrams_equal, prim_mst_weights
+from oracles import (
+    bruteforce_rips_diagram,
+    diagrams_equal,
+    leakage_audit,
+    prim_mst_weights,
+    reconstruct,
+)
 
 
 def announce(num, name):
@@ -140,7 +145,7 @@ def test_criterion_05_sarimax_recovery():
         base = simulate(SarimaxSpec(p=1), n=n, seed=seed, ar=(0.6,))
         y = TimeSeries(base.values + 2.0 * x)
         f = fit(y, SarimaxSpec(p=1), exog=x[:, None], n_restarts=1)
-        beta = f.unstandardized_beta()[0]
+        beta = f.exog_beta[0] / f.exog_scale[0]  # in x's natural units
         ok = (
             0.5 <= f.ar[0] <= 0.7
             and abs(beta - 2.0) / 2.0 < 0.05

@@ -8,13 +8,12 @@ from oeeforecast.decompose import (
     centered_moving_average,
     components_to_csv,
     decompose,
-    reconstruct,
 )
 from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
 
 from conftest import STAND_INS, kpss_rejects_level, make_oee_series
-from oracles import scalar_centered_moving_average, scalar_phase_means
+from oracles import reconstruct, scalar_centered_moving_average, scalar_phase_means
 
 # the package re-exports the decompose function under the module's name
 decompose_module = sys.modules["oeeforecast.decompose"]

@@ -18,7 +18,6 @@ from oeeforecast.pipeline import (
     benchmark_to_csv,
     build_features,
     forecasts_to_csv,
-    leakage_audit,
     rolling_forecast,
 )
 from oeeforecast.sarimax import SarimaxSpec
@@ -26,10 +25,11 @@ from oeeforecast.selection import PsoConfig
 from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import extract_stat_features
 
-from conftest import STAND_INS, make_oee_series
+from conftest import STAND_INS, make_oee_series, strict_json
 from oracles import (
     forecast_rebuilding_rows,
     forecast_standardizing_per_call,
+    leakage_audit,
     refit_state_rows,
     scalar_centered_moving_average,
     scalar_holt_filter,
@@ -212,6 +212,18 @@ class TestRollingHarness:
         assert json.loads(rep.to_json())["refit_failures"] == [
             [bad, "ValueError: exog columns with zero variance"]
         ]
+
+    def test_json_writes_unscored_steps_as_null(self):
+        # 4 origins in the test span score steps 1-4 only; NaN is not JSON
+        from oeeforecast.pipeline import SeasonalNaiveStrategy
+
+        cfg = PipelineConfig(horizon=8, test_fraction=0.01)
+        series = make_oee_series(340, seed=1)
+        rep = rolling_forecast(cfg, series=series, strategy=SeasonalNaiveStrategy(cfg))
+        assert rep.n_forecasts == 4
+        steps = strict_json(rep.to_json())["per_step_errors"]
+        assert steps[4:] == [None] * 4
+        assert steps[:4] == list(rep.per_step_errors[:4])
 
     def test_short_series_rejected(self):
         cfg = small_cfg(periods=(8, 24, 168))

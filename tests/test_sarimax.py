@@ -17,7 +17,7 @@ from oeeforecast.sarimax import (
 )
 from oeeforecast.series import TimeSeries
 
-from conftest import STAND_INS, ljung_box_rejects, make_oee_series
+from conftest import STAND_INS, ljung_box_rejects, make_oee_series, strict_json
 from oracles import acf_values, scalar_css_filter
 
 
@@ -35,16 +35,11 @@ def make_fit(ar=(), ma=(), sar=(), sma=(), s=1, intercept=0.0, u_tail=(0.0,) * 1
         exog_beta=(),
         intercept=intercept,
         sigma2=1.0,
-        param_names=("intercept", "sigma2"),
-        estimates=(intercept, 1.0),
-        stderr=(math.nan, math.nan),
-        p_values=(math.nan, math.nan),
+        exog_pvalues=(),
         loglik=0.0,
         bic=0.0,
         residuals=np.zeros(n - spec.burn_in),
-        n_obs=n,
         converged=True,
-        stderr_ok=False,
         exog_names=(),
         exog_mean=np.array([]),
         exog_scale=np.array([]),
@@ -93,7 +88,7 @@ class TestFitBasics:
         y = TimeSeries(base.values + 2.0 * x)
         f = fit(y, SarimaxSpec(p=1), exog=x[:, None])
         assert 0.5 <= f.ar[0] <= 0.7
-        beta_nat = f.unstandardized_beta()[0]
+        beta_nat = f.exog_beta[0] / f.exog_scale[0]
         assert 1.9 <= beta_nat <= 2.1
         assert f.pvalue_of("x1") < 0.01
 
@@ -146,8 +141,8 @@ class TestFitInvariants:
         y = TimeSeries(base.values + 1.5 * x)
         f1 = fit(y, SarimaxSpec(p=1), exog=x[:, None])
         f2 = fit(y, SarimaxSpec(p=1), exog=(4.0 * x)[:, None])
-        b1 = f1.unstandardized_beta()[0]
-        b2 = f2.unstandardized_beta()[0]
+        b1 = f1.exog_beta[0] / f1.exog_scale[0]
+        b2 = f2.exog_beta[0] / f2.exog_scale[0]
         assert b2 == pytest.approx(b1 / 4.0, rel=1e-6)
         assert f2.pvalue_of("x1") == pytest.approx(f1.pvalue_of("x1"), abs=1e-8)
 
@@ -283,15 +278,79 @@ class TestBic:
 
 class TestSummaryJson:
     def test_round_trips(self):
-        import json
-
         ts = simulate(SarimaxSpec(p=1), n=400, seed=1, ar=(0.5,))
         f = fit(ts, SarimaxSpec(p=1))
-        doc = json.loads(f.to_json())
+        doc = strict_json(sarimax.coefficients_json(f, ts))
         assert doc["spec"]["order"] == [1, 0, 0]
         names = [c["name"] for c in doc["coefficients"]]
         assert names == ["intercept", "ar1", "sigma2"]
         assert doc["bic"] == pytest.approx(f.bic)
+        assert doc["n_obs"] == 400
+
+    def test_lists_intercept_exog_arma_sigma2_in_order(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(300, 2))
+        ts = TimeSeries(x @ [0.8, -0.5] + rng.normal(size=300))
+        f = fit(ts, SarimaxSpec(p=1, q=1, P=1, Q=1, s=4), exog=x, n_restarts=0)
+        doc = strict_json(sarimax.coefficients_json(f, ts, x))
+        names = [c["name"] for c in doc["coefficients"]]
+        assert names == ["intercept", "x1", "x2", "ar1", "ma1", "sar1", "sma1", "sigma2"]
+        estimates = [c["estimate"] for c in doc["coefficients"]]
+        assert estimates == [f.intercept, *f.exog_beta, *f.ar, *f.ma, *f.sar, *f.sma, f.sigma2]
+
+    def test_exog_pvalues_are_the_fits(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(400, 3))
+        ts = TimeSeries(x @ [1.0, 0.05, 0.0] + rng.normal(size=400))
+        f = fit(ts, SarimaxSpec(p=2), exog=x, n_restarts=0)
+        doc = strict_json(sarimax.coefficients_json(f, ts, x))
+        table = {c["name"]: c["p_value"] for c in doc["coefficients"]}
+        for name, p in zip(f.exog_names, f.exog_pvalues):
+            assert table[name] == p == f.pvalue_of(name)
+
+    def test_error_the_hessian_does_not_give_is_null(self):
+        # the ARMA(2,2) fit of white noise lands where the Hessian is not
+        # positive definite
+        ts = TimeSeries(np.random.default_rng(0).normal(size=300))
+        f = fit(ts, SarimaxSpec(p=2, q=2))
+        doc = strict_json(sarimax.coefficients_json(f, ts))
+        rows = {c["name"]: c for c in doc["coefficients"]}
+        for name in ("ar1", "ar2", "ma1", "ma2"):
+            assert rows[name]["stderr"] is None and rows[name]["p_value"] is None
+        assert math.isfinite(rows["sigma2"]["stderr"])
+
+    def test_exog_width_must_match_the_fit(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(200, 2))
+        ts = TimeSeries(x @ [0.5, -0.3] + rng.normal(size=200))
+        f = fit(ts, SarimaxSpec(p=1), exog=x, n_restarts=0)
+        with pytest.raises(ValueError, match="columns"):
+            sarimax.coefficients_json(f, ts, x[:, :1])
+
+
+class TestLikelihoodEvaluations:
+    @pytest.mark.parametrize(
+        "spec", [SarimaxSpec(), SarimaxSpec(p=1), SarimaxSpec(p=4, P=1, Q=1, s=8)]
+    )
+    def test_fit_evaluates_the_likelihood_once_past_its_search(self, monkeypatch, spec):
+        # the search's evaluations plus the one at its optimum: no Hessian
+        counts = {"evals": 0, "nfev": 0}
+        concentrated, minimize = sarimax._concentrated, sarimax.minimize
+
+        def counted(*args):
+            counts["evals"] += 1
+            return concentrated(*args)
+
+        def searched(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            counts["nfev"] += res.nfev
+            return res
+
+        monkeypatch.setattr(sarimax, "_concentrated", counted)
+        monkeypatch.setattr(sarimax, "minimize", searched)
+        ts = simulate(SarimaxSpec(p=1), n=300, seed=4, ar=(0.5,))
+        fit(ts, spec, n_restarts=1)
+        assert counts["evals"] == counts["nfev"] + 1
 
 
 @functools.cache
@@ -417,5 +476,6 @@ class TestExogLayout:
         y = TimeSeries(0.05 * x @ rng.normal(size=10) + rng.normal(size=400))
         c = fit(y, SarimaxSpec(p=1), exog=np.ascontiguousarray(x), n_restarts=0)
         f = fit(y, SarimaxSpec(p=1), exog=np.asfortranarray(x), n_restarts=0)
-        assert c.estimates == f.estimates
+        for name in ("intercept", "exog_beta", "ar", "ma", "sar", "sma", "sigma2", "exog_pvalues"):
+            assert getattr(c, name) == getattr(f, name), name
         assert c.loglik == f.loglik

@@ -17,6 +17,8 @@ from oeeforecast.selection import (
 )
 from oeeforecast.series import TimeSeries
 
+from conftest import strict_json
+
 
 def matrix_from(cols: dict) -> FeatureMatrix:
     names = tuple(cols)
@@ -208,6 +210,15 @@ class TestReports:
         rep = SelectionReport("stage", ("a", "b"), ("a",), {"b": "reason"}, {"a": 0.5})
         doc = json.loads(rep.to_json())
         assert doc["kept_columns"] == ["a"]
+
+    def test_manifest_writes_non_finite_numbers_as_null(self, tmp_path):
+        rep = SelectionReport("rfe_sarimax", ("a", "b"), ("a", "b"), {}, {"a": 0.01, "b": np.nan})
+        pso = PsoResult(("a",), ("a",), ({"selected": ("a",), "bic": np.inf, "iterations": 2},))
+        path = tmp_path / "manifest.json"
+        write_manifest(path, ["a", "b"], [rep], pso)
+        doc = strict_json(path.read_text())
+        assert doc["stages"][0]["metrics"] == {"a": 0.01, "b": None}
+        assert doc["pso"]["per_run"][0]["bic"] is None
 
     def test_manifest(self, tmp_path):
         rep = SelectionReport("stage", ("a", "b"), ("a",), {"b": "r"}, {})

@@ -139,6 +139,13 @@ class TestRegistry:
         with pytest.raises(ValueError, match="not found"):
             load_registry(p)
 
+    def test_directory_dataset_rejected(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        p = tmp_path / "bad.conf"
+        p.write_text(f"gh.horizon = 6\ngh.dataset = {tmp_path / 'data'}\n")
+        with pytest.raises(service.ConfigError, match=r"bad\.conf:2: gh\.dataset: .*regular file"):
+            load_registry(p)
+
     def test_duplicate_ids_merge_fields(self, tmp_path):
         data = write_dataset(tmp_path / "d.csv", 400, seed=1)
         p = tmp_path / "reg.conf"
