@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, line_fit
 
 OEE_MIN = 1.0
 OEE_MAX = 60.0
@@ -40,10 +40,8 @@ def _init_state(y: np.ndarray) -> tuple[float, float]:
     # least-squares line through the first 10 points; state is positioned
     # one step before the first observation so the first prediction lands
     # on the line's intercept
-    k = min(10, y.size)
-    t = np.arange(k, dtype=float)
-    slope, intercept = np.polyfit(t, y[:k], 1)
-    return float(intercept - slope), float(slope)
+    intercept, slope = line_fit(y[:10])
+    return intercept - slope, slope
 
 
 def _holt_filter(y: np.ndarray, alpha, beta, l0: float, b0: float, preds: list | None = None):

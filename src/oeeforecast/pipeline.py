@@ -40,7 +40,7 @@ from .selection import (
     rfe_sarimax,
     variance_filter,
 )
-from .series import TimeSeries, json_text, load_csv, mae, mape
+from .series import TimeSeries, json_text, line_fit, load_csv, mae, mape
 from .stat_features import CATALOG as STAT_CATALOG
 # window_features is not called here; perfbench/tracing.py patches it by this name
 from .stat_features import MIN_WINDOW, extract_stat_features, window_features
@@ -72,7 +72,7 @@ def causal_components(ts: TimeSeries, periods):
     # or after index period and the segment below always fits
     last_full = n - 1 - half
     seg = trend[last_full - period + 1 : last_full + 1]
-    slope = np.polyfit(np.arange(period, dtype=float), seg, 1)[0]
+    slope = line_fit(seg)[1]
     steps = np.arange(1, n - last_full)
     trend[last_full + 1 :] = trend[last_full] + slope * steps
     seasonal_sum = sum(c.values for c in d.seasonal.values())
@@ -382,14 +382,9 @@ class DecomposedStrategy:
         """Selected-column rows of every window of residual, by window end."""
         return build_features(self.cfg, TimeSeries(residual), self._tda_scale, self.columns).matrix
 
-    def _design(self, rows: np.ndarray, order: str) -> np.ndarray:
-        """The refit's design with the design of the exog ``rows`` under it,
-        in memory order ``order``."""
-        state = self._state_design
-        design = np.empty((len(state) + len(rows), state.shape[1]), order=order)
-        design[: len(state)] = state
-        design[len(state) :] = sarimax.exog_design(self._sarimax, rows, len(rows))
-        return design
+    def _design(self, rows: np.ndarray) -> np.ndarray:
+        """The refit's design with the design of the exog ``rows`` under it."""
+        return np.vstack([self._state_design, sarimax.exog_design(self._sarimax, rows, len(rows))])
 
     def refit(self, past: TimeSeries) -> None:
         """Fit every component on past. The fit, the selection and the frozen
@@ -432,10 +427,7 @@ class DecomposedStrategy:
         self.columns = fm_sel.column_names
         self.selection_reports, self.pso_result = reports, pso_result
         self._state_y = y.values.copy()
-        # the design in Fortran order, the order of every refit's state while
-        # the columns were selected after the rows: apply_params' matrix
-        # products round differently by memory order
-        self._state_design = sarimax.exog_design(fit, np.asfortranarray(fm_sel.matrix), len(y))
+        self._state_design = sarimax.exog_design(fit, fm_sel.matrix, len(y))
 
     def forecast(self, past: TimeSeries, horizon: int):
         cfg = self.cfg
@@ -453,13 +445,9 @@ class DecomposedStrategy:
             # exog of each hour observed since the refit, then the first step's
             rows = self._selected_rows(r[self._refit_len - cfg.window :])
             new, row = rows[:-1], rows[-1:]
-            # the design's memory order is the one each origin's has always
-            # had (C at the refit origin, Fortran after it): apply_params'
-            # product rounds by memory order
-            order = "F" if len(new) else "C"
             resid_fc = []
             for step in range(horizon):
-                design = self._design(new, order)
+                design = self._design(new)
                 state = sarimax.apply_params(self._sarimax, TimeSeries(y), design=design)
                 nxt = sarimax.forecast(state, 1, exog_future=row)[0]
                 resid_fc.append(nxt)

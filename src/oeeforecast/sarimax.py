@@ -6,21 +6,39 @@ theta(B) THETA(B^s) eps_t, eps_t ~ N(0, sigma2). Estimation maximizes the
 conditional (CSS) Gaussian likelihood: the first max(p + s*P, q + s*Q)
 points are burn-in and pre-sample innovations are zero.
 
-Two structural facts keep this fast and robust:
+Three structural facts keep this fast and robust:
 
-* The CSS filter is linear, so for fixed ARMA coefficients the optimal
+* The CSS filter F is linear, so for fixed ARMA coefficients the optimal
   regression block (intercept + betas) is exact least squares on the
-  filtered design. The simplex search therefore runs only over the ARMA
-  coefficients, no matter how many exogenous columns are attached. The
-  filter runs over the whole ``[y | design]`` block (built once per fit):
-  the AR polynomial as one ``np.convolve`` per column, then the inverse MA
-  polynomial through ``scipy.signal.lfilter``.
-  ``apply_params`` runs the same filter on its one column, after one
-  product of the regression design (which a caller may keep and extend)
-  with the coefficients.
+  filtered design, and the negative log-likelihood rises with the sum of
+  squares of the profiled residual r(z) = P(z) F(z) y, P projecting off
+  the filtered design: a separable nonlinear least squares problem in the
+  ARMA coefficients alone (variable projection, Golub & Pereyra 1973),
+  however many exogenous columns are attached. ``fit`` searches it in two
+  stages from each start. A Nelder-Mead simplex search of the profiled
+  likelihood picks the local optimum: with dozens of exogenous columns the
+  likelihood has several, and a gradient method from the same start
+  often ends in another one, higher as often as lower.
+  scipy's trust-region reflective ``least_squares`` on r then converges
+  in that optimum to its tolerances, with Kaufman's (1975) Jacobian: with
+  the regression block held at its optimum b, the derivatives need F's
+  derivative on the one column u = y - X b only, and they follow the
+  model's own recursion.
+* The filter runs over the whole ``[y | design]`` block (built once per
+  fit): the AR polynomial as one ``np.convolve`` per column, then the
+  inverse MA polynomial by an exact numpy recursion with the bits of
+  ``scipy.signal.lfilter``. The regression is solved through a Cholesky
+  factorization of the filtered Gram matrix, or the filtered design's
+  singular value decomposition when that one is ill-conditioned; the
+  Jacobian's projection uses the same factorization. ``apply_params``
+  runs the same filter on its one column, after one product of the
+  regression design (which a caller may keep and extend) with the
+  coefficients.
 * Stationarity/invertibility are enforced by optimizing in an
   unconstrained space mapped through tanh partial autocorrelations
-  (Monahan's recursion), one block each for phi, theta, PHI, THETA.
+  (Monahan's recursion), one block each for phi, theta, PHI, THETA. A fit
+  that ends with a lag-polynomial root within ``_UNIT_ROOT_TOL`` of the
+  unit circle is reported as not converged.
 
 Standard errors: regression block from sigma2 * (X~'X~)^-1 on the filtered
 design, which gives ``fit`` its exogenous p-values; ARMA block from the
@@ -29,19 +47,21 @@ evaluations for d ARMA coefficients, which only ``coefficients_json``
 pays. The two blocks are asymptotically independent for
 regression-with-ARMA-errors models.
 
-scipy supplies the simplex search (``scipy.optimize.minimize``) and the
-recursive filter (``scipy.signal.lfilter``) of the MA stage and of
-``simulate``. Both are imported where a fit, a filter or a simulation
-first runs, not with this module: the two packages take about a second to
-import, and ``import oeeforecast`` and the commands that fit nothing should
-not pay for it. A server that fits on its first requests calls
+scipy supplies both searches (``scipy.optimize``, with the factorizations
+of ``scipy.linalg`` it loads) and the recursive filter of ``simulate``
+(``scipy.signal.lfilter``). Both are imported where a fit or a simulation
+first runs, not with this module: ``scipy.optimize`` takes about half a
+second to import, ``scipy.signal`` (which loads ``scipy.stats``) about a
+second more, and ``import oeeforecast`` and the commands that fit nothing
+should not pay for either. A server that fits on its first requests calls
 ``import_fit_path`` before it starts answering.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,24 +72,49 @@ MAX_ORDER = 8
 _SIGMA2_FLOOR = 1e-12
 _MAX_ITER = 5000  # Nelder-Mead iterations per start
 _FATOL = 1e-8  # Nelder-Mead objective tolerance
+_LSQ_TOL = 1e-12  # least_squares' ftol, xtol and gtol
+# a fit whose AR or MA lag polynomial has a root of modulus below 1 + this
+# is on the stationarity/invertibility boundary and reported not converged
+_UNIT_ROOT_TOL = 1e-3
+# a block of the MA stage steps column by column in Python floats while its
+# width times its smallest nonzero MA lag is below this, else in row blocks:
+# a row-block step of numpy calls costs about 15 Python-float steps
+_PY_MA_SPAN = 16
+# largest estimated condition number of a filtered design solved through its
+# Gram matrix, whose solution then keeps about cond^2 * 1e-16 relative error
+_COND_LIMIT = 1e5
 _SIMULATE_BURN_IN = 200  # simulate's leading draws, discarded to forget the zero start
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported at the first call.
+def minimize(fun, x0, residual, jac):
+    """A Nelder-Mead search of the scalar ``fun`` from ``x0``, then
+    ``scipy.optimize.least_squares`` of ``residual`` with the Jacobian
+    ``jac`` from where it stopped; scipy is imported at the first call.
 
-    ``fit`` calls it through this module global; perfbench/tracing.py
-    wraps this name to count the objective evaluations.
+    Returns the least-squares result: its cost is at most half the sum of
+    squares at the Nelder-Mead end, since the trust-region search only
+    takes steps that lower it. ``fit`` calls this through the module
+    global; perfbench/tracing.py wraps this name to count the objective
+    evaluations, so the result's ``nfev`` counts the Nelder-Mead, residual
+    and Jacobian evaluations together (``njev`` the Jacobian's alone).
     """
-    from scipy.optimize import minimize as scipy_minimize
+    import scipy.optimize
 
-    return scipy_minimize(fun, x0, **kwargs)
+    simplex = scipy.optimize.minimize(
+        fun, x0, method="Nelder-Mead",
+        options={"maxiter": _MAX_ITER, "maxfev": 2 * _MAX_ITER, "fatol": _FATOL, "xatol": 1e-6},
+    )
+    res = scipy.optimize.least_squares(
+        residual, simplex.x, jac=jac,
+        method="trf", x_scale="jac", ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_TOL,
+    )
+    res.nfev += res.njev + simplex.nfev
+    return res
 
 
 def import_fit_path() -> None:
-    """Import the optimizer and the filter now instead of at the first fit."""
+    """Import the optimizer now instead of at the first fit."""
     import scipy.optimize  # noqa: F401
-    import scipy.signal  # noqa: F401
 
 
 class CollinearityError(ValueError):
@@ -182,6 +227,22 @@ def _ar_to_pacf(phi):
     return np.asarray(out[::-1])
 
 
+def _pacf_to_ar_jacobian(r):
+    """d _pacf_to_ar(r) / d r, as an (m, m) matrix: the recursion's forward
+    derivative, in Python floats (m <= MAX_ORDER)."""
+    m = len(r)
+    y: list[float] = []
+    dy: list[list[float]] = []  # dy[i][j] = d y[i] / d r[j]
+    for k, rk in enumerate(map(float, r), start=1):
+        step = [[a - rk * b for a, b in zip(dy[i], dy[k - 2 - i])] for i in range(k - 1)]
+        for i in range(k - 1):
+            step[i][k - 1] -= y[k - 2 - i]
+        step.append([1.0 if j == k - 1 else 0.0 for j in range(m)])
+        y = [y[i] - rk * y[k - 2 - i] for i in range(k - 1)] + [rk]
+        dy = step
+    return np.array(dy).reshape(m, m)
+
+
 def _arma_blocks(v, spec):
     """The (p, q, P, Q) blocks of a vector laid out in ARMA order."""
     i, j, k = spec.p, spec.p + spec.q, spec.p + spec.q + spec.P
@@ -199,6 +260,20 @@ def _z_to_coefs(z, spec):
     )
 
 
+def _z_jacobian(z, spec) -> np.ndarray:
+    """d (phi, theta, PHI, THETA) / d z: block diagonal, one block per
+    polynomial, through tanh and Monahan's recursion."""
+    r = np.tanh(z)
+    out = np.zeros((z.size, z.size))
+    at = 0
+    for k, sign in zip((spec.p, spec.q, spec.P, spec.Q), (1.0, -1.0, 1.0, -1.0)):
+        if k:
+            out[at : at + k, at : at + k] = _pacf_to_ar_jacobian(r[at : at + k])
+            out[at : at + k, at : at + k] *= sign * (1.0 - r[at : at + k] ** 2)
+        at += k
+    return out
+
+
 def _coefs_to_z(phi, theta, sphi, stheta):
     blocks = [
         _ar_to_pacf(phi),
@@ -210,16 +285,76 @@ def _coefs_to_z(phi, theta, sphi, stheta):
     return np.arctanh(np.clip(r, -0.98, 0.98))
 
 
-def _roots_outside(poly) -> bool:
-    """True when every root of the lowest-first polynomial lies outside the unit circle."""
+def _roots_outside(poly, tol: float = 1e-9, lag: int = 1) -> bool:
+    """True when every root of the lowest-first polynomial in B^lag lies
+    outside the circle of radius 1 + tol in B."""
     if len(poly) <= 1:
         return True
     roots = np.roots(poly[::-1])
-    return bool(np.all(np.abs(roots) > 1.0 + 1e-9)) if roots.size else True
+    return bool(np.all(np.abs(roots) ** (1.0 / lag) > 1.0 + tol)) if roots.size else True
+
+
+def _on_unit_circle(spec, phi, theta, sphi, stheta) -> bool:
+    """Whether a factor of the AR or MA polynomial has a root within
+    _UNIT_ROOT_TOL of the unit circle."""
+    factors = ((phi, -1.0, 1), (theta, 1.0, 1), (sphi, -1.0, spec.s), (stheta, 1.0, spec.s))
+    return not all(
+        _roots_outside(np.concatenate(([1.0], sign * np.asarray(c))), _UNIT_ROOT_TOL, lag)
+        for c, sign, lag in factors
+    )
 
 
 # ---------------------------------------------------------------------------
 # conditional-likelihood machinery
+
+
+def _ma_stage(w: np.ndarray, ma_full) -> np.ndarray:
+    """Invert the MA polynomial over every column of w, pre-sample
+    innovations zero: the bits of lfilter([1.0], ma_full, w, axis=0).
+
+    lfilter's direct form II transposed sums each output's taps from the
+    highest lag down and adds the input last; this recursion does the same
+    over the nonzero taps only. Rows closer together than the smallest
+    nonzero lag do not depend on one another, so a block steps through row
+    blocks of that lag, one numpy operation per tap. A block too narrow for
+    that to pay (fewer than _PY_MA_SPAN / lag columns: a single column
+    unless the lag is _PY_MA_SPAN or more) steps through each column's rows
+    in Python floats.
+    """
+    taps = [(k, float(ma_full[k])) for k in range(len(ma_full) - 1, 0, -1) if ma_full[k] != 0.0]
+    if not taps:
+        return w
+    top, lag = taps[0][0], taps[-1][0]
+    n, width = w.shape
+    if width * lag < _PY_MA_SPAN:
+        cols = []
+        for col in w.T.tolist():
+            out = [0.0] * top
+            # one tap, the usual seasonal-only MA: (0.0 - a * y) + v equals
+            # v - a * y, and one float operation less per row takes a
+            # third off the column
+            if len(taps) == 1:
+                a = taps[0][1]
+                for v in col:
+                    out.append(v - a * out[-top])
+            else:
+                for v in col:
+                    acc = 0.0
+                    for k, a in taps:
+                        acc -= a * out[-k]
+                    out.append(acc + v)
+            cols.append(out[top:])
+        return np.array(cols).T
+    # the input sits where its output goes, in whole row blocks
+    out = np.zeros((top + n - n % -lag, width))
+    out[top : top + n] = w
+    for t in range(top, top + n, lag):
+        acc = out[t - top : t - top + lag] * -taps[0][1]
+        for k, a in taps[1:]:
+            acc -= a * out[t - k : t - k + lag]
+        block = out[t : t + lag]
+        np.add(acc, block, out=block)
+    return out[top : top + n]
 
 
 def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
@@ -230,30 +365,104 @@ def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
     The AR stage is an FIR filter: one np.convolve(ar_full, column) per
     column, the very call lfilter with a one-tap denominator makes for each
     column, without its wrapper's per-call cost. It leaves each column
-    contiguous. The MA stage inverts the MA polynomial with lfilter.
+    contiguous. The MA stage is _ma_stage.
     """
-    from scipy.signal import lfilter
-
     n = block.shape[0]
     w = np.array([np.convolve(ar_full, col)[burn:n] for col in block.T]).T
-    return lfilter([1.0], ma_full, w, axis=0) if len(ma_full) > 1 else w
+    return _ma_stage(w, ma_full)
+
+
+class _Projection:
+    """Least squares on a filtered design d_f, and the projection off its
+    column span.
+
+    A Cholesky factor L of the Gram matrix d_f'd_f (LAPACK's potrf and
+    potrs, one call each) serves both while LAPACK's 1-norm estimate of
+    L's condition number (in the 2-norm it is d_f's) stays below
+    _COND_LIMIT. Past that, or when the factorization fails, the singular
+    value decomposition of d_f, its rank cut as lstsq cuts it, so that a
+    rank-deficient filtered design projects as lstsq projects it.
+    """
+
+    def __init__(self, d_f: np.ndarray):
+        from scipy.linalg.lapack import dpotrf, dpotrs, dtrcon
+
+        self.d_f = d_f
+        self._potrs = dpotrs
+        chol, info = dpotrf(d_f.T @ d_f, lower=1, clean=1)
+        if info == 0 and dtrcon(chol, norm="1", uplo="L")[0] * _COND_LIMIT > 1.0:
+            self.chol = chol
+        else:
+            self.chol = None
+            u, sv, vt = np.linalg.svd(d_f, full_matrices=False)
+            rank = int(np.sum(sv > sv[0] * max(d_f.shape) * np.finfo(float).eps))
+            self.basis, self._pinv = u[:, :rank], vt[:rank].T / sv[:rank]
+
+    def coefficients(self, rhs: np.ndarray) -> np.ndarray:
+        """argmin_b |rhs - d_f b| (per column of a 2-D rhs), the least-norm
+        one when d_f is rank-deficient."""
+        if self.chol is None:
+            return self._pinv @ (self.basis.T @ rhs)
+        return self._potrs(self.chol, self.d_f.T @ rhs, lower=1)[0]
+
+    def residual(self, rhs: np.ndarray) -> np.ndarray:
+        """rhs projected off d_f's column span."""
+        if self.chol is None:
+            return rhs - self.basis @ (self.basis.T @ rhs)
+        return rhs - self.d_f @ self.coefficients(rhs)
 
 
 def _concentrated(block, spec, phi, theta, sphi, stheta):
     """Profile the regression block out of the CSS likelihood of the
-    (n, 1 + k) block [y | design]; return (loglik, b, resid, sigma2, d_f)."""
+    (n, 1 + k) block [y | design]; return (loglik, b, resid, sigma2, proj),
+    proj the _Projection of the filtered design."""
     ar_full = _lag_poly(phi, sphi, spec.s, -1.0)
     ma_full = _lag_poly(theta, stheta, spec.s, 1.0)
     burn = spec.burn_in
     n_eff = block.shape[0] - burn
     filt = _css_filter(block, ar_full, ma_full, burn)
-    y_f, d_f = filt[:, 0], filt[:, 1:]
-    b, *_ = np.linalg.lstsq(d_f, y_f, rcond=None)
-    resid = y_f - d_f @ b
+    y_f, proj = filt[:, 0], _Projection(filt[:, 1:])
+    b = proj.coefficients(y_f)
+    resid = y_f - proj.d_f @ b
     sse = float(resid @ resid)
     sigma2 = max(sse / n_eff, _SIGMA2_FLOOR)
     loglik = -0.5 * n_eff * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0)
-    return loglik, b, resid, sigma2, d_f
+    return loglik, b, resid, sigma2, proj
+
+
+def _innovation_derivatives(block, spec, coefs, b, resid) -> np.ndarray:
+    """d resid / d (phi, theta, PHI, THETA) with the regression block held
+    at b: an (n_eff, d) matrix, before the projection.
+
+    resid is F(coefs) u for u = y - design b. An AR coefficient enters F
+    through conv(ar_full, u): its column is -conv(other AR factor, u)
+    shifted by its lag, then the MA stage. An MA coefficient enters through
+    ma_full * resid = conv(ar_full, u): its column is -conv(other MA factor,
+    resid) shifted by its lag, then the MA stage (Box, Jenkins & Reinsel
+    ch. 7).
+    """
+    phi, theta, sphi, stheta = coefs
+    s, burn = spec.s, spec.burn_in
+    u = block[:, 0] - block[:, 1:] @ b
+    n, n_eff = u.size, resid.size
+    cols = []
+
+    def ar_columns(other, lags):
+        c = np.convolve(other, u)
+        cols.extend(-c[burn - k : n - k] for k in lags)
+
+    def ma_columns(other, lags):
+        c = np.convolve(other, resid)[:n_eff]
+        for k in lags:
+            col = np.zeros(n_eff)
+            col[k:] = -c[: n_eff - k]
+            cols.append(col)
+
+    ar_columns(_lag_poly((), sphi, s, -1.0), range(1, spec.p + 1))
+    ma_columns(_lag_poly((), stheta, s, 1.0), range(1, spec.q + 1))
+    ar_columns(_lag_poly(phi, (), s, -1.0), range(s, s * spec.P + 1, s))
+    ma_columns(_lag_poly(theta, (), s, 1.0), range(s, s * spec.Q + 1, s))
+    return _ma_stage(np.column_stack(cols), _lag_poly(theta, stheta, s, 1.0))
 
 
 def _hannan_rissanen(u: np.ndarray, spec: SarimaxSpec) -> np.ndarray:
@@ -361,12 +570,15 @@ def fit(
 ) -> SarimaxFit:
     """Estimate the model by conditional Gaussian maximum likelihood.
 
-    Starts the simplex search from Hannan-Rissanen initial values plus
-    ``n_restarts`` seeded perturbations, keeping the best optimum. A run
-    that exhausts the iteration cap is returned with ``converged=False``
-    rather than discarded. Only genuine identifiability is enforced
-    (effective sample larger than the parameter count); for trustworthy
-    inference aim for at least ~10 observations per parameter.
+    Runs ``minimize`` (a Nelder-Mead search, then a variable-projection
+    least-squares search from its end) from Hannan-Rissanen initial values
+    plus ``n_restarts`` seeded perturbations, keeping the best optimum. A
+    search that ends without meeting its least-squares tolerances, or
+    whose best optimum has a lag-polynomial root within _UNIT_ROOT_TOL of
+    the unit circle, is returned with ``converged=False`` rather than
+    discarded. Only genuine identifiability is enforced (effective sample
+    larger than the parameter count); for trustworthy inference aim for at
+    least ~10 observations per parameter.
     """
     y = ts.values.astype(float)
     n = y.size
@@ -383,10 +595,23 @@ def fit(
 
     dims = spec.p + spec.q + spec.P + spec.Q
     block = np.column_stack([y, design])
+    last = {}  # the residual evaluation the Jacobian at the same point reuses
+
+    def residual(z):
+        coefs = _z_to_coefs(z, spec)
+        loglik, b, resid, _, proj = _concentrated(block, spec, *coefs)
+        last.update(z=z.copy(), coefs=coefs, b=b, resid=resid, proj=proj, loglik=loglik)
+        return resid
 
     def objective(z):
-        ll, *_ = _concentrated(block, spec, *_z_to_coefs(z, spec))
-        return -ll
+        residual(z)
+        return -last["loglik"]
+
+    def jacobian(z):
+        if "z" not in last or not np.array_equal(last["z"], z):
+            residual(z)
+        g = _innovation_derivatives(block, spec, last["coefs"], last["b"], last["resid"])
+        return last["proj"].residual(g) @ _z_jacobian(z, spec)
 
     converged = True
     if dims == 0:
@@ -396,24 +621,15 @@ def fit(
         z0 = _hannan_rissanen(y - design @ b0, spec)
         rng = np.random.default_rng(seed)
         starts = [z0] + [z0 + rng.normal(0.0, 0.4, size=dims) for _ in range(n_restarts)]
-        best_val, z_best, converged = math.inf, z0, False
+        best_cost, z_best = math.inf, z0
         for z_start in starts:
-            res = minimize(
-                objective,
-                z_start,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": _MAX_ITER,
-                    "maxfev": 2 * _MAX_ITER,
-                    "fatol": _FATOL,
-                    "xatol": 1e-6,
-                },
-            )
-            if res.fun < best_val:
-                best_val, z_best, converged = res.fun, res.x, bool(res.success)
+            res = minimize(objective, z_start, residual, jacobian)
+            if res.cost < best_cost:
+                best_cost, z_best, converged = res.cost, res.x, res.status > 0
 
     phi, theta, sphi, stheta = _z_to_coefs(z_best, spec)
-    loglik, b, resid, sigma2, d_f = _concentrated(block, spec, phi, theta, sphi, stheta)
+    loglik, b, resid, sigma2, proj = _concentrated(block, spec, phi, theta, sphi, stheta)
+    converged = converged and not _on_unit_circle(spec, phi, theta, sphi, stheta)
     intercept, beta = float(b[0]), np.asarray(b[1:], dtype=float)
     u = y - design @ b
     bic = -2.0 * loglik + spec.n_params * math.log(n_eff)
@@ -430,7 +646,7 @@ def fit(
         exog_beta=tuple(float(v) for v in beta),
         intercept=intercept,
         sigma2=sigma2,
-        exog_pvalues=_pvalues(beta, _regression_se(d_f, sigma2)[1:]),
+        exog_pvalues=_pvalues(beta, _regression_se(proj.d_f, sigma2)[1:]),
         loglik=float(loglik),
         bic=float(bic),
         residuals=resid,
@@ -478,7 +694,7 @@ def coefficients_json(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> str:
         raise ValueError(f"exog has {design.shape[1] - 1} columns, the fit {spec.n_exog}")
     block = np.column_stack([y, design])
     arma = np.array(fit_result.ar + fit_result.ma + fit_result.sar + fit_result.sma)
-    *_, d_f = _concentrated(block, spec, *_arma_blocks(arma, spec))
+    *_, proj = _concentrated(block, spec, *_arma_blocks(arma, spec))
 
     def f_natural(v):
         ll, *_ = _concentrated(block, spec, *_arma_blocks(v, spec))
@@ -500,7 +716,7 @@ def coefficients_json(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> str:
     names += ("sigma2",)
     estimates = [fit_result.intercept, *fit_result.exog_beta, *map(float, arma), sigma2]
     stderrs = np.concatenate([
-        _regression_se(d_f, sigma2),
+        _regression_se(proj.d_f, sigma2),
         arma_se,
         [sigma2 * math.sqrt(2.0 / (y.size - spec.burn_in))],
     ])
@@ -526,13 +742,15 @@ def coefficients_json(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> str:
 def exog_design(fit_result: SarimaxFit, exog, n: int) -> np.ndarray:
     """The n-row regression design [1 | exog standardized as in the fit]
     that apply_params multiplies by the intercept and betas; a column of
-    ones for a fit without exogenous columns."""
+    ones for a fit without exogenous columns. It is C-ordered whatever
+    the order of exog, so that the designs a caller stacks keep one order
+    and their product with the coefficients one rounding."""
     if not fit_result.spec.n_exog:
         return np.ones((n, 1))
     if exog is None:
         raise ValueError("exog required by this fit")
-    xs = (_as_exog(exog, n) - fit_result.exog_mean) / fit_result.exog_scale
-    return np.column_stack([np.ones(n), xs])
+    x = np.ascontiguousarray(_as_exog(exog, n))
+    return np.column_stack([np.ones(n), (x - fit_result.exog_mean) / fit_result.exog_scale])
 
 
 def apply_params(fit_result: SarimaxFit, ts: TimeSeries, design=None) -> SarimaxFit:
@@ -543,8 +761,8 @@ def apply_params(fit_result: SarimaxFit, ts: TimeSeries, design=None) -> Sarimax
     ``design`` is exog_design's matrix for these rows, required when the fit
     has exogenous columns: a caller that extends a state keeps the design
     of the rows it has already seen and stacks only the new rows' under it.
-    The design's memory order is the caller's to choose, since its product
-    with the coefficients rounds differently in C and Fortran order.
+    The state shares the fit's lag polynomials instead of building them
+    again.
     """
     y = ts.values.astype(float)
     n = y.size
@@ -558,7 +776,10 @@ def apply_params(fit_result: SarimaxFit, ts: TimeSeries, design=None) -> Sarimax
     resid = _css_filter(u[:, None], fit_result.ar_poly, fit_result.ma_poly, spec.burn_in)[:, 0]
     resid.setflags(write=False)
     u.setflags(write=False)
-    return replace(fit_result, residuals=resid, u_history=u)
+    state = copy.copy(fit_result)
+    object.__setattr__(state, "residuals", resid)
+    object.__setattr__(state, "u_history", u)
+    return state
 
 
 def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarray:

@@ -23,8 +23,8 @@ from .series import TimeSeries, json_text
 _VARIANCE_THRESHOLD = 0.01  # least sample variance a column keeps
 _RHO_THRESHOLD = 0.9  # |Pearson r| above which a pair is redundant
 _REL_TOL = 1e-7  # least |R_jj| / |R_00| of a kept column in the pivoted QR
-_RFE_RESTARTS = 1  # seeded Nelder-Mead restarts of each RFE refit
-_PSO_RESTARTS = 0  # seeded Nelder-Mead restarts of each PSO fitness fit
+_RFE_RESTARTS = 1  # seeded restarts of each RFE refit's search
+_PSO_RESTARTS = 0  # seeded restarts of each PSO fitness fit's search
 # the PSO velocity rule's weights, and its stagnation limit (see pso_bic)
 _INERTIA = 0.7
 _COGNITIVE = 1.4
@@ -122,11 +122,24 @@ def variance_filter(fm: FeatureMatrix) -> tuple[FeatureMatrix, SelectionReport]:
     return fm.select_columns(kept), report
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, ties sharing the mean of their positions."""
+    order = np.argsort(x)
+    sorted_x = x[order]
+    starts = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def correlation_filter(fm: FeatureMatrix, target) -> tuple[FeatureMatrix, SelectionReport]:
     """Break up column pairs correlated above _RHO_THRESHOLD, keeping the
-    member whose Spearman correlation with the target is stronger."""
-    from scipy.stats import spearmanr
+    member whose Spearman correlation with the target is stronger.
 
+    The Spearman correlation is the Pearson correlation (np.corrcoef) of
+    average-tie ranks, with the bits of scipy.stats.spearmanr's statistic.
+    """
     y = np.asarray(target, dtype=float)
     if y.size != fm.n_rows:
         raise ValueError(f"target length {y.size} != row count {fm.n_rows}")
@@ -136,14 +149,16 @@ def correlation_filter(fm: FeatureMatrix, target) -> tuple[FeatureMatrix, Select
         corr = np.corrcoef(fm.matrix, rowvar=False)
     corr = np.nan_to_num(corr, nan=0.0)
 
+    # a constant or non-finite input has no correlation; its importance is 0
+    def ranks(x):
+        return _average_ranks(x) if np.isfinite(x).all() and np.ptp(x) != 0.0 else None
+
     importance = {}
+    y_ranks = ranks(y)
     for j, name in enumerate(names):
-        col = fm.matrix[:, j]
-        if np.ptp(col) == 0.0 or np.ptp(y) == 0.0:
-            importance[name] = 0.0
-        else:
-            rho = spearmanr(col, y).statistic
-            importance[name] = abs(float(rho)) if math.isfinite(rho) else 0.0
+        col_ranks = ranks(fm.matrix[:, j]) if y_ranks is not None else None
+        rho = math.nan if col_ranks is None else np.corrcoef(np.vstack([col_ranks, y_ranks]))[1, 0]
+        importance[name] = abs(float(rho)) if math.isfinite(rho) else 0.0
 
     pairs = [
         (abs(corr[i, j]), names[i], names[j])

@@ -229,6 +229,15 @@ def mape(actual, predicted) -> float:
     return float(np.mean(np.abs(a - p) / np.abs(a)))
 
 
+def line_fit(y: np.ndarray) -> tuple[float, float]:
+    """(intercept, slope) of the least-squares line through y at times
+    0..n-1 (n >= 2), in closed form over the centered times."""
+    mid = (y.size - 1) / 2.0
+    t = np.arange(y.size) - mid
+    slope = float(t @ y) / float(t @ t)
+    return float(y.mean()) - slope * mid, slope
+
+
 def json_text(doc) -> str:
     """``doc`` as indented JSON, with every non-finite float written as
     null: NaN and infinity are not JSON."""

@@ -31,9 +31,9 @@ delayed ACK: an answer up to 8 KB leaves in one buffered send, and larger
 ones go out with TCP_NODELAY.
 
 Importing this module loads no scipy module. ``serve`` imports the fit path
-(scipy's optimizer and ARMA filter) before it binds the port: every rebuild
-fits, so deferring that import further would only add it to the first
-forecast request.
+(``scipy.optimize``; the ARMA filter is numpy) before it binds the port:
+every rebuild fits, so deferring that import further would only add it to
+the first forecast request.
 """
 
 from __future__ import annotations

@@ -46,6 +46,15 @@ The CSS filter oracle is the SARIMAX estimator's first filter: one column
 at a time, the AR polynomial by np.convolve and the inverse MA polynomial
 by a 1-D lfilter.
 
+The SARIMAX fit oracle (nelder_mead_fit) is sarimax.fit as it was before
+its variable-projection least-squares stage, moved here unchanged: a
+Nelder-Mead simplex search of the concentrated negative log-likelihood
+from the same starts, with the regression block solved by lstsq at every
+evaluation.
+
+The Spearman oracle is the correlation filter's first importance:
+scipy.stats.spearmanr's statistic.
+
 The Holt oracle is the trend smoother's first recursion: it iterates the
 numpy array itself, so every step is numpy-scalar arithmetic, and forms
 1 - alpha and 1 - beta at every step.
@@ -64,6 +73,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy import stats as sps
+from scipy.optimize import minimize
 from scipy.signal import lfilter
 
 from oeeforecast import pipeline, sarimax
@@ -983,12 +993,12 @@ def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
 def refit_state_rows(strategy, past: TimeSeries) -> np.ndarray:
     """The exog rows of the strategy's last refit, rebuilt from the refit
     span of past: the selected columns of every aligned window, from the
-    batch catalog oracle and the topological extraction, in the Fortran
-    order the refit kept them in."""
+    batch catalog oracle and the topological extraction, C-ordered as the
+    refit's design is."""
     cfg = strategy.cfg
     refit_past = past.slice(0, strategy._refit_len)
     r = pipeline.causal_components(refit_past, cfg.periods)[2].values
-    return np.asfortranarray(_selected_window_rows(strategy, r)[:-1])
+    return np.ascontiguousarray(_selected_window_rows(strategy, r)[:-1])
 
 
 def _selected_window_rows(strategy, r: np.ndarray) -> np.ndarray:
@@ -1021,8 +1031,8 @@ def _standardizing_apply(strategy, y: np.ndarray, x: np.ndarray):
 def forecast_standardizing_per_call(strategy, past: TimeSeries, horizon: int, state_rows):
     """DecomposedStrategy.forecast (a feature mode) as it first ran: the rows
     since the refit from the batch catalog oracle, stacked under the refit's
-    rows (``refit_state_rows``) by np.vstack, which picks the memory order,
-    and the whole stack standardized again at each step."""
+    rows (``refit_state_rows``) by np.vstack into one C-ordered matrix, and
+    the whole stack standardized again at each step."""
     cfg = strategy.cfg
     trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
     trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon)
@@ -1159,3 +1169,103 @@ def leakage_audit(fm, split_index: int, builder=None, source: TimeSeries | None 
         if not np.array_equal(base_rows, probe_rows):
             return False
     return True
+
+
+_NM_MAX_ITER = 5000  # Nelder-Mead iterations per start
+_NM_FATOL = 1e-8  # Nelder-Mead objective tolerance
+
+
+def lstsq_concentrated(block, spec, phi, theta, sphi, stheta):
+    """The concentrated CSS log-likelihood with the regression block solved
+    by lstsq: (loglik, b, resid, sigma2, d_f)."""
+    ar_full = sarimax._lag_poly(phi, sphi, spec.s, -1.0)
+    ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
+    burn = spec.burn_in
+    n_eff = block.shape[0] - burn
+    filt = sarimax._css_filter(block, ar_full, ma_full, burn)
+    y_f, d_f = filt[:, 0], filt[:, 1:]
+    b, *_ = np.linalg.lstsq(d_f, y_f, rcond=None)
+    resid = y_f - d_f @ b
+    sse = float(resid @ resid)
+    sigma2 = max(sse / n_eff, sarimax._SIGMA2_FLOOR)
+    loglik = -0.5 * n_eff * (math.log(2.0 * math.pi) + math.log(sigma2) + 1.0)
+    return loglik, b, resid, sigma2, d_f
+
+
+def nelder_mead_fit(ts, spec, exog=None, *, n_restarts=3, seed=0):
+    """sarimax.fit by a Nelder-Mead search of the concentrated negative
+    log-likelihood from Hannan-Rissanen values plus ``n_restarts`` seeded
+    perturbations; ``converged`` is the best search's success flag."""
+    y = ts.values.astype(float)
+    n = y.size
+    design, exog_names, exog_mean, exog_scale = sarimax._prepare_exog(exog, n)
+    n_exog = design.shape[1] - 1
+    if spec.n_exog and spec.n_exog != n_exog:
+        raise ValueError(f"spec.n_exog={spec.n_exog} but exog has {n_exog} columns")
+    spec = sarimax.SarimaxSpec(spec.p, spec.q, spec.P, spec.Q, spec.s, n_exog)
+    n_eff = n - spec.burn_in
+    if n_eff <= design.shape[1] + spec.p + spec.q + spec.P + spec.Q:
+        raise ValueError(
+            f"series too short: {n_eff} effective points for {spec.n_params} parameters"
+        )
+
+    dims = spec.p + spec.q + spec.P + spec.Q
+    block = np.column_stack([y, design])
+
+    def objective(z):
+        ll, *_ = lstsq_concentrated(block, spec, *sarimax._z_to_coefs(z, spec))
+        return -ll
+
+    converged = True
+    if dims == 0:
+        z_best = np.array([])
+    else:
+        b0, *_ = np.linalg.lstsq(design, y, rcond=None)
+        z0 = sarimax._hannan_rissanen(y - design @ b0, spec)
+        rng = np.random.default_rng(seed)
+        starts = [z0] + [z0 + rng.normal(0.0, 0.4, size=dims) for _ in range(n_restarts)]
+        best_val, z_best, converged = math.inf, z0, False
+        for z_start in starts:
+            res = minimize(
+                objective,
+                z_start,
+                method="Nelder-Mead",
+                options={
+                    "maxiter": _NM_MAX_ITER,
+                    "maxfev": 2 * _NM_MAX_ITER,
+                    "fatol": _NM_FATOL,
+                    "xatol": 1e-6,
+                },
+            )
+            if res.fun < best_val:
+                best_val, z_best, converged = res.fun, res.x, bool(res.success)
+
+    phi, theta, sphi, stheta = sarimax._z_to_coefs(z_best, spec)
+    loglik, b, resid, sigma2, d_f = lstsq_concentrated(block, spec, phi, theta, sphi, stheta)
+    intercept, beta = float(b[0]), np.asarray(b[1:], dtype=float)
+    u = y - design @ b
+    bic = -2.0 * loglik + spec.n_params * math.log(n_eff)
+    return sarimax.SarimaxFit(
+        spec=spec,
+        ar=tuple(float(v) for v in phi),
+        ma=tuple(float(v) for v in theta),
+        sar=tuple(float(v) for v in sphi),
+        sma=tuple(float(v) for v in stheta),
+        exog_beta=tuple(float(v) for v in beta),
+        intercept=intercept,
+        sigma2=sigma2,
+        exog_pvalues=sarimax._pvalues(beta, sarimax._regression_se(d_f, sigma2)[1:]),
+        loglik=float(loglik),
+        bic=float(bic),
+        residuals=resid,
+        converged=converged,
+        exog_names=tuple(exog_names),
+        exog_mean=exog_mean,
+        exog_scale=exog_scale,
+        u_history=u,
+    )
+
+
+def scipy_spearman(x, y) -> float:
+    """The Spearman correlation of x and y, as scipy.stats computes it."""
+    return float(sps.spearmanr(x, y).statistic)

@@ -386,12 +386,41 @@ from oeeforecast.service import load_registry, serve
 
 server = serve(load_registry(sys.argv[1]), port=0)
 server.server_close()
-print(" ".join(m for m in ("scipy.optimize", "scipy.signal") if m in sys.modules))
+print(" ".join(m for m in ("scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
+"""
+
+# Runs every selection stage and the fits they make on a small random
+# problem, then prints which of scipy.optimize, scipy.signal and
+# scipy.stats are loaded.
+_SCIPY_AFTER_SELECTION = """
+import sys
+import numpy as np
+from oeeforecast.feature_matrix import FeatureMatrix
+from oeeforecast.sarimax import SarimaxSpec, fit
+from oeeforecast.selection import (
+    PsoConfig, collinearity_prune, correlation_filter, pso_bic, rfe_sarimax, variance_filter,
+)
+from oeeforecast.series import TimeSeries
+
+rng = np.random.default_rng(0)
+x = rng.normal(size=(300, 5))
+x[:, 4] = np.round(x[:, 4])  # ties for the Spearman ranks
+y = TimeSeries(x @ [1.0, 0.5, 0.3, 0.0, 0.0] + rng.normal(size=300))
+fm = FeatureMatrix(("a", "b", "c", "d", "e"), x, tuple(range(300)))
+spec = SarimaxSpec(p=1, Q=1, s=4)
+fit(y, spec, exog=x)
+fm, _ = variance_filter(fm)
+fm, _ = correlation_filter(fm, y.values)
+fm, _ = collinearity_prune(fm)
+fm, _ = rfe_sarimax(y, fm, spec, min_features=2)
+pso_bic(y, fm, spec, PsoConfig(swarm_size=4, max_iterations=2, runs=1, stability_threshold=1))
+print(" ".join(m for m in ("scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
 """
 
 
 class TestScipyImport:
-    """scipy takes most of a second to import, and only a fit or a filter needs it."""
+    """scipy takes most of a second to import, and only a fit or a selection
+    filter needs it; none needs scipy.signal or scipy.stats."""
 
     def test_commands_that_fit_nothing_load_no_scipy(self, dataset_csv, tmp_path):
         data = ["--input", str(dataset_csv), "--periods", "8,24"]
@@ -414,4 +443,11 @@ class TestScipyImport:
         registry.write_text(f"a.dataset = {dataset_csv}\n")
         done = run_python("-c", _SCIPY_AFTER_SERVE, str(registry))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["scipy.optimize", "scipy.signal"]
+        assert done.stdout.split() == ["scipy.optimize"]
+
+    def test_fits_and_selection_load_neither_signal_nor_stats(self):
+        # the fit path is numpy and scipy.optimize; scipy.signal would load
+        # scipy.stats, which takes about a second more
+        done = run_python("-c", _SCIPY_AFTER_SELECTION)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["scipy.optimize"]

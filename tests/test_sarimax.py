@@ -15,10 +15,11 @@ from oeeforecast.sarimax import (
     forecast,
     simulate,
 )
+from oeeforecast.selection import collinearity_prune, correlation_filter, variance_filter
 from oeeforecast.series import TimeSeries
 
 from conftest import STAND_INS, ljung_box_rejects, make_oee_series, strict_json
-from oracles import acf_values, scalar_css_filter
+from oracles import acf_values, nelder_mead_fit, scalar_css_filter
 
 
 def make_fit(ar=(), ma=(), sar=(), sma=(), s=1, intercept=0.0, u_tail=(0.0,) * 12):
@@ -162,6 +163,27 @@ class TestFitInvariants:
         y = np.cumsum(rng.normal(size=300))  # random walk bait
         f = fit(TimeSeries(y), SarimaxSpec(p=1))
         assert abs(f.ar[0]) < 1.0
+
+
+class TestBoundaryFits:
+    def test_a_root_at_the_unit_circle_is_not_converged(self):
+        # white noise at ARMA(2,2): the MA polynomial runs to the unit circle
+        # and nearly cancels the AR one
+        ts = TimeSeries(np.random.default_rng(0).normal(size=300))
+        f = fit(ts, SarimaxSpec(p=2, q=2))
+        moduli = np.abs(np.roots(np.r_[1.0, f.ma][::-1]))
+        assert moduli.min() < 1.0 + sarimax._UNIT_ROOT_TOL
+        assert not f.converged
+
+    def test_an_interior_fit_is_converged(self):
+        ts = simulate(SarimaxSpec(p=1, q=1), n=600, seed=5, ar=(0.5,), ma=(0.3,))
+        assert fit(ts, SarimaxSpec(p=1, q=1)).converged
+
+    @pytest.mark.parametrize("sma, on_circle", [((-0.9,), False), ((-0.99999,), True)])
+    def test_a_seasonal_root_counts_in_the_lag_operator(self, sma, on_circle):
+        # 1 + THETA B^8 has roots of modulus |THETA|^(-1/8) in B
+        spec = SarimaxSpec(Q=1, s=8)
+        assert sarimax._on_unit_circle(spec, (), (), (), sma) is on_circle
 
 
 class TestForecast:
@@ -333,7 +355,9 @@ class TestLikelihoodEvaluations:
         "spec", [SarimaxSpec(), SarimaxSpec(p=1), SarimaxSpec(p=4, P=1, Q=1, s=8)]
     )
     def test_fit_evaluates_the_likelihood_once_past_its_search(self, monkeypatch, spec):
-        # the search's evaluations plus the one at its optimum: no Hessian
+        # the search's residual evaluations plus the one at its optimum: no
+        # Hessian; the Jacobian reuses its point's residual evaluation, and
+        # nfev counts both kinds
         counts = {"evals": 0, "nfev": 0}
         concentrated, minimize = sarimax._concentrated, sarimax.minimize
 
@@ -343,7 +367,8 @@ class TestLikelihoodEvaluations:
 
         def searched(*args, **kwargs):
             res = minimize(*args, **kwargs)
-            counts["nfev"] += res.nfev
+            assert res.njev >= 1
+            counts["nfev"] += res.nfev - res.njev
             return res
 
         monkeypatch.setattr(sarimax, "_concentrated", counted)
@@ -437,6 +462,104 @@ class TestCssFilterOracle:
                 # the AR stage leaves each column contiguous, so a fit's dot
                 # products of a column take one BLAS kernel
                 assert got.strides[0] == got.itemsize
+
+
+class TestVariableProjection:
+    def test_jacobian_is_the_projected_derivative_of_the_filter(self):
+        # Kaufman: P(z0) dF(z)/dz u at z0, u = y - design b(z0) held fixed
+        rng = np.random.default_rng(60)
+        spec = SarimaxSpec(p=2, q=1, P=1, Q=1, s=4)
+        block = np.column_stack([rng.normal(size=300), np.ones(300), rng.normal(size=(300, 2))])
+        z0 = rng.normal(0.0, 0.5, 5)
+        coefs = sarimax._z_to_coefs(z0, spec)
+        _, b, resid, _, proj = sarimax._concentrated(block, spec, *coefs)
+        g = sarimax._innovation_derivatives(block, spec, coefs, b, resid)
+        got = proj.residual(g) @ sarimax._z_jacobian(z0, spec)
+        u = (block[:, 0] - block[:, 1:] @ b)[:, None]
+
+        def filtered(z):
+            phi, theta, sphi, stheta = sarimax._z_to_coefs(z, spec)
+            ar_full = sarimax._lag_poly(phi, sphi, spec.s, -1.0)
+            ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
+            return proj.residual(sarimax._css_filter(u, ar_full, ma_full, spec.burn_in)[:, 0])
+
+        h = 1e-6
+        want = np.column_stack([
+            (filtered(z0 + h * e) - filtered(z0 - h * e)) / (2.0 * h) for e in np.eye(5)
+        ])
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+    @pytest.mark.parametrize("noise, cholesky", [(1.0, True), (1e-7, False), (0.0, False)])
+    def test_projection_solves_by_cholesky_or_svd_as_lstsq(self, noise, cholesky):
+        # a column nearly dependent on another puts the design's condition
+        # number past _COND_LIMIT, and an exactly dependent one makes it
+        # rank-deficient: the singular value decomposition takes over and
+        # gives lstsq's least-norm answer
+        rng = np.random.default_rng(61)
+        d_f = rng.normal(size=(200, 4))
+        d_f[:, 3] = d_f[:, 2] + noise * rng.normal(size=200)
+        rhs = rng.normal(size=(200, 2))
+        proj = sarimax._Projection(d_f)
+        assert (proj.chol is not None) is cholesky
+        want, *_ = np.linalg.lstsq(d_f, rhs, rcond=None)
+        assert np.allclose(proj.residual(rhs), rhs - d_f @ want, rtol=0.0, atol=1e-8)
+        if noise != 1e-7:
+            assert np.allclose(proj.coefficients(rhs), want, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, k",
+        [
+            (SarimaxSpec(p=1), 0),
+            (SarimaxSpec(p=2, q=1), 2),
+            (SarimaxSpec(p=1, P=1, Q=1, s=8), 3),
+            (SarimaxSpec(p=4, P=1, Q=1, s=8), 6),
+        ],
+    )
+    def test_likelihood_no_worse_than_nelder_mead(self, spec, k):
+        rng = np.random.default_rng(62 + k)
+        x = rng.normal(size=(400, k))
+        base = simulate(SarimaxSpec(p=1, Q=1, s=8), n=400, seed=k, ar=(0.5,), sma=(0.4,))
+        ts = TimeSeries(base.values + x @ rng.normal(0.0, 0.5, k))
+        exog = x if k else None
+        got = fit(ts, spec, exog=exog, n_restarts=1)
+        want = nelder_mead_fit(ts, spec, exog=exog, n_restarts=1)
+        assert got.converged
+        assert -got.loglik <= -want.loglik + 1e-9 * abs(want.loglik)
+
+    def test_wide_multimodal_fit_no_worse_than_nelder_mead(self, monkeypatch):
+        # the README evaluation's refit one interval past the training span
+        # of the h2 stand-in with the statistical catalog: 546 rows, 61
+        # exogenous columns, the columns chosen on the training span. Its
+        # likelihood has several local optima, and least squares alone from
+        # the same starts ends in a higher one than Nelder-Mead's
+        cfg = PipelineConfig(feature_mode="statistical")
+        series = make_oee_series(*STAND_INS["h2"])
+        split = math.floor(len(series) * (1.0 - cfg.test_fraction))
+        _, _, residual = causal_components(series.slice(0, split), cfg.periods)
+        y, fm = aligned_features(cfg, residual)
+        fm, _ = variance_filter(fm)
+        fm, _ = correlation_filter(fm, y.values)
+        fm, _ = collinearity_prune(fm)
+        _, _, residual = causal_components(series.slice(0, split + cfg.refit_interval), cfg.periods)
+        y, fm = aligned_features(cfg, residual, columns=fm.column_names)
+        assert fm.matrix.shape == (546, 61)
+
+        want = nelder_mead_fit(y, cfg.sarimax_spec, exog=fm, n_restarts=1)
+        got = fit(y, cfg.sarimax_spec, exog=fm, n_restarts=1)
+        assert got.converged
+        assert -got.loglik <= -want.loglik + 1e-9 * abs(want.loglik)
+
+        def least_squares_only(fun, x0, residual, jac):
+            from scipy.optimize import least_squares
+
+            tol = sarimax._LSQ_TOL
+            return least_squares(
+                residual, x0, jac=jac, method="trf", x_scale="jac", ftol=tol, xtol=tol, gtol=tol
+            )
+
+        monkeypatch.setattr(sarimax, "minimize", least_squares_only)
+        alone = fit(y, cfg.sarimax_spec, exog=fm, n_restarts=1)
+        assert -alone.loglik > -want.loglik + 1e-4 * abs(want.loglik)
 
 
 class TestApplyDesign:

@@ -6,6 +6,7 @@ import pytest
 from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.sarimax import SarimaxSpec, simulate
 from oeeforecast.selection import (
+    _average_ranks,
     PsoConfig,
     PsoResult,
     SelectionReport,
@@ -18,6 +19,7 @@ from oeeforecast.selection import (
 from oeeforecast.series import TimeSeries
 
 from conftest import strict_json
+from oracles import scipy_spearman
 
 
 def matrix_from(cols: dict) -> FeatureMatrix:
@@ -86,6 +88,33 @@ class TestCorrelationFilter:
         fm = matrix_from({"a": np.arange(10.0)})
         with pytest.raises(ValueError, match="target length"):
             correlation_filter(fm, target=np.arange(5.0))
+
+    def test_importance_bits_equal_scipy_spearman(self):
+        # columns with ties and a constant one, against a target with ties;
+        # a target with a NaN correlates with nothing
+        rng = np.random.default_rng(3)
+        n = 200
+        target = np.round(rng.normal(size=n), 1)
+        cols = {f"c{j}": np.round(rng.normal(size=n) * (j + 1), j % 3) for j in range(40)}
+        cols["flat"] = np.full(n, 2.0)
+        fm = matrix_from(cols)
+        _, report = correlation_filter(fm, target)
+        for name, col in cols.items():
+            want = abs(scipy_spearman(col, target)) if np.ptp(col) else 0.0
+            assert report.metrics[name] == want, name
+        _, report = correlation_filter(fm, np.where(np.arange(n) == 7, np.nan, target))
+        assert set(report.metrics.values()) == {0.0}
+
+    def test_ranks_bits_equal_scipy_spearman_on_random_pairs(self):
+        rng = np.random.default_rng(4)
+        for trial in range(2000):
+            n = int(rng.integers(3, 300))
+            x = rng.integers(0, int(rng.integers(2, 50)), n) * rng.normal()
+            y = rng.normal(size=n) if trial % 3 else rng.integers(0, 5, n).astype(float)
+            if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+                continue
+            got = np.corrcoef(np.vstack([_average_ranks(x), _average_ranks(y)]))[1, 0]
+            assert got == scipy_spearman(x, y), trial
 
 
 class TestRfe:

@@ -4,7 +4,15 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from oeeforecast.series import CsvError, TimeSeries, load_csv, mae, mape, summary_stats
+from oeeforecast.series import (
+    CsvError,
+    TimeSeries,
+    line_fit,
+    load_csv,
+    mae,
+    mape,
+    summary_stats,
+)
 
 from conftest import kpss_level_statistic, kpss_rejects_level, ljung_box_rejects
 from oracles import acf_values, pacf_values, scipy_adjusted_moments
@@ -294,6 +302,20 @@ class TestMetrics:
     def test_mape_zero_actual(self):
         with pytest.raises(ValueError):
             mape([0.0, 1.0], [1.0, 1.0])
+
+
+class TestLineFit:
+    @pytest.mark.parametrize("n", [2, 3, 10, 168, 500])
+    def test_matches_polyfit(self, n):
+        rng = np.random.default_rng(n)
+        y = 40.0 + 0.3 * np.arange(n) + rng.normal(0.0, 5.0, n)
+        slope, intercept = np.polyfit(np.arange(n, dtype=float), y, 1)
+        got_intercept, got_slope = line_fit(y)
+        assert got_slope == pytest.approx(slope, rel=1e-12, abs=1e-12)
+        assert got_intercept == pytest.approx(intercept, rel=1e-12)
+
+    def test_exact_on_a_line(self):
+        assert line_fit(2.5 - 0.5 * np.arange(7.0)) == (2.5, -0.5)
 
 
 class TestLjungBox:
