@@ -43,6 +43,6 @@ from .series import (
 )
 from .sarimax import SarimaxFit, SarimaxSpec, fit, forecast, simulate
 from .stat_features import extract_stat_features
-from .tda import TdaParams, extract_tda_features, takens_embed, vr_persistence
+from .tda import extract_tda_features, vr_persistence
 
 __version__ = "0.1.0"

@@ -42,10 +42,12 @@ from .selection import (
 )
 from .series import TimeSeries, json_text, line_fit, load_csv, mae, mape
 from .stat_features import CATALOG as STAT_CATALOG
+from .stat_features import MIN_WINDOW as STAT_MIN_WINDOW
 # window_features is not called here; perfbench/tracing.py patches it by this name
-from .stat_features import MIN_WINDOW, extract_stat_features, window_features
+from .stat_features import extract_stat_features, window_features
 from .tda.extract import CATALOG as TDA_CATALOG
-from .tda.extract import TdaParams, extract_tda_features, fit_diagram_scale
+from .tda.extract import MIN_WINDOW as TDA_MIN_WINDOW
+from .tda.extract import extract_tda_features, fit_diagram_scale
 
 FEATURE_MODES = ("none", "statistical", "topological", "both")
 SELECTION_MODES = ("none", "rfe", "rfe+pso")
@@ -182,10 +184,14 @@ class PipelineConfig:
             raise ValueError("refit_interval must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.feature_mode in ("statistical", "both") and self.window < MIN_WINDOW:
-            raise ValueError(f"window {self.window} < {MIN_WINDOW}, the statistical catalog's least")
-        if self.feature_mode in ("topological", "both"):
-            TdaParams(window=self.window)  # rejects a window too short to embed
+        if self.feature_mode in ("statistical", "both") and self.window < STAT_MIN_WINDOW:
+            raise ValueError(
+                f"window {self.window} < {STAT_MIN_WINDOW}, the statistical catalog's least"
+            )
+        if self.feature_mode in ("topological", "both") and self.window < TDA_MIN_WINDOW:
+            raise ValueError(
+                f"window {self.window} < {TDA_MIN_WINDOW}, the topological catalog's least"
+            )
 
 
 def build_features(
@@ -210,8 +216,7 @@ def build_features(
     if mode in ("statistical", "both"):
         parts.append(extract_stat_features(residual, cfg.window, share(_STAT_NAMES)))
     if mode in ("topological", "both"):
-        params = TdaParams(window=cfg.window)
-        parts.append(extract_tda_features(residual, params, scale, share(_TDA_NAMES)))
+        parts.append(extract_tda_features(residual, cfg.window, scale, share(_TDA_NAMES)))
     fm = parts[0]
     for extra in parts[1:]:
         fm = fm.hstack(extra)
@@ -403,7 +408,7 @@ class DecomposedStrategy:
 
         scale = self._tda_scale
         if scale is None and cfg.feature_mode in ("topological", "both"):
-            scale = fit_diagram_scale(residual, TdaParams(window=cfg.window))
+            scale = fit_diagram_scale(residual, cfg.window)
 
         # once chosen, the columns are the only ones built
         y, fm_sel = aligned_features(cfg, residual, scale, self.columns)

@@ -1,7 +1,6 @@
-"""Topological feature extraction: delay embedding, Vietoris-Rips
-persistence in dimensions 0 and 1, and diagram vectorizations."""
+"""Topological feature extraction: the sliding-window catalog of
+vectorized Vietoris-Rips diagrams (dimensions 0 and 1) of delay-embedded
+windows, and the persistence computation it is built on."""
 
-from .embedding import takens_embed
-from .extract import CATALOG, TdaParams, extract_tda_features, fit_diagram_scale
+from .extract import CATALOG, extract_tda_features, fit_diagram_scale
 from .persistence import PersistenceDiagram, PointCloud, vr_persistence
-from .vectorize import betti_curve, landscape, persistence_entropy

@@ -1,5 +1,9 @@
 """Sliding-window topological feature extraction.
 
+The embedding is fixed (DELAY, EMBED_DIM; neither is estimated from the
+data). Only the window length is a parameter, and it must be at least
+MIN_WINDOW so that every window embeds into two points.
+
 Every window is delay-embedded into the same ``(windows, points, EMBED_DIM)``
 stack, and one pass over the stack builds the rows:
 
@@ -20,8 +24,8 @@ omitted it is taken over the windows being extracted.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +59,8 @@ SILHOUETTE_POWER = 1.0
 WASSERSTEIN_ORDER = 2.0
 HEAT_SIGMA = 0.1  # in units of the scaled diagram range [0, 1]
 HEAT_SAMPLES = 64
+# persistence needs at least two embedded points per window
+MIN_WINDOW = (EMBED_DIM - 1) * DELAY + 2
 # the vectorizer groups of one homology dimension, in catalog order
 GROUPS = (
     "entropy",
@@ -67,17 +73,6 @@ GROUPS = (
     "heat_l2",
     "life",
 )
-
-
-@dataclass(frozen=True)
-class TdaParams:
-    window: int = 24
-
-    def __post_init__(self):
-        # persistence needs at least two embedded points per window
-        least = (EMBED_DIM - 1) * DELAY + 2
-        if self.window < least:
-            raise ValueError(f"window {self.window} < (dim-1)*delay + 2 = {least}")
 
 
 def _group_names(h: int, group: str) -> list[str]:
@@ -110,8 +105,8 @@ for _grid in (BETTI_MIDS, LANDSCAPE_GRID, HEAT_GRID):
 
 
 def _embedded_windows(values: np.ndarray, window: int) -> np.ndarray:
-    """(windows, points, EMBED_DIM) delay embedding of every window, as
-    takens_embed builds one window's cloud."""
+    """(windows, points, EMBED_DIM) delay embedding of every window: point i
+    of a window x is (x[i], x[i + DELAY], ..., x[i + (EMBED_DIM - 1) * DELAY])."""
     windows = np.lib.stride_tricks.sliding_window_view(values, window)
     span = (EMBED_DIM - 1) * DELAY
     lags = np.arange(window - span)[:, None] + DELAY * np.arange(EMBED_DIM)
@@ -196,7 +191,14 @@ def _vectorize(pairs, blocks, n_rows: int) -> np.ndarray:
     return out
 
 
-def fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
+def _check_window(ts: TimeSeries, window: int) -> None:
+    if window < MIN_WINDOW:
+        raise ValueError(f"window {window} < (dim-1)*delay + 2 = {MIN_WINDOW}")
+    if len(ts) < window:
+        raise ValueError(f"series length {len(ts)} < window {window}")
+
+
+def fit_diagram_scale(ts: TimeSeries, window: int = 24) -> float:
     """Maximum death over the series' window diagrams; the pipeline fixes
     this on the training span so later windows share the same normalization.
 
@@ -205,16 +207,13 @@ def fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
     largest pairwise distance over all windows, computed without building a
     diagram.
     """
-    params = params or TdaParams()
-    n = len(ts)
-    if n < params.window:
-        raise ValueError(f"series length {n} < window {params.window}")
-    return _scale_of(_distances(_embedded_windows(ts.values, params.window)))
+    _check_window(ts, window)
+    return _scale_of(_distances(_embedded_windows(ts.values, window)))
 
 
 def extract_tda_features(
     ts: TimeSeries,
-    params: TdaParams | None = None,
+    window: int = 24,
     scale: float | None = None,
     columns=None,
 ) -> FeatureMatrix:
@@ -222,12 +221,12 @@ def extract_tda_features(
 
     With ``columns`` (catalog names) only the vectorizer groups holding them
     are computed, H1 only if one of them is an H1 column, and the matrix
-    has exactly those columns, in that order.
+    has exactly those columns, in that order. ``scale`` must be finite and
+    positive.
     """
-    params = params or TdaParams()
-    n = len(ts)
-    if n < params.window:
-        raise ValueError(f"series length {n} < window {params.window}")
+    _check_window(ts, window)
+    if scale is not None and not (math.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     blocks = LAYOUT
     if columns is not None:
         columns = tuple(columns)
@@ -235,7 +234,7 @@ def extract_tda_features(
         if unknown:
             raise ValueError(f"not in the topological catalog: {sorted(unknown)}")
         blocks = tuple(blk for blk in blocks if not set(blk[2]).isdisjoint(columns))
-    pts = _embedded_windows(ts.values, params.window)
+    pts = _embedded_windows(ts.values, window)
     dist = _distances(pts)
     if scale is None:
         scale = _scale_of(dist)
@@ -248,5 +247,5 @@ def extract_tda_features(
         pairs[1] = [(rows, b / scale, d / scale) for rows, b, d in _h1_pairs(pts)]
     matrix = _vectorize(pairs, blocks, len(pts))
     names = tuple(name for _, _, names in blocks for name in names)
-    fm = FeatureMatrix(names, matrix, tuple(range(params.window - 1, n)))
+    fm = FeatureMatrix(names, matrix, tuple(range(window - 1, len(ts))))
     return fm if columns is None else fm.select_columns(columns)

@@ -23,7 +23,9 @@ essential bar.
 The feature catalog (tda.extract) shares _distances, takes H0 of all
 windows at once from the same merge heights, by a batched Prim spanning
 tree over the stacked distance matrices, and calls vr_persistence window
-by window only when an H1 column is asked for.
+by window only when an H1 column is asked for. Every reader of a
+diagram takes one homology dimension at a time, through
+PersistenceDiagram.restricted.
 """
 
 from __future__ import annotations
@@ -74,17 +76,9 @@ class PersistenceDiagram:
         object.__setattr__(self, "dims", h)
 
     def restricted(self, dim: int) -> tuple[np.ndarray, np.ndarray]:
+        """(births, deaths) of the pairs in homology dimension dim."""
         sel = self.dims == dim
         return self.births[sel], self.deaths[sel]
-
-    def lifetimes(self, dim: int) -> np.ndarray:
-        b, d = self.restricted(dim)
-        return d - b
-
-    def n_pairs(self, dim: int | None = None) -> int:
-        if dim is None:
-            return int(self.dims.size)
-        return int(np.sum(self.dims == dim))
 
 
 def _distances(pts: np.ndarray) -> np.ndarray:

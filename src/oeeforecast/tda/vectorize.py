@@ -1,14 +1,12 @@
 """Diagram vectorizations: entropy, amplitudes, curves, landscapes, kernels.
 
-The batched forms (``batch_*``) take the pairs of one homology dimension of
+Every vectorizer (``batch_*``) takes the pairs of one homology dimension of
 many diagrams with the same pair count, as two ``(diagrams, pairs)`` arrays
-of births and deaths in diagram order, and reduce along the pairs axis. A
-row goes through the reductions a one-diagram call uses, so it has the same
-bits in any batch. persistence_entropy, betti_curve and landscape are
-one-row calls into them: each restricts the diagram to one homology
-dimension and returns a plain float or vector. Empty restrictions degrade
-to zeros rather than raising, because downstream feature rows must keep a
-fixed width.
+of births and deaths in diagram order, and reduces along the pairs axis. A
+row goes through the same reductions alone as in a batch, so it has the
+same bits in any batch: one diagram is a batch of one row. Diagrams without
+pairs degrade to zeros rather than raising, because downstream feature rows
+must keep a fixed width.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import math
 import numpy as np
 
 from ..stat_features import _sum_present
-from .persistence import PersistenceDiagram
 
 LIFETIME_STAT_NAMES = ("sum", "mean", "median", "variance", "std", "max", "min")
 
@@ -132,32 +129,3 @@ def batch_lifetime_stats(b: np.ndarray, d: np.ndarray) -> np.ndarray:
         life.max(axis=1),
         life.min(axis=1),
     ])
-
-
-def _one_row(d: PersistenceDiagram, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    b, dd = d.restricted(dim)
-    return b[None, :], dd[None, :]
-
-
-def persistence_entropy(d: PersistenceDiagram, dim: int) -> float:
-    """Shannon entropy of normalized lifetimes; zero-lifetime pairs excluded."""
-    return float(batch_entropy(*_one_row(d, dim))[0])
-
-
-def betti_curve(d: PersistenceDiagram, dim: int, bins: int, t_range: tuple[float, float]) -> np.ndarray:
-    """Count of pairs alive (birth <= t < death) at each bin midpoint."""
-    return batch_betti(*_one_row(d, dim), betti_midpoints(bins, t_range))[0]
-
-
-def landscape(
-    d: PersistenceDiagram,
-    dim: int,
-    layers: int,
-    samples: int,
-    t_range: tuple[float, float],
-) -> np.ndarray:
-    """Persistence landscape sampled on a uniform grid: layer k is the k-th
-    largest tent value at each t; layers beyond the pair count are zero."""
-    if layers < 1 or samples < 1:
-        raise ValueError("layers and samples must be >= 1")
-    return batch_landscape(*_one_row(d, dim), layers, np.linspace(*t_range, samples))[0]

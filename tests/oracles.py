@@ -26,7 +26,16 @@ vectorizer called once per diagram, with the vectorizers' first scalar
 bodies and scale_diagram (moved here unchanged from
 oeeforecast.tda.persistence, which no longer has it). They read the
 catalog's fixed settings (delay, dimension, bins, grids) from the
-constants of oeeforecast.tda.extract.
+constants of oeeforecast.tda.extract. The delay embedding (takens_embed)
+is one window's cloud by definition, the reference for the catalog's
+batched embedding; it moved here unchanged from oeeforecast.tda.embedding,
+which no longer exists.
+
+The one-row vectorizers (persistence_entropy, betti_curve, landscape) are
+not oracles: they restrict one diagram to a homology dimension and call the
+shipped batch_entropy, batch_betti and batch_landscape on that single row,
+so the tests written against one diagram check the shipped code. They moved
+here from oeeforecast.tda.vectorize, which no longer has them.
 
 The batch catalog oracle (batch_catalog_rows) is the statistical
 catalog's second implementation, moved here unchanged: all 76 columns of
@@ -94,11 +103,16 @@ from oeeforecast.stat_features import (
     N_ACF_LAGS,
     N_FFT_COEFS,
 )
-from oeeforecast.tda.embedding import takens_embed
 from oeeforecast.tda import extract as tda
-from oeeforecast.tda.extract import T_RANGE, TdaParams, extract_tda_features
+from oeeforecast.tda.extract import T_RANGE, extract_tda_features
 from oeeforecast.tda.persistence import PersistenceDiagram, PointCloud, vr_persistence
-from oeeforecast.tda.vectorize import LIFETIME_STAT_NAMES
+from oeeforecast.tda.vectorize import (
+    LIFETIME_STAT_NAMES,
+    batch_betti,
+    batch_entropy,
+    batch_landscape,
+    betti_midpoints,
+)
 
 
 def scalar_centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -800,12 +814,57 @@ def batch_catalog_rows(X: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def takens_embed(window_values, delay: int, dim: int) -> PointCloud:
+    """Map x to points (x_i, x_{i+delay}, ..., x_{i+(dim-1)delay}), in order."""
+    x = np.asarray(window_values, dtype=float)
+    n = x.size
+    span = (dim - 1) * delay
+    if delay < 1 or dim < 1:
+        raise ValueError("delay and dim must be >= 1")
+    if n < span + 1:
+        raise ValueError(f"window length {n} too short for delay={delay}, dim={dim}")
+    count = n - span
+    pts = np.empty((count, dim))
+    for j in range(dim):
+        pts[:, j] = x[j * delay : j * delay + count]
+    return PointCloud(pts)
+
+
 def _window_diagram(x: np.ndarray):
     return vr_persistence(takens_embed(x, tda.DELAY, tda.EMBED_DIM))
 
 
+def _one_row(d: PersistenceDiagram, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    b, dd = d.restricted(dim)
+    return b[None, :], dd[None, :]
+
+
+def persistence_entropy(d: PersistenceDiagram, dim: int) -> float:
+    """The shipped batch_entropy of one diagram's dim pairs."""
+    return float(batch_entropy(*_one_row(d, dim))[0])
+
+
+def betti_curve(d: PersistenceDiagram, dim: int, bins: int, t_range) -> np.ndarray:
+    """The shipped batch_betti of one diagram's dim pairs, at the midpoints
+    of ``bins`` equal bins over t_range."""
+    return batch_betti(*_one_row(d, dim), betti_midpoints(bins, t_range))[0]
+
+
+def landscape(d: PersistenceDiagram, dim: int, layers: int, samples: int, t_range) -> np.ndarray:
+    """The shipped batch_landscape of one diagram's dim pairs, on ``samples``
+    uniform points over t_range."""
+    if layers < 1 or samples < 1:
+        raise ValueError("layers and samples must be >= 1")
+    return batch_landscape(*_one_row(d, dim), layers, np.linspace(*t_range, samples))[0]
+
+
+def _lifetimes(d, dim: int) -> np.ndarray:
+    b, dd = d.restricted(dim)
+    return dd - b
+
+
 def scalar_persistence_entropy(d, dim: int) -> float:
-    life = d.lifetimes(dim)
+    life = _lifetimes(d, dim)
     life = life[life > 0.0]
     total = life.sum()
     if life.size == 0 or total <= 0.0:
@@ -815,12 +874,12 @@ def scalar_persistence_entropy(d, dim: int) -> float:
 
 
 def scalar_bottleneck_amplitude(d, dim: int) -> float:
-    life = d.lifetimes(dim)
+    life = _lifetimes(d, dim)
     return float(life.max() / 2.0) if life.size else 0.0
 
 
 def scalar_wasserstein_amplitude(d, dim: int, p: float = 2.0) -> float:
-    life = d.lifetimes(dim)
+    life = _lifetimes(d, dim)
     if life.size == 0:
         return 0.0
     return float(np.sum((life / math.sqrt(2.0)) ** p) ** (1.0 / p))
@@ -891,7 +950,7 @@ def scalar_heat_kernel_norm(d, dim: int, sigma: float, samples: int = 64, t_rang
 
 
 def scalar_lifetime_stats(d, dim: int) -> dict[str, float]:
-    life = d.lifetimes(dim)
+    life = _lifetimes(d, dim)
     if life.size == 0:
         return {k: 0.0 for k in LIFETIME_STAT_NAMES}
     return {
@@ -937,18 +996,17 @@ def scale_diagram(d: PersistenceDiagram, scale: float) -> PersistenceDiagram:
     )
 
 
-def scalar_extract_tda_features(ts: TimeSeries, params: TdaParams | None = None, scale=None):
+def scalar_extract_tda_features(ts: TimeSeries, window: int = 24, scale=None):
     """extract_tda_features window by window: one diagram per window, then
     every vectorizer on each scaled diagram."""
-    params = params or TdaParams()
     n = len(ts)
-    if n < params.window:
-        raise ValueError(f"series length {n} < window {params.window}")
+    if n < window:
+        raise ValueError(f"series length {n} < window {window}")
     x = ts.values
     diagrams = []
     ridx = []
-    for end in range(params.window - 1, n):
-        diagrams.append(_window_diagram(x[end - params.window + 1 : end + 1]))
+    for end in range(window - 1, n):
+        diagrams.append(_window_diagram(x[end - window + 1 : end + 1]))
         ridx.append(end)
     if scale is None:
         scale = max((float(d.deaths.max()) for d in diagrams if d.deaths.size), default=1.0)
@@ -958,16 +1016,15 @@ def scalar_extract_tda_features(ts: TimeSeries, params: TdaParams | None = None,
     return FeatureMatrix(tda.CATALOG, np.vstack(rows), tuple(ridx))
 
 
-def scalar_fit_diagram_scale(ts: TimeSeries, params: TdaParams | None = None) -> float:
+def scalar_fit_diagram_scale(ts: TimeSeries, window: int = 24) -> float:
     """Maximum death over the series' window diagrams (1.0 when it is 0)."""
-    params = params or TdaParams()
     n = len(ts)
-    if n < params.window:
-        raise ValueError(f"series length {n} < window {params.window}")
+    if n < window:
+        raise ValueError(f"series length {n} < window {window}")
     top = 0.0
     x = ts.values
-    for end in range(params.window - 1, n):
-        diagram = _window_diagram(x[end - params.window + 1 : end + 1])
+    for end in range(window - 1, n):
+        diagram = _window_diagram(x[end - window + 1 : end + 1])
         if diagram.deaths.size:
             top = max(top, float(diagram.deaths.max()))
     return top if top > 0.0 else 1.0
@@ -982,8 +1039,7 @@ def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
         vals.append(np.nan_to_num(row, nan=0.0, posinf=0.0, neginf=0.0))
         names += CATALOG
     if cfg.feature_mode in ("topological", "both"):
-        params = TdaParams(window=cfg.window)
-        fm = extract_tda_features(TimeSeries(window), params, scale=strategy._tda_scale)
+        fm = extract_tda_features(TimeSeries(window), cfg.window, scale=strategy._tda_scale)
         vals.append(fm.matrix[-1])
         names += tda.CATALOG
     pick = [names.index(c) for c in strategy.columns]
@@ -1012,8 +1068,7 @@ def _selected_window_rows(strategy, r: np.ndarray) -> np.ndarray:
         X = np.lib.stride_tricks.sliding_window_view(r, cfg.window)
         parts.append(FeatureMatrix(CATALOG, batch_catalog_rows(X), ridx))
     if cfg.feature_mode in ("topological", "both"):
-        params = TdaParams(window=cfg.window)
-        parts.append(extract_tda_features(TimeSeries(r), params, strategy._tda_scale))
+        parts.append(extract_tda_features(TimeSeries(r), cfg.window, strategy._tda_scale))
     fm = parts[0]
     for extra in parts[1:]:
         fm = fm.hstack(extra)

@@ -31,17 +31,20 @@ from oeeforecast.sarimax import SarimaxSpec, fit, simulate
 from oeeforecast.selection import PsoConfig, pso_bic, rfe_sarimax
 from oeeforecast.series import TimeSeries, load_csv
 from oeeforecast.stat_features import extract_stat_features
-from oeeforecast.tda.extract import TdaParams, extract_tda_features, fit_diagram_scale
+from oeeforecast.tda.extract import extract_tda_features, fit_diagram_scale
 from oeeforecast.tda.persistence import PersistenceDiagram, PointCloud, vr_persistence
-from oeeforecast.tda.vectorize import betti_curve, landscape, persistence_entropy
 
 from conftest import STAND_INS, make_oee_series
 from oracles import (
+    betti_curve,
     bruteforce_rips_diagram,
     diagrams_equal,
+    landscape,
     leakage_audit,
+    persistence_entropy,
     prim_mst_weights,
     reconstruct,
+    takens_embed,
 )
 
 
@@ -239,9 +242,8 @@ def test_criterion_09_leakage_audit():
         if mode == "statistical":
             builder = lambda ts: extract_stat_features(ts, 24)
         elif mode == "topological":
-            params = TdaParams()
-            scale = fit_diagram_scale(series.slice(0, split), params)
-            builder = lambda ts: extract_tda_features(ts, params, scale=scale)
+            scale = fit_diagram_scale(series.slice(0, split))
+            builder = lambda ts: extract_tda_features(ts, scale=scale)
         else:
             builder = lambda ts: extract_stat_features(ts, 24)
         fm = builder(series)
@@ -276,8 +278,6 @@ def _tda_informed_series(n=560, seed=5):
     """Residual whose next value is driven by the loop geometry of its own
     recent window: a signal topological features can see but a linear ARMA
     cannot represent."""
-    from oeeforecast.tda.embedding import takens_embed
-
     rng = np.random.default_rng(seed)
     r = np.zeros(n)
     r[:24] = rng.normal(0.0, 1.0, 24)
@@ -285,7 +285,8 @@ def _tda_informed_series(n=560, seed=5):
     for t in range(24, n):
         window = r[t - 24 : t]
         cloud = takens_embed(window, 8, 3)
-        life = vr_persistence(cloud).lifetimes(1)
+        b, d = vr_persistence(cloud).restricted(1)
+        life = d - b
         loopiness = float(life.max()) if life.size else 0.0
         regime = 3.5 if (t // 60) % 2 == 0 else 0.0
         r[t] = regime * phase[t] + 1.5 * loopiness + rng.normal(0.0, 0.8)

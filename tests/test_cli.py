@@ -223,9 +223,11 @@ class TestCommands:
     def test_window_too_short_for_feature_mode_is_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "f.csv"
         argv = ["features", "--config", str(config_file), "--output", str(out)]
-        rc = cli_run(argv + ["--feature-mode", "topological", "--window", "17"])
-        assert rc == EXIT_CONFIG and "window 17" in capsys.readouterr().err
-        assert not out.exists()
+        for mode, window, least in (("statistical", 16, 17), ("topological", 17, 18)):
+            rc = cli_run(argv + ["--feature-mode", mode, "--window", str(window)])
+            err = capsys.readouterr().err
+            assert rc == EXIT_CONFIG and f"config error: --window {window} < {least}" in err
+            assert not out.exists()
 
     def test_help_names_every_mode(self, capsys):
         assert cli_run(["stats", "--help"]) == EXIT_OK

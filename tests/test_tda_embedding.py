@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oeeforecast.tda.embedding import takens_embed
+from oracles import takens_embed
 
 
 class TestTakens:

@@ -1,10 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
 from oeeforecast.tda import extract
-from oeeforecast.tda.extract import CATALOG, TdaParams, extract_tda_features, fit_diagram_scale
+from oeeforecast.tda.extract import CATALOG, MIN_WINDOW, extract_tda_features, fit_diagram_scale
 
 from oeeforecast.tda.persistence import PersistenceDiagram
 from oeeforecast.tda import vectorize
@@ -14,18 +16,26 @@ from conftest import STAND_INS, make_oee_series
 from oracles import scalar_extract_tda_features, scalar_fit_diagram_scale
 
 
+# the entry points that take a window
+WINDOWED = [extract_tda_features, fit_diagram_scale]
+
+
 class TestParams:
     def test_defaults_consistent(self):
-        assert TdaParams().window == 24 and extract.DELAY == 8 and extract.EMBED_DIM == 3
+        defaults = [inspect.signature(f).parameters["window"].default for f in WINDOWED]
+        assert defaults == [24, 24] and extract.DELAY == 8 and extract.EMBED_DIM == 3
 
     def test_window_embedding_guard(self):
-        with pytest.raises(ValueError):
-            TdaParams(window=16)
+        for entry in WINDOWED:
+            with pytest.raises(ValueError):
+                entry(TimeSeries(np.arange(40.0)), window=16)
 
     def test_window_needs_two_embedded_points(self):
-        with pytest.raises(ValueError, match="18"):
-            TdaParams(window=17)
-        fm = extract_tda_features(TimeSeries(np.arange(20.0)), TdaParams(window=18))
+        assert MIN_WINDOW == 18
+        for entry in WINDOWED:
+            with pytest.raises(ValueError, match="18"):
+                entry(TimeSeries(np.arange(40.0)), window=17)
+        fm = extract_tda_features(TimeSeries(np.arange(20.0)), window=18)
         assert fm.n_rows == 3 and np.all(np.isfinite(fm.matrix))
 
     def test_catalog_size_default(self):
@@ -71,9 +81,16 @@ class TestExtraction:
         assert np.array_equal(a.matrix, b.matrix)
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            extract_tda_features(TimeSeries(np.arange(10.0)))
+        for entry in WINDOWED:
+            with pytest.raises(ValueError):
+                entry(TimeSeries(np.arange(10.0)))
+            with pytest.raises(ValueError, match="length 29 < window 30"):
+                entry(TimeSeries(np.arange(29.0)), window=30)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.nan, np.inf])
+    def test_invalid_scale_rejected(self, oee_series, scale):
+        with pytest.raises(ValueError, match="scale"):
+            extract_tda_features(oee_series.slice(0, 60), scale=scale)
 
 
 class TestDiagramScale:
@@ -82,10 +99,9 @@ class TestDiagramScale:
     def test_equals_largest_death_of_every_diagram(self, name, window):
         n, seed = STAND_INS[name]
         series = make_oee_series(n, seed=seed, name=name)
-        params = TdaParams(window=window)
         for length in (340, 518, n):
             residual = causal_components(series.slice(0, length), (8, 24, 168))[2]
-            assert fit_diagram_scale(residual, params) == scalar_fit_diagram_scale(residual, params)
+            assert fit_diagram_scale(residual, window) == scalar_fit_diagram_scale(residual, window)
 
     def test_constant_series_scale_is_one(self):
         ts = TimeSeries(np.full(40, 5.0))
@@ -130,14 +146,13 @@ class TestScalarOracle:
     @pytest.mark.parametrize("name", list(STAND_INS))
     def test_stand_in_residuals(self, name, window):
         residual = _residual(name)
-        params = TdaParams(window=window)
         assert_matches_oracle(
-            extract_tda_features(residual, params), scalar_extract_tda_features(residual, params)
+            extract_tda_features(residual, window), scalar_extract_tda_features(residual, window)
         )
-        scale = fit_diagram_scale(residual.slice(0, 400), params)
+        scale = fit_diagram_scale(residual.slice(0, 400), window)
         assert_matches_oracle(
-            extract_tda_features(residual, params, scale=scale),
-            scalar_extract_tda_features(residual, params, scale=scale),
+            extract_tda_features(residual, window, scale=scale),
+            scalar_extract_tda_features(residual, window, scale=scale),
         )
 
     @pytest.mark.parametrize("name", list(DEGENERATE))
@@ -196,12 +211,12 @@ class TestScalarOracle:
                 b, d = (a[None, :] for a in dg.restricted(h))
                 lam = oracles.scalar_landscape(dg, h, 3, 13, t)
                 pairs = [
-                    (vectorize.persistence_entropy(dg, h), oracles.scalar_persistence_entropy(dg, h)),
+                    (oracles.persistence_entropy(dg, h), oracles.scalar_persistence_entropy(dg, h)),
                     (vectorize.batch_bottleneck(b, d)[0], oracles.scalar_bottleneck_amplitude(dg, h)),
                     (vectorize.batch_wasserstein(b, d, 3.0)[0],
                      oracles.scalar_wasserstein_amplitude(dg, h, 3.0)),
-                    (vectorize.betti_curve(dg, h, 7, t), oracles.scalar_betti_curve(dg, h, 7, t)),
-                    (vectorize.landscape(dg, h, 4, 11, t), oracles.scalar_landscape(dg, h, 4, 11, t)),
+                    (oracles.betti_curve(dg, h, 7, t), oracles.scalar_betti_curve(dg, h, 7, t)),
+                    (oracles.landscape(dg, h, 4, 11, t), oracles.scalar_landscape(dg, h, 4, 11, t)),
                     (vectorize.batch_silhouette(b, d, 0.5, np.linspace(*t, 11))[0],
                      oracles.scalar_silhouette(dg, h, 0.5, 11, t)),
                     (vectorize.batch_heat_norm(b, d, 0.2, np.linspace(*t, 64))[0],

@@ -56,7 +56,7 @@ class TestVrKnownShapes:
         for n in (2, 3, 5, 9):
             cloud = PointCloud(rng.normal(size=(n, 3)))
             d = vr_persistence(cloud)
-            assert d.n_pairs(0) == n
+            assert d.restricted(0)[0].size == n
 
     def test_h0_finite_deaths_are_mst_weights(self):
         rng = np.random.default_rng(1)
@@ -93,7 +93,8 @@ class TestVrOracleEquivalence:
         theta = np.linspace(0.0, 2.0 * np.pi, 9)[:-1]
         cloud = PointCloud(np.column_stack([np.cos(theta), np.sin(theta)]))
         d = vr_persistence(cloud)
-        life = d.lifetimes(1)
+        b, dd = d.restricted(1)
+        life = dd - b
         assert life.size >= 1
         assert life.max() > 0.5
 

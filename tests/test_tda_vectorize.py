@@ -12,10 +12,9 @@ from oeeforecast.tda.vectorize import (
     batch_lifetime_stats,
     batch_silhouette,
     batch_wasserstein,
-    betti_curve,
-    landscape,
-    persistence_entropy,
 )
+
+from oracles import betti_curve, landscape, persistence_entropy
 
 
 def diagram(pairs, dim=1, cap=None):
