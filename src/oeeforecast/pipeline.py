@@ -331,12 +331,14 @@ class RawSarimaStrategy:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self._fit = None
+        self._refit_len = 0  # series length at the last refit
 
     def refit(self, past: TimeSeries) -> None:
         self._fit = sarimax.fit(past, self.cfg.sarimax_spec, n_restarts=1, seed=self.cfg.seed)
+        self._refit_len = len(past)
 
     def forecast(self, past: TimeSeries, horizon: int):
-        state = sarimax.apply_params(self._fit, past)
+        state = sarimax.apply_params(self._fit, past.values[self._refit_len :])
         return np.clip(sarimax.forecast(state, horizon), OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
@@ -353,10 +355,10 @@ class DecomposedStrategy:
     Trend via ETS, seasonals via last-cycle repetition, residual via
     SARIMAX whose exogenous rows are window features of the residual. The
     feature columns are chosen once, on the first refit, and coefficients
-    re-estimated at every refit. Between refits the fitted residual/feature
-    history is frozen and extended with the newly observed hours: each
-    origin builds the rows since the refit once, plus one row per extra
-    forecast step, and stacks their regression design under the refit's.
+    re-estimated at every refit. Between refits the coefficients are frozen
+    and the fit is extended by the newly observed hours: each origin builds
+    the rows since the refit once and extends the fit by them, then by one
+    row per extra forecast step.
 
     This is the one selection path: the benchmark, the service and the
     CLI's forecast and select commands all fit through it. The rolling
@@ -377,9 +379,6 @@ class DecomposedStrategy:
         self.columns: tuple[str, ...] | None = None  # selected on the first refit
         self._tda_scale: float | None = None
         self._refit_len = 0  # series length at the last refit
-        self._state_y: np.ndarray | None = None  # residual targets at refit
-        # regression design of the refit's exog rows (sarimax.exog_design)
-        self._state_design: np.ndarray | None = None
         self.selection_reports = []
         self.pso_result = None
 
@@ -387,14 +386,10 @@ class DecomposedStrategy:
         """Selected-column rows of every window of residual, by window end."""
         return build_features(self.cfg, TimeSeries(residual), self._tda_scale, self.columns).matrix
 
-    def _design(self, rows: np.ndarray) -> np.ndarray:
-        """The refit's design with the design of the exog ``rows`` under it."""
-        return np.vstack([self._state_design, sarimax.exog_design(self._sarimax, rows, len(rows))])
-
     def refit(self, past: TimeSeries) -> None:
-        """Fit every component on past. The fit, the selection and the frozen
-        state change together, only once every fit has succeeded: a refit
-        that raises leaves the previous fit in place."""
+        """Fit every component on past. The fits and the selection change
+        together, only once every fit has succeeded: a refit that raises
+        leaves the previous fit in place."""
         cfg = self.cfg
         trend, _, residual = causal_components(past, cfg.periods)
         ets = ets_fit(trend)
@@ -402,8 +397,6 @@ class DecomposedStrategy:
         if cfg.feature_mode == "none":
             fit = sarimax.fit(residual, cfg.sarimax_spec, n_restarts=1, seed=cfg.seed)
             self._ets, self._sarimax, self._refit_len = ets, fit, len(past)
-            self._state_y = residual.values.copy()
-            self._state_design = None
             return
 
         scale = self._tda_scale
@@ -431,8 +424,6 @@ class DecomposedStrategy:
         self._tda_scale = scale
         self.columns = fm_sel.column_names
         self.selection_reports, self.pso_result = reports, pso_result
-        self._state_y = y.values.copy()
-        self._state_design = sarimax.exog_design(fit, fm_sel.matrix, len(y))
 
     def forecast(self, past: TimeSeries, horizon: int):
         cfg = self.cfg
@@ -441,40 +432,34 @@ class DecomposedStrategy:
         seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon) for p in cfg.periods]
 
         r = residual.values
-        y = np.concatenate([self._state_y, r[self._refit_len :]])
         if cfg.feature_mode == "none":
-            state = sarimax.apply_params(self._sarimax, TimeSeries(y))
+            state = sarimax.apply_params(self._sarimax, r[self._refit_len :])
             resid_fc = sarimax.forecast(state, horizon)
         else:
             # rows of the windows ending at refit_len - 1 .. len(past) - 1: the
             # exog of each hour observed since the refit, then the first step's
             rows = self._selected_rows(r[self._refit_len - cfg.window :])
-            new, row = rows[:-1], rows[-1:]
+            state = sarimax.apply_params(self._sarimax, r[self._refit_len :], rows[:-1])
+            row = rows[-1:]
             resid_fc = []
             for step in range(horizon):
-                design = self._design(new)
-                state = sarimax.apply_params(self._sarimax, TimeSeries(y), design=design)
                 nxt = sarimax.forecast(state, 1, exog_future=row)[0]
                 resid_fc.append(nxt)
                 if step + 1 < horizon:
+                    state = sarimax.apply_params(state, [nxt], row)
                     r = np.append(r, nxt)
-                    y = np.append(y, nxt)
-                    new = np.vstack([new, row])
                     row = self._selected_rows(r[-cfg.window :])
 
         total = trend_fc + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
         return np.clip(total, OEE_MIN, OEE_MAX)
 
     def train_one_step(self, train: TimeSeries):
-        """In-sample one-step predictions from the last refit's fit and state.
-
-        The harness calls this right after refit(train) on the same span, so
-        nothing is decomposed, built or fitted again.
-        """
+        """In-sample one-step predictions from the fit of refit(train), which
+        the harness calls just before on the same span, so nothing is
+        decomposed, built or fitted again."""
         fit = self._sarimax
-        state = sarimax.apply_params(fit, TimeSeries(self._state_y), design=self._state_design)
         start = fit.spec.burn_in + (0 if self.cfg.feature_mode == "none" else self.cfg.window)
-        preds = train.values[start : start + state.residuals.size] - state.residuals
+        preds = train.values[start : start + fit.residuals.size] - fit.residuals
         return start, np.clip(preds, OEE_MIN, OEE_MAX)
 
 

@@ -31,9 +31,8 @@ Three structural facts keep this fast and robust:
   factorization of the filtered Gram matrix, or the filtered design's
   singular value decomposition when that one is ill-conditioned; the
   Jacobian's projection uses the same factorization. ``apply_params``
-  runs the same filter on its one column, after one product of the
-  regression design (which a caller may keep and extend) with the
-  coefficients.
+  extends a fit by the rows that follow it: the same two stages over the
+  new rows only, continued from the fit's last values.
 * Stationarity/invertibility are enforced by optimizing in an
   unconstrained space mapped through tanh partial autocorrelations
   (Monahan's recursion), one block each for phi, theta, PHI, THETA. A fit
@@ -308,9 +307,13 @@ def _on_unit_circle(spec, phi, theta, sphi, stheta) -> bool:
 # conditional-likelihood machinery
 
 
-def _ma_stage(w: np.ndarray, ma_full) -> np.ndarray:
-    """Invert the MA polynomial over every column of w, pre-sample
-    innovations zero: the bits of lfilter([1.0], ma_full, w, axis=0).
+def _ma_stage(w: np.ndarray, ma_full, init=None) -> np.ndarray:
+    """Invert the MA polynomial over every column of w: the bits of
+    lfilter([1.0], ma_full, w, axis=0), continued from ``init``.
+
+    ``init`` holds the innovations before w's first row, at least
+    len(ma_full) - 1 rows of them, as many columns as w; None means they
+    are zero (pre-sample innovations).
 
     lfilter's direct form II transposed sums each output's taps from the
     highest lag down and adds the input last; this recursion does the same
@@ -326,10 +329,10 @@ def _ma_stage(w: np.ndarray, ma_full) -> np.ndarray:
         return w
     top, lag = taps[0][0], taps[-1][0]
     n, width = w.shape
+    head = np.zeros((top, width)) if init is None else init[len(init) - top :]
     if width * lag < _PY_MA_SPAN:
         cols = []
-        for col in w.T.tolist():
-            out = [0.0] * top
+        for col, out in zip(w.T.tolist(), head.T.tolist()):
             # one tap, the usual seasonal-only MA: (0.0 - a * y) + v equals
             # v - a * y, and one float operation less per row takes a
             # third off the column
@@ -347,6 +350,7 @@ def _ma_stage(w: np.ndarray, ma_full) -> np.ndarray:
         return np.array(cols).T
     # the input sits where its output goes, in whole row blocks
     out = np.zeros((top + n - n % -lag, width))
+    out[:top] = head
     out[top : top + n] = w
     for t in range(top, top + n, lag):
         acc = out[t - top : t - top + lag] * -taps[0][1]
@@ -739,47 +743,63 @@ def coefficients_json(fit_result: SarimaxFit, ts: TimeSeries, exog=None) -> str:
     })
 
 
-def exog_design(fit_result: SarimaxFit, exog, n: int) -> np.ndarray:
-    """The n-row regression design [1 | exog standardized as in the fit]
-    that apply_params multiplies by the intercept and betas; a column of
-    ones for a fit without exogenous columns. It is C-ordered whatever
-    the order of exog, so that the designs a caller stacks keep one order
-    and their product with the coefficients one rounding."""
-    if not fit_result.spec.n_exog:
-        return np.ones((n, 1))
+def _standardized(fit_result: SarimaxFit, exog, n: int, what: str) -> np.ndarray:
+    """The n rows of ``exog`` standardized as the fit standardized its own;
+    (n, 0) for a fit without exogenous columns, which takes no exog."""
+    spec = fit_result.spec
+    if not spec.n_exog:
+        if exog is not None:
+            raise ValueError(f"{what} given to a fit without exogenous columns")
+        return np.zeros((n, 0))
     if exog is None:
-        raise ValueError("exog required by this fit")
-    x = np.ascontiguousarray(_as_exog(exog, n))
-    return np.column_stack([np.ones(n), (x - fit_result.exog_mean) / fit_result.exog_scale])
+        raise ValueError(f"{what} required: fit uses exogenous columns")
+    x = _as_exog(exog, n, what)
+    if x.shape[1] != spec.n_exog:
+        raise ValueError(f"{what} must be ({n}, {spec.n_exog}), got {x.shape}")
+    return (x - fit_result.exog_mean) / fit_result.exog_scale
 
 
-def apply_params(fit_result: SarimaxFit, ts: TimeSeries, design=None) -> SarimaxFit:
-    """Update state (u history, innovations) on new data with frozen coefficients.
+def apply_params(state: SarimaxFit, y_new, exog=None) -> SarimaxFit:
+    """Extend a fit or state by the observations ``y_new`` that follow it,
+    with frozen coefficients.
 
-    Used between periodic refits: the rolling loop appends observations and
-    needs fresh lag state for forecasting without re-estimating anything.
-    ``design`` is exog_design's matrix for these rows, required when the fit
-    has exogenous columns: a caller that extends a state keeps the design
-    of the rows it has already seen and stacks only the new rows' under it.
+    Used between periodic refits: the rolling loop appends the hours
+    observed since the refit, then each recursive forecast step, without
+    re-estimating anything. With the coefficients frozen, the state's last
+    values carry everything the new rows need (Box, Jenkins & Reinsel
+    ch. 5): the new regression residuals u = y - intercept - x beta, then
+    the AR polynomial over them and the last values of u before them, then
+    the inverse MA polynomial continued from the state's last innovations.
+    ``exog`` holds the new rows' exogenous values, required exactly when
+    the fit has exogenous columns; each row's product with the betas is
+    its own (a C-ordered row-by-row sum), so a row's bits do not depend on
+    how many rows arrive with it. Zero new rows return the state itself.
     The state shares the fit's lag polynomials instead of building them
     again.
     """
-    y = ts.values.astype(float)
-    n = y.size
-    spec = fit_result.spec
-    if design is None:
-        design = exog_design(fit_result, None, n)
-    elif design.shape != (n, 1 + spec.n_exog):
-        raise ValueError(f"design is {design.shape}, need {(n, 1 + spec.n_exog)}")
-    b = np.concatenate([[fit_result.intercept], fit_result.exog_beta])
-    u = y - design @ b
-    resid = _css_filter(u[:, None], fit_result.ar_poly, fit_result.ma_poly, spec.burn_in)[:, 0]
+    y = np.asarray(y_new, dtype=float)
+    m = y.size
+    x = _standardized(state, exog, m, "exog")
+    if m == 0:
+        return state
+    beta = np.asarray(state.exog_beta, dtype=float)
+    u_new = y - state.intercept - np.einsum("ij,j->i", np.ascontiguousarray(x), beta)
+    ar_full, ma_full = state.ar_poly, state.ma_poly
+    u = np.concatenate([state.u_history, u_new])
+    # one value more than the AR kernel: np.convolve then keeps the argument
+    # order, and with it the sums, of the fit's whole-series filter
+    kernel = len(ar_full)
+    w = np.convolve(ar_full, u[u.size - kernel - m :])[kernel : kernel + m]
+    # the innovations before the new rows, zero before the burn-in
+    eps = np.concatenate([np.zeros(len(ma_full) - 1), state.residuals])
+    resid_new = _ma_stage(w[:, None], ma_full, eps[state.residuals.size :, None])[:, 0]
+    resid = np.concatenate([state.residuals, resid_new])
     resid.setflags(write=False)
     u.setflags(write=False)
-    state = copy.copy(fit_result)
-    object.__setattr__(state, "residuals", resid)
-    object.__setattr__(state, "u_history", u)
-    return state
+    extended = copy.copy(state)
+    object.__setattr__(extended, "residuals", resid)
+    object.__setattr__(extended, "u_history", u)
+    return extended
 
 
 def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarray:
@@ -791,15 +811,7 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarr
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     spec = fit_result.spec
-    if spec.n_exog:
-        if exog_future is None:
-            raise ValueError("exog_future required: fit uses exogenous columns")
-        xf = _as_exog(exog_future, horizon, "exog_future")
-        if xf.shape[1] != spec.n_exog:
-            raise ValueError(f"exog_future must be ({horizon}, {spec.n_exog}), got {xf.shape}")
-        xf = (xf - fit_result.exog_mean) / fit_result.exog_scale
-    else:
-        xf = np.zeros((horizon, 0))
+    xf = _standardized(fit_result, exog_future, horizon, "exog_future")
 
     ar_full, ma_full = fit_result.ar_poly, fit_result.ma_poly
     n = fit_result.u_history.size

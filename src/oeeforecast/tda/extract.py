@@ -31,7 +31,7 @@ import numpy as np
 
 from ..feature_matrix import FeatureMatrix
 from ..series import TimeSeries
-from .persistence import PointCloud, _distances, vr_persistence
+from .persistence import PointCloud, _distances, _h0_deaths, vr_persistence
 from .vectorize import (
     LIFETIME_STAT_NAMES,
     batch_betti,
@@ -116,26 +116,6 @@ def _embedded_windows(values: np.ndarray, window: int) -> np.ndarray:
 def _scale_of(dist: np.ndarray) -> float:
     top = float(dist.max())
     return top if top > 0.0 else 1.0
-
-
-def _h0_deaths(dist: np.ndarray) -> np.ndarray:
-    """(windows, points) H0 deaths in ascending order: the minimum spanning
-    tree's edge weights, from Prim's algorithm run on every window at once,
-    then the essential bar capped at the window's largest distance."""
-    n_win, n = dist.shape[:2]
-    rows = np.arange(n_win)
-    deaths = np.empty((n_win, n))
-    in_tree = np.zeros((n_win, n), dtype=bool)
-    in_tree[:, 0] = True
-    best = dist[:, 0].copy()
-    for step in range(n - 1):
-        nxt = np.argmin(np.where(in_tree, np.inf, best), axis=1)
-        deaths[:, step] = best[rows, nxt]
-        in_tree[rows, nxt] = True
-        np.minimum(best, dist[rows, nxt], out=best)
-    deaths[:, :-1].sort(axis=1)
-    deaths[:, -1] = dist.max(axis=(1, 2))
-    return deaths
 
 
 def _h1_pairs(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -5,11 +5,11 @@ an edge's rank being its index there, and the triangles sorted by (longest
 edge, i, j, k). That is the simplex order (filtration value, dimension,
 vertex tuple) restricted to each dimension.
 
-H0 is a component-label sweep over the sorted edges (Kruskal): an edge
-joining two labels merges them and kills one component at its length, so
-the finite deaths are exactly the minimum-spanning-tree edge weights. The
-one essential class is capped at the maximum pairwise distance, so every
-diagram carries point-count-many H0 pairs, zero-lifetime ones included.
+H0 deaths are the single-linkage merge heights, which are exactly the
+minimum-spanning-tree edge weights: _h0_deaths runs Prim's algorithm on
+a stack of distance matrices at once. The one essential class is capped
+at the maximum pairwise distance, so every diagram carries
+point-count-many H0 pairs, zero-lifetime ones included.
 
 H1 is the standard boundary reduction over Z/2 (Zomorodian & Carlsson):
 each triangle's column is the bitmask of its three edge ranks, XORed in
@@ -20,10 +20,9 @@ pairs are not recorded. Every triangle is in the filtration, so the final
 complex is simply connected and every H1 class dies: only H0 has an
 essential bar.
 
-The feature catalog (tda.extract) shares _distances, takes H0 of all
-windows at once from the same merge heights, by a batched Prim spanning
-tree over the stacked distance matrices, and calls vr_persistence window
-by window only when an H1 column is asked for. Every reader of a
+The feature catalog (tda.extract) shares _distances and _h0_deaths,
+takes H0 of all windows at once, and calls vr_persistence window by
+window only when an H1 column is asked for. Every reader of a
 diagram takes one homology dimension at a time, through
 PersistenceDiagram.restricted.
 """
@@ -89,31 +88,41 @@ def _distances(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=3))
 
 
+def _h0_deaths(dist: np.ndarray) -> np.ndarray:
+    """(clouds, points) H0 deaths in ascending order: the minimum spanning
+    tree's edge weights, from Prim's algorithm run on every cloud at once,
+    then the essential bar capped at the cloud's largest distance."""
+    n_win, n = dist.shape[:2]
+    rows = np.arange(n_win)
+    deaths = np.empty((n_win, n))
+    in_tree = np.zeros((n_win, n), dtype=bool)
+    in_tree[:, 0] = True
+    best = dist[:, 0].copy()
+    for step in range(n - 1):
+        nxt = np.argmin(np.where(in_tree, np.inf, best), axis=1)
+        deaths[:, step] = best[rows, nxt]
+        in_tree[rows, nxt] = True
+        np.minimum(best, dist[rows, nxt], out=best)
+    deaths[:, :-1].sort(axis=1)
+    deaths[:, -1] = dist.max(axis=(1, 2))
+    return deaths
+
+
 def vr_persistence(cloud: PointCloud) -> PersistenceDiagram:
     """H0 and H1 persistence diagram of the Rips filtration up to the
     diameter cap."""
     n = len(cloud)
     if n < 2:
         raise ValueError("vr_persistence needs at least 2 points")
-    dist = _distances(cloud.points[None])[0]
+    dist = _distances(cloud.points[None])
     max_filtration = float(dist.max())
-    d = dist.tolist()
+    d = dist[0].tolist()
     # an edge's rank is its index here; ties fall to the vertex pair
     edges = sorted((d[i][j], i, j) for i in range(n) for j in range(i + 1, n))
 
     # H0 keeps zero-lifetime pairs so the pair count always equals the point
     # count (stable feature dimensionality); H1 below drops them.
-    pairs = []  # (dim, birth, death)
-    label = list(range(n))
-    for w, i, j in edges:
-        keep, gone = label[i], label[j]
-        if keep != gone:
-            label = [keep if c == gone else c for c in label]
-            pairs.append((0, 0.0, w))
-            if len(pairs) == n - 1:
-                break
-    # the one essential component, capped at the diameter
-    pairs.append((0, 0.0, max_filtration))
+    pairs = [(0, 0.0, w) for w in _h0_deaths(dist)[0].tolist()]  # (dim, birth, death)
 
     # each triangle's boundary column is the bitmask of its edges' ranks
     bit = [[0] * n for _ in range(n)]

@@ -42,11 +42,12 @@ catalog's second implementation, moved here unchanged: all 76 columns of
 every window at once, one column at a time, whatever the selection.
 
 The forecast oracles are the decomposed strategy's first recursion, which
-rebuilt every post-refit row from its own single window at every step, and
-its path before the refit's design was kept: the whole batch catalog of
-the rows since the refit, selected, stacked under the refit's rows, and the
-whole stack standardized again at every step. Both rebuild the refit's rows
-from the refit span.
+rebuilt every post-refit row from its own single window at every step and
+replayed the whole history from the refit's first row (replay_apply_params,
+sarimax.apply_params as it first ran, rebuilding the refit's targets and
+rows from the refit span), and the extension one hour at a time with each
+row built from its single window. The continued-innovation oracle runs the
+inverse MA recursion in Python floats from a fit's last innovations.
 
 The decomposition oracles are the first moving-average and phase-mean
 code: one Python iteration per point and one mean per phase.
@@ -78,6 +79,7 @@ longer have them.
 """
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -1046,15 +1048,15 @@ def _single_window_row(strategy, window: np.ndarray) -> np.ndarray:
     return np.concatenate(vals)[pick]
 
 
-def refit_state_rows(strategy, past: TimeSeries) -> np.ndarray:
-    """The exog rows of the strategy's last refit, rebuilt from the refit
-    span of past: the selected columns of every aligned window, from the
-    batch catalog oracle and the topological extraction, C-ordered as the
-    refit's design is."""
+def refit_state_rows(strategy, past: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The residual targets and exog rows of the strategy's last refit,
+    rebuilt from the refit span of past: the causal residual after the
+    first window, and the selected columns of every aligned window, from
+    the batch catalog oracle and the topological extraction."""
     cfg = strategy.cfg
     refit_past = past.slice(0, strategy._refit_len)
     r = pipeline.causal_components(refit_past, cfg.periods)[2].values
-    return np.ascontiguousarray(_selected_window_rows(strategy, r)[:-1])
+    return r[cfg.window :], _selected_window_rows(strategy, r)[:-1]
 
 
 def _selected_window_rows(strategy, r: np.ndarray) -> np.ndarray:
@@ -1075,65 +1077,97 @@ def _selected_window_rows(strategy, r: np.ndarray) -> np.ndarray:
     return fm.select_columns(strategy.columns).matrix
 
 
-def _standardizing_apply(strategy, y: np.ndarray, x: np.ndarray):
-    """apply_params with the whole exog standardized again, as at every
-    forecast step before the refit's design was kept."""
-    fit = strategy._sarimax
-    design = np.column_stack([np.ones(len(x)), (x - fit.exog_mean) / fit.exog_scale])
-    return sarimax.apply_params(fit, TimeSeries(y), design=design)
+def replay_apply_params(fit_result, y: np.ndarray, exog=None):
+    """sarimax.apply_params as it first ran: the state of the whole series
+    y (the fit's own rows, then the new ones) with its exog rows, every
+    row's regression residual and innovation recomputed from the fit's
+    first row, pre-sample innovations zero."""
+    spec = fit_result.spec
+    y = np.asarray(y, dtype=float)
+    design = np.ones((y.size, 1))
+    if spec.n_exog:
+        x = np.ascontiguousarray(exog, dtype=float)
+        design = np.column_stack([design, (x - fit_result.exog_mean) / fit_result.exog_scale])
+    u = y - design @ np.concatenate([[fit_result.intercept], fit_result.exog_beta])
+    resid = scalar_css_filter(u[:, None], fit_result.ar_poly, fit_result.ma_poly, spec.burn_in)
+    return replace(fit_result, residuals=resid[:, 0], u_history=u)
 
 
-def forecast_standardizing_per_call(strategy, past: TimeSeries, horizon: int, state_rows):
-    """DecomposedStrategy.forecast (a feature mode) as it first ran: the rows
-    since the refit from the batch catalog oracle, stacked under the refit's
-    rows (``refit_state_rows``) by np.vstack into one C-ordered matrix, and
-    the whole stack standardized again at each step."""
+def continued_innovations(fit_result, u_new: np.ndarray) -> np.ndarray:
+    """The innovations of the regression residuals u_new that follow a
+    fit: the AR polynomial by np.convolve over the fit's whole u history
+    and u_new, then the inverse MA recursion in Python floats, continued
+    from the fit's innovations (zero before its burn-in), each output's
+    taps summed from the highest lag down and its input added last."""
+    ar_full, ma_full = fit_result.ar_poly, fit_result.ma_poly
+    u = np.concatenate([fit_result.u_history, u_new])
+    w = np.convolve(ar_full, u)[fit_result.u_history.size : u.size]
+    eps = [0.0] * fit_result.spec.burn_in + fit_result.residuals.tolist()
+    for v in w.tolist():
+        acc = 0.0
+        for k in range(len(ma_full) - 1, 0, -1):
+            if ma_full[k] != 0.0:
+                acc -= float(ma_full[k]) * eps[-k]
+        eps.append(acc + v)
+    return np.array(eps[len(eps) - u_new.size :])
+
+
+def _decomposed_forecast(strategy, past: TimeSeries, horizon: int, residual_steps) -> np.ndarray:
+    """trend + seasonals + residual_steps(r, horizon), clipped as
+    DecomposedStrategy.forecast clips; r the causal residual of past."""
     cfg = strategy.cfg
     trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
     trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon)
     seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon) for p in cfg.periods]
-    r = residual.values
-    y = np.concatenate([strategy._state_y, r[strategy._refit_len :]])
-    rows = _selected_window_rows(strategy, r[strategy._refit_len - cfg.window :])
-    x = np.vstack([state_rows, rows[:-1]])
-    row = rows[-1:]
-    resid_fc = []
-    for step in range(horizon):
-        state = _standardizing_apply(strategy, y, x)
-        nxt = sarimax.forecast(state, 1, exog_future=row)[0]
-        resid_fc.append(nxt)
-        if step + 1 < horizon:
-            r = np.append(r, nxt)
-            y = np.append(y, nxt)
-            x = np.vstack([x, row])
-            row = _selected_window_rows(strategy, r[-cfg.window :])
+    resid_fc = residual_steps(residual.values.copy(), horizon)
     total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
     return np.clip(total, OEE_MIN, OEE_MAX)
+
+
+def forecast_extending_hourly(strategy, past: TimeSeries, horizon: int) -> np.ndarray:
+    """DecomposedStrategy.forecast (a feature mode) with the fit extended
+    one hour at a time, each hour's exog row rebuilt from its single
+    window, then one step at a time."""
+    window = strategy.cfg.window
+
+    def steps(r, horizon):
+        state = strategy._sarimax
+        for j in range(strategy._refit_len, r.size):
+            row = _single_window_row(strategy, r[j - window : j])[None, :]
+            state = sarimax.apply_params(state, r[j : j + 1], row)
+        out = []
+        for _ in range(horizon):
+            row = _single_window_row(strategy, r[-window:])[None, :]
+            out.append(sarimax.forecast(state, 1, exog_future=row)[0])
+            state = sarimax.apply_params(state, out[-1:], row)
+            r = np.append(r, out[-1])
+        return out
+
+    return _decomposed_forecast(strategy, past, horizon, steps)
 
 
 def forecast_rebuilding_rows(strategy, past: TimeSeries, horizon: int) -> np.ndarray:
-    """DecomposedStrategy.forecast (a feature mode) with every post-refit
-    row rebuilt from its single window at each recursive step."""
-    cfg = strategy.cfg
-    trend, seasonal, residual = pipeline.causal_components(past, cfg.periods)
-    trend_fc = ets_forecast(ets_update(strategy._ets, trend), horizon)
-    seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon) for p in cfg.periods]
-    state_rows = refit_state_rows(strategy, past)
-    r = residual.values.copy()
-    resid_fc = []
-    for _ in range(horizon):
-        y = np.concatenate([strategy._state_y, r[strategy._refit_len :]])
-        new_rows = [
-            _single_window_row(strategy, r[j - cfg.window : j])
-            for j in range(strategy._refit_len, r.size)
-        ]
-        state = _standardizing_apply(strategy, y, np.vstack([state_rows] + new_rows))
-        row = _single_window_row(strategy, r[-cfg.window :])[None, :]
-        nxt = sarimax.forecast(state, 1, exog_future=row)[0]
-        resid_fc.append(nxt)
-        r = np.append(r, nxt)
-    total = np.asarray(trend_fc) + np.sum(seas_fc, axis=0) + np.asarray(resid_fc)
-    return np.clip(total, OEE_MIN, OEE_MAX)
+    """DecomposedStrategy.forecast (a feature mode) as it first ran: every
+    post-refit row rebuilt from its single window at each recursive step,
+    and the whole history replayed from the refit's first row."""
+    window = strategy.cfg.window
+    state_y, state_rows = refit_state_rows(strategy, past)
+
+    def steps(r, horizon):
+        out = []
+        for _ in range(horizon):
+            y = np.concatenate([state_y, r[strategy._refit_len :]])
+            new_rows = [
+                _single_window_row(strategy, r[j - window : j])
+                for j in range(strategy._refit_len, r.size)
+            ]
+            state = replay_apply_params(strategy._sarimax, y, np.vstack([state_rows] + new_rows))
+            row = _single_window_row(strategy, r[-window:])[None, :]
+            out.append(sarimax.forecast(state, 1, exog_future=row)[0])
+            r = np.append(r, out[-1])
+        return out
+
+    return _decomposed_forecast(strategy, past, horizon, steps)
 
 
 def scalar_css_filter(series_block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:

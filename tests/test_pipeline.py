@@ -27,10 +27,9 @@ from oeeforecast.stat_features import extract_stat_features
 
 from conftest import STAND_INS, make_oee_series, strict_json
 from oracles import (
+    forecast_extending_hourly,
     forecast_rebuilding_rows,
-    forecast_standardizing_per_call,
     leakage_audit,
-    refit_state_rows,
     scalar_centered_moving_average,
     scalar_holt_filter,
     scalar_phase_means,
@@ -317,7 +316,7 @@ class TestFeaturePath:
         for hours in (0, 5, 23):
             past = oee_series.slice(0, 300 + hours)
             fc = strat.forecast(past, 4)
-            np.testing.assert_allclose(fc, forecast_rebuilding_rows(strat, past, 4), rtol=0, atol=1e-9)
+            np.testing.assert_allclose(fc, forecast_rebuilding_rows(strat, past, 4), rtol=0, atol=1e-12)
             assert strat.forecast(past, 1)[0] == fc[0]
 
         # a residual ending in a constant window: its non-finite statistical
@@ -333,7 +332,7 @@ class TestFeaturePath:
         monkeypatch.setattr(pipeline, "causal_components", flat_tail)
         past = oee_series.slice(0, 305)
         fc = strat.forecast(past, 4)
-        np.testing.assert_allclose(fc, forecast_rebuilding_rows(strat, past, 4), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fc, forecast_rebuilding_rows(strat, past, 4), rtol=0, atol=1e-12)
         if mode != "topological":
             assert build_features(cfg, TimeSeries(np.full(window, 0.5))).imputed
 
@@ -502,9 +501,9 @@ class TestBenchmarkTracer:
 
 class TestDesignReuse:
     """Each origin builds only the selected columns of the rows since the
-    refit and stacks their design under the one the refit kept; its
-    forecasts have the bits of the path that built the whole catalog and
-    standardized the whole exog stack at every step."""
+    refit and extends the fit by all of them at once; its forecasts have
+    the bits of extending the fit one hour at a time, each row built from
+    its own window."""
 
     @pytest.mark.parametrize("mode", ["statistical", "topological", "both"])
     def test_every_origin_of_a_refit_interval_bytes_equal(self, oee_series, mode):
@@ -512,11 +511,10 @@ class TestDesignReuse:
         cfg = small_cfg(feature_mode=mode, sarimax_spec=SarimaxSpec(p=1, s=8))
         strat = DecomposedStrategy(cfg)
         strat.refit(oee_series.slice(0, 300))
-        state_rows = refit_state_rows(strat, oee_series)
         for hours in range(cfg.refit_interval):  # from the refit origin on
             past = oee_series.slice(0, 300 + hours)
             for horizon in (1, 4):
-                want = forecast_standardizing_per_call(strat, past, horizon, state_rows)
+                want = forecast_extending_hourly(strat, past, horizon)
                 assert strat.forecast(past, horizon).tobytes() == want.tobytes(), (hours, horizon)
 
 

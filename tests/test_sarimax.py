@@ -19,7 +19,13 @@ from oeeforecast.selection import collinearity_prune, correlation_filter, varian
 from oeeforecast.series import TimeSeries
 
 from conftest import STAND_INS, ljung_box_rejects, make_oee_series, strict_json
-from oracles import acf_values, nelder_mead_fit, scalar_css_filter
+from oracles import (
+    acf_values,
+    continued_innovations,
+    nelder_mead_fit,
+    replay_apply_params,
+    scalar_css_filter,
+)
 
 
 def make_fit(ar=(), ma=(), sar=(), sma=(), s=1, intercept=0.0, u_tail=(0.0,) * 12):
@@ -227,8 +233,8 @@ class TestForecast:
         # apply_params and forecast read the polynomials a fit or state carries
         ts = simulate(SarimaxSpec(p=1, q=1, P=1, Q=1, s=8), n=400, seed=23, ar=(0.4,),
                       ma=(0.3,), sar=(0.2,), sma=(-0.3,))
-        f = fit(ts, SarimaxSpec(p=1, q=1, P=1, Q=1, s=8), n_restarts=0)
-        state = sarimax.apply_params(f, ts.slice(0, 350))
+        f = fit(ts.slice(0, 350), SarimaxSpec(p=1, q=1, P=1, Q=1, s=8), n_restarts=0)
+        state = sarimax.apply_params(f, ts.values[350:])
         moved = replace(state, ar=(0.1,))
         for obj in (f, state, moved):
             assert obj.ar_poly.tobytes() == sarimax._lag_poly(obj.ar, obj.sar, 8, -1.0).tobytes()
@@ -246,6 +252,14 @@ class TestForecast:
             forecast(f, 2, exog_future=np.ones((3, 1)))
         fc = forecast(f, 2, exog_future=np.zeros((2, 1)))
         assert fc.shape == (2,)
+
+    def test_exog_given_to_a_fit_without_exog_is_rejected(self):
+        y = simulate(SarimaxSpec(p=1), n=300, seed=3, ar=(0.5,))
+        f = fit(y.slice(0, 290), SarimaxSpec(p=1), n_restarts=0)
+        with pytest.raises(ValueError, match="exog_future given to a fit without exogenous"):
+            forecast(f, 2, exog_future=np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="exog given to a fit without exogenous"):
+            sarimax.apply_params(f, y.values[290:], np.zeros((10, 1)))
 
     def test_returns_a_float_array_of_horizon_values(self):
         f = make_fit(ar=(0.5,), u_tail=(0.0,) * 11 + (4.0,))
@@ -568,28 +582,94 @@ class TestApplyDesign:
         x = rng.normal(size=(320, 4)) * rng.uniform(0.5, 20.0, 4)
         y = 0.1 * x @ rng.normal(size=4) + rng.normal(size=320)
         f = fit(TimeSeries(y[:260]), SarimaxSpec(p=2, P=1, s=8), exog=x[:260], n_restarts=0)
+        states = [
+            sarimax.apply_params(f, y[260:], np.asarray(x[260:], order=order)) for order in "CF"
+        ]
+        for state in states:
+            assert state.u_history.tobytes() == states[0].u_history.tobytes()
+            assert state.residuals.tobytes() == states[0].residuals.tobytes()
+        design = np.column_stack([np.ones(60), (x[260:] - f.exog_mean) / f.exog_scale])
         b = np.concatenate([[f.intercept], f.exog_beta])
-        by_hand = np.column_stack([np.ones(320), (x - f.exog_mean) / f.exog_scale])
-        assert sarimax.exog_design(f, x, 320).tobytes() == by_hand.tobytes()
-        for order in "CF":
-            design = np.asarray(by_hand, order=order)
-            state = sarimax.apply_params(f, TimeSeries(y), design=design)
-            u = y - design @ b
-            resid = scalar_css_filter(u[:, None], f.ar_poly, f.ma_poly, f.spec.burn_in)[:, 0]
-            assert state.u_history.tobytes() == u.tobytes()
-            assert state.residuals.tobytes() == resid.tobytes()
+        u_new = states[0].u_history[260:]
+        np.testing.assert_allclose(u_new, y[260:] - design @ b, rtol=0, atol=1e-12)
+        assert states[0].u_history[:260].tobytes() == f.u_history.tobytes()
+        assert states[0].residuals[: f.residuals.size].tobytes() == f.residuals.tobytes()
+        assert states[0].residuals[f.residuals.size :].tobytes() == (
+            continued_innovations(f, u_new).tobytes()
+        )
 
     def test_design_shape_checked(self):
         rng = np.random.default_rng(42)
-        x = rng.normal(size=(200, 2))
-        y = TimeSeries(x @ [0.5, -0.3] + rng.normal(size=200))
-        f = fit(y, SarimaxSpec(p=1), exog=x, n_restarts=0)
-        with pytest.raises(ValueError, match="design"):
-            sarimax.apply_params(f, y, design=np.ones((200, 2)))
+        x = rng.normal(size=(210, 2))
+        y = x @ [0.5, -0.3] + rng.normal(size=210)
+        f = fit(TimeSeries(y[:200]), SarimaxSpec(p=1), exog=x[:200], n_restarts=0)
+        with pytest.raises(ValueError, match=r"exog must be \(10, 2\), got \(10, 3\)"):
+            sarimax.apply_params(f, y[200:], np.ones((10, 3)))
+        with pytest.raises(ValueError, match="exog has 9 rows, need 10"):
+            sarimax.apply_params(f, y[200:], x[201:])
         with pytest.raises(ValueError, match="exog required"):
-            sarimax.apply_params(f, y)
-        no_exog = fit(y, SarimaxSpec(p=1), n_restarts=0)
-        assert sarimax.exog_design(no_exog, None, 5).tobytes() == np.ones((5, 1)).tobytes()
+            sarimax.apply_params(f, y[200:])
+        assert sarimax.apply_params(f, y[:0], x[:0]) is f
+        no_exog = fit(TimeSeries(y[:200]), SarimaxSpec(p=1), n_restarts=0)
+        assert sarimax.apply_params(no_exog, []) is no_exog
+
+
+@functools.cache
+def _extension_case(spec: SarimaxSpec, k: int):
+    """(fit on the first 300 rows, y, exog or None) of 340 rows of a
+    seasonal ARMA with k exogenous columns."""
+    rng = np.random.default_rng(k)
+    x = rng.normal(size=(340, k)) * rng.uniform(0.5, 20.0, k) + rng.uniform(-50.0, 50.0, k)
+    noise = simulate(spec, n=340, seed=k, ar=(0.3,) * spec.p, ma=(0.4,) * spec.q,
+                     sar=(0.2,) * spec.P, sma=(-0.5,) * spec.Q)
+    y = noise.values + 0.02 * x @ rng.normal(size=k)
+    exog = x if k else None
+    return fit(TimeSeries(y[:300]), spec, exog=x[:300] if k else None, n_restarts=0), y, exog
+
+
+class TestExtension:
+    """apply_params continues the fit's filter over the rows that follow it."""
+
+    # the MA stage's paths on one column: Python floats with one tap and
+    # with several, and row blocks of the seasonal lag; and an AR kernel of
+    # 27 taps, long enough for a blocked BLAS dot to reorder its sums
+    SPECS = {
+        "one_tap": SarimaxSpec(Q=1, s=8),
+        "multi_tap": SarimaxSpec(q=2),
+        "row_block": SarimaxSpec(Q=1, s=24),
+        "long_ar": SarimaxSpec(p=2, P=1, Q=1, s=24),
+    }
+
+    @pytest.mark.parametrize("k", [0, 3, 14, 40])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_chunks_give_the_bits_of_one_extension(self, name, k):
+        f, y, x = _extension_case(self.SPECS[name], k)
+
+        def extend(bounds):
+            state = f
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                state = sarimax.apply_params(state, y[a:b], None if x is None else x[a:b])
+            return state
+
+        whole = extend([300, 340])
+        for bounds in (list(range(300, 341)), [300, 303, 304, 321, 340]):
+            state = extend(bounds)
+            assert state.u_history.tobytes() == whole.u_history.tobytes(), bounds
+            assert state.residuals.tobytes() == whole.residuals.tobytes(), bounds
+        assert whole.residuals[f.residuals.size :].tobytes() == (
+            continued_innovations(f, whole.u_history[300:]).tobytes()
+        )
+
+    @pytest.mark.parametrize("k", [0, 3, 14, 40])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_forecasts_agree_with_the_whole_replay(self, name, k):
+        f, y, x = _extension_case(self.SPECS[name], k)
+        future = None if x is None else x[330:334]
+        state = sarimax.apply_params(f, y[300:330], None if x is None else x[300:330])
+        replayed = replay_apply_params(f, y[:330], None if x is None else x[:330])
+        np.testing.assert_allclose(
+            forecast(state, 4, future), forecast(replayed, 4, future), rtol=0, atol=1e-12
+        )
 
 
 class TestExogLayout:
