@@ -19,8 +19,8 @@ Three structural facts keep this fast and robust:
   likelihood picks the local optimum: with dozens of exogenous columns the
   likelihood has several, and a gradient method from the same start
   often ends in another one, higher as often as lower.
-  scipy's trust-region reflective ``least_squares`` on r then converges
-  in that optimum to its tolerances, with Kaufman's (1975) Jacobian: with
+  A trust-region least-squares search on r then converges in that optimum
+  to its tolerances, with Kaufman's (1975) Jacobian: with
   the regression block held at its optimum b, the derivatives need F's
   derivative on the one column u = y - X b only, and they follow the
   model's own recursion.
@@ -46,14 +46,21 @@ evaluations for d ARMA coefficients, which only ``coefficients_json``
 pays. The two blocks are asymptotically independent for
 regression-with-ARMA-errors models.
 
-scipy supplies both searches (``scipy.optimize``, with the factorizations
-of ``scipy.linalg`` it loads) and the recursive filter of ``simulate``
-(``scipy.signal.lfilter``). Both are imported where a fit or a simulation
-first runs, not with this module: ``scipy.optimize`` takes about half a
-second to import, ``scipy.signal`` (which loads ``scipy.stats``) about a
-second more, and ``import oeeforecast`` and the commands that fit nothing
-should not pay for either. A server that fits on its first requests calls
-``import_fit_path`` before it starts answering.
+The two searches of ``minimize`` are ports of scipy's Nelder-Mead and of
+its trust-region reflective ``least_squares`` without bounds, in the
+branches this module's options take: the same points are evaluated and the
+fits have the same bits. ``scipy.optimize`` is not imported; it would cost
+about half a second and 20 MB. ``scipy.linalg`` supplies the LAPACK calls
+of a fit (``potrf``, ``potrs`` and ``dtrcon`` of the projection, the SVD of
+the scaled Jacobian at each trust-region iteration) and the collinearity
+prune's pivoted QR;
+``scipy.signal.lfilter`` is the recursive filter of ``simulate``. Both are
+imported where a fit or a simulation first runs, not with this module:
+``scipy.linalg`` takes about a fifth of a second to import, ``scipy.signal``
+(which loads ``scipy.stats``) about a second more, and ``import
+oeeforecast`` and the commands that fit nothing should not pay for either.
+A server that fits on its first requests calls ``import_fit_path`` before
+it starts answering.
 """
 
 from __future__ import annotations
@@ -85,35 +92,256 @@ _COND_LIMIT = 1e5
 _SIMULATE_BURN_IN = 200  # simulate's leading draws, discarded to forget the zero start
 
 
-def minimize(fun, x0, residual, jac):
-    """A Nelder-Mead search of the scalar ``fun`` from ``x0``, then
-    ``scipy.optimize.least_squares`` of ``residual`` with the Jacobian
-    ``jac`` from where it stopped; scipy is imported at the first call.
+@dataclass(frozen=True)
+class SearchResult:
+    """Where ``minimize`` ended."""
 
-    Returns the least-squares result: its cost is at most half the sum of
-    squares at the Nelder-Mead end, since the trust-region search only
-    takes steps that lower it. ``fit`` calls this through the module
-    global; perfbench/tracing.py wraps this name to count the objective
-    evaluations, so the result's ``nfev`` counts the Nelder-Mead, residual
-    and Jacobian evaluations together (``njev`` the Jacobian's alone).
+    x: np.ndarray
+    cost: float  # half the sum of squares of the residual at x
+    # 0 at the least-squares evaluation cap; 1, 2, 3 or 4 when its gtol,
+    # ftol, xtol or both ftol and xtol tests were met
+    status: int
+    nfev: int  # Nelder-Mead, residual and Jacobian evaluations
+    njev: int  # Jacobian evaluations
+
+
+def minimize(fun, x0, residual, jac) -> SearchResult:
+    """A Nelder-Mead search of the scalar ``fun`` from ``x0``, then a
+    trust-region least-squares search of ``residual`` with the Jacobian
+    ``jac`` from where it stopped.
+
+    The two searches are scipy 1.17's ``minimize(method="Nelder-Mead")``
+    and ``least_squares(method="trf", x_scale="jac")`` with this module's
+    options, in the branches those options take, operation for operation:
+    the same points are evaluated in the same order and the result has the
+    same bits. The cost is at most half the sum of squares at the
+    Nelder-Mead end, since the trust-region search only takes steps that
+    lower it. ``fit`` calls this through the module global; perfbench's
+    tracer wraps this name to count the objective evaluations.
     """
-    import scipy.optimize
+    x, simplex_nfev = _nelder_mead(fun, x0)
+    x, cost, status, nfev, njev = _least_squares(residual, jac, x)
+    return SearchResult(x, cost, status, nfev + njev + simplex_nfev, njev)
 
-    simplex = scipy.optimize.minimize(
-        fun, x0, method="Nelder-Mead",
-        options={"maxiter": _MAX_ITER, "maxfev": 2 * _MAX_ITER, "fatol": _FATOL, "xatol": 1e-6},
-    )
-    res = scipy.optimize.least_squares(
-        residual, simplex.x, jac=jac,
-        method="trf", x_scale="jac", ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_TOL,
-    )
-    res.nfev += res.njev + simplex.nfev
-    return res
+
+class _EvaluationCap(Exception):
+    """The Nelder-Mead search has made its 2 * _MAX_ITER evaluations."""
+
+
+def _nelder_mead(fun, x0):
+    """scipy's Nelder-Mead without bounds or adaptive coefficients, at
+    maxiter _MAX_ITER, maxfev 2 * _MAX_ITER, fatol _FATOL and xatol 1e-6:
+    returns the best vertex and the number of evaluations.
+
+    The first simplex is x0 and x0 with one coordinate scaled by 1.05 (set
+    to 0.00025 where it is zero). An iteration reflects the worst vertex
+    through the centroid of the others, then expands, contracts outside or
+    inside, or shrinks every vertex halfway towards the best, with scipy's
+    coefficients and in scipy's arithmetic order. The evaluation cap can
+    fall inside an iteration; the simplex is sorted after it as after a
+    whole iteration.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    max_fev, nfev = 2 * _MAX_ITER, 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= max_fev:
+            raise _EvaluationCap
+        nfev += 1
+        return fun(x)
+
+    def sort():
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _EvaluationCap:
+        pass
+    # twice, as scipy sorts: argsort need not keep the order of ties
+    sim, fsim = sort()
+    sim, fsim = sort()
+    iterations = 1
+    while nfev < max_fev and iterations < _MAX_ITER:
+        try:
+            if (
+                np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= 1e-6
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL
+            ):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = evaluate(xc)
+                    # written as the negated test, so that a NaN shrinks
+                    shrink = not fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = evaluate(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _EvaluationCap:
+            pass
+        sim, fsim = sort()
+    return sim[0], nfev
+
+
+def _least_squares(residual, jac, x0):
+    """scipy's least_squares(residual, x0, jac=jac, method="trf",
+    x_scale="jac", ftol=_LSQ_TOL, xtol=_LSQ_TOL, gtol=_LSQ_TOL) without
+    bounds: the exact trust-region solver, linear loss, at most 100 * n
+    residual evaluations. Returns (x, cost, status, nfev, njev), nfev
+    counting the residual evaluations.
+
+    Each iteration takes the SVD of the Jacobian with its columns scaled by
+    the largest norms they have had, then tries steps until one lowers the
+    cost: the Gauss-Newton step when it fits the trust region, else the
+    Levenberg-Marquardt step on its boundary (Moré 1978). A step to a point
+    whose residual is not finite quarters the region and is tried again.
+    """
+    from scipy.linalg import svd
+
+    x = x0.astype(float)
+    f = residual(x)
+    J = jac(x)  # before the check, as scipy evaluates it
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    m, n = J.shape
+    nfev = njev = 1
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    scale_inv = np.sum(J**2, axis=0) ** 0.5
+    scale_inv[scale_inv == 0] = 1
+    scale = 1 / scale_inv
+    delta = np.linalg.norm(x * scale_inv)
+    if delta == 0:
+        delta = 1.0
+    alpha = 0.0  # the Levenberg-Marquardt parameter
+    status = None
+    while True:
+        if np.linalg.norm(g, ord=np.inf) < _LSQ_TOL:
+            status = 1
+        if status is not None or nfev == 100 * n:
+            break
+        g_h = scale * g
+        J_h = J * scale
+        U, s, V = svd(J_h, full_matrices=False)
+        V = V.T
+        uf = U.T.dot(f)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < 100 * n:
+            step_h, alpha = _trust_region_step(m, n, uf, s, V, delta, alpha)
+            Js = J_h.dot(step_h)
+            predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step_h, g_h))
+            step = scale * step_h
+            x_new = x + step
+            f_new = residual(x_new)
+            nfev += 1
+            step_h_norm = np.linalg.norm(step_h)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_h_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            # the trust-region radius update
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * delta:
+                delta_new = delta * 2.0
+            # the termination tests
+            ftol_met = actual_reduction < _LSQ_TOL * cost and ratio > 0.25
+            xtol_met = np.linalg.norm(step) < _LSQ_TOL * (_LSQ_TOL + np.linalg.norm(x))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            njev += 1
+            g = J.T.dot(f)
+            scale_inv = np.maximum(np.sum(J**2, axis=0) ** 0.5, scale_inv)
+            scale = 1 / scale_inv
+    return x, cost, 0 if status is None else status, nfev, njev
+
+
+def _trust_region_step(m, n, uf, s, V, delta, alpha):
+    """scipy's solve_lsq_trust_region: the step p minimizing |J p + f| over
+    |p| <= delta, from the SVD J = U diag(s) V' and uf = U'f, with the
+    Levenberg-Marquardt parameter alpha carried over from the last call.
+    Returns (p, alpha), alpha 0.0 for the Gauss-Newton step. At most 10
+    iterations on alpha, until |p| is within 1% of delta."""
+    eps = np.finfo(float).eps
+
+    def phi_and_derivative(alpha):
+        denom = s**2 + alpha
+        p_norm = np.linalg.norm(suf / denom)
+        return p_norm - delta, -np.sum(suf**2 / denom**3) / p_norm
+
+    suf = s * uf
+    full_rank = m >= n and s[-1] > eps * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if np.linalg.norm(p) <= delta:
+            return p, 0.0
+    alpha_upper = np.linalg.norm(suf) / delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    p *= delta / np.linalg.norm(p)
+    return p, alpha
 
 
 def import_fit_path() -> None:
-    """Import the optimizer now instead of at the first fit."""
-    import scipy.optimize  # noqa: F401
+    """Import the fit path's LAPACK routines (``scipy.linalg``) now instead
+    of at the first fit."""
+    import scipy.linalg  # noqa: F401
 
 
 class CollinearityError(ValueError):

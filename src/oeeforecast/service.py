@@ -31,9 +31,9 @@ delayed ACK: an answer up to 8 KB leaves in one buffered send, and larger
 ones go out with TCP_NODELAY.
 
 Importing this module loads no scipy module. ``serve`` imports the fit path
-(``scipy.optimize``; the ARMA filter is numpy) before it binds the port:
-every rebuild fits, so deferring that import further would only add it to
-the first forecast request.
+(``scipy.linalg``'s LAPACK calls; the searches and the ARMA filter are
+numpy) before it binds the port: every rebuild fits, so deferring that
+import further would only add it to the first forecast request.
 """
 
 from __future__ import annotations
@@ -114,8 +114,12 @@ class _EquipmentCache:
         cfg = self.registry.entries.get(eid)
         if cfg is None:
             raise KeyError(eid)
-        mtime = os.stat(cfg.dataset).st_mtime_ns
         with self._locks[eid]:
+            # stamped under the lock: a stamp read before waiting for
+            # another request's rebuild could be older than the data that
+            # rebuild cached, and would tag a second rebuild's newer data
+            # with it
+            mtime = os.stat(cfg.dataset).st_mtime_ns
             hit = self._cached.get(eid)
             if hit is not None and hit["mtime"] == mtime:
                 return hit

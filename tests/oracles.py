@@ -62,6 +62,11 @@ Nelder-Mead simplex search of the concentrated negative log-likelihood
 from the same starts, with the regression block solved by lstsq at every
 evaluation.
 
+The SARIMAX search oracle (scipy_minimize) is sarimax.minimize's first
+body, moved here unchanged: scipy's Nelder-Mead search, then scipy's
+least_squares from where it stopped, with the module's options read at
+the call. The shipped search must match it byte for byte.
+
 The Spearman oracle is the correlation filter's first importance:
 scipy.stats.spearmanr's statistic.
 
@@ -84,7 +89,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy import stats as sps
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 from scipy.signal import lfilter
 
 from oeeforecast import pipeline, sarimax
@@ -1353,6 +1358,24 @@ def nelder_mead_fit(ts, spec, exog=None, *, n_restarts=3, seed=0):
         exog_scale=exog_scale,
         u_history=u,
     )
+
+
+def scipy_minimize(fun, x0, residual, jac):
+    """sarimax.minimize by scipy.optimize: Nelder-Mead on ``fun``, then
+    least_squares on ``residual`` with the Jacobian ``jac``; ``nfev`` counts
+    the evaluations of all three."""
+    max_iter, tol = sarimax._MAX_ITER, sarimax._LSQ_TOL
+    simplex = minimize(
+        fun, x0, method="Nelder-Mead",
+        options={
+            "maxiter": max_iter, "maxfev": 2 * max_iter, "fatol": sarimax._FATOL, "xatol": 1e-6
+        },
+    )
+    res = least_squares(
+        residual, simplex.x, jac=jac, method="trf", x_scale="jac", ftol=tol, xtol=tol, gtol=tol
+    )
+    res.nfev += res.njev + simplex.nfev
+    return res
 
 
 def scipy_spearman(x, y) -> float:

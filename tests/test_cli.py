@@ -388,12 +388,12 @@ from oeeforecast.service import load_registry, serve
 
 server = serve(load_registry(sys.argv[1]), port=0)
 server.server_close()
-print(" ".join(m for m in ("scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
+print(" ".join(m for m in ("scipy.linalg", "scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
 """
 
 # Runs every selection stage and the fits they make on a small random
-# problem, then prints which of scipy.optimize, scipy.signal and
-# scipy.stats are loaded.
+# problem, then prints which of scipy.linalg, scipy.optimize, scipy.signal
+# and scipy.stats are loaded.
 _SCIPY_AFTER_SELECTION = """
 import sys
 import numpy as np
@@ -416,13 +416,14 @@ fm, _ = correlation_filter(fm, y.values)
 fm, _ = collinearity_prune(fm)
 fm, _ = rfe_sarimax(y, fm, spec, min_features=2)
 pso_bic(y, fm, spec, PsoConfig(swarm_size=4, max_iterations=2, runs=1, stability_threshold=1))
-print(" ".join(m for m in ("scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
+print(" ".join(m for m in ("scipy.linalg", "scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
 """
 
 
 class TestScipyImport:
     """scipy takes most of a second to import, and only a fit or a selection
-    filter needs it; none needs scipy.signal or scipy.stats."""
+    filter needs it, and of it only scipy.linalg: none needs scipy.optimize,
+    scipy.signal or scipy.stats."""
 
     def test_commands_that_fit_nothing_load_no_scipy(self, dataset_csv, tmp_path):
         data = ["--input", str(dataset_csv), "--periods", "8,24"]
@@ -445,11 +446,12 @@ class TestScipyImport:
         registry.write_text(f"a.dataset = {dataset_csv}\n")
         done = run_python("-c", _SCIPY_AFTER_SERVE, str(registry))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["scipy.optimize"]
+        assert done.stdout.split() == ["scipy.linalg"]
 
     def test_fits_and_selection_load_neither_signal_nor_stats(self):
-        # the fit path is numpy and scipy.optimize; scipy.signal would load
-        # scipy.stats, which takes about a second more
+        # the fit path is numpy and scipy.linalg's LAPACK calls, without
+        # scipy.optimize (about half a second and 20 MB more); scipy.signal
+        # would load scipy.stats, which takes about a second more
         done = run_python("-c", _SCIPY_AFTER_SELECTION)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["scipy.optimize"]
+        assert done.stdout.split() == ["scipy.linalg"]

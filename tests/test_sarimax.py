@@ -1,5 +1,7 @@
 import functools
+import inspect
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from oracles import (
     nelder_mead_fit,
     replay_apply_params,
     scalar_css_filter,
+    scipy_minimize,
 )
 
 
@@ -401,6 +404,26 @@ def _stand_in_design() -> np.ndarray:
     return np.column_stack([y.values, np.ones(fm.n_rows), fm.matrix])
 
 
+@functools.cache
+def _readme_refit():
+    """(config, target, exog) of the README evaluation's refit one interval
+    past the training span of the h2 stand-in with the statistical catalog:
+    546 rows, 61 exogenous columns, the columns chosen on the training
+    span."""
+    cfg = PipelineConfig(feature_mode="statistical")
+    series = make_oee_series(*STAND_INS["h2"])
+    split = math.floor(len(series) * (1.0 - cfg.test_fraction))
+    _, _, residual = causal_components(series.slice(0, split), cfg.periods)
+    y, fm = aligned_features(cfg, residual)
+    fm, _ = variance_filter(fm)
+    fm, _ = correlation_filter(fm, y.values)
+    fm, _ = collinearity_prune(fm)
+    _, _, residual = causal_components(series.slice(0, split + cfg.refit_interval), cfg.periods)
+    y, fm = aligned_features(cfg, residual, columns=fm.column_names)
+    assert fm.matrix.shape == (546, 61)
+    return cfg, y, fm
+
+
 class TestCssFilterOracle:
     SPECS = {
         "pure_ar": SarimaxSpec(p=3),
@@ -541,23 +564,9 @@ class TestVariableProjection:
         assert -got.loglik <= -want.loglik + 1e-9 * abs(want.loglik)
 
     def test_wide_multimodal_fit_no_worse_than_nelder_mead(self, monkeypatch):
-        # the README evaluation's refit one interval past the training span
-        # of the h2 stand-in with the statistical catalog: 546 rows, 61
-        # exogenous columns, the columns chosen on the training span. Its
-        # likelihood has several local optima, and least squares alone from
-        # the same starts ends in a higher one than Nelder-Mead's
-        cfg = PipelineConfig(feature_mode="statistical")
-        series = make_oee_series(*STAND_INS["h2"])
-        split = math.floor(len(series) * (1.0 - cfg.test_fraction))
-        _, _, residual = causal_components(series.slice(0, split), cfg.periods)
-        y, fm = aligned_features(cfg, residual)
-        fm, _ = variance_filter(fm)
-        fm, _ = correlation_filter(fm, y.values)
-        fm, _ = collinearity_prune(fm)
-        _, _, residual = causal_components(series.slice(0, split + cfg.refit_interval), cfg.periods)
-        y, fm = aligned_features(cfg, residual, columns=fm.column_names)
-        assert fm.matrix.shape == (546, 61)
-
+        # its likelihood has several local optima, and least squares alone
+        # from the same starts ends in a higher one than Nelder-Mead's
+        cfg, y, fm = _readme_refit()
         want = nelder_mead_fit(y, cfg.sarimax_spec, exog=fm, n_restarts=1)
         got = fit(y, cfg.sarimax_spec, exog=fm, n_restarts=1)
         assert got.converged
@@ -574,6 +583,187 @@ class TestVariableProjection:
         monkeypatch.setattr(sarimax, "minimize", least_squares_only)
         alone = fit(y, cfg.sarimax_spec, exog=fm, n_restarts=1)
         assert -alone.loglik > -want.loglik + 1e-4 * abs(want.loglik)
+
+
+def _assert_same_search(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.float64(got.cost).tobytes() == np.float64(want.cost).tobytes()
+    assert (got.status, got.nfev, got.njev) == (want.status, want.nfev, want.njev)
+
+
+def _lines_run(call):
+    """call()'s result and the stripped source lines it ran in minimize's
+    two searches and their trust-region step."""
+    sources = {}
+    for fn in (sarimax._nelder_mead, sarimax._least_squares, sarimax._trust_region_step):
+        sources[fn.__code__] = inspect.getsourcelines(fn)
+    ran = set()
+
+    def in_search(frame, event, arg):
+        if event == "line":
+            lines, first = sources[frame.f_code]
+            ran.add(lines[frame.f_lineno - first].strip())
+        return in_search
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_search if frame.f_code in sources else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(previous)
+    return result, ran
+
+
+# residuals with their Jacobians, each reaching a branch of the searches
+def _rosenbrock(x):
+    return np.array([x[0] - 1.0, 10.0 * (x[1] - x[0] ** 2)])
+
+
+def _rosenbrock_jac(x):
+    return np.array([[1.0, 0.0], [-20.0 * x[0], 10.0]])
+
+
+_DECAY_T = np.linspace(0.0, 3.0, 12)
+
+
+def _decay(x):
+    # a two-parameter exponential decay against a noisy one
+    target = 2.0 * np.exp(-1.3 * _DECAY_T) + 0.05 * np.sin(7.0 * _DECAY_T)
+    return x[0] * np.exp(-x[1] * _DECAY_T) - target
+
+
+def _decay_jac(x):
+    e = np.exp(-x[1] * _DECAY_T)
+    return np.column_stack([e, -x[0] * _DECAY_T * e])
+
+
+def _finite_below_1_5(x):
+    return np.array([x[0] - 5.0, x[1] - 5.0]) if x[0] <= 1.5 else np.full(2, np.nan)
+
+
+def _one_direction(x):
+    # the first two columns of the Jacobian are equal and the third is zero
+    t = x[0] + x[1]
+    return np.array([t - 3.0, t**2 - 1.0, np.sin(t)])
+
+
+def _one_direction_jac(x):
+    t = x[0] + x[1]
+    return np.array([[1.0, 1.0, 0.0], [2.0 * t, 2.0 * t, 0.0], [np.cos(t), np.cos(t), 0.0]])
+
+
+def _flat(x):
+    return 0.0
+
+
+class TestSearchOracle:
+    """minimize against scipy's two searches (the oracle), byte for byte:
+    x, cost, status and the evaluation counts."""
+
+    @staticmethod
+    def searches_of_fit(monkeypatch, *args, **kwargs):
+        """The (shipped, oracle) result pairs of each search fit makes."""
+        pairs = []
+        shipped = sarimax.minimize
+
+        def both(*search):
+            pairs.append((shipped(*search), scipy_minimize(*search)))
+            return pairs[-1][0]
+
+        monkeypatch.setattr(sarimax, "minimize", both)
+        fit(*args, **kwargs)
+        assert pairs
+        return pairs
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "seasonal_arma",  # no exogenous columns
+            "unit_root",  # FOUND ARMA(2,2) white noise: the MA root runs to the circle
+            "readme_refit",  # 61 exogenous columns, several local optima
+        ],
+    )
+    def test_fits_search_as_scipy(self, monkeypatch, case):
+        if case == "seasonal_arma":
+            spec = SarimaxSpec(p=1, P=1, Q=1, s=8)
+            ts = simulate(spec, n=400, seed=3, ar=(0.5,), sar=(0.3,), sma=(0.4,))
+            args = (ts, spec)
+        elif case == "unit_root":
+            args = (TimeSeries(np.random.default_rng(0).normal(size=300)), SarimaxSpec(p=2, q=2))
+        else:
+            cfg, y, fm = _readme_refit()
+            args = (y, cfg.sarimax_spec, fm)
+        for got, want in self.searches_of_fit(monkeypatch, *args, n_restarts=1):
+            _assert_same_search(got, want)
+
+    @pytest.mark.parametrize("max_iter", [2, 5])
+    def test_evaluation_cap(self, monkeypatch, max_iter):
+        # six coefficients: the first simplex takes 7 evaluations, so a cap
+        # of 4 falls while it is evaluated and a cap of 10 inside an
+        # iteration
+        monkeypatch.setattr(sarimax, "_MAX_ITER", max_iter)
+        source = SarimaxSpec(p=1, q=1, P=1, s=4)
+        ts = simulate(source, n=300, seed=2, ar=(0.5,), ma=(0.3,), sar=(0.2,))
+        spec = SarimaxSpec(p=2, q=2, P=1, Q=1, s=4)
+        pairs, ran = _lines_run(lambda: self.searches_of_fit(monkeypatch, ts, spec, n_restarts=0))
+        assert "except _EvaluationCap:" in ran
+        for got, want in pairs:
+            _assert_same_search(got, want)
+
+    def test_evaluation_cap_inside_a_shrink(self, monkeypatch):
+        # the cap falls after a shrink has moved and evaluated a vertex
+        # better than the best one, which the closing sort brings first
+        monkeypatch.setattr(sarimax, "_MAX_ITER", 22)
+
+        def l1(x):
+            return float(np.sum(np.abs(_rosenbrock(x))))
+
+        search = (l1, np.array([1.9, -0.9]), _rosenbrock, _rosenbrock_jac)
+        got, ran = _lines_run(lambda: sarimax.minimize(*search))
+        assert {"fsim[j] = evaluate(sim[j])", "except _EvaluationCap:"} <= ran
+        _assert_same_search(got, scipy_minimize(*search))
+
+    def test_shrink_step(self):
+        # a rounded objective has plateaus, where neither a reflection nor
+        # a contraction improves and the simplex shrinks
+        def rounded(x):
+            return float(np.floor(4.0 * np.sum(_rosenbrock(x) ** 2)))
+
+        search = (rounded, np.array([-1.2, 1.0]), _rosenbrock, _rosenbrock_jac)
+        got, ran = _lines_run(lambda: sarimax.minimize(*search))
+        assert "fsim[j] = evaluate(sim[j])" in ran
+        _assert_same_search(got, scipy_minimize(*search))
+
+    def test_trust_region_from_a_far_start(self):
+        # a flat objective leaves the least-squares search to start where
+        # the simplex does: it grows its region only after a step on the
+        # boundary, and shrinks it after a poor one
+        search = (_flat, np.array([0.5, -1.0]), _decay, _decay_jac)
+        got, ran = _lines_run(lambda: sarimax.minimize(*search))
+        assert {"delta_new = 0.25 * step_h_norm", "delta_new = delta * 2.0"} <= ran
+        _assert_same_search(got, scipy_minimize(*search))
+
+    def test_non_finite_trial_step_quarters_the_region(self):
+        search = (_flat, np.array([1.0, 1.0]), _finite_below_1_5, lambda x: np.eye(2))
+        got, ran = _lines_run(lambda: sarimax.minimize(*search))
+        assert "delta = 0.25 * step_h_norm" in ran
+        _assert_same_search(got, scipy_minimize(*search))
+
+    def test_rank_deficient_jacobian(self):
+        search = (_flat, np.array([0.5, 0.2, 1.0]), _one_direction, _one_direction_jac)
+        got, ran = _lines_run(lambda: sarimax.minimize(*search))
+        assert "alpha_lower = 0.0" in ran
+        _assert_same_search(got, scipy_minimize(*search))
+
+    def test_non_finite_initial_residual_raises_scipys_error(self):
+        # refit failures record the error's text
+        infinite, jac = (lambda x: np.full(3, np.inf)), (lambda x: np.ones((3, 2)))
+        search = (_flat, np.array([1.0, 2.0]), infinite, jac)
+        with pytest.raises(ValueError) as want:
+            scipy_minimize(*search)
+        with pytest.raises(ValueError) as got:
+            sarimax.minimize(*search)
+        assert str(got.value) == str(want.value) == "Residuals are not finite in the initial point."
 
 
 class TestApplyDesign:

@@ -8,6 +8,7 @@ import re
 import statistics
 import threading
 import time
+import types
 import urllib.request
 import urllib.error
 from datetime import datetime, timedelta
@@ -272,6 +273,50 @@ class TestForecastCache:
         assert horizons == [MAX_HORIZON]
         for h, values in answers.items():
             assert values == [float(v) for v in forecast(hit["series"], h)]
+
+
+class TestStamps:
+    def test_a_request_that_waited_for_a_rebuild_reuses_it(self, tmp_path, monkeypatch, csv_loads):
+        # request A waits for the id's lock while request B, which saw an
+        # appended row, rebuilds; A must then take B's fit, not rebuild for
+        # the stamp it would have read before waiting. The test's thread
+        # is B, re-entering the lock it holds; each rebuild loads the CSV
+        # once, and the fit and backtest are stubbed out
+        strategy = types.SimpleNamespace(refit=lambda series: None)
+        monkeypatch.setattr(service, "DecomposedStrategy", lambda cfg: strategy)
+        monkeypatch.setattr(
+            service, "rolling_forecast",
+            lambda cfg, series: types.SimpleNamespace(mae=0.0, refit_failures=[]),
+        )
+        registry = quick_registry(tmp_path)
+        cache = _EquipmentCache(registry)
+        cache.entry("a")
+        b = threading.get_ident()
+        a_waits = threading.Event()
+
+        class Lock:
+            def __init__(self):
+                self._lock = threading.RLock()
+
+            def __enter__(self):
+                if threading.get_ident() != b:
+                    a_waits.set()
+                self._lock.acquire()
+
+            def __exit__(self, *exc):
+                self._lock.release()
+
+        lock = cache._locks["a"] = Lock()
+        with lock:
+            a = threading.Thread(target=cache.entry, args=("a",))
+            a.start()
+            assert a_waits.wait(timeout=60)
+            append_row(registry.entries["a"].dataset)
+            cache.entry("a")
+        a.join(timeout=60)
+        assert not a.is_alive()
+        cache.entry("a")
+        assert len(csv_loads) == 2
 
 
 class TestFailures:
