@@ -213,10 +213,20 @@ def cmd_serve(args) -> int:
     registry_path = args.registry or os.environ.get("OEEFORECAST_REGISTRY")
     if not registry_path:
         raise ConfigError("no registry (use --registry or OEEFORECAST_REGISTRY)")
-    port = args.port if args.port is not None else int(os.environ.get("OEEFORECAST_PORT", "8080"))
+    # the port and the source that set it: --port, else OEEFORECAST_PORT, else 8080
+    source, raw = "--port", args.port
+    if raw is None:
+        raw = os.environ.get("OEEFORECAST_PORT", "8080")
+        source = "OEEFORECAST_PORT" if "OEEFORECAST_PORT" in os.environ else source
+    port = int(raw) if raw.isdecimal() else -1
+    if not 0 <= port <= 65535:
+        raise ConfigError(f"{source}: cannot read {raw!r}: expected a port in 0-65535")
     registry = load_registry(registry_path)
-    server = serve(registry, port)
-    print(f"serving {len(registry.entries)} equipment ids on port {server.server_address[1]}")
+    try:
+        server = serve(registry, port)
+    except OSError as exc:  # the bind: in use, or not ours to take
+        raise ConfigError(f"{source}: cannot listen on port {port}: {exc.strerror or exc}") from None
+    print(f"serving {len(registry)} equipment ids on port {server.server_address[1]}")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -277,7 +287,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="start the read-only forecast HTTP service")
     p.add_argument("--registry", default=None, help="registry file (or OEEFORECAST_REGISTRY)")
-    p.add_argument("--port", type=int, default=None, help="port (or OEEFORECAST_PORT, default 8080)")
+    p.add_argument("--port", default=None, help="port in 0-65535 (or OEEFORECAST_PORT, default 8080)")
     p.set_defaults(func=cmd_serve)
     return ap
 

@@ -368,16 +368,9 @@ class SarimaxSpec:
             raise ValueError("n_exog must be >= 0")
 
     @property
-    def ar_span(self) -> int:
-        return self.p + self.s * self.P
-
-    @property
-    def ma_span(self) -> int:
-        return self.q + self.s * self.Q
-
-    @property
     def burn_in(self) -> int:
-        return max(self.ar_span, self.ma_span)
+        """The longest lag: of the AR or of the MA polynomial."""
+        return max(self.p + self.s * self.P, self.q + self.s * self.Q)
 
     @property
     def n_params(self) -> int:
@@ -1041,26 +1034,23 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarr
     spec = fit_result.spec
     xf = _standardized(fit_result, exog_future, horizon, "exog_future")
 
-    ar_full, ma_full = fit_result.ar_poly, fit_result.ma_poly
+    # only the last ar_lags regression residuals and ma_lags innovations
+    # enter: the history is longer than the burn-in, which spans both, and
+    # step h's MA sum reaches only the innovations observed, lags h+1..ma_lags
+    ar, ma = fit_result.ar_poly.tolist(), fit_result.ma_poly.tolist()
+    ar_lags, ma_lags = len(ar) - 1, len(ma) - 1
     n = fit_result.u_history.size
-    burn = spec.burn_in
-
-    u_ext = np.concatenate([fit_result.u_history, np.zeros(horizon)])
-    eps_ext = np.zeros(n + horizon)
-    eps_ext[burn:n] = fit_result.residuals
-
+    u = fit_result.u_history[n - ar_lags :].tolist()
+    eps = np.concatenate([np.zeros(spec.burn_in), fit_result.residuals])[n - ma_lags :].tolist()
     for h in range(horizon):
-        t = n + h
         acc = 0.0
-        for k in range(1, len(ar_full)):
-            if t - k >= 0:
-                acc -= ar_full[k] * u_ext[t - k]
-        for k in range(1, len(ma_full)):
-            if 0 <= t - k < n:
-                acc += ma_full[k] * eps_ext[t - k]
-        u_ext[t] = acc
+        for k in range(1, ar_lags + 1):
+            acc -= ar[k] * u[-k]
+        for k in range(h + 1, ma_lags + 1):
+            acc += ma[k] * eps[ma_lags + h - k]
+        u.append(acc)
 
-    mean = fit_result.intercept + xf @ np.asarray(fit_result.exog_beta) + u_ext[n:]
+    mean = fit_result.intercept + xf @ np.asarray(fit_result.exog_beta) + np.array(u[ar_lags:])
     if not np.isfinite(mean).all():
         raise ValueError("forecast values must be finite")
     return mean

@@ -16,9 +16,13 @@ Endpoints (JSON bodies, frozen field names):
          waits for no rebuild)
 
 Unknown ids give 404, malformed horizons 400, pipeline failures 500 with a
-diagnostic id. Responses are cached per (id, file modification stamp); the
-listing reads a file only when its stamp differs from the cached one. The
-registered files are only ever opened for reading.
+diagnostic id. Path segments are percent-decoded, so an id with a space is
+``my%20line``. Each id's answers are cached against its file's
+modification stamp: a rebuild reads the CSV, refits the served model and
+forecasts its MAX_HORIZON hours, runs the backtest and decomposes, then
+publishes a plain dict that never changes afterwards. The listing reads a
+file only when its stamp differs from the cached one. The registered files
+are only ever opened for reading.
 
 Each request writes one line to stderr once its answer has been sent:
 
@@ -33,7 +37,7 @@ ones go out with TCP_NODELAY.
 Importing this module loads no scipy module. ``serve`` imports the fit path
 (``scipy.linalg``'s LAPACK calls; the searches and the ARMA filter are
 numpy) before it binds the port: every rebuild fits, so deferring that
-import further would only add it to the first forecast request.
+import further would only add it to the first request that rebuilds.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ import threading
 import time
 import traceback
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from urllib.parse import parse_qs, unquote, urlparse
 
 from . import sarimax
 from .decompose import decompose
@@ -65,12 +69,7 @@ MAX_HORIZON = 8
 TAIL_POINTS = 168
 
 
-@dataclass(frozen=True)
-class EquipmentRegistry:
-    entries: dict[str, PipelineConfig]
-
-
-def load_registry(path) -> EquipmentRegistry:
+def load_registry(path) -> dict[str, PipelineConfig]:
     """Key-value registry: lines of '<id>.<field> = <value>'.
 
     '<id>.dataset' is required and must name a regular file; other fields
@@ -96,22 +95,24 @@ def load_registry(path) -> EquipmentRegistry:
     for eid, where in first_line.items():
         if not entries[eid].dataset:
             raise ConfigError(f"{where}: {eid}: missing required '{eid}.dataset'")
-    return EquipmentRegistry(dict(sorted(entries.items())))
+    return dict(sorted(entries.items()))
 
 
 class _EquipmentCache:
-    """Per-equipment lazy fit keyed by the file's modification stamp."""
+    """Each id's answers, rebuilt when its file's modification stamp moves."""
 
-    def __init__(self, registry: EquipmentRegistry):
+    def __init__(self, registry: dict[str, PipelineConfig]):
         self.registry = registry
-        self._locks = {eid: threading.Lock() for eid in registry.entries}
+        self._locks = {eid: threading.Lock() for eid in registry}
         self._cached: dict[str, dict] = {}
 
     def ids(self):
-        return sorted(self.registry.entries)
+        return sorted(self.registry)
 
     def entry(self, eid: str):
-        cfg = self.registry.entries.get(eid)
+        """The id's answers for its file as it is now. The dict returned is
+        finished when it is published and is never changed afterwards."""
+        cfg = self.registry.get(eid)
         if cfg is None:
             raise KeyError(eid)
         with self._locks[eid]:
@@ -129,6 +130,7 @@ class _EquipmentCache:
             )
             strategy = DecomposedStrategy(cfg)
             strategy.refit(series)
+            forecast = [float(v) for v in strategy.forecast(series, MAX_HORIZON)]
             t1 = time.perf_counter()
             backtest = rolling_forecast(cfg, series=series)
             t2 = time.perf_counter()
@@ -140,35 +142,28 @@ class _EquipmentCache:
             t3 = time.perf_counter()
             hit = {
                 "mtime": mtime,
-                "series": series,
-                "strategy": strategy,
+                "origin": series.end.isoformat(),
+                "model_label": strategy.label,
                 "mae_backtest": backtest.mae,
+                "forecast": forecast,  # a horizon H answers the first H
                 "tails": tails,
-                "forecast": None,  # MAX_HORIZON values; a horizon H answers the first H
                 "built_at": t3,
-                # the refit's share includes reading the CSV
+                # the refit's share includes reading the CSV and the forecast
                 "rebuild_s": {"refit": t1 - t0, "backtest": t2 - t1, "decomposition": t3 - t2},
                 "refit_failures": [list(f) for f in backtest.refit_failures],
             }
             self._cached[eid] = hit
             return hit
 
-    def series(self, eid: str):
-        """The id's series: the cached one while the file's stamp matches,
-        otherwise read from the file (without a rebuild)."""
-        cfg = self.registry.entries[eid]
+    def last_timestamp(self, eid: str) -> str:
+        """The id's last observed hour: the cached one while the file's stamp
+        matches, otherwise read from the file (without a rebuild)."""
+        cfg = self.registry[eid]
         hit = self._cached.get(eid)
         if hit is not None and hit["mtime"] == os.stat(cfg.dataset).st_mtime_ns:
-            return hit["series"]
-        return load_csv(cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column)
-
-    def forecast(self, eid: str, horizon: int):
-        hit = self.entry(eid)
-        with self._locks[eid]:
-            if hit["forecast"] is None:
-                values = hit["strategy"].forecast(hit["series"], MAX_HORIZON)
-                hit["forecast"] = [float(v) for v in values]
-        return hit, hit["forecast"][:horizon]
+            return hit["origin"]
+        series = load_csv(cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column)
+        return series.end.isoformat()
 
     def health(self) -> list[dict]:
         """Per id: whether its next answer comes from the cache, and the age,
@@ -179,7 +174,7 @@ class _EquipmentCache:
         for eid in self.ids():
             hit = self._cached.get(eid)
             try:
-                mtime = os.stat(self.registry.entries[eid].dataset).st_mtime_ns
+                mtime = os.stat(self.registry[eid].dataset).st_mtime_ns
             except OSError:  # the file was removed: no answer comes from the cache
                 mtime = None
             report.append({
@@ -240,11 +235,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         cache: _EquipmentCache = self.server.cache  # type: ignore[attr-defined]
         url = urlparse(self.path)
-        parts = [p for p in url.path.split("/") if p]
+        parts = [unquote(p) for p in url.path.split("/") if p]
         try:
             if parts == ["equipment"]:
                 listing = [
-                    {"id": eid, "last_timestamp": cache.series(eid).end.isoformat()}
+                    {"id": eid, "last_timestamp": cache.last_timestamp(eid)}
                     for eid in cache.ids()
                 ]
                 self._send(200, {"equipment": listing})
@@ -256,7 +251,7 @@ class _Handler(BaseHTTPRequestHandler):
 
             if len(parts) == 3 and parts[0] == "equipment":
                 eid, leaf = parts[1], parts[2]
-                if eid not in cache.registry.entries:
+                if eid not in cache.registry:
                     self._send(404, {"error": f"unknown equipment id {eid!r}"})
                     return
                 if leaf == "forecast":
@@ -272,16 +267,16 @@ class _Handler(BaseHTTPRequestHandler):
                             400, {"error": f"horizon must be in 1..{MAX_HORIZON}, got {horizon}"}
                         )
                         return
-                    hit, values = cache.forecast(eid, horizon)
+                    hit = cache.entry(eid)
                     self._used(hit)
                     self._send(
                         200,
                         {
                             "id": eid,
-                            "origin": hit["series"].end.isoformat(),
+                            "origin": hit["origin"],
                             "horizon": horizon,
-                            "values": values,
-                            "model_label": hit["strategy"].label,
+                            "values": hit["forecast"][:horizon],
+                            "model_label": hit["model_label"],
                             "mae_backtest": hit["mae_backtest"],
                         },
                     )
@@ -300,7 +295,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(500, {"error": "internal pipeline failure", "diagnostic_id": diag})
 
 
-def serve(registry: EquipmentRegistry, port: int) -> ThreadingHTTPServer:
+def serve(registry: dict[str, PipelineConfig], port: int) -> ThreadingHTTPServer:
     """Build the HTTP server (call serve_forever() or run it in a thread)."""
     sarimax.import_fit_path()
     server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)

@@ -47,7 +47,11 @@ replayed the whole history from the refit's first row (replay_apply_params,
 sarimax.apply_params as it first ran, rebuilding the refit's targets and
 rows from the refit span), and the extension one hour at a time with each
 row built from its single window. The continued-innovation oracle runs the
-inverse MA recursion in Python floats from a fit's last innovations.
+inverse MA recursion in Python floats from a fit's last innovations. The
+recursive forecast oracle (indexed_forecast) is sarimax.forecast's first
+body, moved here unchanged: its index guards are always true for the AR
+lags and only end the MA sum at the step's lag, and the shipped loop must
+give its bytes.
 
 The decomposition oracles are the first moving-average and phase-mean
 code: one Python iteration per point and one mean per phase.
@@ -1096,6 +1100,40 @@ def replay_apply_params(fit_result, y: np.ndarray, exog=None):
     u = y - design @ np.concatenate([[fit_result.intercept], fit_result.exog_beta])
     resid = scalar_css_filter(u[:, None], fit_result.ar_poly, fit_result.ma_poly, spec.burn_in)
     return replace(fit_result, residuals=resid[:, 0], u_history=u)
+
+
+def indexed_forecast(fit_result, horizon: int, exog_future=None) -> np.ndarray:
+    """sarimax.forecast's first recursion: numpy arrays of u and of the
+    innovations extended by the horizon, each lag's term guarded by an
+    index test."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    spec = fit_result.spec
+    xf = sarimax._standardized(fit_result, exog_future, horizon, "exog_future")
+
+    ar_full, ma_full = fit_result.ar_poly, fit_result.ma_poly
+    n = fit_result.u_history.size
+    burn = spec.burn_in
+
+    u_ext = np.concatenate([fit_result.u_history, np.zeros(horizon)])
+    eps_ext = np.zeros(n + horizon)
+    eps_ext[burn:n] = fit_result.residuals
+
+    for h in range(horizon):
+        t = n + h
+        acc = 0.0
+        for k in range(1, len(ar_full)):
+            if t - k >= 0:
+                acc -= ar_full[k] * u_ext[t - k]
+        for k in range(1, len(ma_full)):
+            if 0 <= t - k < n:
+                acc += ma_full[k] * eps_ext[t - k]
+        u_ext[t] = acc
+
+    mean = fit_result.intercept + xf @ np.asarray(fit_result.exog_beta) + u_ext[n:]
+    if not np.isfinite(mean).all():
+        raise ValueError("forecast values must be finite")
+    return mean
 
 
 def continued_innovations(fit_result, u_new: np.ndarray) -> np.ndarray:

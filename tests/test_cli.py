@@ -2,6 +2,8 @@ import argparse
 import csv
 import json
 import os
+import socket
+import socketserver
 import subprocess
 import sys
 from dataclasses import fields
@@ -195,6 +197,11 @@ class TestCommands:
              "--window"),
             ("stats --config", None, [], "{file}: cannot open"),
             ("serve --registry", None, [], "{file}: cannot open"),
+            ("OEEFORECAST_PORT=abc serve --registry", "a.dataset = {data}\n", [],
+             "OEEFORECAST_PORT: cannot read 'abc'"),
+            ("serve --registry", "a.dataset = {data}\n", ["--port", "70000"],
+             "--port: cannot read '70000': expected a port in 0-65535"),
+            ("serve --registry", "a.dataset = {data}\n", ["--port", "-5"], "--port: cannot read '-5'"),
             ("benchmark --models nope --config", "dataset = {data}\n", [], "--models: unknown model"),
         ],
         ids=["file_value", "file_horizon", "file_clamp", "flag_periods", "flag_periods_zero",
@@ -203,7 +210,7 @@ class TestCommands:
              "flag_seed", "flag_seed_negative", "flag_feature_mode", "flag_selection_mode",
              "registry_line", "registry_no_dataset", "registry_no_file", "registry_rejected",
              "registry_value", "registry_periods", "file_rejected", "flag_rejected", "config_absent",
-             "registry_absent", "flag_models"],
+             "registry_absent", "env_port", "flag_port_high", "flag_port_negative", "flag_models"],
     )
     def test_config_errors_exit_5_naming_their_source(
         self, dataset_csv, tmp_path, monkeypatch, capsys, command, text, flags, where
@@ -212,13 +219,33 @@ class TestCommands:
             raise AssertionError("the registry was accepted")
 
         monkeypatch.setattr(service, "serve", refuse)
+        words = command.split()
+        while "=" in words[0]:  # a leading NAME=value sets the environment, as in a shell
+            name, _, value = words.pop(0).partition("=")
+            monkeypatch.setenv(name, value)
         path = tmp_path / "settings.conf"
         if text is not None:  # None: the file does not exist
             path.write_text(text.format(data=dataset_csv))
-        rc = cli_run(command.split() + [str(path)] + flags)
+        rc = cli_run(words + [str(path)] + flags)
         err = capsys.readouterr().err
         assert rc == EXIT_CONFIG, err
         assert err.startswith("config error: " + where.format(file=path)), err
+
+    def test_a_busy_port_is_config_error(self, dataset_csv, tmp_path, monkeypatch, capsys):
+        def refuse(server):
+            raise AssertionError("the service bound a busy port")
+
+        monkeypatch.setattr(socketserver.BaseServer, "serve_forever", refuse)
+        registry = tmp_path / "registry.conf"
+        registry.write_text(f"a.dataset = {dataset_csv}\n")
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            rc = cli_run(["serve", "--registry", str(registry), "--port", str(port)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CONFIG, err
+        assert err.startswith(f"config error: --port: cannot listen on port {port}: "), err
 
     def test_window_too_short_for_feature_mode_is_config_error(self, config_file, tmp_path, capsys):
         out = tmp_path / "f.csv"

@@ -24,6 +24,7 @@ from conftest import STAND_INS, ljung_box_rejects, make_oee_series, strict_json
 from oracles import (
     acf_values,
     continued_innovations,
+    indexed_forecast,
     nelder_mead_fit,
     replay_apply_params,
     scalar_css_filter,
@@ -860,6 +861,21 @@ class TestExtension:
         np.testing.assert_allclose(
             forecast(state, 4, future), forecast(replayed, 4, future), rtol=0, atol=1e-12
         )
+
+
+class TestForecastOracle:
+    SPECS = dict(TestExtension.SPECS, arma=SarimaxSpec(p=2, q=1, P=1, Q=1, s=8))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    @pytest.mark.parametrize("name", list(SPECS))
+    def test_bytes_equal_the_indexed_recursion(self, name, k):
+        f, y, x = _extension_case(self.SPECS[name], k)
+        state = sarimax.apply_params(f, y[300:330], None if x is None else x[300:330])
+        for obj in (f, state):
+            for horizon in (1, 4, 8, 30):
+                future = None if x is None else x[:horizon]
+                got = forecast(obj, horizon, future)
+                assert got.tobytes() == indexed_forecast(obj, horizon, future).tobytes()
 
 
 class TestExogLayout:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import hashlib
 import http.client
@@ -9,13 +10,14 @@ import statistics
 import threading
 import time
 import types
-import urllib.request
 import urllib.error
+import urllib.parse
+import urllib.request
 from datetime import datetime, timedelta
 
 import pytest
 
-from oeeforecast import service
+from oeeforecast import pipeline, service
 from oeeforecast.service import MAX_HORIZON, _EquipmentCache, load_registry, serve
 
 from conftest import make_oee_series
@@ -73,7 +75,7 @@ def quick_registry(root, ids=("a",)):
     """Registry of 400-point datasets with the quick fit settings of ``served``."""
     lines = []
     for i, eid in enumerate(ids):
-        path = write_dataset(root / f"{eid}.csv", 400, seed=31 + i)
+        path = write_dataset(root / f"{i}.csv", 400, seed=31 + i)
         lines += [f"{eid}.dataset = {path}", f"{eid}.periods = 8,24",
                   f"{eid}.test_fraction = 0.15", f"{eid}.sarimax_spec = 2,0,0,1,0,1,8"]
     (root / "registry.conf").write_text("\n".join(lines) + "\n")
@@ -152,13 +154,13 @@ class TestRegistry:
         p = tmp_path / "reg.conf"
         p.write_text(f"a.dataset = {data}\na.horizon = 6\n")
         reg = load_registry(p)
-        assert reg.entries["a"].horizon == 6
+        assert reg["a"].horizon == 6
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         data = write_dataset(tmp_path / "d.csv", 400, seed=1)
         p = tmp_path / "reg.conf"
         p.write_text(f"\ufeffa.dataset = {data}\n", encoding="utf-8")
-        assert load_registry(p).entries["a"].dataset == str(data)
+        assert load_registry(p)["a"].dataset == str(data)
 
 
 class TestEndpoints:
@@ -183,7 +185,7 @@ class TestEndpoints:
                 assert status == 200 and csv_loads == []
                 before = {e["id"]: e["last_timestamp"] for e in doc["equipment"]}
 
-                dataset = registry.entries["a"].dataset
+                dataset = registry["a"].dataset
                 append_row(dataset)
                 _, doc = request(conn, "/equipment")
                 after = {e["id"]: e["last_timestamp"] for e in doc["equipment"]}
@@ -193,6 +195,24 @@ class TestEndpoints:
                 assert datetime.fromisoformat(after["a"]) == hour_later
             finally:
                 conn.close()
+
+    def test_ids_are_percent_decoded(self, tmp_path, capsys):
+        ids = ("a/b", "my line")
+        with running(quick_registry(tmp_path, ids=ids)) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            try:
+                _, doc = request(conn, "/equipment")
+                assert [e["id"] for e in doc["equipment"]] == list(ids)
+                for eid in ids:
+                    quoted = urllib.parse.quote(eid, safe="")
+                    status, doc = request(conn, f"/equipment/{quoted}/forecast?horizon=2")
+                    assert status == 200 and doc["id"] == eid and len(doc["values"]) == 2
+                    status, doc = request(conn, f"/equipment/{quoted}/decomposition")
+                    assert status == 200 and doc["id"] == eid
+            finally:
+                conn.close()
+        logged = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("GET /equipment/my%20line/decomposition 200 ") for line in logged)
 
     def test_forecast_contract(self, served):
         base, _ = served
@@ -254,25 +274,45 @@ class TestEndpoints:
 
 
 class TestForecastCache:
-    def test_one_forecast_per_rebuild_answers_every_horizon(self, tmp_path):
-        data = write_dataset(tmp_path / "d.csv", 400, seed=1)
-        reg_path = tmp_path / "reg.conf"
-        reg_path.write_text(f"a.dataset = {data}\na.periods = 8,24\na.test_fraction = 0.15\n")
-        cache = _EquipmentCache(load_registry(reg_path))
-        hit = cache.entry("a")
-        strategy = hit["strategy"]
-        forecast = strategy.forecast
+    def test_one_forecast_per_rebuild_answers_every_horizon(self, tmp_path, monkeypatch):
+        registry = quick_registry(tmp_path)
+        cfg = registry["a"]
+        forecast = pipeline.DecomposedStrategy.forecast
         horizons = []
 
-        def counted(past, horizon):
+        def counted(strategy, past, horizon):
             horizons.append(horizon)
-            return forecast(past, horizon)
+            return forecast(strategy, past, horizon)
 
-        strategy.forecast = counted
-        answers = {h: cache.forecast("a", h)[1] for h in range(1, MAX_HORIZON + 1)}
-        assert horizons == [MAX_HORIZON]
+        monkeypatch.setattr(pipeline.DecomposedStrategy, "forecast", counted)
+        server = serve(registry, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=120)
+        try:
+            hit = server.cache.entry("a")
+            frozen = copy.deepcopy(hit)
+            # the backtest forecasts at most cfg.horizon hours; the served model once
+            assert cfg.horizon < MAX_HORIZON
+            assert [h for h in horizons if h > cfg.horizon] == [MAX_HORIZON]
+            horizons.clear()
+            answers = {}
+            for h in range(1, MAX_HORIZON + 1):
+                status, doc = request(conn, f"/equipment/a/forecast?horizon={h}")
+                assert status == 200
+                answers[h] = doc["values"]
+            assert request(conn, "/equipment/a/decomposition")[0] == 200
+        finally:
+            conn.close()
+            server.shutdown()
+            server.server_close()
+        assert horizons == []
+        assert server.cache.entry("a") is hit and hit == frozen
+        series = service.load_csv(cfg.dataset, cfg.value_column)
+        strategy = pipeline.DecomposedStrategy(cfg)
+        strategy.refit(series)
         for h, values in answers.items():
-            assert values == [float(v) for v in forecast(hit["series"], h)]
+            assert values == [float(v) for v in forecast(strategy, series, h)]
 
 
 class TestStamps:
@@ -282,7 +322,9 @@ class TestStamps:
         # the stamp it would have read before waiting. The test's thread
         # is B, re-entering the lock it holds; each rebuild loads the CSV
         # once, and the fit and backtest are stubbed out
-        strategy = types.SimpleNamespace(refit=lambda series: None)
+        strategy = types.SimpleNamespace(
+            refit=lambda series: None, forecast=lambda series, horizon: [0.0] * horizon, label="stub"
+        )
         monkeypatch.setattr(service, "DecomposedStrategy", lambda cfg: strategy)
         monkeypatch.setattr(
             service, "rolling_forecast",
@@ -311,7 +353,7 @@ class TestStamps:
             a = threading.Thread(target=cache.entry, args=("a",))
             a.start()
             assert a_waits.wait(timeout=60)
-            append_row(registry.entries["a"].dataset)
+            append_row(registry["a"].dataset)
             cache.entry("a")
         a.join(timeout=60)
         assert not a.is_alive()
@@ -425,7 +467,7 @@ class TestHealthz:
                 assert b["fit_age_s"] is None
 
                 # new data: the fit is kept, but the next answer will rebuild
-                append_row(registry.entries["a"].dataset)
+                append_row(registry["a"].dataset)
                 _, doc = request(conn, "/healthz")
                 assert not doc["equipment"][0]["cached"]
                 assert doc["equipment"][0]["fit_age_s"] >= a["fit_age_s"]
@@ -439,7 +481,7 @@ class TestHealthz:
             conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
             try:
                 assert request(conn, "/equipment/a/forecast")[0] == 200
-                os.remove(registry.entries["a"].dataset)
+                os.remove(registry["a"].dataset)
                 status, doc = request(conn, "/healthz")
                 assert status == 200
                 a, b = doc["equipment"]
