@@ -25,14 +25,15 @@ Three structural facts keep this fast and robust:
   derivative on the one column u = y - X b only, and they follow the
   model's own recursion.
 * The filter runs over the whole ``[y | design]`` block (built once per
-  fit): the AR polynomial as one ``np.convolve`` per column, then the
-  inverse MA polynomial by an exact numpy recursion with the bits of
-  ``scipy.signal.lfilter``. The regression is solved through a Cholesky
-  factorization of the filtered Gram matrix, or the filtered design's
-  singular value decomposition when that one is ill-conditioned; the
-  Jacobian's projection uses the same factorization. ``apply_params``
-  extends a fit by the rows that follow it: the same two stages over the
-  new rows only, continued from the fit's last values.
+  fit): the AR polynomial as one multiply-add per nonzero tap over the
+  whole block, then the inverse MA polynomial by an exact numpy recursion
+  with the bits of ``scipy.signal.lfilter``. The regression is solved
+  through the inverted Cholesky factor of the filtered Gram matrix, or the
+  filtered design's singular value decomposition when that one is
+  ill-conditioned; the Jacobian's projection uses the same factorization.
+  ``apply_params`` extends a fit by the rows that follow it: the AR
+  polynomial by ``np.convolve`` and the same MA recursion over the new
+  rows only, continued from the fit's last values.
 * Stationarity/invertibility are enforced by optimizing in an
   unconstrained space mapped through tanh partial autocorrelations
   (Monahan's recursion), one block each for phi, theta, PHI, THETA. A fit
@@ -48,19 +49,12 @@ regression-with-ARMA-errors models.
 
 The two searches of ``minimize`` are ports of scipy's Nelder-Mead and of
 its trust-region reflective ``least_squares`` without bounds, in the
-branches this module's options take: the same points are evaluated and the
-fits have the same bits. ``scipy.optimize`` is not imported; it would cost
-about half a second and 20 MB. ``scipy.linalg`` supplies the LAPACK calls
-of a fit (``potrf``, ``potrs`` and ``dtrcon`` of the projection, the SVD of
-the scaled Jacobian at each trust-region iteration) and the collinearity
-prune's pivoted QR;
-``scipy.signal.lfilter`` is the recursive filter of ``simulate``. Both are
-imported where a fit or a simulation first runs, not with this module:
-``scipy.linalg`` takes about a fifth of a second to import, ``scipy.signal``
-(which loads ``scipy.stats``) about a second more, and ``import
-oeeforecast`` and the commands that fit nothing should not pay for either.
-A server that fits on its first requests calls ``import_fit_path`` before
-it starts answering.
+branches this module's options take: the same points are evaluated in the
+same order, with numpy's SVD where scipy's trust-region search calls
+scipy.linalg's. The module runs on numpy alone: ``np.linalg`` gives the
+Cholesky factor, its inverse and the SVDs, and ``simulate`` filters with a
+port of ``lfilter``'s direct form II transposed, so no fit or simulation
+loads scipy, whose import would take about a tenth of a second and 20 MB.
 """
 
 from __future__ import annotations
@@ -112,11 +106,12 @@ def minimize(fun, x0, residual, jac) -> SearchResult:
 
     The two searches are scipy 1.17's ``minimize(method="Nelder-Mead")``
     and ``least_squares(method="trf", x_scale="jac")`` with this module's
-    options, in the branches those options take, operation for operation:
-    the same points are evaluated in the same order and the result has the
-    same bits. The cost is at most half the sum of squares at the
-    Nelder-Mead end, since the trust-region search only takes steps that
-    lower it. ``fit`` calls this through the module global; perfbench's
+    options, in the branches those options take, operation for operation,
+    with ``np.linalg.svd`` for the ``scipy.linalg.svd`` of scipy's
+    trust-region step: the same points are evaluated in the same order and
+    the result has the same bits. The cost is at most half the sum of
+    squares at the Nelder-Mead end, since the trust-region search only
+    takes steps that lower it. ``fit`` calls this through the module global; perfbench's
     tracer wraps this name to count the objective evaluations.
     """
     x, simplex_nfev = _nelder_mead(fun, x0)
@@ -216,13 +211,12 @@ def _least_squares(residual, jac, x0):
     counting the residual evaluations.
 
     Each iteration takes the SVD of the Jacobian with its columns scaled by
-    the largest norms they have had, then tries steps until one lowers the
-    cost: the Gauss-Newton step when it fits the trust region, else the
+    the largest norms they have had (``np.linalg.svd``, where scipy calls
+    ``scipy.linalg.svd``), then tries steps until one lowers the cost: the
+    Gauss-Newton step when it fits the trust region, else the
     Levenberg-Marquardt step on its boundary (Moré 1978). A step to a point
     whose residual is not finite quarters the region and is tried again.
     """
-    from scipy.linalg import svd
-
     x = x0.astype(float)
     f = residual(x)
     J = jac(x)  # before the check, as scipy evaluates it
@@ -247,7 +241,7 @@ def _least_squares(residual, jac, x0):
             break
         g_h = scale * g
         J_h = J * scale
-        U, s, V = svd(J_h, full_matrices=False)
+        U, s, V = np.linalg.svd(J_h, full_matrices=False)
         V = V.T
         uf = U.T.dot(f)
         actual_reduction = -1
@@ -336,12 +330,6 @@ def _trust_region_step(m, n, uf, s, V, delta, alpha):
     p = -V.dot(suf / (s**2 + alpha))
     p *= delta / np.linalg.norm(p)
     return p, alpha
-
-
-def import_fit_path() -> None:
-    """Import the fit path's LAPACK routines (``scipy.linalg``) now instead
-    of at the first fit."""
-    import scipy.linalg  # noqa: F401
 
 
 class CollinearityError(ValueError):
@@ -587,13 +575,15 @@ def _css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
 
     Returns the filtered block for t >= burn. Pre-sample innovations are
     zero; burn >= the AR span, so every AR lag of a kept point is real data.
-    The AR stage is an FIR filter: one np.convolve(ar_full, column) per
-    column, the very call lfilter with a one-tap denominator makes for each
-    column, without its wrapper's per-call cost. It leaves each column
-    contiguous. The MA stage is _ma_stage.
+    The AR stage is one multiply-add over the whole block per nonzero tap,
+    lowest lag first (Box, Jenkins & Reinsel ch. 7); the MA stage is
+    _ma_stage.
     """
     n = block.shape[0]
-    w = np.array([np.convolve(ar_full, col)[burn:n] for col in block.T]).T
+    w = ar_full[0] * block[burn:n]
+    for k in range(1, len(ar_full)):
+        if ar_full[k] != 0.0:
+            w += ar_full[k] * block[burn - k : n - k]
     return _ma_stage(w, ma_full)
 
 
@@ -601,24 +591,29 @@ class _Projection:
     """Least squares on a filtered design d_f, and the projection off its
     column span.
 
-    A Cholesky factor L of the Gram matrix d_f'd_f (LAPACK's potrf and
-    potrs, one call each) serves both while LAPACK's 1-norm estimate of
-    L's condition number (in the 2-norm it is d_f's) stays below
-    _COND_LIMIT. Past that, or when the factorization fails, the singular
-    value decomposition of d_f, its rank cut as lstsq cuts it, so that a
-    rank-deficient filtered design projects as lstsq projects it.
+    The Cholesky factor L of the Gram matrix d_f'd_f, inverted once, serves
+    both while L's 1-norm condition number |L|_1 |L^-1|_1 (in the 2-norm
+    it is d_f's) stays below _COND_LIMIT: the solution is
+    L^-T (L^-1 (d_f' rhs)). Past that, or when the factorization fails, the
+    singular value decomposition of d_f, its rank cut as lstsq cuts it, so
+    that a rank-deficient filtered design projects as lstsq projects it.
     """
 
     def __init__(self, d_f: np.ndarray):
-        from scipy.linalg.lapack import dpotrf, dpotrs, dtrcon
-
         self.d_f = d_f
-        self._potrs = dpotrs
-        chol, info = dpotrf(d_f.T @ d_f, lower=1, clean=1)
-        if info == 0 and dtrcon(chol, norm="1", uplo="L")[0] * _COND_LIMIT > 1.0:
-            self.chol = chol
+        self.chol = None  # L, or None when the SVD serves
+        try:
+            chol = np.linalg.cholesky(d_f.T @ d_f)
+            chol_inv = np.linalg.inv(chol)
+        except np.linalg.LinAlgError:
+            pass
         else:
-            self.chol = None
+            # the exact 1-norm condition number (largest column sums of
+            # |L| and |L^-1|), never below LAPACK's estimate of it
+            cond = np.abs(chol).sum(axis=0).max() * np.abs(chol_inv).sum(axis=0).max()
+            if cond < _COND_LIMIT:
+                self.chol, self._chol_inv = chol, chol_inv
+        if self.chol is None:
             u, sv, vt = np.linalg.svd(d_f, full_matrices=False)
             rank = int(np.sum(sv > sv[0] * max(d_f.shape) * np.finfo(float).eps))
             self.basis, self._pinv = u[:, :rank], vt[:rank].T / sv[:rank]
@@ -628,7 +623,7 @@ class _Projection:
         one when d_f is rank-deficient."""
         if self.chol is None:
             return self._pinv @ (self.basis.T @ rhs)
-        return self._potrs(self.chol, self.d_f.T @ rhs, lower=1)[0]
+        return self._chol_inv.T @ (self._chol_inv @ (self.d_f.T @ rhs))
 
     def residual(self, rhs: np.ndarray) -> np.ndarray:
         """rhs projected off d_f's column span."""
@@ -1083,13 +1078,35 @@ def simulate(
     if sigma2 <= 0:
         raise ValueError("sigma2 must be > 0")
 
-    from scipy.signal import lfilter
-
     rng = np.random.default_rng(seed)
     eps = rng.normal(0.0, math.sqrt(sigma2), size=n + _SIMULATE_BURN_IN)
-    u = lfilter(ma_full, ar_full, eps)[_SIMULATE_BURN_IN:]
+    u = _lfilter(ma_full, ar_full, eps)[_SIMULATE_BURN_IN:]
     y = intercept + u
     if exog is not None:
         y = y + _as_exog(exog, n) @ np.asarray(exog_beta, dtype=float)
     return TimeSeries(y, name=name)
 
+
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """scipy.signal.lfilter(b, a, x) of a 1-D float x, with its bits.
+
+    A one-tap denominator is scipy's convolution branch. Otherwise both
+    polynomials are padded to one length and divided by a[0], and the
+    direct form II transposed runs in Python floats in the C loop's
+    operation order: y = z[0] + b[0] x, then each delay
+    z[k - 1] = z[k] + x b[k] - y a[k], the last one without z[k].
+    """
+    if len(a) == 1:
+        return np.convolve(b / a[0], x)[: x.size]
+    width = max(len(a), len(b))
+    b = (np.concatenate([b, np.zeros(width - len(b))]) / a[0]).tolist()
+    a = (np.concatenate([a, np.zeros(width - len(a))]) / a[0]).tolist()
+    z = [0.0] * (width - 1)
+    out = []
+    for v in x.tolist():
+        y = z[0] + b[0] * v
+        for k in range(1, width - 1):
+            z[k - 1] = z[k] + v * b[k] - y * a[k]
+        z[-1] = v * b[-1] - y * a[-1]
+        out.append(y)
+    return np.array(out)

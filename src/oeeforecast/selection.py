@@ -22,7 +22,7 @@ from .series import TimeSeries, json_text
 
 _VARIANCE_THRESHOLD = 0.01  # least sample variance a column keeps
 _RHO_THRESHOLD = 0.9  # |Pearson r| above which a pair is redundant
-_REL_TOL = 1e-7  # least |R_jj| / |R_00| of a kept column in the pivoted QR
+_REL_TOL = 1e-7  # least residual norm of a kept column, over the largest column norm
 _RFE_RESTARTS = 1  # seeded restarts of each RFE refit's search
 _PSO_RESTARTS = 0  # seeded restarts of each PSO fitness fit's search
 # the PSO velocity rule's weights, and its stagnation limit (see pso_bic)
@@ -185,22 +185,29 @@ def collinearity_prune(fm: FeatureMatrix) -> tuple[FeatureMatrix, SelectionRepor
 
     Pairwise correlation screening cannot see exact dependencies among
     three or more columns (the catalog contains some by construction, e.g.
-    an aggregate equal to the mean of its parts). A pivoted QR keeps the
-    best-conditioned subset deterministically: the columns whose pivot
-    exceeds _REL_TOL times the first.
+    an aggregate equal to the mean of its parts). A two-pass Gram-Schmidt
+    in catalog order decides which go: a column is kept when its residual
+    off the columns kept before it has a norm above _REL_TOL times the
+    largest standardized column norm. Of a dependent set, the last in
+    catalog order goes.
     """
-    from scipy.linalg import qr
-
     x = fm.matrix
     mean = x.mean(axis=0)
     scale = x.std(axis=0, ddof=0)
     scale[scale == 0.0] = 1.0
     xs = (x - mean) / scale
-    r, piv = qr(xs, mode="r", pivoting=True)
-    diag = np.abs(np.diag(r))
-    top = diag[0] if diag.size else 0.0
-    keep_piv = sorted(piv[j] for j in range(diag.size) if top > 0 and diag[j] > _REL_TOL * top)
-    kept = tuple(fm.column_names[j] for j in keep_piv)
+    tol = _REL_TOL * np.linalg.norm(xs, axis=0).max(initial=0.0)
+    basis = np.empty(xs.shape, order="F")  # the kept columns' orthonormal residuals
+    keep = []
+    for j, col in enumerate(xs.T):
+        q = basis[:, : len(keep)]
+        for _ in range(2):  # the second pass restores orthogonality
+            col = col - q @ (q.T @ col)
+        norm = np.linalg.norm(col)
+        if norm > tol:
+            basis[:, len(keep)] = col / norm
+            keep.append(j)
+    kept = tuple(fm.column_names[j] for j in keep)
     dropped = {
         name: "linearly dependent on kept columns"
         for name in fm.column_names

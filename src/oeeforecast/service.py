@@ -34,10 +34,7 @@ Answers are not held back by Nagle's algorithm waiting for the client's
 delayed ACK: an answer up to 8 KB leaves in one buffered send, and larger
 ones go out with TCP_NODELAY.
 
-Importing this module loads no scipy module. ``serve`` imports the fit path
-(``scipy.linalg``'s LAPACK calls; the searches and the ARMA filter are
-numpy) before it binds the port: every rebuild fits, so deferring that
-import further would only add it to the first request that rebuilds.
+The service runs on numpy alone: no rebuild or request loads scipy.
 """
 
 from __future__ import annotations
@@ -53,7 +50,6 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlparse
 
-from . import sarimax
 from .decompose import decompose
 from .pipeline import (
     ConfigError,
@@ -297,7 +293,6 @@ class _Handler(BaseHTTPRequestHandler):
 
 def serve(registry: dict[str, PipelineConfig], port: int) -> ThreadingHTTPServer:
     """Build the HTTP server (call serve_forever() or run it in a thread)."""
-    sarimax.import_fit_path()
     server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
     server.cache = _EquipmentCache(registry)  # type: ignore[attr-defined]
     return server

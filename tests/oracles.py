@@ -58,7 +58,18 @@ code: one Python iteration per point and one mean per phase.
 
 The CSS filter oracle is the SARIMAX estimator's first filter: one column
 at a time, the AR polynomial by np.convolve and the inverse MA polynomial
-by a 1-D lfilter.
+by a 1-D lfilter. The convolution oracle (convolve_css_filter) is
+sarimax._css_filter as it ran before its AR stage became one multiply-add
+per tap, moved here unchanged: one np.convolve per column, then the
+shipped MA stage.
+
+The projection oracle (LapackProjection) is sarimax._Projection as it ran
+on scipy.linalg.lapack, moved here unchanged: potrf and potrs, and dtrcon's
+estimate of the condition number where the shipped projection computes it
+exactly from the inverted factor. The collinearity oracle
+(qr_collinearity_prune) is selection.collinearity_prune as it ran on
+scipy.linalg.qr with column pivoting, moved here unchanged. The filter
+oracle of simulate is scipy.signal.lfilter itself.
 
 The SARIMAX fit oracle (nelder_mead_fit) is sarimax.fit as it was before
 its variable-projection least-squares stage, moved here unchanged: a
@@ -67,9 +78,10 @@ from the same starts, with the regression block solved by lstsq at every
 evaluation.
 
 The SARIMAX search oracle (scipy_minimize) is sarimax.minimize's first
-body, moved here unchanged: scipy's Nelder-Mead search, then scipy's
-least_squares from where it stopped, with the module's options read at
-the call. The shipped search must match it byte for byte.
+body: scipy's Nelder-Mead search, then scipy's least_squares from where it
+stopped, with the module's options read at the call, and np.linalg.svd in
+place of the scipy.linalg.svd of scipy's trust-region step, as the shipped
+search has it. The shipped search must match it byte for byte.
 
 The Spearman oracle is the correlation filter's first importance:
 scipy.stats.spearmanr's statistic.
@@ -94,6 +106,7 @@ from itertools import combinations
 import numpy as np
 from scipy import stats as sps
 from scipy.optimize import least_squares, minimize
+from scipy.optimize._lsq import trf
 from scipy.signal import lfilter
 
 from oeeforecast import pipeline, sarimax
@@ -106,6 +119,7 @@ from oeeforecast.forecasters import (
     ets_update,
     seasonal_naive_forecast,
 )
+from oeeforecast.selection import _REL_TOL, SelectionReport
 from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import (
     CATALOG,
@@ -1232,6 +1246,69 @@ def scalar_css_filter(series_block: np.ndarray, ar_full, ma_full, burn: int) -> 
     return out
 
 
+def convolve_css_filter(block: np.ndarray, ar_full, ma_full, burn: int) -> np.ndarray:
+    """sarimax._css_filter as it ran before its AR stage became one
+    multiply-add per tap: one np.convolve(ar_full, column) per column, the
+    call lfilter with a one-tap denominator makes, then the MA stage."""
+    n = block.shape[0]
+    w = np.array([np.convolve(ar_full, col)[burn:n] for col in block.T]).T
+    return sarimax._ma_stage(w, ma_full)
+
+
+class LapackProjection:
+    """sarimax._Projection as it ran on scipy's LAPACK: a Cholesky factor
+    of the Gram matrix (potrf, potrs) while dtrcon's estimate of its 1-norm
+    condition number stays below _COND_LIMIT, else the SVD of d_f."""
+
+    def __init__(self, d_f: np.ndarray):
+        from scipy.linalg.lapack import dpotrf, dpotrs, dtrcon
+
+        self.d_f = d_f
+        self._potrs = dpotrs
+        chol, info = dpotrf(d_f.T @ d_f, lower=1, clean=1)
+        if info == 0 and dtrcon(chol, norm="1", uplo="L")[0] * sarimax._COND_LIMIT > 1.0:
+            self.chol = chol
+        else:
+            self.chol = None
+            u, sv, vt = np.linalg.svd(d_f, full_matrices=False)
+            rank = int(np.sum(sv > sv[0] * max(d_f.shape) * np.finfo(float).eps))
+            self.basis, self._pinv = u[:, :rank], vt[:rank].T / sv[:rank]
+
+    def coefficients(self, rhs: np.ndarray) -> np.ndarray:
+        if self.chol is None:
+            return self._pinv @ (self.basis.T @ rhs)
+        return self._potrs(self.chol, self.d_f.T @ rhs, lower=1)[0]
+
+    def residual(self, rhs: np.ndarray) -> np.ndarray:
+        if self.chol is None:
+            return rhs - self.basis @ (self.basis.T @ rhs)
+        return rhs - self.d_f @ self.coefficients(rhs)
+
+
+def qr_collinearity_prune(fm: FeatureMatrix) -> tuple[FeatureMatrix, SelectionReport]:
+    """selection.collinearity_prune as it ran on scipy's pivoted QR: the
+    columns whose pivot exceeds _REL_TOL times the first are kept."""
+    from scipy.linalg import qr
+
+    x = fm.matrix
+    mean = x.mean(axis=0)
+    scale = x.std(axis=0, ddof=0)
+    scale[scale == 0.0] = 1.0
+    xs = (x - mean) / scale
+    r, piv = qr(xs, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))
+    top = diag[0] if diag.size else 0.0
+    keep_piv = sorted(piv[j] for j in range(diag.size) if top > 0 and diag[j] > _REL_TOL * top)
+    kept = tuple(fm.column_names[j] for j in keep_piv)
+    dropped = {
+        name: "linearly dependent on kept columns"
+        for name in fm.column_names
+        if name not in kept
+    }
+    report = SelectionReport("collinearity_prune", fm.column_names, kept, dropped, {})
+    return fm.select_columns(kept), report
+
+
 def scalar_holt_filter(y: np.ndarray, alpha, beta, l0: float, b0: float, preds: list | None = None):
     """Final (level, slope, sse); each one-step prediction is appended to preds if given.
 
@@ -1401,7 +1478,11 @@ def nelder_mead_fit(ts, spec, exog=None, *, n_restarts=3, seed=0):
 def scipy_minimize(fun, x0, residual, jac):
     """sarimax.minimize by scipy.optimize: Nelder-Mead on ``fun``, then
     least_squares on ``residual`` with the Jacobian ``jac``; ``nfev`` counts
-    the evaluations of all three."""
+    the evaluations of all three.
+
+    The trust-region search takes np.linalg.svd where it calls
+    scipy.linalg.svd, as the shipped port does: the two SVDs can differ in
+    the last bit on a scaled Jacobian, and a search then ends a bit away."""
     max_iter, tol = sarimax._MAX_ITER, sarimax._LSQ_TOL
     simplex = minimize(
         fun, x0, method="Nelder-Mead",
@@ -1409,9 +1490,13 @@ def scipy_minimize(fun, x0, residual, jac):
             "maxiter": max_iter, "maxfev": 2 * max_iter, "fatol": sarimax._FATOL, "xatol": 1e-6
         },
     )
-    res = least_squares(
-        residual, simplex.x, jac=jac, method="trf", x_scale="jac", ftol=tol, xtol=tol, gtol=tol
-    )
+    scipy_svd, trf.svd = trf.svd, np.linalg.svd
+    try:
+        res = least_squares(
+            residual, simplex.x, jac=jac, method="trf", x_scale="jac", ftol=tol, xtol=tol, gtol=tol
+        )
+    finally:
+        trf.svd = scipy_svd
     res.nfev += res.njev + simplex.nfev
     return res
 

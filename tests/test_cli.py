@@ -415,17 +415,16 @@ from oeeforecast.service import load_registry, serve
 
 server = serve(load_registry(sys.argv[1]), port=0)
 server.server_close()
-print(" ".join(m for m in ("scipy.linalg", "scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
+print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 # Runs every selection stage and the fits they make on a small random
-# problem, then prints which of scipy.linalg, scipy.optimize, scipy.signal
-# and scipy.stats are loaded.
+# problem, and two simulations, then prints the scipy modules loaded.
 _SCIPY_AFTER_SELECTION = """
 import sys
 import numpy as np
 from oeeforecast.feature_matrix import FeatureMatrix
-from oeeforecast.sarimax import SarimaxSpec, fit
+from oeeforecast.sarimax import SarimaxSpec, fit, simulate
 from oeeforecast.selection import (
     PsoConfig, collinearity_prune, correlation_filter, pso_bic, rfe_sarimax, variance_filter,
 )
@@ -443,14 +442,64 @@ fm, _ = correlation_filter(fm, y.values)
 fm, _ = collinearity_prune(fm)
 fm, _ = rfe_sarimax(y, fm, spec, min_features=2)
 pso_bic(y, fm, spec, PsoConfig(swarm_size=4, max_iterations=2, runs=1, stability_threshold=1))
-print(" ".join(m for m in ("scipy.linalg", "scipy.optimize", "scipy.signal", "scipy.stats") if m in sys.modules))
+# a recursive filter, and a pure MA's one-tap denominator
+simulate(SarimaxSpec(p=2, q=1, P=1, Q=1, s=4), 200, 0, ar=(0.5, 0.2), ma=(0.3,), sar=(0.2,),
+         sma=(0.4,))
+simulate(SarimaxSpec(q=1), 200, 0, ma=(0.3,))
+print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+# With every scipy import refused: a fit, the collinearity prune of an
+# exactly dependent column, RFE, a simulation, and one forecast served from
+# the registry file sys.argv[1]; prints the forecast's status.
+_WITH_SCIPY_REFUSED = """
+import http.client, sys, threading
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import numpy as np
+from oeeforecast.feature_matrix import FeatureMatrix
+from oeeforecast.sarimax import SarimaxSpec, fit, simulate
+from oeeforecast.selection import collinearity_prune, rfe_sarimax
+from oeeforecast.series import TimeSeries
+from oeeforecast.service import load_registry, serve
+
+spec = SarimaxSpec(p=1, Q=1, s=4)
+noise = simulate(spec, 300, 0, ar=(0.5,), sma=(0.3,))
+rng = np.random.default_rng(0)
+x = rng.normal(size=(300, 4))
+x[:, 3] = x[:, 0] - x[:, 1]
+y = TimeSeries(noise.values + x[:, :3] @ [1.0, 0.5, 0.0])
+fit(y, spec, exog=x[:, :3])
+fm, _ = collinearity_prune(FeatureMatrix(("a", "b", "c", "d"), x, tuple(range(300))))
+assert fm.column_names == ("a", "b", "c"), fm.column_names
+rfe_sarimax(y, fm, spec, min_features=2)
+
+server = serve(load_registry(sys.argv[1]), port=0)
+thread = threading.Thread(target=server.serve_forever)
+thread.start()
+try:
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=100)
+    conn.request("GET", "/equipment/a/forecast?horizon=2")
+    print(conn.getresponse().status)
+finally:
+    server.shutdown()
+    server.server_close()
+    thread.join(10)
 """
 
 
 class TestScipyImport:
-    """scipy takes most of a second to import, and only a fit or a selection
-    filter needs it, and of it only scipy.linalg: none needs scipy.optimize,
-    scipy.signal or scipy.stats."""
+    """The package runs on numpy alone; scipy is a test dependency, whose
+    import would add about a tenth of a second and 20 MB to a start."""
 
     def test_commands_that_fit_nothing_load_no_scipy(self, dataset_csv, tmp_path):
         data = ["--input", str(dataset_csv), "--periods", "8,24"]
@@ -468,17 +517,21 @@ class TestScipyImport:
         assert on_import == []
         assert after_commands == [[EXIT_OK, []]] * 5 + [[EXIT_CONFIG, []]]
 
-    def test_serve_loads_the_fit_path_before_answering(self, dataset_csv, tmp_path):
+    def test_serve_loads_no_scipy(self, dataset_csv, tmp_path):
         registry = tmp_path / "registry.conf"
         registry.write_text(f"a.dataset = {dataset_csv}\n")
         done = run_python("-c", _SCIPY_AFTER_SERVE, str(registry))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["scipy.linalg"]
+        assert done.stdout.split() == []
 
-    def test_fits_and_selection_load_neither_signal_nor_stats(self):
-        # the fit path is numpy and scipy.linalg's LAPACK calls, without
-        # scipy.optimize (about half a second and 20 MB more); scipy.signal
-        # would load scipy.stats, which takes about a second more
+    def test_fits_selection_and_simulate_load_no_scipy(self):
         done = run_python("-c", _SCIPY_AFTER_SELECTION)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["scipy.linalg"]
+        assert done.stdout.split() == []
+
+    def test_fits_selection_simulate_and_serve_run_with_scipy_refused(self, dataset_csv, tmp_path):
+        registry = tmp_path / "registry.conf"
+        registry.write_text(f"a.dataset = {dataset_csv}\n")
+        done = run_python("-c", _WITH_SCIPY_REFUSED, str(registry))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["200"]

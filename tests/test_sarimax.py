@@ -22,8 +22,10 @@ from oeeforecast.series import TimeSeries
 
 from conftest import STAND_INS, ljung_box_rejects, make_oee_series, strict_json
 from oracles import (
+    LapackProjection,
     acf_values,
     continued_innovations,
+    convolve_css_filter,
     indexed_forecast,
     nelder_mead_fit,
     replay_apply_params,
@@ -81,6 +83,32 @@ class TestSimulate:
     def test_noninvertible_rejected(self):
         with pytest.raises(ValueError, match="invertible"):
             simulate(SarimaxSpec(q=1), n=100, seed=0, ma=(1.2,))
+
+    def test_bytes_equal_lfilter_over_random_specs(self):
+        # tests draw their inputs from simulate, so its port of lfilter must
+        # keep every bit; a third of the specs are pure MA, whose one-tap
+        # denominator takes lfilter's convolution branch
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(70)
+        for trial in range(300):
+            p, q, P, Q = (int(v) for v in rng.integers(0, 3, 4))
+            if trial % 3 == 0:
+                p = P = 0
+            spec = SarimaxSpec(p=p, q=q, P=P, Q=Q, s=int(rng.integers(1, 25)))
+            z = rng.normal(0.0, 0.5, p + q + P + Q)
+            phi, theta, sphi, stheta = sarimax._z_to_coefs(z, spec)
+            n, seed = int(rng.integers(1, 400)), int(rng.integers(0, 2**31))
+            sigma2 = 0.5 + trial % 4
+            got = simulate(spec, n, seed, ar=phi, ma=theta, sar=sphi, sma=stheta,
+                           intercept=3.0, sigma2=sigma2)
+            eps = np.random.default_rng(seed).normal(
+                0.0, math.sqrt(sigma2), size=n + sarimax._SIMULATE_BURN_IN
+            )
+            ar_full = sarimax._lag_poly(phi, sphi, spec.s, -1.0)
+            ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
+            want = 3.0 + lfilter(ma_full, ar_full, eps)[sarimax._SIMULATE_BURN_IN :]
+            assert got.values.tobytes() == want.tobytes(), (trial, spec)
 
 
 class TestFitBasics:
@@ -425,6 +453,14 @@ def _readme_refit():
     return cfg, y, fm
 
 
+def _assert_within_1e_13(got, want):
+    """got equals want to 1e-13 relative to want's largest magnitude: the
+    AR stage sums its taps in another order than the column loop's
+    np.convolve, and the MA recursion carries that rounding forward."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+
+
 class TestCssFilterOracle:
     SPECS = {
         "pure_ar": SarimaxSpec(p=3),
@@ -453,12 +489,11 @@ class TestCssFilterOracle:
             ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
             got = sarimax._css_filter(block, ar_full, ma_full, spec.burn_in)
             want = scalar_css_filter(block, ar_full, ma_full, spec.burn_in)
-            assert np.array_equal(got, want)
+            _assert_within_1e_13(got, want)
 
     @pytest.mark.parametrize("name", list(SPECS))
     def test_narrow_blocks_equal_lfilter_at_every_length(self, name):
-        # the AR stage convolves each column, the calls lfilter's FIR path
-        # makes, at any width; series as short as the AR polynomial included
+        # at any width; series as short as the AR polynomial included
         from scipy.signal import lfilter
 
         spec = self.SPECS[name]
@@ -476,9 +511,9 @@ class TestCssFilterOracle:
                     if len(ma_full) > 1:
                         want = lfilter([1.0], ma_full, want, axis=0)
                     got = sarimax._css_filter(block, ar_full, ma_full, burn)
-                    assert got.tobytes() == want.tobytes(), (n, width)
+                    _assert_within_1e_13(got, want)
 
-    def test_bytes_equal_the_column_loop_on_random_blocks(self):
+    def test_within_1e_13_of_the_column_loop_on_random_blocks(self):
         # blocks of one to three columns, in C and Fortran order
         rng = np.random.default_rng(40)
         specs = list(self.SPECS.values())
@@ -494,12 +529,7 @@ class TestCssFilterOracle:
             ma_full = sarimax._lag_poly(theta, stheta, spec.s, 1.0)
             got = sarimax._css_filter(block, ar_full, ma_full, spec.burn_in)
             want = scalar_css_filter(block, ar_full, ma_full, spec.burn_in)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (trial, width)
-            if len(ma_full) == 1:
-                # the AR stage leaves each column contiguous, so a fit's dot
-                # products of a column take one BLAS kernel
-                assert got.strides[0] == got.itemsize
+            _assert_within_1e_13(got, want)
 
 
 class TestVariableProjection:
@@ -543,6 +573,47 @@ class TestVariableProjection:
         assert np.allclose(proj.residual(rhs), rhs - d_f @ want, rtol=0.0, atol=1e-8)
         if noise != 1e-7:
             assert np.allclose(proj.coefficients(rhs), want, rtol=1e-10, atol=1e-12)
+
+    def test_takes_the_svd_wherever_lapack_did(self):
+        # the exact condition number is never below dtrcon's estimate of it,
+        # so the SVD serves at least where it served on LAPACK; where both
+        # factor the Gram matrix, they solve alike
+        rng = np.random.default_rng(63)
+        branches = set()
+        for noise in np.geomspace(1e-1, 1e-9, 161):
+            d_f = rng.normal(size=(200, 5))
+            d_f[:, 4] = d_f[:, 3] + noise * rng.normal(size=200)
+            got, want = sarimax._Projection(d_f), LapackProjection(d_f)
+            branches.add((got.chol is None, want.chol is None))
+            assert got.chol is None or want.chol is not None, noise
+            if got.chol is not None:
+                rhs = rng.normal(size=(200, 2))
+                b = want.coefficients(rhs)
+                assert np.abs(got.coefficients(rhs) - b).max() <= 1e-10 * np.abs(b).max()
+                assert np.abs(got.residual(rhs) - want.residual(rhs)).max() <= 1e-11
+        assert {(False, False), (True, True)} <= branches
+
+    @pytest.mark.parametrize("case", ["seasonal_arma", "exog", "readme_refit"])
+    def test_fits_end_within_1e_9_of_the_convolution_and_lapack_path(self, monkeypatch, case):
+        # the multiply-add AR stage and the inverted Cholesky factor round
+        # differently from the per-column np.convolve and LAPACK's potrs
+        if case == "seasonal_arma":
+            spec = SarimaxSpec(p=1, P=1, Q=1, s=8)
+            args = (simulate(spec, n=400, seed=3, ar=(0.5,), sar=(0.3,), sma=(0.4,)), spec)
+        elif case == "exog":
+            rng = np.random.default_rng(64)
+            x = rng.normal(size=(400, 6))
+            base = simulate(SarimaxSpec(p=1, Q=1, s=8), n=400, seed=4, ar=(0.5,), sma=(0.4,))
+            args = (TimeSeries(base.values + x @ rng.normal(0.0, 0.5, 6)),
+                    SarimaxSpec(p=2, q=1, P=1, Q=1, s=8), x)
+        else:
+            cfg, y, fm = _readme_refit()
+            args = (y, cfg.sarimax_spec, fm)
+        got = fit(*args, n_restarts=1)
+        monkeypatch.setattr(sarimax, "_css_filter", convolve_css_filter)
+        monkeypatch.setattr(sarimax, "_Projection", LapackProjection)
+        want = fit(*args, n_restarts=1)
+        assert abs(got.loglik - want.loglik) <= 1e-9 * abs(want.loglik)
 
     @pytest.mark.parametrize(
         "spec, k",

@@ -1,15 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from oeeforecast.feature_matrix import FeatureMatrix
+from oeeforecast.pipeline import PipelineConfig, aligned_features, causal_components
 from oeeforecast.sarimax import SarimaxSpec, simulate
 from oeeforecast.selection import (
     _average_ranks,
     PsoConfig,
     PsoResult,
     SelectionReport,
+    collinearity_prune,
     correlation_filter,
     pso_bic,
     rfe_sarimax,
@@ -17,9 +20,10 @@ from oeeforecast.selection import (
     write_manifest,
 )
 from oeeforecast.series import TimeSeries
+from oeeforecast.tda.extract import fit_diagram_scale
 
-from conftest import strict_json
-from oracles import scipy_spearman
+from conftest import STAND_INS, make_oee_series, strict_json
+from oracles import qr_collinearity_prune, scipy_spearman
 
 
 def matrix_from(cols: dict) -> FeatureMatrix:
@@ -115,6 +119,38 @@ class TestCorrelationFilter:
                 continue
             got = np.corrcoef(np.vstack([_average_ranks(x), _average_ranks(y)]))[1, 0]
             assert got == scipy_spearman(x, y), trial
+
+
+class TestCollinearityPrune:
+    def test_of_a_dependent_set_the_last_column_goes(self):
+        rng = np.random.default_rng(5)
+        a, b, noise = rng.normal(size=(3, 200))
+        for names, cols in (
+            (("a", "b", "sum"), (a, b, a + b)),
+            (("sum", "a", "b"), (a + b, a, b)),
+        ):
+            fm = matrix_from(dict(zip(names, cols)) | {"noise": noise, "flat": np.ones(200)})
+            out, report = collinearity_prune(fm)
+            assert report.kept_columns == out.column_names == names[:2] + ("noise",)
+            assert set(report.dropped_columns) == {names[2], "flat"}
+
+    @pytest.mark.parametrize("feature_mode", ["statistical", "both"])
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_drops_what_the_pivoted_qr_dropped_on_the_stand_ins(self, name, feature_mode):
+        # the catalog the pipeline prunes: the training span's, filtered
+        cfg = PipelineConfig(feature_mode=feature_mode)
+        series = make_oee_series(*STAND_INS[name])
+        split = math.floor(len(series) * (1.0 - cfg.test_fraction))
+        _, _, residual = causal_components(series.slice(0, split), cfg.periods)
+        scale = fit_diagram_scale(residual, cfg.window) if feature_mode == "both" else None
+        y, fm = aligned_features(cfg, residual, scale)
+        fm, _ = variance_filter(fm)
+        fm, _ = correlation_filter(fm, y.values)
+        _, got = collinearity_prune(fm)
+        _, want = qr_collinearity_prune(fm)
+        assert want.dropped_columns  # the catalog holds an exact dependency
+        assert got.kept_columns == want.kept_columns
+        assert got.dropped_columns == want.dropped_columns
 
 
 class TestRfe:
