@@ -11,6 +11,7 @@ registry file, the flag for a flag.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -35,6 +36,7 @@ from .pipeline import (
     forecasts_to_csv,
     load_series,
     read_settings,
+    train_split,
 )
 from .selection import write_manifest
 from .series import CsvError, summary_stats
@@ -141,7 +143,7 @@ def cmd_select(args) -> int:
     _require_features(cfg, "select")
     series = load_series(cfg)
     strategy = DecomposedStrategy(cfg)
-    strategy.refit(series.slice(0, int(len(series) * (1 - cfg.test_fraction))))
+    strategy.refit(series.slice(0, train_split(cfg, len(series))))
     write_manifest(args.output, strategy.columns, strategy.selection_reports, strategy.pso_result)
     print(f"wrote {args.output}: {len(strategy.columns)} columns selected")
     return EXIT_OK
@@ -171,10 +173,8 @@ def cmd_forecast(args) -> int:
     for h, v in enumerate(values, start=1):
         print(f"{h} {v:.4f}")
     if args.output:
-        import csv as _csv
-
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["step", "forecast"])
             for h, v in enumerate(values, start=1):
                 w.writerow([h, repr(float(v))])

@@ -362,9 +362,9 @@ class DecomposedStrategy:
 
     This is the one selection path: the benchmark, the service and the
     CLI's forecast and select commands all fit through it. The rolling
-    harness (benchmark, the service's backtest) and ``select`` refit first
-    on the training span; ``forecast`` and the service's served model on
-    the whole series.
+    harness (the benchmark, and the service, which serves the model its
+    backtest leaves) and ``select`` refit first on the training span of
+    ``train_split``; the ``forecast`` command on the whole series.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -467,17 +467,21 @@ class DecomposedStrategy:
 # rolling harness
 
 
+def train_split(cfg: PipelineConfig, n: int) -> int:
+    """Length of the training span (first refit, ``select``) of n points."""
+    return int(math.floor(n * (1.0 - cfg.test_fraction)))
+
+
 def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> EvaluationReport:
     n = len(series)
-    split = int(math.floor(n * (1.0 - cfg.test_fraction)))
+    split = train_split(cfg, n)
     if split < 2 * max(cfg.periods):
         raise ValueError(
             f"train span {split} < 2 x max period {max(cfg.periods)}; series too short"
         )
 
     start_time = time.perf_counter()
-    first_origin = split - 1
-    origins = list(range(first_origin, n - 1))
+    origins = list(range(split - 1, n - 1))
 
     # first refit is exactly the training span (past at the first origin),
     # so fit once here, take in-sample metrics, and skip the k=0 refit below
@@ -485,8 +489,6 @@ def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> Eva
     strategy.refit(train)
     t_start, t_preds = strategy.train_one_step(train)
     t_actual = train.values[t_start : t_start + len(t_preds)]
-    train_mae = mae(t_actual, t_preds)
-    train_mape = mape(t_actual, t_preds)
 
     records = []
     skipped = []
@@ -523,8 +525,8 @@ def _evaluate_strategy(series: TimeSeries, cfg: PipelineConfig, strategy) -> Eva
         cost_seconds=time.perf_counter() - start_time,
         n_forecasts=len(origins) - len(skipped),
         per_step_errors=tuple(per_step),
-        train_mae=train_mae,
-        train_mape=train_mape,
+        train_mae=mae(t_actual, t_preds),
+        train_mape=mape(t_actual, t_preds),
         records=tuple(records),
         skipped=tuple(skipped),
         refit_failures=tuple(refit_failures),

@@ -117,12 +117,13 @@ def load_csv(
         for rownum, row in enumerate(reader, start=1):
             if not row or all(not c.strip() for c in row):
                 continue
+            # a short row's absent cells fail to parse below and are named so
+            row += ["<missing>"] * (len(header) - len(row))
             try:
                 values.append(float(row[vcol]))
-            except (ValueError, IndexError):
-                cell = row[vcol] if vcol < len(row) else "<missing>"
+            except ValueError:
                 raise CsvError(
-                    f"{path}: non-numeric value {cell!r} in column "
+                    f"{path}: non-numeric value {row[vcol]!r} in column "
                     f"{value_column!r} at row {rownum}"
                 ) from None
             if not math.isfinite(values[-1]):

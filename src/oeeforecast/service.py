@@ -11,18 +11,18 @@ Endpoints (JSON bodies, frozen field names):
          "residual": [...]}}    (component tails, last 168 points)
     GET /healthz
         {"equipment": [{"id", "cached", "fit_age_s", "rebuild_s":
-         {"refit", "backtest", "decomposition"}, "refit_failures"}, ...]}
+         {"backtest", "decomposition"}, "refit_failures"}, ...]}
         (the last four are null until the id's first fit; reads no CSV and
          waits for no rebuild)
 
 Unknown ids give 404, malformed horizons 400, pipeline failures 500 with a
 diagnostic id. Path segments are percent-decoded, so an id with a space is
 ``my%20line``. Each id's answers are cached against its file's
-modification stamp: a rebuild reads the CSV, refits the served model and
-forecasts its MAX_HORIZON hours, runs the backtest and decomposes, then
-publishes a plain dict that never changes afterwards. The listing reads a
-file only when its stamp differs from the cached one. The registered files
-are only ever opened for reading.
+modification stamp: a rebuild reads the CSV, runs the backtest, forecasts
+MAX_HORIZON hours from the model the backtest scored (one model per id)
+and decomposes, then publishes a plain dict that never changes afterwards.
+The listing reads a file only when its stamp differs from the cached one.
+The registered files are only ever opened for reading.
 
 Each request writes one line to stderr once its answer has been sent:
 
@@ -108,9 +108,7 @@ class _EquipmentCache:
     def entry(self, eid: str):
         """The id's answers for its file as it is now. The dict returned is
         finished when it is published and is never changed afterwards."""
-        cfg = self.registry.get(eid)
-        if cfg is None:
-            raise KeyError(eid)
+        cfg = self.registry[eid]
         with self._locks[eid]:
             # stamped under the lock: a stamp read before waiting for
             # another request's rebuild could be older than the data that
@@ -125,17 +123,16 @@ class _EquipmentCache:
                 cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column, name=eid
             )
             strategy = DecomposedStrategy(cfg)
-            strategy.refit(series)
+            backtest = rolling_forecast(cfg, series=series, strategy=strategy)
+            # the backtest's model: its last scheduled refit, extended to the last row
             forecast = [float(v) for v in strategy.forecast(series, MAX_HORIZON)]
             t1 = time.perf_counter()
-            backtest = rolling_forecast(cfg, series=series)
-            t2 = time.perf_counter()
             d = decompose(series, cfg.periods)
             tails = {"trend": [float(v) for v in d.trend.values[-TAIL_POINTS:]]}
             for p in cfg.periods:
                 tails[f"seasonal_{p}"] = [float(v) for v in d.seasonal[p].values[-TAIL_POINTS:]]
             tails["residual"] = [float(v) for v in d.residual.values[-TAIL_POINTS:]]
-            t3 = time.perf_counter()
+            t2 = time.perf_counter()
             hit = {
                 "mtime": mtime,
                 "origin": series.end.isoformat(),
@@ -143,9 +140,9 @@ class _EquipmentCache:
                 "mae_backtest": backtest.mae,
                 "forecast": forecast,  # a horizon H answers the first H
                 "tails": tails,
-                "built_at": t3,
-                # the refit's share includes reading the CSV and the forecast
-                "rebuild_s": {"refit": t1 - t0, "backtest": t2 - t1, "decomposition": t3 - t2},
+                "built_at": t2,
+                # the backtest's share includes reading the CSV and the forecast
+                "rebuild_s": {"backtest": t1 - t0, "decomposition": t2 - t1},
                 "refit_failures": [list(f) for f in backtest.refit_failures],
             }
             self._cached[eid] = hit

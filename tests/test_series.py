@@ -141,6 +141,16 @@ class TestLoadCsv:
         p = write_csv(tmp_path, "ts,value\n2024-01-01T00:00+02:00,5\n2024-01-01T01:00+02:00,6\n")
         assert list(load_csv(p, "value", timestamp_column="ts").values) == [5.0, 6.0]
 
+    def test_missing_timestamp_cell_names_row(self, tmp_path):
+        p = write_csv(tmp_path, "value,ts\n5,2024-01-01T00:00\n6.0\n")
+        with pytest.raises(CsvError, match="bad timestamp '<missing>' at row 2$"):
+            load_csv(p, "value", timestamp_column="ts")
+
+    def test_missing_value_cell_names_row(self, tmp_path):
+        p = write_csv(tmp_path, "ts,value\n2024-01-01T00:00,5\n2024-01-01T01:00\n")
+        with pytest.raises(CsvError, match="value '<missing>' in column 'value' at row 2$"):
+            load_csv(p, "value", timestamp_column="ts")
+
     def test_byte_order_mark_is_skipped(self, tmp_path):
         p = write_csv(tmp_path, "\ufeffvalue,ts\n5,2024-01-01T00:00\n6,2024-01-01T01:00\n")
         ts = load_csv(p, "value", timestamp_column="ts")

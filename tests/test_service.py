@@ -18,6 +18,7 @@ from datetime import datetime, timedelta
 import pytest
 
 from oeeforecast import pipeline, service
+from oeeforecast.cli import cli_run
 from oeeforecast.service import MAX_HORIZON, _EquipmentCache, load_registry, serve
 
 from conftest import make_oee_series
@@ -308,11 +309,52 @@ class TestForecastCache:
             server.server_close()
         assert horizons == []
         assert server.cache.entry("a") is hit and hit == frozen
+        # the served model is the one the backtest left, extended to the last row
         series = service.load_csv(cfg.dataset, cfg.value_column)
         strategy = pipeline.DecomposedStrategy(cfg)
-        strategy.refit(series)
+        assert pipeline.rolling_forecast(cfg, series=series, strategy=strategy).mae == hit[
+            "mae_backtest"
+        ]
         for h, values in answers.items():
             assert values == [float(v) for v in forecast(strategy, series, h)]
+
+
+class TestOneModel:
+    def test_a_rebuild_selects_once_and_serves_the_manifest_columns(self, tmp_path, monkeypatch):
+        # the backtest's first refit selects on the training span; the served
+        # forecast comes from that strategy, so nothing selects a second time
+        quick_registry(tmp_path)
+        with open(tmp_path / "registry.conf", "a") as fh:
+            fh.write("a.feature_mode = topological\na.selection_mode = rfe\n")
+        registry = load_registry(tmp_path / "registry.conf")
+        cfg = registry["a"]
+        rfe_calls, strategies = [], []
+        rfe = pipeline.rfe_sarimax
+
+        def counted(*args, **kwargs):
+            rfe_calls.append(1)
+            return rfe(*args, **kwargs)
+
+        def recorded(cfg):
+            strategies.append(pipeline.DecomposedStrategy(cfg))
+            return strategies[-1]
+
+        monkeypatch.setattr(pipeline, "rfe_sarimax", counted)
+        monkeypatch.setattr(service, "DecomposedStrategy", recorded)
+        hit = _EquipmentCache(registry).entry("a")
+        assert len(rfe_calls) == 1 and len(strategies) == 1
+        (strategy,) = strategies
+        series = service.load_csv(cfg.dataset, cfg.value_column)
+        assert hit["forecast"] == [float(v) for v in strategy.forecast(series, MAX_HORIZON)]
+
+        manifest = tmp_path / "manifest.json"
+        rc = cli_run([
+            "select", "--input", cfg.dataset, "--periods", "8,24", "--test-fraction", "0.15",
+            "--spec", "2,0,0,1,0,1,8", "--feature-mode", "topological",
+            "--selection-mode", "rfe", "--output", str(manifest),
+        ])
+        assert rc == 0
+        assert json.loads(manifest.read_text())["final_columns"] == list(strategy.columns)
 
 
 class TestStamps:
@@ -322,13 +364,11 @@ class TestStamps:
         # the stamp it would have read before waiting. The test's thread
         # is B, re-entering the lock it holds; each rebuild loads the CSV
         # once, and the fit and backtest are stubbed out
-        strategy = types.SimpleNamespace(
-            refit=lambda series: None, forecast=lambda series, horizon: [0.0] * horizon, label="stub"
-        )
+        strategy = types.SimpleNamespace(forecast=lambda series, h: [0.0] * h, label="stub")
         monkeypatch.setattr(service, "DecomposedStrategy", lambda cfg: strategy)
         monkeypatch.setattr(
             service, "rolling_forecast",
-            lambda cfg, series: types.SimpleNamespace(mae=0.0, refit_failures=[]),
+            lambda cfg, series, strategy: types.SimpleNamespace(mae=0.0, refit_failures=[]),
         )
         registry = quick_registry(tmp_path)
         cache = _EquipmentCache(registry)
@@ -461,7 +501,7 @@ class TestHealthz:
                 a, b = doc["equipment"]
                 assert a["cached"] and not b["cached"]
                 assert a["fit_age_s"] >= 0.0
-                assert set(a["rebuild_s"]) == {"refit", "backtest", "decomposition"}
+                assert set(a["rebuild_s"]) == {"backtest", "decomposition"}
                 assert all(v > 0.0 for v in a["rebuild_s"].values())
                 assert a["refit_failures"] == []
                 assert b["fit_age_s"] is None
