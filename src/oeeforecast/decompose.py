@@ -11,8 +11,10 @@ reconstruction is an identity by construction.
 
 The moving average is a fixed linear filter, computed as array code from
 one cumulative sum: the points with room for the full kernel take
-differences of two slices of it, and only the shrinking edges index it
-point by point. Each period's phase means are row sums of the
+differences of two slices of it, and the shrinking edges take strided
+slices of it over their kernel widths, which are cached per window like
+each period's phase order; nothing is cached per series length, which is
+new at every origin. Each period's phase means are row sums of the
 complete-window span reshaped into cycles, divided by their counts (the
 arithmetic of ndarray.mean, without its Python wrapper). Every forecast
 origin decomposes its whole past, so this is per-origin cost. Both give
@@ -23,6 +25,7 @@ are kept as the equivalence oracle in tests/oracles.py.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +64,40 @@ def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
             out[half : n - half] = (inner + 0.5 * (x[:m] + x[2 * half :])) / window
         else:
             out[half : n - half] = (csum[window:] - csum[:m]) / window
-        i = np.concatenate((np.arange(half), np.arange(n - half, n)))
-    else:
-        i = np.arange(n)
-    k = np.minimum(i, n - 1 - i)  # shrunk half-width of an edge point
-    out[i] = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
+    # an edge point at distance k from its nearer end averages the 2k + 1
+    # points x[i-k .. i+k]: csum[2k + 1] on the left (csum[0] is 0), and
+    # csum[n] - csum[n - 2k - 1] on the right, k = 0 at the last point
+    widths = _edge_widths(window)
+    left, right = min(half, (n + 1) // 2), min(half, n // 2)
+    out[:left] = csum[1 : 2 * left : 2] / widths[:left]
+    out[n - right :] = ((csum[n] - csum[n - 1 : n - 2 * right : -2]) / widths[:right])[::-1]
+    return out
+
+
+@functools.cache
+def _edge_widths(window: int) -> np.ndarray:
+    """The edge points' kernel widths 2k + 1, for k = 0 .. window // 2 - 1."""
+    widths = np.arange(1, 2 * (window // 2), 2, dtype=float)
+    widths.setflags(write=False)  # shared by every call
+    return widths
+
+
+@functools.cache
+def _phase_order(period: int) -> np.ndarray:
+    """For each phase, the span column that holds it: the span starts at
+    phase period // 2."""
+    order = (np.arange(period) - period // 2) % period
+    order.setflags(write=False)  # shared by every call
+    return order
+
+
+def _tiled(means: np.ndarray, n: int) -> np.ndarray:
+    """The per-phase means repeated over n points: point i gets means[i % period]."""
+    period = means.size
+    out = np.empty(n)
+    whole = n - n % period
+    out[:whole].reshape(-1, period)[:] = means
+    out[whole:] = means[: n - whole]
     return out
 
 
@@ -89,7 +121,7 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
     by_column = np.concatenate(
         [np.add.reduce(longer, axis=1) / (cycles + 1), np.add.reduce(shorter, axis=1) / cycles]
     )
-    means = by_column[(np.arange(period) - half) % period]
+    means = by_column[_phase_order(period)]
     return means - np.add.reduce(means) / period
 
 
@@ -122,7 +154,6 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
         raise ValueError(f"series length {n} < 2 x max period {periods[-1]}")
 
     x = ts.values.astype(float)
-    idx = np.arange(n)
     seasonal = {p: np.zeros(n) for p in periods}
 
     # work = input minus all current seasonal estimates
@@ -132,7 +163,7 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
             with_p = work + seasonal[p]
             trend_p = centered_moving_average(with_p, p)
             means = _phase_means(with_p - trend_p, p)
-            seasonal[p] = means[idx % p]
+            seasonal[p] = _tiled(means, n)
             work = with_p - seasonal[p]
 
     trend = centered_moving_average(work, periods[-1])

@@ -4,6 +4,7 @@ Endpoints (JSON bodies, frozen field names):
 
     GET /equipment
         {"equipment": [{"id": ..., "last_timestamp": ...}, ...]}
+        (last_timestamp is null for an id whose file cannot be read)
     GET /equipment/<id>/forecast?horizon=H        (H in 1..8, default 4)
         {"id", "origin", "horizon", "values", "model_label", "mae_backtest"}
     GET /equipment/<id>/decomposition
@@ -148,14 +149,18 @@ class _EquipmentCache:
             self._cached[eid] = hit
             return hit
 
-    def last_timestamp(self, eid: str) -> str:
+    def last_timestamp(self, eid: str) -> str | None:
         """The id's last observed hour: the cached one while the file's stamp
-        matches, otherwise read from the file (without a rebuild)."""
+        matches, otherwise read from the file (without a rebuild); None when
+        the file cannot be read, e.g. after it was removed."""
         cfg = self.registry[eid]
         hit = self._cached.get(eid)
-        if hit is not None and hit["mtime"] == os.stat(cfg.dataset).st_mtime_ns:
-            return hit["origin"]
-        series = load_csv(cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column)
+        try:
+            if hit is not None and hit["mtime"] == os.stat(cfg.dataset).st_mtime_ns:
+                return hit["origin"]
+            series = load_csv(cfg.dataset, cfg.value_column, timestamp_column=cfg.timestamp_column)
+        except OSError:
+            return None
         return series.end.isoformat()
 
     def health(self) -> list[dict]:

@@ -11,8 +11,9 @@ sum, the mean and the centered windows; one sort gives the median and the
 change-quantile bands; one rfft the coefficient block; one periodogram the
 spectral moments and the Fourier entropy. The ACF is row-wise dot products
 and the PACF a batched Durbin-Levinson recursion; the template entropies
-come from a (windows, templates, templates) Chebyshev distance tensor, and
-the regression is in closed form.
+count boolean (windows, templates, templates) template matches, built one
+fixed block of windows at a time, since they alone grow with the square of
+the window; and the regression is in closed form.
 
 Each row goes through the reductions a one-window call uses (a shared
 reduction is computed as np.mean, np.var, np.median or np.quantile compute
@@ -44,6 +45,8 @@ CHANGE_QUANTILE_BANDS = ((0.0, 0.2), (0.2, 0.8), (0.8, 1.0))
 # the lag-N_ACF_LAGS autocorrelation needs more than twice as many values
 MIN_WINDOW = 2 * N_ACF_LAGS + 1
 TEMPLATE_LENGTH = 2  # sample and approximate entropy
+# windows per block of template match tensors, (block, window, window) each
+_MATCH_BLOCK = 64
 PERMUTATION_ORDER = 3
 FOURIER_BINS = 10
 # np.histogram's bin edges over [0, 1]
@@ -244,23 +247,28 @@ def _match_counts(X: np.ndarray, m: int, r: np.ndarray) -> list[np.ndarray]:
     """Per window, template length (m, then m + 1) and template: the number of
     templates, itself included, within Chebyshev distance r[window].
 
-    The (windows, templates, templates) distance tensor of length k + 1 is
-    the elementwise maximum of length k's tensor and the values' pairwise
-    distances shifted by k along both template axes.
+    A Chebyshev distance is within r exactly when every coordinate difference
+    is, so the (windows, templates, templates) matches of length k + 1 are
+    length k's matches AND-ed with the value matches shifted by k along both
+    template axes. The tensors are built for _MATCH_BLOCK windows at a time,
+    so their memory does not grow with the number of windows; the counts are
+    integer row sums, the same in any block.
     """
-    n = X.shape[1]
-    diff = np.abs(X[:, :, None] - X[:, None, :])
-    lim = r[:, None, None]
-    dist = diff[:, : n - m + 1, : n - m + 1]
-    for k in range(1, m):
-        dist = np.maximum(dist, diff[:, k : n - m + 1 + k, k : n - m + 1 + k])
-    longer = np.maximum(dist[:, :-1, :-1], diff[:, m:, m:])
-    return [_count_within(dist, lim), _count_within(longer, lim)]
-
-
-def _count_within(dist: np.ndarray, lim: np.ndarray) -> np.ndarray:
-    """Count of dist <= lim along the last axis, by an exact float product."""
-    return ((dist <= lim) @ np.ones(dist.shape[-1])).astype(np.intp)
+    n_win, n = X.shape
+    t = n - m + 1
+    counts = [np.empty((n_win, t), np.intp), np.empty((n_win, t - 1), np.intp)]
+    for lo in range(0, n_win, _MATCH_BLOCK):
+        rows = slice(lo, lo + _MATCH_BLOCK)
+        B = X[rows]
+        close = np.abs(B[:, :, None] - B[:, None, :]) <= r[rows, None, None]
+        match = close[:, :t, :t].copy()
+        for k in range(1, m):
+            match &= close[:, k : t + k, k : t + k]
+        counts[0][rows] = np.count_nonzero(match, axis=2)
+        longer = match[:, :-1, :-1]
+        longer &= close[:, m:, m:]
+        counts[1][rows] = np.count_nonzero(longer, axis=2)
+    return counts
 
 
 @functools.cache

@@ -197,6 +197,26 @@ class TestEndpoints:
             finally:
                 conn.close()
 
+    def test_the_listing_survives_removed_files(self, tmp_path):
+        # a removed file lists its id with a null timestamp, whether the id
+        # was fitted (a stamp check) or not (a read); the others are listed
+        registry = quick_registry(tmp_path, ids=("a", "b", "c"))
+        with running(registry) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=120)
+            try:
+                assert request(conn, "/equipment/a/forecast")[0] == 200
+                _, doc = request(conn, "/equipment")
+                before = {e["id"]: e["last_timestamp"] for e in doc["equipment"]}
+                os.remove(registry["a"].dataset)
+                os.remove(registry["b"].dataset)
+                status, doc = request(conn, "/equipment")
+                assert status == 200
+                after = {e["id"]: e["last_timestamp"] for e in doc["equipment"]}
+                assert after == {"a": None, "b": None, "c": before["c"]}
+                assert before["c"] is not None
+            finally:
+                conn.close()
+
     def test_ids_are_percent_decoded(self, tmp_path, capsys):
         ids = ("a/b", "my line")
         with running(quick_registry(tmp_path, ids=ids)) as port:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oeeforecast.stat_features import CATALOG, extract_stat_features, window_fea
 
 from conftest import STAND_INS, make_oee_series
 from oracles import (
+    _batch_match_counts,
     batch_catalog_rows,
     scalar_approximate_entropy,
     scalar_fourier_entropy,
@@ -20,6 +22,11 @@ from oracles import (
 )
 
 ENTROPY_COLUMNS = ("sample_entropy", "approximate_entropy", "permutation_entropy", "fourier_entropy")
+TEMPLATE_COLUMNS = ("sample_entropy", "approximate_entropy")
+# window counts one short of a block of match tensors, one block, one over,
+# and two blocks and one
+BLOCK = stat_features._MATCH_BLOCK
+WINDOW_COUNTS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]
 
 
 def causal_residual(name):
@@ -46,6 +53,19 @@ def degenerate_windows():
             ]
         )
     )
+
+
+def block_edge_series(n_windows, window):
+    """Three series of n_windows windows: noise, rounded noise (tied values),
+    and noise with a constant stretch one window long in the first block (a
+    window with tolerance r = 0)."""
+    rng = np.random.default_rng(n_windows + window)
+    n = n_windows + window - 1
+    noise = rng.normal(30.0, 5.0, n)
+    flat = noise.copy()
+    start = min(BLOCK - 2, n_windows - 1)
+    flat[start : start + window] = 7.0
+    return [TimeSeries(noise), TimeSeries(np.round(rng.normal(30.0, 1.5, n))), TimeSeries(flat)]
 
 
 def scalar_extraction(ts, window):
@@ -264,6 +284,20 @@ class TestScalarOracle:
                 want = np.nan_to_num(scalar(x), nan=0.0, posinf=0.0, neginf=0.0)
                 assert fm.column(column)[0].tobytes() == np.float64(want).tobytes(), column
 
+    @pytest.mark.parametrize("n_windows", WINDOW_COUNTS)
+    def test_template_entropies_around_the_match_block(self, n_windows):
+        oracles = {
+            "sample_entropy": scalar_sample_entropy,
+            "approximate_entropy": scalar_approximate_entropy,
+        }
+        for ts in block_edge_series(n_windows, 24):
+            fm = extract_stat_features(ts, 24, TEMPLATE_COLUMNS)
+            windows = np.lib.stride_tricks.sliding_window_view(ts.values, 24)
+            for column, scalar in oracles.items():
+                want = [scalar(x) for x in windows]
+                want = np.nan_to_num(want, nan=0.0, posinf=0.0, neginf=0.0)
+                assert fm.column(column).tobytes() == want.tobytes(), column
+
 
 def batch_extraction(ts, window, columns=None):
     """The batch catalog oracle's matrix, then the selection."""
@@ -343,6 +377,20 @@ class TestBatchOracle:
             ts = TimeSeries(x)
             assert_same_bytes(extract_stat_features(ts, window), batch_extraction(ts, window))
 
+    @pytest.mark.parametrize("n_windows", WINDOW_COUNTS)
+    def test_windows_around_the_match_block(self, n_windows):
+        m = stat_features.TEMPLATE_LENGTH
+        for window in (17, 24):
+            for ts in block_edge_series(n_windows, window):
+                X = np.lib.stride_tricks.sliding_window_view(ts.values, window)
+                r = 0.2 * np.std(X, axis=1)
+                got = stat_features._match_counts(np.ascontiguousarray(X), m, r)
+                want = _batch_match_counts(X, m, r)
+                assert [c.tobytes() for c in got] == [c.tobytes() for c in want]
+                for columns in (None, TEMPLATE_COLUMNS):
+                    want = batch_extraction(ts, window, columns)
+                    assert_same_bytes(extract_stat_features(ts, window, columns), want)
+
     def test_unknown_and_empty_selections(self):
         ts = causal_residual("gh2")
         with pytest.raises(ValueError, match="statistical catalog"):
@@ -354,6 +402,20 @@ class TestBatchOracle:
         rng = np.random.default_rng(14)
         for x in (rng.normal(size=24), np.full(24, 2.0), np.arange(30.0)):
             assert window_features(x).tobytes() == batch_catalog_rows(x[None, :])[0].tobytes()
+
+
+class TestMemory:
+    def test_template_entropies_in_bounded_memory(self):
+        # the match tensors are built one block of windows at a time: for all
+        # 1953 windows of 48 values at once they would take over 140 MB
+        ts = TimeSeries(np.random.default_rng(15).normal(size=2000))
+        tracemalloc.start()
+        try:
+            extract_stat_features(ts, 48, TEMPLATE_COLUMNS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestFeatureMatrix:
