@@ -17,16 +17,19 @@ each period's phase order; nothing is cached per series length, which is
 new at every origin. Each period's phase means are row sums of the
 complete-window span reshaped into cycles, divided by their counts (the
 arithmetic of ndarray.mean, without its Python wrapper). Every forecast
-origin decomposes its whole past, so this is per-origin cost. Both give
-the same bits as the per-point and per-phase loops they replaced, which
-are kept as the equivalence oracle in tests/oracles.py.
+origin decomposes its whole past, so this is per-origin cost: the passes
+reuse the same work buffers, each period's seasonal is tiled into its own
+array, and the seasonals' sum is computed once and kept on the result
+(``seasonal_sum``) for the causal decomposition to read. Both give the
+same bits as the per-point and per-phase loops they replaced, which are
+kept as the equivalence oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +45,8 @@ class DecompositionResult:
     seasonal: dict[int, TimeSeries]  # period -> component, insertion-ordered ascending
     residual: TimeSeries
     periods: tuple[int, ...]
+    # the seasonals' pointwise sum, added in period order, read-only
+    seasonal_sum: np.ndarray = field(repr=False, compare=False)
 
 
 def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
@@ -54,23 +59,31 @@ def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     n = x.size
     half = window // 2
-    csum = np.concatenate(([0.0], np.cumsum(x)))
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.add.accumulate(x, out=csum[1:])
     out = np.empty(n)
     m = n - 2 * half  # points with room for the full kernel: half .. n - 1 - half
     if m > 0:
+        full = out[half : n - half]
         if window % 2 == 0:
             # full even kernel: half-weight endpoints around x[i-half+1 .. i+half-1]
-            inner = csum[2 * half : n] - csum[1 : m + 1]
-            out[half : n - half] = (inner + 0.5 * (x[:m] + x[2 * half :])) / window
+            ends = np.add(x[:m], x[2 * half :])
+            ends *= 0.5
+            np.subtract(csum[2 * half : n], csum[1 : m + 1], out=full)
+            full += ends
         else:
-            out[half : n - half] = (csum[window:] - csum[:m]) / window
+            np.subtract(csum[window:], csum[:m], out=full)
+        full /= window
     # an edge point at distance k from its nearer end averages the 2k + 1
     # points x[i-k .. i+k]: csum[2k + 1] on the left (csum[0] is 0), and
     # csum[n] - csum[n - 2k - 1] on the right, k = 0 at the last point
     widths = _edge_widths(window)
     left, right = min(half, (n + 1) // 2), min(half, n // 2)
-    out[:left] = csum[1 : 2 * left : 2] / widths[:left]
-    out[n - right :] = ((csum[n] - csum[n - 1 : n - 2 * right : -2]) / widths[:right])[::-1]
+    np.divide(csum[1 : 2 * left : 2], widths[:left], out=out[:left])
+    tail = out[n - right :][::-1]  # k = 0 first
+    np.subtract(csum[n], csum[n - 1 : n - 2 * right : -2], out=tail)
+    tail /= widths[:right]
     return out
 
 
@@ -91,14 +104,12 @@ def _phase_order(period: int) -> np.ndarray:
     return order
 
 
-def _tiled(means: np.ndarray, n: int) -> np.ndarray:
-    """The per-phase means repeated over n points: point i gets means[i % period]."""
-    period = means.size
-    out = np.empty(n)
+def _tile(means: np.ndarray, out: np.ndarray) -> None:
+    """The per-phase means repeated over out: point i gets means[i % period]."""
+    period, n = means.size, out.size
     whole = n - n % period
     out[:whole].reshape(-1, period)[:] = means
     out[whole:] = means[: n - whole]
-    return out
 
 
 def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
@@ -111,18 +122,23 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
     half = period // 2
     span = x[half : x.size - half]
     cycles, rem = divmod(span.size, period)
-    blocks = span[: cycles * period].reshape(cycles, period)
-    # one contiguous row per span column j (phase (half + j) % period): a row
-    # mean sums its samples in the order the mean of the strided slice
-    # span[j::period] does; the first rem columns have one more sample
-    longer = np.vstack([blocks[:, :rem], span[None, cycles * period :]]).T.copy()
-    shorter = blocks[:, rem:].T.copy()
+    # row j holds span column j (phase (half + j) % period), one sample per
+    # cycle: a row sum adds its samples in the order the mean of the strided
+    # slice span[j::period] does. The first rem columns have one more
+    # sample, in the last slot; the others' rows end before it.
+    rows = np.empty((period, cycles + 1))
+    rows[:, :cycles] = span[: cycles * period].reshape(cycles, period).T
+    rows[:rem, cycles] = span[cycles * period :]
     # sum / count is ndarray.mean's own arithmetic, without its Python wrapper
-    by_column = np.concatenate(
-        [np.add.reduce(longer, axis=1) / (cycles + 1), np.add.reduce(shorter, axis=1) / cycles]
-    )
+    by_column = np.empty(period)
+    longer, shorter = by_column[:rem], by_column[rem:]
+    np.add.reduce(rows[:rem], axis=1, out=longer)
+    np.add.reduce(rows[rem:, :cycles], axis=1, out=shorter)
+    longer /= cycles + 1
+    shorter /= cycles
     means = by_column[_phase_order(period)]
-    return means - np.add.reduce(means) / period
+    means -= np.add.reduce(means) / period
+    return means
 
 
 def check_periods(periods) -> tuple[int, ...]:
@@ -153,27 +169,34 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
     if n < 2 * periods[-1]:
         raise ValueError(f"series length {n} < 2 x max period {periods[-1]}")
 
-    x = ts.values.astype(float)
+    x = ts.values
     seasonal = {p: np.zeros(n) for p in periods}
 
-    # work = input minus all current seasonal estimates
-    work = x.copy()
+    # work = input minus all current seasonal estimates; every pass writes
+    # the same buffers, each seasonal its own
+    work, with_p, detrended = x.copy(), np.empty(n), np.empty(n)
     for _ in range(PASSES):
         for p in periods:
-            with_p = work + seasonal[p]
-            trend_p = centered_moving_average(with_p, p)
-            means = _phase_means(with_p - trend_p, p)
-            seasonal[p] = _tiled(means, n)
-            work = with_p - seasonal[p]
+            np.add(work, seasonal[p], out=with_p)
+            np.subtract(with_p, centered_moving_average(with_p, p), out=detrended)
+            _tile(_phase_means(detrended, p), seasonal[p])
+            np.subtract(with_p, seasonal[p], out=work)
 
     trend = centered_moving_average(work, periods[-1])
-    residual = x - trend - sum(seasonal.values())
+    # the seasonals' sum in period order, from 0 as the builtin sum starts
+    seasonal_sum = np.add(seasonal[periods[0]], 0.0)
+    for p in periods[1:]:
+        seasonal_sum += seasonal[p]
+    residual = np.subtract(x, trend, out=work)
+    residual -= seasonal_sum
 
+    seasonal_sum.setflags(write=False)
     return DecompositionResult(
         trend=ts.with_values(trend),
         seasonal={p: ts.with_values(seasonal[p]) for p in periods},
         residual=ts.with_values(residual),
         periods=periods,
+        seasonal_sum=seasonal_sum,
     )
 
 

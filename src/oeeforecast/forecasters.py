@@ -5,10 +5,25 @@ error / additive trend / no-season smoother is enough for it; seasonal
 components repeat their last full cycle; the residual model lives in
 ``sarimax``. OEE_MIN and OEE_MAX bound the observable efficiency range
 that recombined forecasts are clamped to.
+
+Fitting runs Holt's recursion (_holt_filter), over the whole (alpha, beta)
+grid at once and then pair by pair. Every forecast origin then re-smooths a
+whole trend with the fitted weights frozen (ets_update), and with frozen
+weights the smoother is a linear state-space filter (Hyndman et al. 2008,
+ch. 3): one step maps the state s = (level, slope) to M s + v y, with
+M = [[1 - alpha, 1 - alpha], [-alpha beta, 1 - alpha beta]] and
+v = (alpha, alpha beta). Its final state over n points is therefore
+M^n s_0 + sum_k M^k v y[n - 1 - k], one dot product with the filter's
+impulse response instead of an n-step loop. The powers M^k belong to the
+fit; they are computed once and doubled when a longer series arrives, and
+are keyed by nothing, since the series length is new at every origin. The
+state agrees with the recursion's to rounding, not bit for bit; the
+recursion is kept as the oracle in tests/oracles.py.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +40,7 @@ class EtsFit:
     beta: float  # trend smoothing, in [0, 1)
     level: float
     slope: float
-    sse: float
+    sse: float  # one-step SSE over the series the weights were fitted on
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -34,6 +49,36 @@ class EtsFit:
             raise ValueError(f"beta must be in [0,1), got {self.beta}")
         if self.sse < 0.0:
             raise ValueError("sse must be >= 0")
+
+    @functools.cached_property
+    def _response(self) -> "_HoltResponse":
+        # the filter's impulse response at these weights, shared by every
+        # ets_update of this fit; cached_property writes the instance's
+        # __dict__, which the frozen dataclass allows, and it is not a field
+        return _HoltResponse(self.alpha, self.beta)
+
+
+class _HoltResponse:
+    """The powers M^k of Holt's transition matrix and the weights M^k v,
+    for k below the table's length, which doubles until a series fits."""
+
+    def __init__(self, alpha: float, beta: float):
+        ab = alpha * beta
+        self._step = np.array([[1.0 - alpha, 1.0 - alpha], [-ab, 1.0 - ab]])
+        self._v = np.array([alpha, ab])
+        self.table = (np.eye(2)[None], self._v[None])  # (powers, weights), k = 0
+
+    def upto(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The table, covering k = 0 .. n at least. It is replaced whole, so
+        a concurrent caller reads the old table or the new one."""
+        powers, weights = self.table
+        if powers.shape[0] <= n:
+            while powers.shape[0] <= n:
+                top = powers[-1] @ self._step  # M^len: the next power
+                powers = np.concatenate([powers, top @ powers])
+            weights = powers @ self._v
+            self.table = (powers, weights)
+        return powers, weights
 
 
 def _init_state(y: np.ndarray) -> tuple[float, float]:
@@ -110,11 +155,14 @@ def ets_fit(ts: TimeSeries) -> EtsFit:
 
 
 def ets_update(fit: EtsFit, ts: TimeSeries) -> EtsFit:
-    """Re-filter a (possibly longer) series with frozen smoothing weights."""
-    y = ts.values.astype(float)
-    l0, b0 = _init_state(y)
-    level, slope, sse = _holt_filter(y, fit.alpha, fit.beta, l0, b0)
-    return EtsFit(fit.alpha, fit.beta, level, slope, sse)
+    """The state at the end of a (possibly longer) series with frozen
+    smoothing weights, from the filter's impulse response; the fit's SSE
+    is carried over, not recomputed."""
+    y = ts.values
+    n = y.size
+    powers, weights = fit._response.upto(n)
+    level, slope = powers[n] @ _init_state(y) + y @ weights[n - 1 :: -1]
+    return EtsFit(fit.alpha, fit.beta, float(level), float(slope), fit.sse)
 
 
 def ets_one_step(fit: EtsFit, ts: TimeSeries) -> np.ndarray:

@@ -77,8 +77,8 @@ def causal_components(ts: TimeSeries, periods):
     slope = line_fit(seg)[1]
     steps = np.arange(1, n - last_full)
     trend[last_full + 1 :] = trend[last_full] + slope * steps
-    seasonal_sum = sum(c.values for c in d.seasonal.values())
-    residual = ts.values - seasonal_sum - trend
+    residual = np.subtract(ts.values, d.seasonal_sum)
+    residual -= trend
     return ts.with_values(trend), d.seasonal, ts.with_values(residual)
 
 
@@ -280,6 +280,15 @@ class EvaluationReport:
 # forecasting strategies driven by the rolling loop
 
 
+def _check_not_before_refit(past: TimeSeries, refit_len: int) -> None:
+    """A fit is extended by the hours after its refit span; a past that
+    ends inside that span has no state to forecast from."""
+    if len(past) < refit_len:
+        raise ValueError(
+            f"past of {len(past)} points ends before the last refit's {refit_len} points"
+        )
+
+
 class SeasonalNaiveStrategy:
     """Repeat the raw series' last daily cycle."""
 
@@ -338,6 +347,7 @@ class RawSarimaStrategy:
         self._refit_len = len(past)
 
     def forecast(self, past: TimeSeries, horizon: int):
+        _check_not_before_refit(past, self._refit_len)
         state = sarimax.apply_params(self._fit, past.values[self._refit_len :])
         return np.clip(sarimax.forecast(state, horizon), OEE_MIN, OEE_MAX)
 
@@ -358,7 +368,10 @@ class DecomposedStrategy:
     re-estimated at every refit. Between refits the coefficients are frozen
     and the fit is extended by the newly observed hours: each origin builds
     the rows since the refit once and extends the fit by them, then by one
-    row per extra forecast step.
+    row per extra forecast step. The ETS weights are frozen too, and the
+    trend's state at each origin is read from the Holt filter's impulse
+    response over the whole re-decomposed trend (forecasters.ets_update).
+    A past that ends before the refit span is refused.
 
     This is the one selection path: the benchmark, the service and the
     CLI's forecast and select commands all fit through it. The rolling
@@ -427,6 +440,7 @@ class DecomposedStrategy:
 
     def forecast(self, past: TimeSeries, horizon: int):
         cfg = self.cfg
+        _check_not_before_refit(past, self._refit_len)
         trend, seasonal, residual = causal_components(past, cfg.periods)
         trend_fc = ets_forecast(ets_update(self._ets, trend), horizon)
         seas_fc = [seasonal_naive_forecast(seasonal[p], p, horizon) for p in cfg.periods]

@@ -236,7 +236,8 @@ def line_fit(y: np.ndarray) -> tuple[float, float]:
     mid = (y.size - 1) / 2.0
     t = np.arange(y.size) - mid
     slope = float(t @ y) / float(t @ t)
-    return float(y.mean()) - slope * mid, slope
+    # sum / count is ndarray.mean's own arithmetic, without its Python wrapper
+    return float(np.add.reduce(y) / y.size) - slope * mid, slope
 
 
 def json_text(doc) -> str:

@@ -13,8 +13,9 @@ stack, and one pass over the stack builds the rows:
   is capped at the window's largest distance;
 - H1 from vr_persistence, window by window, only when an H1 column is asked
   for;
-- every vectorizer over ``(windows, pairs)`` arrays, on the module's fixed
-  grids.
+- every vectorizer holding an asked-for column over ``(windows, pairs)``
+  arrays, on the module's fixed grids, writing the asked-for columns
+  straight into the one matrix of the rows.
 
 Diagrams are normalized by a fixed diagram scale and vectorized on the
 unit-range grid. The scale should come from the training span
@@ -24,6 +25,7 @@ omitted it is taken over the windows being extracted.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 
@@ -95,6 +97,9 @@ def _group_names(h: int, group: str) -> list[str]:
 LAYOUT = tuple((h, g, tuple(_group_names(h, g))) for h in HOMOLOGY_DIMS for g in GROUPS)
 # frozen column layout for extract_tda_features
 CATALOG = tuple(name for _, _, names in LAYOUT for name in names)
+_NAMES = frozenset(CATALOG)
+# column name -> (homology dim, group, its index among the group's columns)
+_PLACE = {name: (h, g, j) for h, g, names in LAYOUT for j, name in enumerate(names)}
 
 # the vectorizers' sample points on T_RANGE
 BETTI_MIDS = betti_midpoints(BETTI_BINS, T_RANGE)
@@ -104,13 +109,21 @@ for _grid in (BETTI_MIDS, LANDSCAPE_GRID, HEAT_GRID):
     _grid.setflags(write=False)
 
 
-def _embedded_windows(values: np.ndarray, window: int) -> np.ndarray:
-    """(windows, points, EMBED_DIM) delay embedding of every window: point i
-    of a window x is (x[i], x[i + DELAY], ..., x[i + (EMBED_DIM - 1) * DELAY])."""
-    windows = np.lib.stride_tricks.sliding_window_view(values, window)
+@functools.cache
+def _point_offsets(window: int) -> np.ndarray:
+    """(points, EMBED_DIM) offsets of a window's embedded coordinates from
+    its first value: point i is (i, i + DELAY, ..., i + (EMBED_DIM - 1) * DELAY)."""
     span = (EMBED_DIM - 1) * DELAY
-    lags = np.arange(window - span)[:, None] + DELAY * np.arange(EMBED_DIM)
-    return windows[:, lags]
+    offsets = np.arange(window - span)[:, None] + DELAY * np.arange(EMBED_DIM)
+    offsets.setflags(write=False)  # shared by every call
+    return offsets
+
+
+def _embedded_windows(values: np.ndarray, window: int) -> np.ndarray:
+    """(windows, points, EMBED_DIM) delay embedding of every window, by one
+    gather: window w's point i is (x[w + i], x[w + i + DELAY], ...)."""
+    starts = np.arange(values.size - window + 1)
+    return values[starts[:, None, None] + _point_offsets(window)]
 
 
 def _scale_of(dist: np.ndarray) -> float:
@@ -132,23 +145,31 @@ def _h1_pairs(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]
     ]
 
 
-def _vectorize(pairs, blocks, n_rows: int) -> np.ndarray:
-    """The columns of ``blocks`` for n_rows windows.
+def _vectorize(pairs, columns, n_rows: int) -> np.ndarray:
+    """The ``columns`` (catalog names) of n_rows windows, in that order.
 
     ``pairs`` maps a homology dimension to (rows, births, deaths) groups:
     the scaled pairs of the windows at ``rows`` as two (rows, pairs)
-    arrays, every row of a group with the same pair count.
+    arrays, every row of a group with the same pair count. Each group is
+    vectorized once for all of its asked-for columns; the Betti curve and
+    the landscape, whose every column is computed on its own grid point,
+    only at the grid points asked for.
     """
-    starts = np.cumsum([0] + [len(names) for _, _, names in blocks])
-    out = np.zeros((n_rows, starts[-1]))
+    asked = defaultdict(lambda: ([], []))  # (dim, group) -> (positions, indices)
+    for pos, name in enumerate(columns):
+        h, group, j = _PLACE[name]
+        positions, indices = asked[h, group]
+        positions.append(pos)
+        indices.append(j)
+    out = np.zeros((n_rows, len(columns)))
     for h, groups in pairs.items():
         for rows, b, d in groups:
-            lam = None
-            for (dim, group, _), lo, hi in zip(blocks, starts[:-1], starts[1:]):
+            lam = None  # the landscape on the whole grid, for its norm
+            if (h, "landscape_norm") in asked:
+                lam = batch_landscape(b, d, LANDSCAPE_LAYERS, LANDSCAPE_GRID)
+            for (dim, group), (positions, indices) in asked.items():
                 if dim != h:
                     continue
-                if group in ("landscape", "landscape_norm") and lam is None:
-                    lam = batch_landscape(b, d, LANDSCAPE_LAYERS, LANDSCAPE_GRID)
                 if group == "entropy":
                     v = batch_entropy(b, d)
                 elif group == "bottleneck_amp":
@@ -156,18 +177,24 @@ def _vectorize(pairs, blocks, n_rows: int) -> np.ndarray:
                 elif group == "wasserstein_amp":
                     v = batch_wasserstein(b, d, WASSERSTEIN_ORDER)
                 elif group == "betti":
-                    v = batch_betti(b, d, BETTI_MIDS)
+                    v = batch_betti(b, d, BETTI_MIDS[indices])
                 elif group == "landscape":
-                    v = lam
+                    if lam is not None:
+                        v = lam.reshape(len(rows), -1)[:, indices]
+                    else:
+                        # column j is layer j // samples at grid point j % samples
+                        layer, point = np.divmod(indices, LANDSCAPE_SAMPLES)
+                        at = batch_landscape(b, d, LANDSCAPE_LAYERS, LANDSCAPE_GRID[point])
+                        v = at[:, layer, np.arange(len(indices))]
                 elif group == "landscape_norm":
                     v = batch_landscape_norm(lam, 2.0, LANDSCAPE_GRID)
                 elif group == "silhouette":
-                    v = batch_silhouette(b, d, SILHOUETTE_POWER, LANDSCAPE_GRID)
+                    v = batch_silhouette(b, d, SILHOUETTE_POWER, LANDSCAPE_GRID)[:, indices]
                 elif group == "heat_l2":
                     v = batch_heat_norm(b, d, HEAT_SIGMA, HEAT_GRID)
                 else:
-                    v = batch_lifetime_stats(b, d)
-                out[rows, lo:hi] = v.reshape(len(rows), hi - lo)
+                    v = batch_lifetime_stats(b, d)[:, indices]
+                out[rows[:, None], positions] = v.reshape(len(rows), len(positions))
     return out
 
 
@@ -207,25 +234,19 @@ def extract_tda_features(
     _check_window(ts, window)
     if scale is not None and not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale}")
-    blocks = LAYOUT
-    if columns is not None:
-        columns = tuple(columns)
-        unknown = set(columns).difference(CATALOG)
-        if unknown:
-            raise ValueError(f"not in the topological catalog: {sorted(unknown)}")
-        blocks = tuple(blk for blk in blocks if not set(blk[2]).isdisjoint(columns))
+    columns = CATALOG if columns is None else tuple(columns)
+    if not _NAMES.issuperset(columns):
+        raise ValueError(f"not in the topological catalog: {sorted(set(columns) - _NAMES)}")
     pts = _embedded_windows(ts.values, window)
     dist = _distances(pts)
     if scale is None:
         scale = _scale_of(dist)
-    dims = {h for h, _, _ in blocks}
+    dims = {_PLACE[name][0] for name in columns}
     pairs = {}
     if 0 in dims:
         deaths = _h0_deaths(dist) / scale
         pairs[0] = [(np.arange(len(pts)), np.zeros_like(deaths), deaths)]
     if 1 in dims:
         pairs[1] = [(rows, b / scale, d / scale) for rows, b, d in _h1_pairs(pts)]
-    matrix = _vectorize(pairs, blocks, len(pts))
-    names = tuple(name for _, _, names in blocks for name in names)
-    fm = FeatureMatrix(names, matrix, tuple(range(window - 1, len(ts))))
-    return fm if columns is None else fm.select_columns(columns)
+    matrix = _vectorize(pairs, columns, len(pts))
+    return FeatureMatrix(columns, matrix, range(window - 1, len(ts)))

@@ -83,9 +83,19 @@ class PersistenceDiagram:
 def _distances(pts: np.ndarray) -> np.ndarray:
     """(clouds, points, points) pairwise Euclidean distances of a
     (clouds, points, dim) stack: vr_persistence's distance matrix and the
-    feature catalog's, from one formula so both read the same doubles."""
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=3))
+    feature catalog's, from one formula so both read the same doubles.
+
+    The squared differences are summed coordinate by coordinate, as whole
+    (clouds, points, points) planes: for fewer than 8 coordinates that is
+    the order np.sum over a trailing coordinate axis takes, so the same bits.
+    """
+    coords = np.ascontiguousarray(pts.transpose(2, 0, 1))  # (dim, clouds, points)
+    diff = coords[:, :, :, None] - coords[:, :, None, :]
+    diff *= diff
+    total = diff[0]
+    for square in diff[1:]:
+        total += square
+    return np.sqrt(total, out=total)
 
 
 def _h0_deaths(dist: np.ndarray) -> np.ndarray:
@@ -93,16 +103,21 @@ def _h0_deaths(dist: np.ndarray) -> np.ndarray:
     tree's edge weights, from Prim's algorithm run on every cloud at once,
     then the essential bar capped at the cloud's largest distance."""
     n_win, n = dist.shape[:2]
-    rows = np.arange(n_win)
+    starts = np.arange(0, n_win * n, n)  # each cloud's point 0, flattened
+    rows = dist.reshape(n_win * n, n)
     deaths = np.empty((n_win, n))
-    in_tree = np.zeros((n_win, n), dtype=bool)
-    in_tree[:, 0] = True
+    # each point's distance from its cloud's tree, inf once it has joined:
+    # ``joined`` is inf at the joined points and 0 elsewhere
     best = dist[:, 0].copy()
+    joined = np.zeros((n_win, n))
+    joined[:, 0] = np.inf
+    best += joined
     for step in range(n - 1):
-        nxt = np.argmin(np.where(in_tree, np.inf, best), axis=1)
-        deaths[:, step] = best[rows, nxt]
-        in_tree[rows, nxt] = True
-        np.minimum(best, dist[rows, nxt], out=best)
+        at = starts + best.argmin(axis=1)
+        deaths[:, step] = best.reshape(-1)[at]
+        joined.reshape(-1)[at] = np.inf
+        np.minimum(best, rows[at], out=best)
+        best += joined
     deaths[:, :-1].sort(axis=1)
     deaths[:, -1] = dist.max(axis=(1, 2))
     return deaths

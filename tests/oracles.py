@@ -115,6 +115,8 @@ from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.forecasters import (
     OEE_MAX,
     OEE_MIN,
+    EtsFit,
+    _init_state,
     ets_forecast,
     ets_update,
     seasonal_naive_forecast,
@@ -1326,6 +1328,15 @@ def scalar_holt_filter(y: np.ndarray, alpha, beta, l0: float, b0: float, preds: 
         slope = beta * (new_level - level) + (1.0 - beta) * slope
         level = new_level
     return level, slope, sse
+
+
+def filtered_ets_update(fit: EtsFit, ts: TimeSeries) -> EtsFit:
+    """ets_update as first written: the Holt recursion re-run over the whole
+    series with the fit's weights, its SSE recomputed."""
+    y = ts.values.astype(float)
+    l0, b0 = _init_state(y)
+    level, slope, sse = scalar_holt_filter(y, fit.alpha, fit.beta, l0, b0)
+    return EtsFit(fit.alpha, fit.beta, level, slope, sse)
 
 
 def scipy_adjusted_moments(x: np.ndarray) -> tuple[float, float]:

@@ -157,6 +157,62 @@ class TestHoltOracle:
         assert got == run()
 
 
+class TestImpulseResponse:
+    """ets_update's state, read from the filter's impulse response, against
+    the recursion: within 1e-11 of |level| + |slope|."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(21)
+        pairs = [(0.01, 0.0), (0.99, 0.99), (0.5, 0.5)]
+        pairs += [(rng.uniform(1e-4, 1.0 - 1e-4), rng.uniform(0.0, 1.0 - 1e-4)) for _ in range(12)]
+        return pairs + [(1e-4, 0.0), (1e-4, 0.9999), (0.9999, 0.9999)]
+
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_state_equals_the_recursion(self, standin_trends, name):
+        trend = standin_trends[name].values
+        # four stand-ins long, each copy lifted, so the series keeps a trend
+        y = np.concatenate([trend + 3.0 * k for k in range(4)])
+        # longest first, then shorter ones read the table it left
+        lengths = (y.size, 10, 11, 64, trend.size, 2 * trend.size + 5, 3 * trend.size - 1)
+        for alpha, beta in self.pairs():
+            fit = EtsFit(alpha, beta, 0.0, 0.0, 0.0)
+            for n in lengths:
+                got = ets_update(fit, TimeSeries(y[:n]))
+                level, slope, _ = _holt_filter(y[:n], alpha, beta, *_init_state(y[:n]))
+                tol = 1e-11 * (abs(level) + abs(slope))
+                assert abs(got.level - level) <= tol, (alpha, beta, n)
+                assert abs(got.slope - slope) <= tol, (alpha, beta, n)
+
+    def test_weights_and_sse_belong_to_the_fit(self, standin_trends):
+        trend = standin_trends["gh2"]
+        fit = ets_fit(trend)
+        state = ets_update(fit, trend)
+        assert (state.alpha, state.beta, state.sse) == (fit.alpha, fit.beta, fit.sse)
+        assert state.level == pytest.approx(fit.level, rel=1e-13)
+        assert state.slope == pytest.approx(fit.slope, rel=1e-13, abs=1e-15)
+
+    def test_a_longer_series_extends_the_weights(self):
+        y = np.cumsum(np.random.default_rng(5).normal(size=2000)) + 30.0
+        fit = EtsFit(0.3, 0.2, 0.0, 0.0, 0.0)
+        ets_update(fit, TimeSeries(y[:50]))
+        short = fit._response.table[0].shape[0]
+        assert short > 50
+        ets_update(fit, TimeSeries(y))
+        assert fit._response.table[0].shape[0] > 2000 > short
+
+    def test_distinct_lengths_leave_no_length_keyed_cache(self):
+        y = np.cumsum(np.random.default_rng(6).normal(size=700)) + 30.0
+        fit = EtsFit(0.4, 0.1, 0.0, 0.0, 0.0)
+        for n in range(600, 700):
+            ets_update(fit, TimeSeries(y[:n]))
+        # one response table on the fit, no larger than twice the longest series
+        assert set(vars(fit)) == {"alpha", "beta", "level", "slope", "sse", "_response"}
+        assert set(vars(fit._response)) == {"_step", "_v", "table"}
+        powers, weights = fit._response.table
+        assert powers.shape == (weights.shape[0], 2, 2) and 700 < weights.shape[0] <= 2 * 700
+
+
 class TestSeasonalNaive:
     def test_repeats_last_cycle(self):
         fc = seasonal_naive_forecast(TimeSeries([9.0, 9.0, 9.0, 1.0, 2.0, 3.0]), 3, 5)

@@ -27,6 +27,7 @@ from oeeforecast.stat_features import extract_stat_features
 
 from conftest import STAND_INS, make_oee_series, strict_json
 from oracles import (
+    filtered_ets_update,
     forecast_extending_hourly,
     forecast_rebuilding_rows,
     leakage_audit,
@@ -536,7 +537,7 @@ def refitted():
 
 class TestForecastPath:
     """What every origin's forecast runs: the decomposition of the whole past
-    and the Holt filter over the whole trend."""
+    and the Holt filter's state at the end of the whole trend."""
 
     @pytest.mark.parametrize("mode", ["none", "statistical", "topological"])
     def test_bits_equal_the_scalar_oracles(self, refitted, mode, monkeypatch):
@@ -544,9 +545,9 @@ class TestForecastPath:
 
         def forecasts():
             return [
-                strat.forecast(series.slice(0, REFIT_AT + hours), horizon).tobytes()
+                strat.forecast(series.slice(0, REFIT_AT + hours), horizon)
                 for hours in (0, 5, 12, 23)
-                for horizon in (1, 4)
+                for horizon in (1, 4, 8)
             ]
 
         got = forecasts()
@@ -554,8 +555,13 @@ class TestForecastPath:
             decompose_module, "centered_moving_average", scalar_centered_moving_average
         )
         monkeypatch.setattr(decompose_module, "_phase_means", scalar_phase_means)
+        assert [fc.tobytes() for fc in got] == [fc.tobytes() for fc in forecasts()]
+        # the Holt state from the impulse response agrees with the recursion
+        # to rounding, not bit for bit
+        monkeypatch.setattr(pipeline, "ets_update", filtered_ets_update)
         monkeypatch.setattr(forecasters, "_holt_filter", scalar_holt_filter)
-        assert got == forecasts()
+        for fc, want in zip(got, forecasts()):
+            assert np.allclose(fc, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize(
         "mode, extractor",
@@ -588,3 +594,25 @@ class TestForecastPath:
         strat, series = refitted[mode]
         strat.forecast(series.slice(0, REFIT_AT + 5), 2)
         assert reached == {name for _, name in boundaries}
+
+
+class TestPastBeforeRefit:
+    """A fit is extended by the hours after its refit span, so a past that
+    ends inside that span is refused with both lengths named."""
+
+    @pytest.mark.parametrize("mode", ["none", "statistical", "topological"])
+    def test_decomposed_strategy_refuses(self, refitted, mode):
+        strat, series = refitted[mode]
+        for length in (REFIT_AT - 1, REFIT_AT - 10, REFIT_AT - 40):
+            with pytest.raises(ValueError, match=f"past of {length} points .* {REFIT_AT} points"):
+                strat.forecast(series.slice(0, length), 2)
+        assert strat.forecast(series.slice(0, REFIT_AT), 2).shape == (2,)
+
+    def test_raw_sarima_refuses(self, refitted):
+        _, series = refitted["none"]
+        strat = RawSarimaStrategy(small_cfg())
+        strat.refit(series.slice(0, REFIT_AT))
+        for length in (REFIT_AT - 1, REFIT_AT - 10, REFIT_AT - 40):
+            with pytest.raises(ValueError, match=f"past of {length} points .* {REFIT_AT} points"):
+                strat.forecast(series.slice(0, length), 2)
+        assert strat.forecast(series.slice(0, REFIT_AT), 2).shape == (2,)

@@ -3,6 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
+from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
 from oeeforecast.tda import extract
@@ -171,6 +172,9 @@ class TestScalarOracle:
             ("h1_life_median", "h0_landscape_norm", "h0_betti_0", "h1_silhouette_3", "h0_life_std"),
             ("h0_landscape_norm",),
             ("h1_wasserstein_amp", "h1_bottleneck_amp", "h1_landscape_1_9"),
+            # both layers at one grid point, Betti bins out of order
+            ("h0_landscape_1_3", "h0_betti_9", "h0_landscape_0_3", "h1_landscape_0_0",
+             "h0_betti_0"),
         ],
     )
     def test_columns_equal_full_then_select(self, columns):
@@ -180,6 +184,21 @@ class TestScalarOracle:
         got = extract_tda_features(ts, scale=scale, columns=columns)
         assert got.column_names == columns and got.row_index == full.row_index
         assert np.array_equal(got.matrix, full.matrix)
+
+    def test_one_feature_matrix_per_row_build(self, oee_series, monkeypatch):
+        # the asked-for columns are written straight into the one matrix,
+        # not selected from a full-catalog one
+        built = []
+        post_init = FeatureMatrix.__post_init__
+
+        def counted(fm):
+            built.append(fm)
+            post_init(fm)
+
+        monkeypatch.setattr(FeatureMatrix, "__post_init__", counted)
+        columns = ("h0_betti_4", "h0_landscape_0_3", "h1_entropy")
+        fm = extract_tda_features(oee_series.slice(0, 60), columns=columns)
+        assert len(built) == 1 and built[0] is fm and fm.column_names == columns
 
     def test_unknown_column_rejected(self, oee_series):
         with pytest.raises(ValueError, match="h2_entropy"):
