@@ -13,16 +13,27 @@ The moving average is a fixed linear filter, computed as array code from
 one cumulative sum: the points with room for the full kernel take
 differences of two slices of it, and the shrinking edges take strided
 slices of it over their kernel widths, which are cached per window like
-each period's phase order; nothing is cached per series length, which is
-new at every origin. Each period's phase means are row sums of the
+each period's phase order. Each period's phase means are row sums of the
 complete-window span reshaped into cycles, divided by their counts (the
-arithmetic of ndarray.mean, without its Python wrapper). Every forecast
-origin decomposes its whole past, so this is per-origin cost: the passes
-reuse the same work buffers, each period's seasonal is tiled into its own
-array, and the seasonals' sum is computed once and kept on the result
-(``seasonal_sum``) for the causal decomposition to read. Both give the
-same bits as the per-point and per-phase loops they replaced, which are
-kept as the equivalence oracle in tests/oracles.py.
+arithmetic of ndarray.mean, without its Python wrapper).
+
+Every forecast origin decomposes its whole past, so this is per-origin
+cost, and no work is thrown away. The phase means read the detrended
+series only where the full kernel fits, so the six moving averages inside
+the passes compute only that interior, and the detrended series is written
+only there; the trend's final moving average alone computes its shrinking
+edges. All seven filters share one cumulative-sum buffer and one
+moving-average buffer, the last filter's output being the trend, and the
+passes their other work buffers, all allocated once per call: nothing is
+cached per series length, which is new at every origin.
+Each period's seasonal is tiled into its own array, and the seasonals' sum
+is computed once and kept on the result (``seasonal_sum``) for the causal
+decomposition to read. The components wrap these fresh arrays without a
+copy (TimeSeries.wrap), after one finiteness check of the residual, which
+a non-finite trend or seasonal value would make non-finite. Every
+component has the bits of the decomposition whose seven filters all wrote
+their edges into arrays of their own, and of the per-point and per-phase
+loops before it; both are kept as equivalence oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -49,32 +60,42 @@ class DecompositionResult:
     seasonal_sum: np.ndarray = field(repr=False, compare=False)
 
 
-def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """Centered MA with the even-window half-weight convention.
+def _interior_average(x: np.ndarray, window: int, csum: np.ndarray, out: np.ndarray) -> None:
+    """Write the centered moving average of x at the points with room for
+    the full kernel, out[half : n - half], half = window // 2.
 
-    For even ``window`` the kernel spans window+1 points with half weights
-    at both ends. Near the edges the window shrinks symmetrically to
-    whatever fits (uniform weights there), so no points are dropped.
+    csum holds at least n + 1 values with csum[0] == 0; x's cumulative sum
+    is written after it. An even ``window`` spans window + 1 points with
+    half weights at both ends. The points outside the span are not written.
     """
-    x = np.asarray(x, dtype=float)
     n = x.size
     half = window // 2
-    csum = np.empty(n + 1)
-    csum[0] = 0.0
-    np.add.accumulate(x, out=csum[1:])
-    out = np.empty(n)
-    m = n - 2 * half  # points with room for the full kernel: half .. n - 1 - half
-    if m > 0:
-        full = out[half : n - half]
-        if window % 2 == 0:
-            # full even kernel: half-weight endpoints around x[i-half+1 .. i+half-1]
-            ends = np.add(x[:m], x[2 * half :])
-            ends *= 0.5
-            np.subtract(csum[2 * half : n], csum[1 : m + 1], out=full)
-            full += ends
-        else:
-            np.subtract(csum[window:], csum[:m], out=full)
-        full /= window
+    m = n - 2 * half  # points with room for the full kernel
+    np.add.accumulate(x, out=csum[1 : n + 1])
+    if m <= 0:
+        return
+    full = out[half : n - half]
+    if window % 2 == 0:
+        # the half-weight endpoints, then the points between them; IEEE
+        # addition commutes, so ends + between has the bits of between + ends
+        np.add(x[:m], x[2 * half :], out=full)
+        full *= 0.5
+        full += csum[2 * half : n] - csum[1 : m + 1]
+    else:
+        np.subtract(csum[window : n + 1], csum[:m], out=full)
+    full /= window
+
+
+def _moving_average(x: np.ndarray, window: int, csum: np.ndarray, out: np.ndarray) -> None:
+    """Write the centered moving average of x over the whole of out.
+
+    The full-kernel span is _interior_average's. Near the edges the window
+    shrinks symmetrically to whatever fits (uniform weights there), so no
+    points are dropped. csum is as for _interior_average.
+    """
+    n = x.size
+    half = window // 2
+    _interior_average(x, window, csum, out)
     # an edge point at distance k from its nearer end averages the 2k + 1
     # points x[i-k .. i+k]: csum[2k + 1] on the left (csum[0] is 0), and
     # csum[n] - csum[n - 2k - 1] on the right, k = 0 at the last point
@@ -84,7 +105,6 @@ def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
     tail = out[n - right :][::-1]  # k = 0 first
     np.subtract(csum[n], csum[n - 1 : n - 2 * right : -2], out=tail)
     tail /= widths[:right]
-    return out
 
 
 @functools.cache
@@ -144,7 +164,14 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
 def check_periods(periods) -> tuple[int, ...]:
     """The periods as a tuple of ints, or a ValueError starting with
     ``periods``: they must be non-empty, at least 1, strictly increasing and
-    nested (each divides the next)."""
+    nested (each divides the next). A tuple's answer is kept, so a model
+    that decomposes at every forecast origin checks its periods once."""
+    if type(periods) is tuple:
+        return _checked_tuple(periods)
+    return _checked(periods)
+
+
+def _checked(periods) -> tuple[int, ...]:
     periods = tuple(int(p) for p in periods)
     if not periods:
         raise ValueError("periods must be non-empty")
@@ -156,6 +183,9 @@ def check_periods(periods) -> tuple[int, ...]:
         if b % a != 0:
             raise ValueError(f"periods must be nested (each divides the next), got {periods}")
     return periods
+
+
+_checked_tuple = functools.lru_cache(maxsize=64)(_checked)
 
 
 def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
@@ -172,29 +202,45 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
     x = ts.values
     seasonal = {p: np.zeros(n) for p in periods}
 
-    # work = input minus all current seasonal estimates; every pass writes
-    # the same buffers, each seasonal its own
+    # work = input minus all current seasonal estimates, with_p = work plus
+    # period p's; every pass and every filter writes the same buffers, each
+    # seasonal its own
     work, with_p, detrended = x.copy(), np.empty(n), np.empty(n)
+    csum, average = np.empty(n + 1), np.empty(n)
+    csum[0] = 0.0
     for _ in range(PASSES):
         for p in periods:
+            # _phase_means reads detrended only where the full kernel fits
+            inner = slice(p // 2, n - p // 2)
             np.add(work, seasonal[p], out=with_p)
-            np.subtract(with_p, centered_moving_average(with_p, p), out=detrended)
+            _interior_average(with_p, p, csum, average)
+            np.subtract(with_p[inner], average[inner], out=detrended[inner])
             _tile(_phase_means(detrended, p), seasonal[p])
             np.subtract(with_p, seasonal[p], out=work)
 
-    trend = centered_moving_average(work, periods[-1])
+    # the last filter's output is the trend, which the result keeps
+    _moving_average(work, periods[-1], csum, average)
+    trend = average
     # the seasonals' sum in period order, from 0 as the builtin sum starts
     seasonal_sum = np.add(seasonal[periods[0]], 0.0)
     for p in periods[1:]:
         seasonal_sum += seasonal[p]
     residual = np.subtract(x, trend, out=work)
     residual -= seasonal_sum
+    # a sum with an infinity or a NaN in it is never finite, so a finite
+    # residual x - trend - (sum of the seasonals) of a finite x vouches for
+    # the trend and every seasonal
+    if not np.isfinite(residual).all():
+        raise ValueError("TimeSeries values must be finite (no NaN/inf)")
+
+    def series(values):  # the fresh arrays become the components, uncopied
+        return TimeSeries.wrap(values, ts.start, ts.name)
 
     seasonal_sum.setflags(write=False)
     return DecompositionResult(
-        trend=ts.with_values(trend),
-        seasonal={p: ts.with_values(seasonal[p]) for p in periods},
-        residual=ts.with_values(residual),
+        trend=series(trend),
+        seasonal={p: series(seasonal[p]) for p in periods},
+        residual=series(residual),
         periods=periods,
         seasonal_sum=seasonal_sum,
     )

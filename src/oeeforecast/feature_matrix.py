@@ -5,6 +5,12 @@ a row may only depend on source values at positions <= its row_index, which
 is what the pipeline's leakage audit checks. Non-finite feature values are
 imputed to 0 at construction and remembered in ``imputed`` so the variance
 filter can see dead columns rather than NaN poison.
+
+The constructor copies the matrix and checks the names, the shape and the
+row index. ``FeatureMatrix.wrap`` takes over a matrix that a feature
+catalog has just built, whose layout the catalog guarantees: it skips the
+copy and those checks, and imputes and records the non-finite cells in
+place.
 """
 
 from __future__ import annotations
@@ -34,18 +40,30 @@ class FeatureMatrix:
             raise ValueError("row_index length must equal row count")
         if any(b <= a for a, b in zip(ridx, ridx[1:])):
             raise ValueError("row_index must be strictly increasing")
-        imputed = set(self.imputed)
-        bad = ~np.isfinite(m)
-        if bad.any():
-            rows, cols = np.nonzero(bad)
-            for r, c in zip(rows, cols):
-                imputed.add((ridx[r], names[c]))
-            m[bad] = 0.0
+        imputed = frozenset(self.imputed) | _impute(m, ridx, names)
         m.setflags(write=False)
         object.__setattr__(self, "column_names", names)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "row_index", ridx)
-        object.__setattr__(self, "imputed", frozenset(imputed))
+        object.__setattr__(self, "imputed", imputed)
+
+    @classmethod
+    def wrap(
+        cls, column_names: tuple[str, ...], matrix: np.ndarray, row_index: tuple[int, ...]
+    ) -> "FeatureMatrix":
+        """A matrix over ``matrix`` itself, for the rows a catalog has just
+        built: unique names, a float64 matrix of one column per name and
+        one row per strictly increasing row index, all unchecked. Its
+        non-finite cells are imputed in place and recorded; ``matrix`` is
+        marked read-only and must not be written again.
+        """
+        imputed = _impute(matrix, row_index, column_names)
+        matrix.setflags(write=False)
+        fm = object.__new__(cls)
+        fm.__dict__.update(
+            column_names=column_names, matrix=matrix, row_index=row_index, imputed=imputed
+        )
+        return fm
 
     @property
     def n_rows(self) -> int:
@@ -88,3 +106,14 @@ class FeatureMatrix:
             w.writerow(("row_index",) + self.column_names)
             for i, ridx in enumerate(self.row_index):
                 w.writerow([ridx] + [repr(float(v)) for v in self.matrix[i]])
+
+
+def _impute(m: np.ndarray, row_index: tuple[int, ...], names: tuple[str, ...]) -> frozenset:
+    """Set the non-finite cells of m to 0 and return their (row index,
+    column name) pairs."""
+    bad = ~np.isfinite(m)
+    if not bad.any():
+        return frozenset()
+    rows, cols = np.nonzero(bad)
+    m[bad] = 0.0
+    return frozenset((row_index[r], names[c]) for r, c in zip(rows.tolist(), cols.tolist()))

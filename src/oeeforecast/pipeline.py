@@ -79,7 +79,14 @@ def causal_components(ts: TimeSeries, periods):
     trend[last_full + 1 :] = trend[last_full] + slope * steps
     residual = np.subtract(ts.values, d.seasonal_sum)
     residual -= trend
-    return ts.with_values(trend), d.seasonal, ts.with_values(residual)
+    # as in decompose, a finite residual leaves no non-finite trend value
+    if not np.isfinite(residual).all():
+        raise ValueError("TimeSeries values must be finite (no NaN/inf)")
+    return (
+        TimeSeries.wrap(trend, ts.start, ts.name),
+        d.seasonal,
+        TimeSeries.wrap(residual, ts.start, ts.name),
+    )
 
 
 class ConfigError(ValueError):
@@ -397,7 +404,9 @@ class DecomposedStrategy:
 
     def _selected_rows(self, residual: np.ndarray) -> np.ndarray:
         """Selected-column rows of every window of residual, by window end."""
-        return build_features(self.cfg, TimeSeries(residual), self._tda_scale, self.columns).matrix
+        # residual is finite: the causal residual and the finite forecasts
+        series = TimeSeries.wrap(residual)
+        return build_features(self.cfg, series, self._tda_scale, self.columns).matrix
 
     def refit(self, past: TimeSeries) -> None:
         """Fit every component on past. The fits and the selection change

@@ -975,6 +975,15 @@ def _standardized(fit_result: SarimaxFit, exog, n: int, what: str) -> np.ndarray
     return (x - fit_result.exog_mean) / fit_result.exog_scale
 
 
+def _tail(values: np.ndarray, k: int) -> np.ndarray:
+    """The last k of values, after zeros where values holds fewer: the
+    innovations before the burn-in are zero."""
+    short = k - values.size
+    if short <= 0:
+        return values[values.size - k :]
+    return np.concatenate([np.zeros(short), values])
+
+
 def apply_params(state: SarimaxFit, y_new, exog=None) -> SarimaxFit:
     """Extend a fit or state by the observations ``y_new`` that follow it,
     with frozen coefficients.
@@ -1007,8 +1016,8 @@ def apply_params(state: SarimaxFit, y_new, exog=None) -> SarimaxFit:
     kernel = len(ar_full)
     w = np.convolve(ar_full, u[u.size - kernel - m :])[kernel : kernel + m]
     # the innovations before the new rows, zero before the burn-in
-    eps = np.concatenate([np.zeros(len(ma_full) - 1), state.residuals])
-    resid_new = _ma_stage(w[:, None], ma_full, eps[state.residuals.size :, None])[:, 0]
+    eps = _tail(state.residuals, len(ma_full) - 1)
+    resid_new = _ma_stage(w[:, None], ma_full, eps[:, None])[:, 0]
     resid = np.concatenate([state.residuals, resid_new])
     resid.setflags(write=False)
     u.setflags(write=False)
@@ -1026,7 +1035,6 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarr
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    spec = fit_result.spec
     xf = _standardized(fit_result, exog_future, horizon, "exog_future")
 
     # only the last ar_lags regression residuals and ma_lags innovations
@@ -1036,7 +1044,7 @@ def forecast(fit_result: SarimaxFit, horizon: int, exog_future=None) -> np.ndarr
     ar_lags, ma_lags = len(ar) - 1, len(ma) - 1
     n = fit_result.u_history.size
     u = fit_result.u_history[n - ar_lags :].tolist()
-    eps = np.concatenate([np.zeros(spec.burn_in), fit_result.residuals])[n - ma_lags :].tolist()
+    eps = _tail(fit_result.residuals, ma_lags).tolist()
     for h in range(horizon):
         acc = 0.0
         for k in range(1, ar_lags + 1):

@@ -3,9 +3,10 @@ metrics and the JSON writer of the reports.
 
 Everything downstream (decomposition, feature extraction, model fitting)
 consumes the :class:`TimeSeries` defined here. Series are immutable value
-objects: the sample array is copied on construction and marked read-only,
-so they can be shared freely between threads and cached without defensive
-copies.
+objects: the sample array is marked read-only, so they can be shared freely
+between threads and cached without defensive copies. The constructor copies
+and checks what it is given; ``TimeSeries.wrap`` takes over an array that
+the library has just computed and checked, without either.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 HOUR = timedelta(hours=1)
+EPOCH = datetime(2000, 1, 1, 0)  # the start of a series given without one
 
 
 class CsvError(ValueError):
@@ -27,10 +29,14 @@ class CsvError(ValueError):
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Contiguous hourly series: value i is observed at start + i hours."""
+    """Contiguous hourly series: value i is observed at start + i hours.
+
+    The constructor copies ``values`` into a new read-only float array and
+    refuses one that is not 1-d, is empty or holds a NaN or an infinity.
+    """
 
     values: np.ndarray
-    start: datetime = datetime(2000, 1, 1, 0)
+    start: datetime = EPOCH
     name: str = ""
 
     def __post_init__(self):
@@ -41,6 +47,20 @@ class TimeSeries:
             raise ValueError("TimeSeries values must be finite (no NaN/inf)")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def wrap(cls, values: np.ndarray, start: datetime = EPOCH, name: str = "") -> "TimeSeries":
+        """A series over ``values`` itself, with no copy and no check.
+
+        Only for a finite, non-empty 1-d float64 array that its caller has
+        just computed or checked and hands over: the decomposition's
+        components, a forecast origin's residual. ``values`` is marked
+        read-only and must not be written again.
+        """
+        values.setflags(write=False)
+        series = object.__new__(cls)
+        series.__dict__.update(values=values, start=start, name=name)
+        return series
 
     def __len__(self) -> int:
         return self.values.size
@@ -157,7 +177,7 @@ def load_csv(
     if not values:
         raise CsvError(f"{path}: no data rows")
     if start is None:
-        start = datetime(2000, 1, 1, 0)
+        start = EPOCH
 
     return TimeSeries(np.asarray(values), start, name or str(value_column))
 

@@ -217,12 +217,18 @@ def _autocorrelation(win: _Windows, out: np.ndarray) -> None:
     L = N_ACF_LAGS
     xc = win.centered
     c0 = np.vecdot(xc, xc) / n
-    rho = np.ones((n_win, L + 1))
+    rho = np.empty((n_win, L + 1))
+    rho[:, 0] = 1.0
     for k in range(1, L + 1):
-        rho[:, k] = (np.vecdot(xc[:, k:], xc[:, :-k]) / n) / c0
+        np.vecdot(xc[:, k:], xc[:, :-k], out=rho[:, k])
+    # (dot / n) / c0, lag by lag, scaled as one block
+    lags = rho[:, 1:]
+    lags /= n
+    lags /= c0[:, None]
     rev = rho[:, ::-1].copy()  # rho[:, k - 1 : 0 : -1] is rev[:, L + 1 - k : L]
     pacf = out[:, L : 2 * L]
     pacf[:, 0] = rho[:, 1]
+    pacf[:, 1:] = 0.0  # where the Durbin-Levinson denominator is 0
     # phi[:, :k] holds the order-k coefficients
     phi = np.empty((n_win, L))
     phi[:, 0] = rho[:, 1]
@@ -230,10 +236,9 @@ def _autocorrelation(win: _Windows, out: np.ndarray) -> None:
         prev = phi[:, : k - 1]
         num = rho[:, k] - np.vecdot(prev, rev[:, L + 1 - k : L])
         den = 1.0 - np.vecdot(prev, rho[:, 1:k])
-        phi_kk = np.divide(num, den, out=np.zeros_like(num), where=den != 0.0)
+        phi_kk = np.divide(num, den, out=pacf[:, k - 1], where=den != 0.0)
         prev -= phi_kk[:, None] * prev[:, ::-1]
-        phi[:, k - 1] = pacf[:, k - 1] = phi_kk
-    lags = rho[:, 1:]
+        phi[:, k - 1] = phi_kk
     # np.mean and np.std of the lags
     mean = lags.sum(axis=1) / L
     dev = lags - mean[:, None]
@@ -410,6 +415,23 @@ assert _GROUP_STARTS[-1] == len(CATALOG)
 _GROUP_OF = np.repeat(np.arange(len(_GROUPS)), [width for width, _ in _GROUPS])
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(columns: tuple[str, ...]):
+    """(groups, gather) of the catalog ``columns``: the indices of the groups
+    that hold them, ascending, and their catalog positions in that order
+    (None for the whole catalog in order). Raises the ValueError of an
+    unknown or a repeated name; only a plan that passes is kept."""
+    unknown = [c for c in columns if c not in _POSITION]
+    if unknown:
+        raise ValueError(f"not in the statistical catalog: {sorted(unknown)}")
+    if len(set(columns)) != len(columns):
+        raise ValueError("column names must be unique")
+    idx = np.array([_POSITION[c] for c in columns], dtype=np.intp)
+    idx.setflags(write=False)  # shared by every call
+    groups = tuple(sorted(set(_GROUP_OF[idx].tolist())))
+    return groups, (None if columns == CATALOG else idx)
+
+
 def _rows(X: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
     """Rows of a (n_windows, window) stack for the catalog ``columns``, in
     that order: one row per window, which depends on that window's values
@@ -418,16 +440,13 @@ def _rows(X: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
     X = np.ascontiguousarray(X, dtype=float)
     if X.shape[1] < MIN_WINDOW:
         raise ValueError(f"window {X.shape[1]} < 2 * N_ACF_LAGS + 1 = {MIN_WINDOW}")
-    unknown = [c for c in columns if c not in _POSITION]
-    if unknown:
-        raise ValueError(f"not in the statistical catalog: {sorted(unknown)}")
-    idx = [_POSITION[c] for c in columns]
+    groups, gather = _plan(columns)
     full = np.empty((X.shape[0], len(CATALOG)))
     win = _Windows(X)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for g in sorted(set(_GROUP_OF[idx].tolist())):
+        for g in groups:
             _GROUPS[g][1](win, full[:, _GROUP_STARTS[g] : _GROUP_STARTS[g + 1]])
-    return full if columns == CATALOG else full[:, idx]
+    return full if gather is None else full[:, gather]
 
 
 def window_features(x: np.ndarray) -> np.ndarray:
@@ -446,4 +465,5 @@ def extract_stat_features(ts: TimeSeries, window: int = 24, columns=None) -> Fea
         raise ValueError(f"window {window} > series length {n}")
     names = CATALOG if columns is None else tuple(columns)
     rows = _rows(np.lib.stride_tricks.sliding_window_view(ts.values, window), names)
-    return FeatureMatrix(names, rows, tuple(range(window - 1, n)))
+    # _rows built a fresh matrix for these names, which _plan found unique
+    return FeatureMatrix.wrap(names, rows, tuple(range(window - 1, n)))

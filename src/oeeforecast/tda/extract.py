@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict
+from types import MappingProxyType
 
 import numpy as np
 
@@ -145,6 +146,31 @@ def _h1_pairs(pts: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]
     ]
 
 
+@functools.lru_cache(maxsize=64)
+def _plan(columns: tuple[str, ...]) -> MappingProxyType:
+    """The catalog ``columns`` by vectorizer block: (homology dim, group) ->
+    (positions among columns, indices among the group's columns), two index
+    arrays, blocks in order of first appearance, all read-only. Raises the
+    ValueError of an unknown or a repeated name; only a plan that passes is
+    kept."""
+    if not _NAMES.issuperset(columns):
+        raise ValueError(f"not in the topological catalog: {sorted(set(columns) - _NAMES)}")
+    if len(set(columns)) != len(columns):
+        raise ValueError("column names must be unique")
+    asked = defaultdict(lambda: ([], []))
+    for pos, name in enumerate(columns):
+        h, group, j = _PLACE[name]
+        positions, indices = asked[h, group]
+        positions.append(pos)
+        indices.append(j)
+    plan = {}
+    for block, lists in asked.items():
+        plan[block] = tuple(np.array(a, dtype=np.intp) for a in lists)
+        for a in plan[block]:
+            a.setflags(write=False)  # shared by every call
+    return MappingProxyType(plan)
+
+
 def _vectorize(pairs, columns, n_rows: int) -> np.ndarray:
     """The ``columns`` (catalog names) of n_rows windows, in that order.
 
@@ -155,12 +181,7 @@ def _vectorize(pairs, columns, n_rows: int) -> np.ndarray:
     the landscape, whose every column is computed on its own grid point,
     only at the grid points asked for.
     """
-    asked = defaultdict(lambda: ([], []))  # (dim, group) -> (positions, indices)
-    for pos, name in enumerate(columns):
-        h, group, j = _PLACE[name]
-        positions, indices = asked[h, group]
-        positions.append(pos)
-        indices.append(j)
+    asked = _plan(tuple(columns))  # (dim, group) -> (positions, indices)
     out = np.zeros((n_rows, len(columns)))
     for h, groups in pairs.items():
         for rows, b, d in groups:
@@ -235,13 +256,11 @@ def extract_tda_features(
     if scale is not None and not (math.isfinite(scale) and scale > 0.0):
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     columns = CATALOG if columns is None else tuple(columns)
-    if not _NAMES.issuperset(columns):
-        raise ValueError(f"not in the topological catalog: {sorted(set(columns) - _NAMES)}")
+    dims = {h for h, _ in _plan(columns)}
     pts = _embedded_windows(ts.values, window)
     dist = _distances(pts)
     if scale is None:
         scale = _scale_of(dist)
-    dims = {_PLACE[name][0] for name in columns}
     pairs = {}
     if 0 in dims:
         deaths = _h0_deaths(dist) / scale
@@ -249,4 +268,5 @@ def extract_tda_features(
     if 1 in dims:
         pairs[1] = [(rows, b / scale, d / scale) for rows, b, d in _h1_pairs(pts)]
     matrix = _vectorize(pairs, columns, len(pts))
-    return FeatureMatrix(columns, matrix, range(window - 1, len(ts)))
+    # _vectorize built a fresh matrix for these names, which _plan found unique
+    return FeatureMatrix.wrap(columns, matrix, tuple(range(window - 1, len(ts))))

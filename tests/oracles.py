@@ -54,7 +54,14 @@ lags and only end the MA sum at the step's lag, and the shipped loop must
 give its bytes.
 
 The decomposition oracles are the first moving-average and phase-mean
-code: one Python iteration per point and one mean per phase.
+code: one Python iteration per point and one mean per phase. The
+whole-filter decomposition (whole_filter_decompose) is decompose as it ran
+before its passes computed only the moving-average interior they read,
+moved here unchanged with its centered_moving_average: every one of the
+seven filters writes its edges too, into arrays of its own, and each
+component is copied into its TimeSeries. It calls centered_moving_average
+and _phase_means through this module, so a test can put the scalar loops in
+their place.
 
 The CSS filter oracle is the SARIMAX estimator's first filter: one column
 at a time, the AR polynomial by np.convolve and the inverse MA polynomial
@@ -110,7 +117,15 @@ from scipy.optimize._lsq import trf
 from scipy.signal import lfilter
 
 from oeeforecast import pipeline, sarimax
-from oeeforecast.decompose import DecompositionResult
+from oeeforecast.decompose import (
+    DEFAULT_PERIODS,
+    PASSES,
+    DecompositionResult,
+    _edge_widths,
+    _phase_means,
+    _tile,
+    check_periods,
+)
 from oeeforecast.feature_matrix import FeatureMatrix
 from oeeforecast.forecasters import (
     OEE_MAX,
@@ -159,6 +174,86 @@ def scalar_centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
         else:
             out[i] = (csum[i + k + 1] - csum[i - k]) / (2 * k + 1)
     return out
+
+
+def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """Centered MA with the even-window half-weight convention.
+
+    For even ``window`` the kernel spans window+1 points with half weights
+    at both ends. Near the edges the window shrinks symmetrically to
+    whatever fits (uniform weights there), so no points are dropped.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    half = window // 2
+    csum = np.empty(n + 1)
+    csum[0] = 0.0
+    np.add.accumulate(x, out=csum[1:])
+    out = np.empty(n)
+    m = n - 2 * half  # points with room for the full kernel: half .. n - 1 - half
+    if m > 0:
+        full = out[half : n - half]
+        if window % 2 == 0:
+            # full even kernel: half-weight endpoints around x[i-half+1 .. i+half-1]
+            ends = np.add(x[:m], x[2 * half :])
+            ends *= 0.5
+            np.subtract(csum[2 * half : n], csum[1 : m + 1], out=full)
+            full += ends
+        else:
+            np.subtract(csum[window:], csum[:m], out=full)
+        full /= window
+    # an edge point at distance k from its nearer end averages the 2k + 1
+    # points x[i-k .. i+k]: csum[2k + 1] on the left (csum[0] is 0), and
+    # csum[n] - csum[n - 2k - 1] on the right, k = 0 at the last point
+    widths = _edge_widths(window)
+    left, right = min(half, (n + 1) // 2), min(half, n // 2)
+    np.divide(csum[1 : 2 * left : 2], widths[:left], out=out[:left])
+    tail = out[n - right :][::-1]  # k = 0 first
+    np.subtract(csum[n], csum[n - 1 : n - 2 * right : -2], out=tail)
+    tail /= widths[:right]
+    return out
+
+
+def whole_filter_decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
+    """Split a series into trend, one seasonal per period, and residual.
+
+    The periods pass check_periods; the series must cover at least two of
+    the longest cycles.
+    """
+    periods = check_periods(periods)
+    n = len(ts)
+    if n < 2 * periods[-1]:
+        raise ValueError(f"series length {n} < 2 x max period {periods[-1]}")
+
+    x = ts.values
+    seasonal = {p: np.zeros(n) for p in periods}
+
+    # work = input minus all current seasonal estimates; every pass writes
+    # the same buffers, each seasonal its own
+    work, with_p, detrended = x.copy(), np.empty(n), np.empty(n)
+    for _ in range(PASSES):
+        for p in periods:
+            np.add(work, seasonal[p], out=with_p)
+            np.subtract(with_p, centered_moving_average(with_p, p), out=detrended)
+            _tile(_phase_means(detrended, p), seasonal[p])
+            np.subtract(with_p, seasonal[p], out=work)
+
+    trend = centered_moving_average(work, periods[-1])
+    # the seasonals' sum in period order, from 0 as the builtin sum starts
+    seasonal_sum = np.add(seasonal[periods[0]], 0.0)
+    for p in periods[1:]:
+        seasonal_sum += seasonal[p]
+    residual = np.subtract(x, trend, out=work)
+    residual -= seasonal_sum
+
+    seasonal_sum.setflags(write=False)
+    return DecompositionResult(
+        trend=ts.with_values(trend),
+        seasonal={p: ts.with_values(seasonal[p]) for p in periods},
+        residual=ts.with_values(residual),
+        periods=periods,
+        seasonal_sum=seasonal_sum,
+    )
 
 
 def scalar_phase_means(x: np.ndarray, period: int) -> np.ndarray:

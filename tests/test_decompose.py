@@ -1,22 +1,52 @@
-import sys
+import itertools
 
 import numpy as np
 import pytest
 
+from oeeforecast import pipeline
 from oeeforecast.decompose import (
+    _interior_average,
+    _moving_average,
     _phase_means,
-    centered_moving_average,
     components_to_csv,
     decompose,
 )
 from oeeforecast.pipeline import causal_components
 from oeeforecast.series import TimeSeries
 
+import oracles
 from conftest import STAND_INS, kpss_rejects_level, make_oee_series
-from oracles import reconstruct, scalar_centered_moving_average, scalar_phase_means
+from oracles import (
+    reconstruct,
+    scalar_centered_moving_average,
+    scalar_phase_means,
+    whole_filter_decompose,
+)
 
-# the package re-exports the decompose function under the module's name
-decompose_module = sys.modules["oeeforecast.decompose"]
+
+def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """decompose's trend filter, edges included, into fresh buffers."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.size)
+    _moving_average(x, window, np.zeros(x.size + 1), out)
+    return out
+
+
+def interior_average(x: np.ndarray, window: int) -> np.ndarray:
+    """A pass stage's filter into a NaN-filled array: NaN where it writes
+    nothing."""
+    out = np.full(x.size, np.nan)
+    _interior_average(x, window, np.zeros(x.size + 1), out)
+    return out
+
+
+def assert_components_bytes_equal(got, want):
+    assert got.periods == want.periods
+    assert got.trend.values.tobytes() == want.trend.values.tobytes()
+    assert got.residual.values.tobytes() == want.residual.values.tobytes()
+    assert got.seasonal_sum.tobytes() == want.seasonal_sum.tobytes()
+    for p in want.periods:
+        assert got.seasonal[p].values.tobytes() == want.seasonal[p].values.tobytes(), p
 
 
 def sine_composite(n=504, seed=0):
@@ -136,8 +166,14 @@ class TestScalarOracle:
         for length in range(336, n + 1):
             prefix = x[:length]
             for p in (8, 24, 168):
+                want = scalar_centered_moving_average(prefix, p)
                 got = centered_moving_average(prefix, p)
-                assert np.array_equal(got, scalar_centered_moving_average(prefix, p)), (length, p)
+                assert np.array_equal(got, want), (length, p)
+                # a pass stage writes the full-kernel span alone
+                got = interior_average(prefix, p)
+                inner = slice(p // 2, length - p // 2)
+                assert got[inner].tobytes() == want[inner].tobytes(), (length, p)
+                assert np.isnan(got[: p // 2]).all() and np.isnan(got[length - p // 2 :]).all()
                 got = _phase_means(prefix, p)
                 assert np.array_equal(got, scalar_phase_means(prefix, p)), (length, p)
 
@@ -185,19 +221,63 @@ class TestScalarOracle:
         periods = (8, 24, 168)
         got = decompose(series, periods)
         got_causal = causal_components(series, periods)
-        monkeypatch.setattr(
-            decompose_module, "centered_moving_average", scalar_centered_moving_average
-        )
-        monkeypatch.setattr(decompose_module, "_phase_means", scalar_phase_means)
-        want = decompose(series, periods)
+        # the whole-filter decomposition on the per-point and per-phase loops
+        monkeypatch.setattr(oracles, "centered_moving_average", scalar_centered_moving_average)
+        monkeypatch.setattr(oracles, "_phase_means", scalar_phase_means)
+        want = whole_filter_decompose(series, periods)
+        monkeypatch.setattr(pipeline, "decompose", whole_filter_decompose)
         want_causal = causal_components(series, periods)
 
-        assert got.trend.values.tobytes() == want.trend.values.tobytes()
-        assert got.residual.values.tobytes() == want.residual.values.tobytes()
-        for p in periods:
-            assert got.seasonal[p].values.tobytes() == want.seasonal[p].values.tobytes()
+        assert_components_bytes_equal(got, want)
         (trend, seasonal, residual), (w_trend, w_seasonal, w_residual) = got_causal, want_causal
         assert trend.values.tobytes() == w_trend.values.tobytes()
         assert residual.values.tobytes() == w_residual.values.tobytes()
         for p in periods:
             assert seasonal[p].values.tobytes() == w_seasonal[p].values.tobytes()
+
+
+class TestWholeFilterOracle:
+    """The passes compute only the moving-average interior they read, into
+    shared buffers, and wrap their arrays uncopied; every component has the
+    bits of the decomposition whose seven filters all wrote their edges."""
+
+    @pytest.mark.parametrize("name", list(STAND_INS))
+    def test_every_prefix_of_the_stand_ins(self, name):
+        n, seed = STAND_INS[name]
+        series = make_oee_series(n, seed=seed, name=name)
+        for length in range(336, n + 1):
+            prefix = series.slice(0, length)
+            assert_components_bytes_equal(decompose(prefix), whole_filter_decompose(prefix))
+
+    @pytest.mark.parametrize("periods", [(3, 9, 27), (5, 25)])
+    def test_nested_odd_periods(self, periods):
+        series = make_oee_series(400, seed=11)
+        for length in range(2 * periods[-1], 400, 7):
+            prefix = series.slice(0, length)
+            got = decompose(prefix, periods)
+            assert_components_bytes_equal(got, whole_filter_decompose(prefix, periods))
+
+    @pytest.mark.parametrize("periods", [(8, 24, 168), (3, 9, 27), (5, 25), (1, 4), (2,)])
+    def test_length_twice_the_longest_period(self, periods):
+        series = make_oee_series(2 * periods[-1], seed=12)
+        assert_components_bytes_equal(
+            decompose(series, periods), whole_filter_decompose(series, periods)
+        )
+
+    def test_components_are_read_only_and_own_their_arrays(self, oee_series):
+        d = decompose(oee_series)
+        arrays = [d.trend.values, d.residual.values, d.seasonal_sum]
+        arrays += [c.values for c in d.seasonal.values()]
+        for a in arrays:
+            assert not a.flags.writeable
+            assert not np.shares_memory(a, oee_series.values)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_non_finite_components_refused(self):
+        # finite values whose moving averages overflow
+        x = np.full(400, 1.7e308)
+        x[::2] = -1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must be finite"):
+                decompose(TimeSeries(x), periods=(8, 24))

@@ -25,6 +25,7 @@ from oeeforecast.selection import PsoConfig
 from oeeforecast.series import TimeSeries
 from oeeforecast.stat_features import extract_stat_features
 
+import oracles
 from conftest import STAND_INS, make_oee_series, strict_json
 from oracles import (
     filtered_ets_update,
@@ -34,10 +35,8 @@ from oracles import (
     scalar_centered_moving_average,
     scalar_holt_filter,
     scalar_phase_means,
+    whole_filter_decompose,
 )
-
-# the package re-exports the decompose function under the module's name
-decompose_module = sys.modules["oeeforecast.decompose"]
 
 
 def small_cfg(**kw):
@@ -448,16 +447,22 @@ class TestRefitFailures:
         assert strat.forecast(series_small.slice(0, 330), 2).tobytes() == expected.tobytes()
 
 
+def _import_tracing():
+    """perfbench/tracing.py, the benchmark's layer tracer."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.pop(0)
+    return tracing
+
+
 class TestBenchmarkTracer:
     def test_tracer_records_topological_layers(self, oee_series):
         # perfbench's tracer patches pipeline, tda.extract and sarimax
         # attributes by name; a renamed or removed one, or a fit that stops
         # calling sarimax.minimize, breaks its traced runs
-        sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-        try:
-            import tracing
-        finally:
-            sys.path.pop(0)
+        tracing = _import_tracing()
         from oeeforecast.tda import extract
 
         def patched():
@@ -498,6 +503,29 @@ class TestBenchmarkTracer:
         # the refit's 300 - 24 + 1 windows plus 2 forecast steps' 6 and 1
         assert counts["tda.rows"] == 277 + 6 + 1
         assert counts["sarimax.objective_evals"] > 0
+
+    def test_tracer_counts_statistical_rows(self, oee_series):
+        # the tracer counts an extractor's rows by its result's n_rows, and
+        # one row for a result without it
+        tracing = _import_tracing()
+        tracer = tracing.Tracer()
+        tracing.install(tracer)
+        try:
+            cfg = small_cfg(feature_mode="statistical", sarimax_spec=SarimaxSpec(p=1, s=8))
+            strat = DecomposedStrategy(cfg)
+            strat.refit(oee_series.slice(0, 300))
+            strat.forecast(oee_series.slice(0, 305), 2)
+        finally:
+            tracer.uninstall()
+        names = [span[3] for span in tracer.spans]
+        assert "stat_features.extract" in names
+        assert "stat_features.window_features" not in names
+        counts = {}
+        for (_, name), v in tracer.counts.items():
+            counts[name] = counts.get(name, 0) + v
+        # the refit's 300 - 24 + 1 windows plus 2 forecast steps' 6 and 1
+        assert counts["stat_features.rows"] == 277 + 6 + 1
+        assert "tda.rows" not in counts
 
 
 class TestDesignReuse:
@@ -551,10 +579,10 @@ class TestForecastPath:
             ]
 
         got = forecasts()
-        monkeypatch.setattr(
-            decompose_module, "centered_moving_average", scalar_centered_moving_average
-        )
-        monkeypatch.setattr(decompose_module, "_phase_means", scalar_phase_means)
+        # the whole-filter decomposition on the per-point and per-phase loops
+        monkeypatch.setattr(oracles, "centered_moving_average", scalar_centered_moving_average)
+        monkeypatch.setattr(oracles, "_phase_means", scalar_phase_means)
+        monkeypatch.setattr(pipeline, "decompose", whole_filter_decompose)
         assert [fc.tobytes() for fc in got] == [fc.tobytes() for fc in forecasts()]
         # the Holt state from the impulse response agrees with the recursion
         # to rounding, not bit for bit

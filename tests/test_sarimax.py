@@ -934,6 +934,39 @@ class TestExtension:
         )
 
 
+def _short_history(spec: SarimaxSpec):
+    """(state, y): _extension_case's k = 0 fit cut back to its burn-in and
+    half its MA span of innovations, as a fit just past its burn-in has,
+    and the series it continues over."""
+    f, y, _ = _extension_case(spec, 0)
+    keep = spec.burn_in + (len(f.ma_poly) - 1) // 2
+    state = replace(f, u_history=f.u_history[:keep], residuals=f.residuals[: keep - spec.burn_in])
+    return state, y
+
+
+class TestShortHistory:
+    """A state with fewer innovations than its MA span reads zeros before
+    them: the zero-padded branch of apply_params and forecast."""
+
+    @pytest.mark.parametrize("name", ["one_tap", "row_block", "long_ar"])
+    def test_extension_and_forecasts_equal_the_oracles(self, name):
+        spec = TestExtension.SPECS[name]
+        state, y = _short_history(spec)
+        start = state.u_history.size
+        assert 0 < state.residuals.size < len(state.ma_poly) - 1
+        whole = sarimax.apply_params(state, y[start : start + 40])
+        assert whole.residuals[state.residuals.size :].tobytes() == (
+            continued_innovations(state, whole.u_history[start:]).tobytes()
+        )
+        step = state
+        for t in range(start, start + 40):
+            for horizon in (1, 4, 30):
+                want = indexed_forecast(step, horizon)
+                assert forecast(step, horizon).tobytes() == want.tobytes(), (t, horizon)
+            step = sarimax.apply_params(step, y[t : t + 1])
+        assert step.residuals.tobytes() == whole.residuals.tobytes()
+
+
 class TestForecastOracle:
     SPECS = dict(TestExtension.SPECS, arma=SarimaxSpec(p=2, q=1, P=1, Q=1, s=8))
 

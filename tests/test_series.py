@@ -38,6 +38,13 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             ts.values[0] = 9.0
 
+    def test_wrap_takes_the_array_over(self):
+        values = np.arange(5.0)
+        ts = TimeSeries.wrap(values, datetime(2024, 3, 1), "wrapped")
+        assert ts.values is values and not values.flags.writeable
+        assert (ts.start, ts.name, len(ts)) == (datetime(2024, 3, 1), "wrapped", 5)
+        assert TimeSeries.wrap(np.ones(2)).start == TimeSeries([1.0, 1.0]).start
+
     def test_implied_timestamps(self):
         ts = TimeSeries([1.0, 2.0], start=datetime(2024, 3, 1, 5))
         assert ts.timestamp(1) == datetime(2024, 3, 1, 6)

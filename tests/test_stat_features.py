@@ -231,6 +231,17 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_stat_features(TimeSeries(np.arange(10.0)), window=24)
 
+    def test_unknown_and_repeated_columns_refused_every_time(self, oee_series):
+        # the column plan is kept only for a column set that passes
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"statistical catalog: \['nope'\]"):
+                extract_stat_features(oee_series, columns=["mean", "nope"])
+            with pytest.raises(ValueError, match="unique"):
+                extract_stat_features(oee_series, columns=["mean", "std", "mean"])
+        fm = extract_stat_features(oee_series, columns=["std", "mean"])
+        assert fm.column_names == ("std", "mean")
+        assert extract_stat_features(oee_series, columns=[]).matrix.shape == (fm.n_rows, 0)
+
     @pytest.mark.parametrize(
         "values", [np.sin(np.arange(40.0)), np.full(40, 2.0)], ids=["varying", "constant"]
     )
@@ -447,6 +458,22 @@ class TestFeatureMatrix:
         other = FeatureMatrix(("c",), np.ones((2, 1)), (0, 1))
         wide = fm.hstack(other)
         assert wide.column_names == ("a", "b", "c")
+
+    def test_wrap_imputes_as_the_constructor_does(self):
+        m = np.array([[1.0, np.nan, np.inf], [2.0, 3.0, -np.inf]])
+        built = FeatureMatrix(("a", "b", "c"), m, (10, 11))
+        wrapped = FeatureMatrix.wrap(("a", "b", "c"), m.copy(), (10, 11))
+        for name in ("column_names", "row_index", "imputed"):
+            assert getattr(wrapped, name) == getattr(built, name), name
+        assert wrapped.matrix.tobytes() == built.matrix.tobytes()
+        assert wrapped.imputed == {(10, "b"), (10, "c"), (11, "c")}
+        assert not wrapped.matrix.flags.writeable
+
+    def test_wrap_takes_the_matrix_over(self):
+        m = np.arange(6.0).reshape(3, 2)
+        fm = FeatureMatrix.wrap(("a", "b"), m, (0, 1, 2))
+        assert fm.matrix is m and fm.imputed == frozenset()
+        assert fm.select_columns(["b"]).column_names == ("b",)
 
     def test_csv_round_trip(self, tmp_path):
         fm = FeatureMatrix(("a", "b"), np.array([[1.5, 2.5], [3.5, 4.5]]), (3, 4))

@@ -188,14 +188,20 @@ class TestScalarOracle:
     def test_one_feature_matrix_per_row_build(self, oee_series, monkeypatch):
         # the asked-for columns are written straight into the one matrix,
         # not selected from a full-catalog one
+        # counted on both ways to build one: the checked constructor and wrap
         built = []
-        post_init = FeatureMatrix.__post_init__
+        post_init, wrap = FeatureMatrix.__post_init__, FeatureMatrix.wrap
 
         def counted(fm):
             built.append(fm)
             post_init(fm)
 
+        def counted_wrap(*args):
+            built.append(wrap(*args))
+            return built[-1]
+
         monkeypatch.setattr(FeatureMatrix, "__post_init__", counted)
+        monkeypatch.setattr(FeatureMatrix, "wrap", counted_wrap)
         columns = ("h0_betti_4", "h0_landscape_0_3", "h1_entropy")
         fm = extract_tda_features(oee_series.slice(0, 60), columns=columns)
         assert len(built) == 1 and built[0] is fm and fm.column_names == columns
@@ -203,6 +209,11 @@ class TestScalarOracle:
     def test_unknown_column_rejected(self, oee_series):
         with pytest.raises(ValueError, match="h2_entropy"):
             extract_tda_features(oee_series.slice(0, 60), columns=["h0_entropy", "h2_entropy"])
+
+    def test_repeated_column_rejected(self, oee_series):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unique"):
+                extract_tda_features(oee_series.slice(0, 60), columns=["h0_entropy"] * 2)
 
     def test_row_does_not_depend_on_batch(self):
         ts = _residual("gm2").slice(0, 240)
