@@ -29,7 +29,8 @@ cached per series length, which is new at every origin.
 Each period's seasonal is tiled into its own array, and the seasonals' sum
 is computed once and kept on the result (``seasonal_sum``) for the causal
 decomposition to read. The components wrap these fresh arrays without a
-copy (TimeSeries.wrap), after one finiteness check of the residual, which
+copy (TimeSeries.wrap), after one finiteness check of the residual
+(series.check_finite, which raises the TimeSeries constructor's error), which
 a non-finite trend or seasonal value would make non-finite. Every
 component has the bits of the decomposition whose seven filters all wrote
 their edges into arrays of their own, and of the per-point and per-phase
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .series import TimeSeries
+from .series import TimeSeries, check_finite
 
 DEFAULT_PERIODS = (8, 24, 168)
 PASSES = 2
@@ -164,14 +165,14 @@ def _phase_means(x: np.ndarray, period: int) -> np.ndarray:
 def check_periods(periods) -> tuple[int, ...]:
     """The periods as a tuple of ints, or a ValueError starting with
     ``periods``: they must be non-empty, at least 1, strictly increasing and
-    nested (each divides the next). A tuple's answer is kept, so a model
-    that decomposes at every forecast origin checks its periods once."""
-    if type(periods) is tuple:
-        return _checked_tuple(periods)
-    return _checked(periods)
+    nested (each divides the next). The answer is kept per periods tuple, so
+    a model that decomposes at every forecast origin checks its periods
+    once."""
+    return _checked(tuple(periods))
 
 
-def _checked(periods) -> tuple[int, ...]:
+@functools.lru_cache(maxsize=64)
+def _checked(periods: tuple) -> tuple[int, ...]:
     periods = tuple(int(p) for p in periods)
     if not periods:
         raise ValueError("periods must be non-empty")
@@ -183,9 +184,6 @@ def _checked(periods) -> tuple[int, ...]:
         if b % a != 0:
             raise ValueError(f"periods must be nested (each divides the next), got {periods}")
     return periods
-
-
-_checked_tuple = functools.lru_cache(maxsize=64)(_checked)
 
 
 def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
@@ -230,8 +228,7 @@ def decompose(ts: TimeSeries, periods=DEFAULT_PERIODS) -> DecompositionResult:
     # a sum with an infinity or a NaN in it is never finite, so a finite
     # residual x - trend - (sum of the seasonals) of a finite x vouches for
     # the trend and every seasonal
-    if not np.isfinite(residual).all():
-        raise ValueError("TimeSeries values must be finite (no NaN/inf)")
+    check_finite(residual)
 
     def series(values):  # the fresh arrays become the components, uncopied
         return TimeSeries.wrap(values, ts.start, ts.name)

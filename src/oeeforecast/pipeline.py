@@ -40,7 +40,7 @@ from .selection import (
     rfe_sarimax,
     variance_filter,
 )
-from .series import TimeSeries, json_text, line_fit, load_csv, mae, mape
+from .series import TimeSeries, check_finite, json_text, line_fit, load_csv, mae, mape
 from .stat_features import CATALOG as STAT_CATALOG
 from .stat_features import MIN_WINDOW as STAT_MIN_WINDOW
 # window_features is not called here; perfbench/tracing.py patches it by this name
@@ -80,8 +80,7 @@ def causal_components(ts: TimeSeries, periods):
     residual = np.subtract(ts.values, d.seasonal_sum)
     residual -= trend
     # as in decompose, a finite residual leaves no non-finite trend value
-    if not np.isfinite(residual).all():
-        raise ValueError("TimeSeries values must be finite (no NaN/inf)")
+    check_finite(residual)
     return (
         TimeSeries.wrap(trend, ts.start, ts.name),
         d.seasonal,

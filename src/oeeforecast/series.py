@@ -27,6 +27,13 @@ class CsvError(ValueError):
     """Raised when a CSV file violates the expected input contract."""
 
 
+def check_finite(values: np.ndarray) -> None:
+    """Raise the ValueError TimeSeries raises for values holding a NaN or an
+    infinity; for the callers of ``TimeSeries.wrap``, which checks nothing."""
+    if not np.isfinite(values).all():
+        raise ValueError("TimeSeries values must be finite (no NaN/inf)")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Contiguous hourly series: value i is observed at start + i hours.
@@ -43,8 +50,7 @@ class TimeSeries:
         arr = np.array(self.values, dtype=float, copy=True)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("TimeSeries needs a 1-d sequence with length >= 1")
-        if not np.isfinite(arr).all():
-            raise ValueError("TimeSeries values must be finite (no NaN/inf)")
+        check_finite(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
@@ -53,9 +59,10 @@ class TimeSeries:
         """A series over ``values`` itself, with no copy and no check.
 
         Only for a finite, non-empty 1-d float64 array that its caller has
-        just computed or checked and hands over: the decomposition's
-        components, a forecast origin's residual. ``values`` is marked
-        read-only and must not be written again.
+        just computed or checked (with check_finite, whose error is the
+        constructor's) and hands over: the decomposition's components, a
+        forecast origin's residual. ``values`` is marked read-only and must
+        not be written again.
         """
         values.setflags(write=False)
         series = object.__new__(cls)

@@ -8,6 +8,7 @@ from oeeforecast.decompose import (
     _interior_average,
     _moving_average,
     _phase_means,
+    check_periods,
     components_to_csv,
     decompose,
 )
@@ -24,8 +25,10 @@ from oracles import (
 )
 
 
-def centered_moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """decompose's trend filter, edges included, into fresh buffers."""
+def shipped_moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """decompose's trend filter (the shipped _moving_average), edges
+    included, into fresh buffers; oracles.centered_moving_average is the
+    old whole-filter code."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.size)
     _moving_average(x, window, np.zeros(x.size + 1), out)
@@ -62,19 +65,19 @@ def sine_composite(n=504, seed=0):
 
 class TestMovingAverage:
     def test_constant_passthrough(self):
-        out = centered_moving_average(np.full(50, 3.5), 24)
+        out = shipped_moving_average(np.full(50, 3.5), 24)
         assert np.allclose(out, 3.5)
 
     def test_linear_passthrough_interior(self):
         # a symmetric window reproduces a line exactly, even with half-weights
         x = 2.0 + 0.5 * np.arange(100)
-        out = centered_moving_average(x, 8)
+        out = shipped_moving_average(x, 8)
         assert np.allclose(out[4:-4], x[4:-4], atol=1e-10)
 
     def test_kills_matching_period(self):
         t = np.arange(96)
         x = np.sin(2 * np.pi * t / 8.0)
-        out = centered_moving_average(x, 8)
+        out = shipped_moving_average(x, 8)
         assert np.max(np.abs(out[4:-4])) < 1e-10
 
 
@@ -147,6 +150,16 @@ class TestDecompose:
         with pytest.raises(ValueError, match=">= 1"):
             decompose(TimeSeries(np.arange(400.0)), periods=(0,))
 
+    def test_periods_of_any_sequence(self):
+        # a kept answer serves every sequence of the same periods, and a
+        # refused tuple is refused again: only answers are kept
+        for periods in ([8, 24], (8.0, 24), np.array([8, 24]), (8, 24)):
+            got = check_periods(periods)
+            assert got == (8, 24) and all(type(p) is int for p in got)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nested"):
+                check_periods((8, 36))
+
     def test_csv_export(self, tmp_path, oee_series):
         d = decompose(oee_series)
         path = tmp_path / "components.csv"
@@ -167,7 +180,7 @@ class TestScalarOracle:
             prefix = x[:length]
             for p in (8, 24, 168):
                 want = scalar_centered_moving_average(prefix, p)
-                got = centered_moving_average(prefix, p)
+                got = shipped_moving_average(prefix, p)
                 assert np.array_equal(got, want), (length, p)
                 # a pass stage writes the full-kernel span alone
                 got = interior_average(prefix, p)
@@ -181,7 +194,7 @@ class TestScalarOracle:
     def test_odd_windows(self, window):
         x = make_oee_series(400, seed=5).values
         assert np.array_equal(
-            centered_moving_average(x, window), scalar_centered_moving_average(x, window)
+            shipped_moving_average(x, window), scalar_centered_moving_average(x, window)
         )
         assert np.array_equal(_phase_means(x, window), scalar_phase_means(x, window))
 
@@ -190,7 +203,7 @@ class TestScalarOracle:
         # no point has room for the full kernel: every one is truncated
         x = np.random.default_rng(2).normal(30.0, 5.0, 11)
         assert np.array_equal(
-            centered_moving_average(x, window), scalar_centered_moving_average(x, window)
+            shipped_moving_average(x, window), scalar_centered_moving_average(x, window)
         )
 
     @pytest.mark.parametrize("window", [2, 3, 5, 8, 24, 25, 168])
@@ -201,7 +214,7 @@ class TestScalarOracle:
         rng = np.random.default_rng(window)
         for n in sorted({window - 1, window, window + 1, 2 * half, 2 * half + 1}):
             x = rng.normal(30.0, 5.0, n)
-            got = centered_moving_average(x, window)
+            got = shipped_moving_average(x, window)
             assert got.tobytes() == scalar_centered_moving_average(x, window).tobytes(), n
 
     @pytest.mark.parametrize("period", [8, 24, 168])
